@@ -11,9 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from b5gcell.cli import main as cli_main
-from b5gcell.cli import parse_grid, parse_variants
-from b5gcell.config import load_config
+from b5gcell.cli import _config_digest, _write_outputs, parse_grid, parse_variants
+from b5gcell.config import ConfigError, load_config
 from b5gcell.scenario import RATE_VARIABLE, SweepSpec, find_crossing, run_sweep
 
 
@@ -28,7 +27,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
-    bundle = load_config(args.config)
+    try:
+        bundle = load_config(args.config)
+        grid = parse_grid(args.grid)
+        digest = _config_digest(args.config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sizes = [int(s) for s in args.mt.split(",") if s]
     root = Path(args.out)
 
@@ -36,17 +41,12 @@ def main(argv=None) -> int:
         run_dir = root / f"mt{m_t}"
         variant_text = ",".join(
             f"{base}:mt={m_t}" for base in ("sep-mmwave", "sep-lifi", "nonsep"))
-        cli_args = ["sweep", "--out", str(run_dir), "--grid", args.grid,
-                    "--variants", variant_text, "--seed", str(args.seed)]
-        if args.config:
-            cli_args += ["--config", args.config]
-        code = cli_main(cli_args)
-        if code not in (0, 2):
-            return code
-
-        spec = SweepSpec(variable=RATE_VARIABLE, grid=parse_grid(args.grid),
+        spec = SweepSpec(variable=RATE_VARIABLE, grid=grid,
                          variants=parse_variants(variant_text, bundle.scenario.m_t))
         result = run_sweep(bundle, spec, seed=args.seed)
+        if _write_outputs(run_dir, result, digest, args.grid, variant_text, plot=True) == 2:
+            print("warning: no feasible point in the sweep", file=sys.stderr)
+        print(f"wrote {len(result.rows)} rows to {run_dir}/results.csv")
         for iap in ("mmwave", "lifi"):
             cross = find_crossing(result, f"sep-{iap}:mt={m_t}", f"nonsep:mt={m_t}")
             if cross is None:

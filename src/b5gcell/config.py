@@ -1,15 +1,20 @@
 """Scenario configuration.
 
-Typed parameter bundles, the shipped defaults table (every default carries a
-provenance note), a flat ``key = value`` config-file reader with per-device
-sections, environment-variable overrides, and a round-trip writer.
+Typed parameter bundles and the shipped defaults table.  ``DEFAULTS`` is the
+only list of config keys: each ``section.key`` entry carries its default value
+and a provenance note, and the loader, ``default_bundle`` and the canonical
+writer all walk it.  A key's type is the type of its default: ints parse with
+``int(text, 0)``, floats with ``float``, strings are lower-cased, a flat tuple
+is a comma vector and a tuple of tuples a ``;`` list of such vectors.
 
 Units are fixed internally: watts, hertz, metres, radians, linear gains.
 Carrier frequencies are carried in GHz because the outdoor path-loss law is
-written against a 5 GHz reference.  Config files may give angles in degrees
-through a ``*_deg`` key and the noise floor in dBm through
-``noise_variance_dbm``; both are converted on load.  Wall penetration is a dB
-quantity by definition and keeps its ``_db`` suffix everywhere.
+written against a 5 GHz reference.  Three alias keys are converted on load:
+``lifi.half_angle_deg`` and ``lifi.fov_deg`` (degrees) and
+``scenario.noise_variance_dbm`` (dBm); giving a key and its alias in the same
+source is an error.  Wall penetration is a dB quantity by definition and keeps
+its ``_db`` suffix everywhere.  Section and key names are case-insensitive, and
+a key given twice in one source, in any case, is rejected.
 
 Override precedence: environment > file > defaults.  Environment keys use the
 ``B5GCELL_<SECTION>__<KEY>`` form, e.g. ``B5GCELL_SCENARIO__M_T=128``.
@@ -142,12 +147,9 @@ class LiFiDeviceParams:
     g_filter: float           # optical filter gain
     refr_index: float         # concentrator refractive index
     fov: float                # receiver field of view, rad
-    tx_positions: tuple       # ((x, y, z), ...) LED positions, m
-    rx_position: tuple        # (x, y, z) reference receiver position, m
     n_tx: tuple               # unit normal of the LED (usually down)
     n_rx: tuple               # unit normal of the photodiode (usually up)
     c_f: float                # serving-LED coefficient in the SINR law
-    c_ijf: float              # interfering-LED coefficient
     p_opt: float              # transmitted optical power, W
     n0: float                 # receiver noise density per Hz of bandwidth_in
     led: LedElectrical
@@ -257,12 +259,9 @@ DEFAULTS: dict[str, Default] = {
     "lifi.g_filter": Default(1.0, "neutral optical filter gain"),
     "lifi.refr_index": Default(1.5, "typical concentrator refractive index"),
     "lifi.fov": Default(math.radians(80.0), "engineering choice: wide receiver field of view"),
-    "lifi.tx_positions": Default(((0.0, 0.0, 3.0),), "ceiling-mounted LED at 3 m"),
-    "lifi.rx_position": Default((1.5, 1.5, 0.85), "desk-height receiver on the default indoor grid"),
     "lifi.n_tx": Default((0.0, 0.0, -1.0), "LED facing straight down"),
     "lifi.n_rx": Default((0.0, 0.0, 1.0), "photodiode facing straight up"),
     "lifi.c_f": Default(1.0, "neutral serving-LED coefficient"),
-    "lifi.c_ijf": Default(1.0, "neutral interfering-LED coefficient"),
     "lifi.p_opt": Default(3.0, "engineering choice: luminaire optical output"),
     "lifi.n0": Default(1e-21, "engineering choice: receiver noise density"),
     # lifi LED electrical set
@@ -302,31 +301,48 @@ DEFAULTS: dict[str, Default] = {
 }
 
 
-def _dv(key: str):
-    return DEFAULTS[key].value
+# section names, in table (and dump) order
+_SECTIONS = tuple(dict.fromkeys(key.partition(".")[0] for key in DEFAULTS))
+
+# where each section's fields live inside a ConfigBundle
+_PLACES = {
+    "scenario": "scenario", "mbsala": "constants.mbsala", "bmaa": "constants.bmaa",
+    "iap": "constants.iap", "devices": "constants", "lifi": "lifi",
+    "lifi_led": "lifi.led", "gops": "gops", "layout": "layout",
+}
+
+# alternative spellings: alias -> (key it sets, converter from the text)
+_ALIASES = {
+    "lifi.half_angle_deg": ("lifi.half_angle", lambda t: math.radians(float(t))),
+    "lifi.fov_deg": ("lifi.fov", lambda t: math.radians(float(t))),
+    "scenario.noise_variance_dbm": ("scenario.noise_variance",
+                                    lambda t: 10.0 ** ((float(t) - 30.0) / 10.0)),
+}
+
+# vector keys that take exactly three components
+_VEC3 = frozenset({"lifi.n_tx", "lifi.n_rx"})
 
 
-def _section_defaults(section: str) -> dict:
-    pfx = section + "."
-    return {k[len(pfx):]: d.value for k, d in DEFAULTS.items() if k.startswith(pfx)}
+def _build(values: dict[str, object]) -> ConfigBundle:
+    """Nest flat ``section.key`` values into the bundle's dataclasses."""
+    sec: dict[str, dict] = {name: {} for name in _SECTIONS}
+    for key, value in values.items():
+        section, _, name = key.partition(".")
+        sec[section][name] = value
+    return ConfigBundle(
+        scenario=ScenarioConfig(**sec["scenario"]),
+        constants=DeviceConstants(mbsala=MbsalaRf(**sec["mbsala"]),
+                                  bmaa=BmaaRf(**sec["bmaa"]),
+                                  iap=IapRf(**sec["iap"]), **sec["devices"]),
+        lifi=LiFiDeviceParams(led=LedElectrical(**sec["lifi_led"]), **sec["lifi"]),
+        gops=GopsModel(**sec["gops"]),
+        layout=LayoutConfig(**sec["layout"]),
+    )
 
 
 def default_bundle() -> ConfigBundle:
     """Bundle built purely from the shipped defaults table."""
-    dev = _section_defaults("devices")
-    return ConfigBundle(
-        scenario=ScenarioConfig(**_section_defaults("scenario")),
-        constants=DeviceConstants(
-            mbsala=MbsalaRf(**_section_defaults("mbsala")),
-            bmaa=BmaaRf(**_section_defaults("bmaa")),
-            iap=IapRf(**_section_defaults("iap")),
-            **dev,
-        ),
-        lifi=LiFiDeviceParams(led=LedElectrical(**_section_defaults("lifi_led")),
-                              **_section_defaults("lifi")),
-        gops=GopsModel(**_section_defaults("gops")),
-        layout=LayoutConfig(**_section_defaults("layout")),
-    )
+    return _build({key: d.value for key, d in DEFAULTS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +368,12 @@ def _parse_text(text: str, origin: str) -> dict[str, dict[str, str]]:
         if current is None:
             raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
         if not key:
             raise ConfigError(f"{origin}:{lineno}: empty key")
         if key in sections[current]:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {current}.{key}")
-        sections[current][key.lower()] = value
+        sections[current][key] = value
     return sections
 
 
@@ -370,118 +387,65 @@ def _env_overrides(environ) -> dict[str, dict[str, str]]:
             raise ConfigError(
                 f"environment override {name} must look like {ENV_PREFIX}SECTION__KEY"
             )
-        section, key = body.split("__", 1)
-        out.setdefault(section.lower(), {})[key.lower()] = value
+        section, key = (part.lower() for part in body.split("__", 1))
+        keys = out.setdefault(section, {})
+        if key in keys:
+            raise ConfigError(f"environment override {name}: duplicate key {section}.{key}")
+        keys[key] = value
     return out
 
 
-class _SectionReader:
-    """Typed access to one raw section, tracking which keys were consumed."""
+def _floats(text: str) -> tuple:
+    return tuple(float(p) for p in text.split(",") if p.strip())
 
-    def __init__(self, section: str, raw: dict[str, str]):
-        self.section = section
-        self.raw = raw
-        self.seen: set[str] = set()
 
-    def _take(self, key: str):
-        if key in self.raw:
-            self.seen.add(key)
-            return self.raw[key]
-        return None
+def _parse(key: str, text: str):
+    """Convert *text* to the type of the key's default value."""
+    default = DEFAULTS[key].value
+    if isinstance(default, str):
+        return text.lower()
+    if isinstance(default, int):
+        return int(text, 0)
+    if isinstance(default, float):
+        return float(text)
+    if isinstance(default[0], tuple):
+        dim = len(default[0])
+        vecs = tuple(_floats(part) for part in text.split(";") if part.strip())
+        for vec in vecs:
+            if len(vec) != dim:
+                raise ValueError(f"expected {dim} components per ';'-separated entry, "
+                                 f"got {len(vec)}")
+        return vecs
+    vec = _floats(text)
+    if key in _VEC3 and len(vec) != 3:
+        raise ValueError(f"expected 3 components, got {len(vec)}")
+    return vec
 
-    def _scalar(self, key: str, conv, fallback):
-        text = self._take(key)
-        if text is None:
-            return fallback
-        try:
-            return conv(text)
-        except ValueError as exc:
-            raise ConfigError(f"{self.section}.{key}: {exc}") from None
 
-    def get_int(self, key, fallback):
-        return self._scalar(key, lambda t: int(t, 0), fallback)
+def _overlay(values: dict[str, object], raw: dict[str, dict[str, str]]) -> None:
+    """Convert one source's raw strings and write them over *values*.
 
-    def get_float(self, key, fallback):
-        return self._scalar(key, float, fallback)
-
-    def get_str(self, key, fallback):
-        return self._scalar(key, lambda t: t.lower(), fallback)
-
-    def get_angle(self, key, fallback):
-        """Angle in rad; a *_deg alternate is converted. Both forms present is an error."""
-        if key in self.raw and key + "_deg" in self.raw:
-            raise ConfigError(f"{self.section}.{key}: give either {key} or {key}_deg, not both")
-        deg = self._take(key + "_deg")
-        if deg is not None:
+    A key and its alias given in the same source is an error; across sources
+    the later one simply wins.
+    """
+    spelling: dict[str, str] = {}
+    for section, keys in raw.items():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}] "
+                              f"(known: {', '.join(_SECTIONS)})")
+        for key, text in keys.items():
+            name = f"{section}.{key}"
+            target, conv = _ALIASES.get(name, (name, None))
+            if target not in DEFAULTS:
+                raise ConfigError(f"unknown key {name}")
+            if target in spelling:
+                raise ConfigError(f"{target}: give either {spelling[target]} or {key}, "
+                                  f"not both")
+            spelling[target] = key
             try:
-                return math.radians(float(deg))
-            except ValueError as exc:
-                raise ConfigError(f"{self.section}.{key}_deg: {exc}") from None
-        return self.get_float(key, fallback)
-
-    def get_power_dbm_ok(self, key, fallback):
-        """Power in W; a *_dbm alternate is converted."""
-        if key in self.raw and key + "_dbm" in self.raw:
-            raise ConfigError(f"{self.section}.{key}: give either {key} or {key}_dbm, not both")
-        dbm = self._take(key + "_dbm")
-        if dbm is not None:
-            try:
-                return 10.0 ** ((float(dbm) - 30.0) / 10.0)
-            except ValueError as exc:
-                raise ConfigError(f"{self.section}.{key}_dbm: {exc}") from None
-        return self.get_float(key, fallback)
-
-    def get_floats(self, key, fallback):
-        text = self._take(key)
-        if text is None:
-            return fallback
-        try:
-            return tuple(float(p) for p in text.split(",") if p.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{self.section}.{key}: {exc}") from None
-
-    def get_vec3(self, key, fallback):
-        vec = self.get_floats(key, None)
-        if vec is None:
-            return fallback
-        if len(vec) != 3:
-            raise ConfigError(f"{self.section}.{key}: expected 3 components, got {len(vec)}")
-        return vec
-
-    def get_vec3_list(self, key, fallback):
-        text = self._take(key)
-        if text is None:
-            return fallback
-        out = []
-        for part in text.split(";"):
-            if not part.strip():
-                continue
-            vec = tuple(float(p) for p in part.split(",") if p.strip())
-            if len(vec) != 3:
-                raise ConfigError(f"{self.section}.{key}: expected x,y,z triples separated by ';'")
-            out.append(vec)
-        return tuple(out)
-
-    def get_vec2_list(self, key, fallback):
-        text = self._take(key)
-        if text is None:
-            return fallback
-        out = []
-        for part in text.split(";"):
-            if not part.strip():
-                continue
-            vec = tuple(float(p) for p in part.split(",") if p.strip())
-            if len(vec) != 2:
-                raise ConfigError(f"{self.section}.{key}: expected x,y pairs separated by ';'")
-            out.append(vec)
-        return tuple(out)
-
-    def unknown_keys(self) -> list[str]:
-        return sorted(set(self.raw) - self.seen)
-
-
-_KNOWN_SECTIONS = ("scenario", "mbsala", "bmaa", "iap", "devices",
-                   "lifi", "lifi_led", "gops", "layout")
+                values[target] = conv(text) if conv else _parse(target, text)
+            except (ValueError, ArithmeticError) as exc:
+                raise ConfigError(f"{name}: {exc}") from None
 
 
 def load_config(path: str | None = None, use_env: bool = True,
@@ -491,137 +455,17 @@ def load_config(path: str | None = None, use_env: bool = True,
     Raises ConfigError naming the offending section.key for unknown keys,
     unparsable values, and the first violated invariant.
     """
-    raw: dict[str, dict[str, str]] = {}
+    values = {key: d.value for key, d in DEFAULTS.items()}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        raw = _parse_text(text, path)
+        _overlay(values, _parse_text(text, path))
     if use_env:
-        for section, keys in _env_overrides(environ if environ is not None else os.environ).items():
-            raw.setdefault(section, {}).update(keys)
-
-    for section in raw:
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(f"unknown section [{section}] "
-                              f"(known: {', '.join(_KNOWN_SECTIONS)})")
-
-    readers = {name: _SectionReader(name, raw.get(name, {})) for name in _KNOWN_SECTIONS}
-    sc, dev = readers["scenario"], readers["devices"]
-    mb, bm, ia = readers["mbsala"], readers["bmaa"], readers["iap"]
-    lf, led, gp, lay = readers["lifi"], readers["lifi_led"], readers["gops"], readers["layout"]
-
-    scenario = ScenarioConfig(
-        n_arrays=sc.get_int("n_arrays", _dv("scenario.n_arrays")),
-        n_buildings=sc.get_int("n_buildings", _dv("scenario.n_buildings")),
-        n_beams=sc.get_int("n_beams", _dv("scenario.n_beams")),
-        m_t=sc.get_int("m_t", _dv("scenario.m_t")),
-        m_r=sc.get_int("m_r", _dv("scenario.m_r")),
-        m_t_iap=sc.get_int("m_t_iap", _dv("scenario.m_t_iap")),
-        n_ue=sc.get_int("n_ue", _dv("scenario.n_ue")),
-        n_iue=sc.get_int("n_iue", _dv("scenario.n_iue")),
-        ue_antennas=sc.get_int("ue_antennas", _dv("scenario.ue_antennas")),
-        carrier_freq_out=sc.get_float("carrier_freq_out", _dv("scenario.carrier_freq_out")),
-        carrier_freq_in=sc.get_float("carrier_freq_in", _dv("scenario.carrier_freq_in")),
-        bandwidth_out=sc.get_float("bandwidth_out", _dv("scenario.bandwidth_out")),
-        bandwidth_in=sc.get_float("bandwidth_in", _dv("scenario.bandwidth_in")),
-        penetration_loss_db=sc.get_float("penetration_loss_db",
-                                         _dv("scenario.penetration_loss_db")),
-        gamma=sc.get_float("gamma", _dv("scenario.gamma")),
-        noise_variance=sc.get_power_dbm_ok("noise_variance", _dv("scenario.noise_variance")),
-        coherence_block=sc.get_int("coherence_block", _dv("scenario.coherence_block")),
-        pilot_len=sc.get_int("pilot_len", _dv("scenario.pilot_len")),
-        iap_kind=sc.get_str("iap_kind", _dv("scenario.iap_kind")),
-        separation=sc.get_str("separation", _dv("scenario.separation")),
-    )
-    constants = DeviceConstants(
-        mbsala=MbsalaRf(
-            p_mod=mb.get_float("p_mod", _dv("mbsala.p_mod")),
-            p_mix=mb.get_float("p_mix", _dv("mbsala.p_mix")),
-            p_dac=mb.get_float("p_dac", _dv("mbsala.p_dac")),
-            p_clk=mb.get_float("p_clk", _dv("mbsala.p_clk")),
-            pa_max=mb.get_float("pa_max", _dv("mbsala.pa_max")),
-        ),
-        bmaa=BmaaRf(
-            p_mix=bm.get_float("p_mix", _dv("bmaa.p_mix")),
-            p_vga=bm.get_float("p_vga", _dv("bmaa.p_vga")),
-            p_adc=bm.get_float("p_adc", _dv("bmaa.p_adc")),
-            p_lna=bm.get_float("p_lna", _dv("bmaa.p_lna")),
-            p_clc=bm.get_float("p_clc", _dv("bmaa.p_clc")),
-        ),
-        iap=IapRf(
-            p_mix=ia.get_float("p_mix", _dv("iap.p_mix")),
-            p_dac=ia.get_float("p_dac", _dv("iap.p_dac")),
-            p_bft=ia.get_float("p_bft", _dv("iap.p_bft")),
-            p_fs=ia.get_float("p_fs", _dv("iap.p_fs")),
-            p_clc=ia.get_float("p_clc", _dv("iap.p_clc")),
-            pa_max=ia.get_float("pa_max", _dv("iap.pa_max")),
-        ),
-        rho=dev.get_float("rho", _dv("devices.rho")),
-        eta_c=dev.get_float("eta_c", _dv("devices.eta_c")),
-        eta_acdc=dev.get_float("eta_acdc", _dv("devices.eta_acdc")),
-        eta_dcdc=dev.get_float("eta_dcdc", _dv("devices.eta_dcdc")),
-    )
-    lifi = LiFiDeviceParams(
-        area_pd=lf.get_float("area_pd", _dv("lifi.area_pd")),
-        half_angle=lf.get_angle("half_angle", _dv("lifi.half_angle")),
-        g_filter=lf.get_float("g_filter", _dv("lifi.g_filter")),
-        refr_index=lf.get_float("refr_index", _dv("lifi.refr_index")),
-        fov=lf.get_angle("fov", _dv("lifi.fov")),
-        tx_positions=lf.get_vec3_list("tx_positions", _dv("lifi.tx_positions")),
-        rx_position=lf.get_vec3("rx_position", _dv("lifi.rx_position")),
-        n_tx=lf.get_vec3("n_tx", _dv("lifi.n_tx")),
-        n_rx=lf.get_vec3("n_rx", _dv("lifi.n_rx")),
-        c_f=lf.get_float("c_f", _dv("lifi.c_f")),
-        c_ijf=lf.get_float("c_ijf", _dv("lifi.c_ijf")),
-        p_opt=lf.get_float("p_opt", _dv("lifi.p_opt")),
-        n0=lf.get_float("n0", _dv("lifi.n0")),
-        led=LedElectrical(
-            n=led.get_float("n", _dv("lifi_led.n")),
-            q=led.get_float("q", _dv("lifi_led.q")),
-            v_t=led.get_float("v_t", _dv("lifi_led.v_t")),
-            phi=led.get_float("phi", _dv("lifi_led.phi")),
-            p_f=led.get_float("p_f", _dv("lifi_led.p_f")),
-            eps=led.get_float("eps", _dv("lifi_led.eps")),
-            i_s=led.get_float("i_s", _dv("lifi_led.i_s")),
-            mu_phi=led.get_float("mu_phi", _dv("lifi_led.mu_phi")),
-        ),
-    )
-    gops = GopsModel(
-        n_fft=gp.get_int("n_fft", _dv("gops.n_fft")),
-        n_symbols=gp.get_int("n_symbols", _dv("gops.n_symbols")),
-        frame_rate=gp.get_float("frame_rate", _dv("gops.frame_rate")),
-        pre_weight=gp.get_float("pre_weight", _dv("gops.pre_weight")),
-        fltr=gp.get_float("fltr", _dv("gops.fltr")),
-        map=gp.get_float("map", _dv("gops.map")),
-        demap=gp.get_float("demap", _dv("gops.demap")),
-        smpl=gp.get_float("smpl", _dv("gops.smpl")),
-        dec=gp.get_float("dec", _dv("gops.dec")),
-        enc=gp.get_float("enc", _dv("gops.enc")),
-        ctrl=gp.get_float("ctrl", _dv("gops.ctrl")),
-        nw=gp.get_float("nw", _dv("gops.nw")),
-    )
-    layout = LayoutConfig(
-        placement=lay.get_str("placement", _dv("layout.placement")),
-        building_distances_m=lay.get_floats("building_distances_m",
-                                            _dv("layout.building_distances_m")),
-        iap_height_m=lay.get_float("iap_height_m", _dv("layout.iap_height_m")),
-        user_height_m=lay.get_float("user_height_m", _dv("layout.user_height_m")),
-        user_offsets_m=lay.get_vec2_list("user_offsets_m", _dv("layout.user_offsets_m")),
-        room_halfwidth_m=lay.get_float("room_halfwidth_m", _dv("layout.room_halfwidth_m")),
-        distance_min_m=lay.get_float("distance_min_m", _dv("layout.distance_min_m")),
-        distance_max_m=lay.get_float("distance_max_m", _dv("layout.distance_max_m")),
-    )
-
-    for name, reader in readers.items():
-        extra = reader.unknown_keys()
-        if extra:
-            raise ConfigError(f"unknown key {name}.{extra[0]}")
-
-    bundle = ConfigBundle(scenario=scenario, constants=constants, lifi=lifi,
-                          gops=gops, layout=layout)
+        _overlay(values, _env_overrides(environ if environ is not None else os.environ))
+    bundle = _build(values)
     validate_bundle(bundle)
     return bundle
 
@@ -678,13 +522,11 @@ def validate_bundle(bundle: ConfigBundle) -> None:
     _require(lf.g_filter > 0, "lifi.g_filter", "> 0", lf.g_filter)
     _require(lf.refr_index > 0, "lifi.refr_index", "> 0", lf.refr_index)
     _require(0 < lf.fov <= math.pi / 2, "lifi.fov", "in (0, pi/2] rad", lf.fov)
-    _require(len(lf.tx_positions) >= 1, "lifi.tx_positions", ">= 1 LED", lf.tx_positions)
     for name in ("n_tx", "n_rx"):
         vec = getattr(lf, name)
         norm = math.sqrt(sum(x * x for x in vec))
         _require(abs(norm - 1.0) < 1e-6, f"lifi.{name}", "unit length", vec)
     _require(lf.c_f > 0, "lifi.c_f", "> 0", lf.c_f)
-    _require(lf.c_ijf >= 0, "lifi.c_ijf", ">= 0", lf.c_ijf)
     _require(lf.p_opt > 0, "lifi.p_opt", "> 0", lf.p_opt)
     _require(lf.n0 > 0, "lifi.n0", "> 0", lf.n0)
     for field in fields(LedElectrical):
@@ -703,16 +545,17 @@ def validate_bundle(bundle: ConfigBundle) -> None:
     lay = bundle.layout
     _require(lay.placement in ("fixed", "random"), "layout.placement",
              "one of fixed|random", lay.placement)
-    _require(len(lay.building_distances_m) == s.n_buildings,
-             "layout.building_distances_m",
-             f"one distance per building (n_buildings={s.n_buildings})",
-             lay.building_distances_m)
+    if lay.placement == "fixed":  # random placement draws both of these itself
+        _require(len(lay.building_distances_m) == s.n_buildings,
+                 "layout.building_distances_m",
+                 f"one distance per building (n_buildings={s.n_buildings})",
+                 lay.building_distances_m)
+        _require(len(lay.user_offsets_m) >= s.n_iue, "layout.user_offsets_m",
+                 f"at least n_iue={s.n_iue} offsets", lay.user_offsets_m)
     for d in lay.building_distances_m:
         _require(d >= 1.0, "layout.building_distances_m", "every distance >= 1 m", d)
     _require(lay.iap_height_m > lay.user_height_m, "layout.iap_height_m",
              "> user_height_m", lay.iap_height_m)
-    _require(len(lay.user_offsets_m) >= s.n_iue, "layout.user_offsets_m",
-             f"at least n_iue={s.n_iue} offsets", lay.user_offsets_m)
     _require(lay.room_halfwidth_m > 0, "layout.room_halfwidth_m", "> 0",
              lay.room_halfwidth_m)
     _require(1.0 <= lay.distance_min_m <= lay.distance_max_m, "layout.distance_min_m",
@@ -723,67 +566,28 @@ def validate_bundle(bundle: ConfigBundle) -> None:
 # writer (round-trips through load_config)
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("no boolean config values exist")
-    if isinstance(value, (int, str)):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    raise TypeError(f"unsupported config value {value!r}")
-
-
-def _fmt_vec(vec) -> str:
-    return ", ".join(repr(float(x)) for x in vec)
-
-
-def _fmt_vec_list(vecs) -> str:
-    return "; ".join(_fmt_vec(v) for v in vecs)
+def _fmt(default, value) -> str:
+    """Format *value* in the grammar of the key whose default is *default*."""
+    if isinstance(default, tuple):
+        if isinstance(default[0], tuple):
+            return "; ".join(_fmt(default[0], vec) for vec in value)
+        return ", ".join(repr(float(x)) for x in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def dumps_config(bundle: ConfigBundle) -> str:
     """Serialize *bundle* in the config grammar; load_config reads it back identically."""
-    s, c, lf, g, lay = (bundle.scenario, bundle.constants, bundle.lifi,
-                        bundle.gops, bundle.layout)
     lines = ["# generated scenario config (canonical units: W, Hz, m, rad; carriers in GHz)"]
-
-    lines.append("[scenario]")
-    for field in fields(ScenarioConfig):
-        lines.append(f"{field.name} = {_fmt(getattr(s, field.name))}")
-    for section, block in (("mbsala", c.mbsala), ("bmaa", c.bmaa), ("iap", c.iap)):
-        lines.append(f"[{section}]")
-        for field in fields(block):
-            lines.append(f"{field.name} = {_fmt(getattr(block, field.name))}")
-    lines.append("[devices]")
-    for name in ("rho", "eta_c", "eta_acdc", "eta_dcdc"):
-        lines.append(f"{name} = {_fmt(getattr(c, name))}")
-    lines.append("[lifi]")
-    for field in fields(LiFiDeviceParams):
-        if field.name == "led":
-            continue
-        value = getattr(lf, field.name)
-        if field.name == "tx_positions":
-            lines.append(f"tx_positions = {_fmt_vec_list(value)}")
-        elif field.name in ("rx_position", "n_tx", "n_rx"):
-            lines.append(f"{field.name} = {_fmt_vec(value)}")
-        else:
-            lines.append(f"{field.name} = {_fmt(value)}")
-    lines.append("[lifi_led]")
-    for field in fields(LedElectrical):
-        lines.append(f"{field.name} = {_fmt(getattr(lf.led, field.name))}")
-    lines.append("[gops]")
-    for field in fields(GopsModel):
-        lines.append(f"{field.name} = {_fmt(getattr(g, field.name))}")
-    lines.append("[layout]")
-    for field in fields(LayoutConfig):
-        value = getattr(lay, field.name)
-        if field.name == "building_distances_m":
-            lines.append(f"building_distances_m = {_fmt_vec(value)}")
-        elif field.name == "user_offsets_m":
-            lines.append(f"user_offsets_m = {_fmt_vec_list(value)}")
-        else:
-            lines.append(f"{field.name} = {_fmt(value)}")
-
+    section = None
+    for key, default in DEFAULTS.items():
+        prefix, _, name = key.partition(".")
+        if prefix != section:
+            section = prefix
+            lines.append(f"[{section}]")
+            block = bundle
+            for attr in _PLACES[section].split("."):
+                block = getattr(block, attr)
+        lines.append(f"{name} = {_fmt(default.value, getattr(block, name))}")
     return "\n".join(lines) + "\n"
 
 

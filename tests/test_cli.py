@@ -143,3 +143,19 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_sweep_bad_vector_component_exits_1_naming_key(tmp_path, capsys):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("[layout]\nuser_offsets_m = 1.5, x; 2, 2\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 *FAST]) == 1
+    assert capsys.readouterr().err.startswith("error: layout.user_offsets_m: ")
+
+
+def test_sweep_removed_lifi_key_exits_1_naming_key(tmp_path, capsys):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("[lifi]\nc_ijf = 1.0\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x"),
+                 *FAST]) == 1
+    assert "lifi.c_ijf" in capsys.readouterr().err

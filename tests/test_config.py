@@ -1,9 +1,12 @@
+import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from b5gcell import ConfigError, default_bundle, dumps_config, lambertian_order, load_config, write_config
+from b5gcell.config import (DEFAULTS, BmaaRf, DeviceConstants, GopsModel, IapRf, LayoutConfig,
+                            LedElectrical, LiFiDeviceParams, MbsalaRf, ScenarioConfig)
 
 
 def test_defaults_load_without_file():
@@ -148,3 +151,141 @@ def test_default_bundle_is_validated(bundle):
     # a default bundle survives its own validation; mutations get caught
     with pytest.raises(ConfigError):
         load_config(None, environ={"B5GCELL_SCENARIO__GAMMA": "0"})
+
+
+# the DEFAULTS table drives load, default_bundle and dump
+
+DEFAULT_DUMP_SHA256 = "aa205338d93335370cdd21e63913edf46b9b4708871f09dd29fef6f7a64e5d86"
+
+# section name -> the dataclass holding its keys
+SECTION_CLASSES = {
+    "scenario": ScenarioConfig, "mbsala": MbsalaRf, "bmaa": BmaaRf, "iap": IapRf,
+    "devices": DeviceConstants, "lifi": LiFiDeviceParams, "lifi_led": LedElectrical,
+    "gops": GopsModel, "layout": LayoutConfig,
+}
+NESTED = {"mbsala", "bmaa", "iap", "led"}
+
+
+def _dumped_values(text):
+    """{section.key: text} from a canonical dump."""
+    out, section = {}, None
+    for line in text.splitlines()[1:]:
+        if line.startswith("["):
+            section = line[1:-1]
+        else:
+            key, _, value = line.partition(" = ")
+            out[f"{section}.{key}"] = value
+    return out
+
+
+def test_defaults_keys_match_dataclass_fields_one_to_one():
+    field_keys = [f"{section}.{f.name}" for section, cls in SECTION_CLASSES.items()
+                  for f in fields(cls) if f.name not in NESTED]
+    assert len(field_keys) == len(set(field_keys))
+    assert sorted(field_keys) == sorted(DEFAULTS)
+
+
+def test_default_dump_digest_pinned(bundle):
+    digest = hashlib.sha256(dumps_config(bundle).encode()).hexdigest()
+    assert digest == DEFAULT_DUMP_SHA256
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_env_override_with_dumped_text_gives_defaults(key, bundle):
+    text = _dumped_values(dumps_config(bundle))[key]
+    section, _, name = key.partition(".")
+    env = {f"B5GCELL_{section.upper()}__{name.upper()}": text}
+    assert load_config(None, environ=env) == bundle
+
+
+@pytest.mark.parametrize("line", ["tx_positions = 0, 0, 3",
+                                  "rx_position = 1.5, 1.5, 0.85",
+                                  "c_ijf = 1.0"])
+def test_removed_lifi_keys_rejected(tmp_path, line):
+    path = tmp_path / "cell.cfg"
+    path.write_text(f"[lifi]\n{line}\n")
+    key = "lifi." + line.split(" ")[0]
+    with pytest.raises(ConfigError, match=f"unknown key {key}"):
+        load_config(str(path), use_env=False)
+
+
+def test_duplicate_key_in_other_case_rejected(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("[scenario]\nm_t = 128\nM_T = 256\n")
+    with pytest.raises(ConfigError, match="duplicate"):
+        load_config(str(path), use_env=False)
+
+
+def test_duplicate_env_key_in_other_case_rejected():
+    env = {"B5GCELL_SCENARIO__M_T": "128", "B5GCELL_scenario__m_t": "256"}
+    with pytest.raises(ConfigError, match="duplicate"):
+        load_config(None, environ=env)
+
+
+def test_env_key_beats_file_alias(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("[lifi]\nhalf_angle_deg = 45\n")
+    bundle = load_config(str(path), environ={"B5GCELL_LIFI__HALF_ANGLE": "0.7"})
+    assert bundle.lifi.half_angle == 0.7
+
+
+def test_env_alias_beats_file_key(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("[scenario]\nnoise_variance = 1e-12\n")
+    bundle = load_config(str(path), environ={"B5GCELL_SCENARIO__NOISE_VARIANCE_DBM": "-97"})
+    assert bundle.scenario.noise_variance == pytest.approx(10 ** (-97 / 10) / 1000, rel=1e-12)
+
+
+def test_env_key_and_alias_together_rejected():
+    env = {"B5GCELL_LIFI__FOV": "1.0", "B5GCELL_LIFI__FOV_DEG": "60"}
+    with pytest.raises(ConfigError, match="not both"):
+        load_config(None, environ=env)
+
+
+def test_bad_vector_list_component_names_key(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("[layout]\nuser_offsets_m = 1.5, x; 2, 2\n")
+    with pytest.raises(ConfigError, match="layout.user_offsets_m"):
+        load_config(str(path), use_env=False)
+
+
+def test_vector_list_wrong_dimension_names_key(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("[layout]\nuser_offsets_m = 1.5, 1.5, 0; 2, 2\n")
+    with pytest.raises(ConfigError, match="layout.user_offsets_m: expected 2 components"):
+        load_config(str(path), use_env=False)
+
+
+def test_vec3_key_wrong_length_names_key():
+    with pytest.raises(ConfigError, match="lifi.n_tx: expected 3 components"):
+        load_config(None, environ={"B5GCELL_LIFI__N_TX": "0, -1"})
+
+
+def test_alias_overflow_names_key():
+    with pytest.raises(ConfigError, match="scenario.noise_variance_dbm"):
+        load_config(None, environ={"B5GCELL_SCENARIO__NOISE_VARIANCE_DBM": "1e300"})
+
+
+RANDOM_16 = {"B5GCELL_LAYOUT__PLACEMENT": "random", "B5GCELL_SCENARIO__N_IUE": "16"}
+
+
+def test_random_placement_ignores_fixed_offsets_count():
+    bundle = load_config(None, environ=RANDOM_16)
+    assert bundle.scenario.n_iue == 16
+    assert len(bundle.layout.user_offsets_m) == 4
+
+
+def test_random_placement_ignores_fixed_distances_count():
+    env = {"B5GCELL_LAYOUT__PLACEMENT": "random", "B5GCELL_SCENARIO__N_BUILDINGS": "2"}
+    assert load_config(None, environ=env).scenario.n_buildings == 2
+
+
+def test_fixed_placement_needs_one_offset_per_user():
+    env = dict(RANDOM_16, B5GCELL_LAYOUT__PLACEMENT="fixed")
+    with pytest.raises(ConfigError, match="layout.user_offsets_m"):
+        load_config(None, environ=env)
+
+
+def test_fixed_placement_needs_one_distance_per_building():
+    with pytest.raises(ConfigError, match="layout.building_distances_m"):
+        load_config(None, environ={"B5GCELL_SCENARIO__N_BUILDINGS": "2"})
