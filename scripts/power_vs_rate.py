@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from b5gcell.cli import _config_digest, _write_outputs, parse_grid, parse_variants
+from b5gcell.cli import _config_digests, _write_outputs, parse_grid, parse_variants
 from b5gcell.config import ConfigError, load_config
 from b5gcell.scenario import RATE_VARIABLE, SweepSpec, find_crossing, run_sweep
 
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     try:
         bundle = load_config(args.config)
         grid = parse_grid(args.grid)
-        digest = _config_digest(args.config)
+        digests = _config_digests(bundle, args.config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
         spec = SweepSpec(variable=RATE_VARIABLE, grid=grid,
                          variants=parse_variants(variant_text, bundle.scenario.m_t))
         result = run_sweep(bundle, spec, seed=args.seed)
-        if _write_outputs(run_dir, result, digest, args.grid, variant_text, plot=True) == 2:
+        if _write_outputs(run_dir, result, digests, args.grid, variant_text, plot=True) == 2:
             print("warning: no feasible point in the sweep", file=sys.stderr)
         print(f"wrote {len(result.rows)} rows to {run_dir}/results.csv")
         for iap in ("mmwave", "lifi"):

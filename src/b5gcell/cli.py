@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, default_bundle, dumps_config, load_config
+from .config import ConfigError, dumps_config, load_config
 from .scenario import (
     RATE_VARIABLE,
     SE_VARIABLE,
@@ -53,6 +53,8 @@ def parse_grid(text: str) -> tuple:
         n = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
+    if not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"grid bounds must be finite, got {text!r}")
     if n < 2:
         raise ConfigError(f"grid needs at least 2 points, got {n}")
     if hi <= lo:
@@ -94,15 +96,16 @@ def parse_variants(text: str, default_m_t: int) -> tuple:
     return tuple(out)
 
 
-def _config_digest(path: str | None) -> str:
-    if path is None:
-        blob = dumps_config(default_bundle()).encode()
-    else:
-        blob = Path(path).read_bytes()
-    return hashlib.sha256(blob).hexdigest()
+def _config_digests(bundle, path: str | None) -> dict:
+    """``config_sha256`` of the effective bundle's canonical dump (file and env
+    overrides included), plus ``config_file_sha256`` of the file's bytes if given."""
+    digests = {"config_sha256": hashlib.sha256(dumps_config(bundle).encode()).hexdigest()}
+    if path is not None:
+        digests["config_file_sha256"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return digests
 
 
-def _write_outputs(out_dir: Path, result, digest: str, grid_text: str,
+def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
                    variant_text: str, plot: bool) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]
@@ -117,7 +120,7 @@ def _write_outputs(out_dir: Path, result, digest: str, grid_text: str,
     manifest = [
         "format=b5gcell-sweep-v1",
         f"version={__version__}",
-        f"config_sha256={digest}",
+        *(f"{key}={value}" for key, value in digests.items()),
         f"seed={result.seed}",
         f"variable={result.spec.variable}",
         f"grid={grid_text}",
@@ -157,7 +160,7 @@ def cmd_sweep(args) -> int:
     variants = parse_variants(args.variants, bundle.scenario.m_t)
     spec = SweepSpec(variable=variable, grid=grid, variants=variants)
     result = run_sweep(bundle, spec, seed=args.seed)
-    code = _write_outputs(Path(args.out), result, _config_digest(args.config),
+    code = _write_outputs(Path(args.out), result, _config_digests(bundle, args.config),
                           grid_text, args.variants, plot=args.plot == "on")
     if code == 2:
         print("warning: no feasible point in the sweep", file=sys.stderr)
@@ -242,12 +245,11 @@ def cmd_analyze(args) -> int:
         return 1
     manifest = src / "manifest.txt"
     if args.config is not None and manifest.is_file():
-        digest = _config_digest(args.config)
-        for ln in manifest.read_text().splitlines():
-            key, _, val = ln.partition("=")
-            if key == "config_sha256" and val != digest:
-                print("error: config file does not match the sweep manifest "
-                      f"({val} != {digest})", file=sys.stderr)
+        recorded = dict(ln.partition("=")[::2] for ln in manifest.read_text().splitlines())
+        for key, digest in _config_digests(load_config(args.config), args.config).items():
+            if recorded.get(key) != digest:
+                print(f"error: config does not match the sweep manifest "
+                      f"({key} {recorded.get(key)} != {digest})", file=sys.stderr)
                 return 1
     rows = _read_results(results)
     if not any(r.feasible for r in rows):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 ENV_PREFIX = "B5GCELL_"
 
@@ -479,8 +480,26 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
         raise ConfigError(f"{key}: must satisfy {rule} (got {value!r})")
 
 
+def _values(bundle: ConfigBundle):
+    """Yield ``(section, name, default value, bundle value)`` for every DEFAULTS key."""
+    for key, default in DEFAULTS.items():
+        section, _, name = key.partition(".")
+        yield section, name, default.value, attrgetter(f"{_PLACES[section]}.{name}")(bundle)
+
+
+def _finite(value) -> bool:
+    """A float, or every component of a (nested) float tuple, is finite; inf
+    would otherwise pass every "> 0" rule."""
+    if isinstance(value, tuple):
+        return all(_finite(x) for x in value)
+    return math.isfinite(value)
+
+
 def validate_bundle(bundle: ConfigBundle) -> None:
     """Check every documented invariant; the first violation raises ConfigError."""
+    for section, name, default, value in _values(bundle):
+        if isinstance(default, (float, tuple)):
+            _require(_finite(value), f"{section}.{name}", "finite", value)
     s = bundle.scenario
     for key in ("n_arrays", "n_buildings", "n_beams", "m_t", "m_r", "m_t_iap",
                 "n_ue", "n_iue", "ue_antennas", "coherence_block", "pilot_len"):
@@ -579,15 +598,11 @@ def dumps_config(bundle: ConfigBundle) -> str:
     """Serialize *bundle* in the config grammar; load_config reads it back identically."""
     lines = ["# generated scenario config (canonical units: W, Hz, m, rad; carriers in GHz)"]
     section = None
-    for key, default in DEFAULTS.items():
-        prefix, _, name = key.partition(".")
+    for prefix, name, default, value in _values(bundle):
         if prefix != section:
             section = prefix
             lines.append(f"[{section}]")
-            block = bundle
-            for attr in _PLACES[section].split("."):
-                block = getattr(block, attr)
-        lines.append(f"{name} = {_fmt(default.value, getattr(block, name))}")
+        lines.append(f"{name} = {_fmt(default, value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,11 @@
 """Link metrics: SNR/SINR laws, spectral efficiency both ways, and the
 expectation engine for beam-kernel powers under random departure angles.
 
-Expectations over an angle distribution are evaluated on a fixed 4096-point
-midpoint grid; a Monte-Carlo estimator over the same distribution exists as an
-independent cross-check (stratified draws keep its variance far below the
-comparison tolerances).
+F_M(x)^2 = M^-2 sum_{|k|<M} (M - |k|) cos(pi k x) is a finite cosine series, so
+its mean over a uniform sine-space cell [mid - half, mid + half] is the exact
+sum (M + 2 sum_{k=1}^{M-1} (M - k) cos(pi k (mid - beam)) sinc(k half)) / M^2,
+sinc(t) = sin(pi t) / (pi t); this product form stays exact as the width goes
+to 0, where a difference of two sines would cancel.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import fejer_kernel
-
-EXPECTATION_GRID_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -60,31 +59,24 @@ class UniformAngles:
             raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
 
 
-def expected_kernel_power(length: int, beam: float, aod,
-                          n_grid: int = EXPECTATION_GRID_POINTS) -> float:
-    """E[F_M(theta - beam)^2] for theta following *aod*.
+def kernel_power_mean(length: int, offset, half):
+    """Exact mean of F_M(theta - beam)^2 over theta uniform on [mid - half,
+    mid + half], ``offset = mid - beam``; *offset* and *half* broadcast, and
+    the sum over k accumulates into one array of their broadcast shape."""
+    offset = np.asarray(offset, float)
+    total = np.full(np.broadcast_shapes(offset.shape, np.shape(half)), float(length))
+    for k in range(1, length):
+        total += 2.0 * (length - k) * np.cos(math.pi * k * offset) * np.sinc(k * half)
+    return total / float(length) ** 2
 
-    *aod* is either a fixed angle (degenerate distribution: plain evaluation)
-    or a UniformAngles instance (midpoint-rule integration on n_grid points).
-    """
+
+def expected_kernel_power(length: int, beam: float, aod) -> float:
+    """E[F_M(theta - beam)^2] for theta following *aod*: a fixed angle (plain
+    evaluation) or a UniformAngles cell (its exact mean, kernel_power_mean)."""
     if isinstance(aod, UniformAngles):
-        width = aod.hi - aod.lo
-        theta = aod.lo + (np.arange(n_grid) + 0.5) * (width / n_grid)
-        return float(np.mean(fejer_kernel(length, theta - beam) ** 2))
+        return float(kernel_power_mean(length, 0.5 * (aod.lo + aod.hi) - beam,
+                                       0.5 * (aod.hi - aod.lo)))
     return fejer_kernel(length, float(aod) - beam) ** 2
-
-
-def mc_kernel_power(length: int, beam: float, aod, n_draws: int,
-                    rng: np.random.Generator, stratified: bool = True) -> float:
-    """Monte-Carlo estimate of E[F_M(theta - beam)^2]; cross-check for the grid engine."""
-    if not isinstance(aod, UniformAngles):
-        return fejer_kernel(length, float(aod) - beam) ** 2
-    width = aod.hi - aod.lo
-    u = rng.random(n_draws)
-    if stratified:
-        u = (np.arange(n_draws) + u) / n_draws
-    theta = aod.lo + u * width
-    return float(np.mean(fejer_kernel(length, theta - beam) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +114,8 @@ def sinr_mmwave(k: int, aods, beams, betas, powers, m_t_iap: int,
     if beta_k <= 0:
         raise ValueError(f"beta of user {k} must be > 0, got {beta_k!r}")
     signal = beta_k * expected_kernel_power(m_t_iap, beams[k], aods[k]) * powers[k]
-    interference = 0.0
-    for j in range(n):
-        if j == k:
-            continue
-        interference += expected_kernel_power(m_t_iap, beams[j], aods[k]) * powers[j]
+    interference = sum(expected_kernel_power(m_t_iap, beams[j], aods[k]) * powers[j]
+                       for j in range(n) if j != k)
     return LinkSnr(kind="mmwave", value=signal / (beta_k * interference + sigma2))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespace, \
     pathloss_winner_b5a, apply_penetration
 from .config import ConfigBundle, ConfigError, validate_bundle
-from .metrics import UniformAngles, expected_kernel_power, required_sinr, sinr_lifi
+from .metrics import kernel_power_mean, required_sinr, sinr_lifi
 from .power import (
     SaturationError,
     bmaa_load,
@@ -197,23 +197,18 @@ class ScenarioModel:
 
     def _init_beam_codebook(self):
         """Evenly spaced sine-space beams, one per indoor user; a user's
-        departure angle is uniform over its beam's cell."""
-        cfg = self.cfg
-        n = cfg.n_iue
+        departure angle is uniform over its beam's cell.  With E_ij the mean
+        power of beam j over user i's cell, the access system is D - t C with
+        D = diag(beta_i E_ii) and C = beta_i E_ij off the diagonal."""
+        n = self.cfg.n_iue
         width = 2.0 / n
         centers = -1.0 + (np.arange(n) + 0.5) * width
-        cells = [UniformAngles(c - width / 2, c + width / 2) for c in centers]
         self.beam_centers = centers
-        fbar = np.empty(n)
-        emat = np.zeros((n, n))
-        for i in range(n):
-            fbar[i] = expected_kernel_power(cfg.m_t_iap, centers[i], cells[i])
-            for j in range(n):
-                if j != i:
-                    emat[i, j] = expected_kernel_power(cfg.m_t_iap, centers[j],
-                                                       cells[i])
-        self.access_fbar = fbar
-        self.access_emat = emat
+        coupling = self.beta_access[:, None] * kernel_power_mean(
+            self.cfg.m_t_iap, centers[:, None] - centers[None, :], width / 2)
+        self.access_diag = np.diag(np.diag(coupling))
+        np.fill_diagonal(coupling, 0.0)
+        self.access_coupling = coupling
 
     def _init_lifi(self, iap_pos, user_pos):
         lifi = self.lifi
@@ -238,12 +233,9 @@ class ScenarioModel:
         n = self.cfg.n_iue
         if sinr_target == 0.0:
             return np.zeros(n)
-        mat = np.zeros((n, n))
-        for i in range(n):
-            mat[i, i] = self.beta_access[i] * self.access_fbar[i]
-            for j in range(n):
-                if j != i:
-                    mat[i, j] = -sinr_target * self.beta_access[i] * self.access_emat[i, j]
+        if math.isinf(sinr_target):  # unmeetable; inf * 0 would poison the diagonal
+            return None
+        mat = self.access_diag - sinr_target * self.access_coupling
         try:
             powers = np.linalg.solve(mat, np.full(n, sinr_target * self.sigma_in))
         except np.linalg.LinAlgError:

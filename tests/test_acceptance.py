@@ -25,7 +25,7 @@ from b5gcell import (
     spectral_efficiency,
 )
 from b5gcell.cli import main as cli_main
-from b5gcell.metrics import expected_kernel_power, macro_snr_draws, mc_kernel_power
+from b5gcell.metrics import expected_kernel_power, macro_snr_draws
 from b5gcell.power import (
     bmaa_load,
     iap_load,
@@ -37,6 +37,7 @@ from b5gcell.power import (
     power_mbsala,
 )
 from b5gcell.scenario import SweepSpec, VariantSpec, build_scenario, ee_se_curve, find_crossing, run_sweep
+from kernel_oracles import grid_kernel_power, mc_kernel_power
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 RATE_GRID = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
@@ -119,7 +120,7 @@ def test_oracle_equivalence():
     start = time.perf_counter()
 
     rng = np.random.default_rng(99)
-    worst = 0.0
+    worst = worst_grid = 0.0
     for _ in range(20):
         m = int(rng.integers(2, 129))
         lo = rng.uniform(-1.0, 0.8)
@@ -127,11 +128,14 @@ def test_oracle_equivalence():
         hi = min(hi, 1.0)
         cell = UniformAngles(lo, hi)
         beam = rng.uniform(-1.0, 1.0)
-        grid = expected_kernel_power(m, beam, cell)
+        exact = expected_kernel_power(m, beam, cell)
         mc = mc_kernel_power(m, beam, cell, n_draws=1_000_000, rng=rng)
-        worst = max(worst, _rel(mc, grid))
+        worst = max(worst, _rel(mc, exact))
+        worst_grid = max(worst_grid, _rel(exact, grid_kernel_power(m, beam, cell, 2 ** 16)))
     elapsed = time.perf_counter() - start
-    _check(lines, "beam expectation: grid vs 1e6-draw MC within 1% (20 cases)",
+    _check(lines, "beam expectation: closed form vs 2^16-point grid within 1e-6 "
+           "(20 cases)", worst_grid <= 1e-6, f"worst {worst_grid:.2e}")
+    _check(lines, "beam expectation: closed form vs 1e6-draw MC within 1% (20 cases)",
            worst <= 1e-2 and elapsed <= 60.0,
            f"worst {worst * 100:.4f}%, {elapsed:.1f}s")
 

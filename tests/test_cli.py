@@ -1,10 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from b5gcell import ConfigError, default_bundle, write_config
 from b5gcell.cli import CSV_HEADER, main, parse_grid, parse_variants
+from b5gcell.config import DEFAULTS
 
 FAST = ["--grid", "0:2e9:5"]
+DEFAULT_CONFIG_SHA256 = "aa205338d93335370cdd21e63913edf46b9b4708871f09dd29fef6f7a64e5d86"
+
+
+def _manifest(run_dir):
+    return dict(line.partition("=")[::2]
+                for line in (run_dir / "manifest.txt").read_text().splitlines())
+
+
+def _env_name(key):
+    section, _, name = key.partition(".")
+    return f"B5GCELL_{section.upper()}__{name.upper()}"
 
 
 def test_parse_grid_linspace():
@@ -41,8 +55,7 @@ def test_sweep_writes_schema_and_manifest(tmp_path):
     lines = (out / "results.csv").read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3 * 5  # header + variants x grid
-    manifest = dict(line.partition("=")[::2]
-                    for line in (out / "manifest.txt").read_text().splitlines())
+    manifest = _manifest(out)
     assert manifest["seed"] == "3"
     assert manifest["variable"] == "total_rate_bps"
     assert len(manifest["config_sha256"]) == 64
@@ -159,3 +172,69 @@ def test_sweep_removed_lifi_key_exits_1_naming_key(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "x"),
                  *FAST]) == 1
     assert "lifi.c_ijf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["nan:1e9:3", "0:nan:3", "0:inf:3"])
+@pytest.mark.filterwarnings("error")
+def test_sweep_non_finite_grid_bound_exits_1(tmp_path, capsys, grid):
+    out = tmp_path / "x"
+    assert main(["sweep", "--out", str(out), "--variants", "nonsep", "--grid", grid]) == 1
+    assert capsys.readouterr().err.startswith("error: grid ")
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key", [k for k, d in DEFAULTS.items() if isinstance(d.value, float)])
+def test_sweep_infinite_float_key_exits_1_naming_key(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.setenv(_env_name(key), "inf")
+    assert main(["sweep", "--out", str(tmp_path / "x"), "--variants", "nonsep",
+                 *FAST]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+@pytest.mark.parametrize("key, text", [
+    ("lifi.n_tx", "0, 0, -inf"),
+    ("lifi.n_rx", "0, 0, inf"),
+    ("layout.building_distances_m", "100, inf, 300, 400"),
+    ("layout.user_offsets_m", "1.5, 1.5; -1.5, inf; -1.5, -1.5; 1.5, -1.5"),
+])
+def test_sweep_infinite_vector_component_exits_1_naming_key(tmp_path, capsys, monkeypatch,
+                                                            key, text):
+    monkeypatch.setenv(_env_name(key), text)
+    assert main(["sweep", "--out", str(tmp_path / "x"), "--variants", "nonsep",
+                 *FAST]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+def test_config_sha256_covers_env_overrides(tmp_path, monkeypatch):
+    plain, overridden = tmp_path / "plain", tmp_path / "mt256"
+    main(["sweep", "--out", str(plain), *FAST])
+    monkeypatch.setenv("B5GCELL_SCENARIO__M_T", "256")
+    main(["sweep", "--out", str(overridden), *FAST])
+    assert _manifest(plain)["config_sha256"] == DEFAULT_CONFIG_SHA256
+    assert _manifest(overridden)["config_sha256"] != DEFAULT_CONFIG_SHA256
+    assert "config_file_sha256" not in _manifest(plain)
+
+
+def test_manifest_records_config_file_digest(tmp_path):
+    cfg = tmp_path / "cell.cfg"
+    write_config(default_bundle(), str(cfg))
+    with cfg.open("a") as handle:
+        handle.write("# same semantics, other bytes\n")
+    out = tmp_path / "run"
+    main(["sweep", "--config", str(cfg), "--out", str(out), *FAST])
+    manifest = _manifest(out)
+    assert manifest["config_sha256"] == DEFAULT_CONFIG_SHA256
+    assert manifest["config_file_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+
+def test_analyze_config_refuses_run_made_with_env_override(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cell.cfg"
+    write_config(default_bundle(), str(cfg))
+    out = tmp_path / "run"
+    monkeypatch.setenv("B5GCELL_SCENARIO__M_T", "256")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), *FAST]) == 0
+    assert main(["analyze", "--in", str(out), "--config", str(cfg)]) == 0
+    monkeypatch.delenv("B5GCELL_SCENARIO__M_T")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out), "--config", str(cfg)]) == 1
+    assert "config_sha256" in capsys.readouterr().err

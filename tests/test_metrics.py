@@ -16,7 +16,8 @@ from b5gcell import (
     snr_macro,
     spectral_efficiency,
 )
-from b5gcell.metrics import macro_snr_draws, mc_kernel_power
+from b5gcell.metrics import kernel_power_mean, macro_snr_draws
+from kernel_oracles import grid_kernel_power, mc_kernel_power
 
 
 # --- expectation engine -------------------------------------------------------
@@ -39,6 +40,58 @@ def test_grid_expectation_matches_stratified_mc():
     mc = mc_kernel_power(16, 0.0, cell, n_draws=200_000,
                          rng=np.random.default_rng(7))
     assert mc == pytest.approx(grid, rel=1e-2)
+
+
+def _random_cells(seed, n):
+    """(M, beam, cell) cases: M up to 128, cell widths from 0.01 to 2."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        m = int(rng.integers(2, 129))
+        width = 10.0 ** rng.uniform(-2.0, math.log10(2.0))
+        lo = rng.uniform(-1.0, 1.0 - width)
+        yield m, rng.uniform(-1.0, 1.0), UniformAngles(lo, lo + width)
+
+
+def test_closed_form_matches_fine_grid():
+    # the 2^16-point midpoint rule is accurate to O(h^2), far below 1e-6 here
+    for m, beam, cell in _random_cells(5, 100):
+        fine = grid_kernel_power(m, beam, cell, n_grid=2 ** 16)
+        assert expected_kernel_power(m, beam, cell) == pytest.approx(fine, rel=1e-6)
+
+
+def test_closed_form_matches_4096_point_grid_on_codebook_cells():
+    # the cells the beam codebook averages over, where the 4096-point grid was
+    # the engine; on cells near the full period at M ~ 128 that grid's own
+    # error reaches 4e-4, which the fine-grid test above attributes to it
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 4, 8, 16, 32, 64):
+        width = 2.0 / n
+        centers = -1.0 + (np.arange(n) + 0.5) * width
+        for m in (2, 4, 16, 64, 128):
+            for i, j in rng.integers(0, n, size=(8, 2)):
+                cell = UniformAngles(centers[i] - width / 2, centers[i] + width / 2)
+                grid = grid_kernel_power(m, centers[j], cell)
+                assert expected_kernel_power(m, centers[j], cell) == pytest.approx(
+                    grid, rel=1e-4)
+
+
+def test_closed_form_over_any_full_period_is_one_over_m():
+    rng = np.random.default_rng(8)
+    for m in (1, 2, 3, 16, 64, 128, 512):
+        lo = rng.uniform(-3.0, 1.0)
+        got = expected_kernel_power(m, rng.uniform(-1.0, 1.0), UniformAngles(lo, lo + 2.0))
+        assert got == pytest.approx(1.0 / m, rel=1e-12)
+
+
+def test_closed_form_tends_to_kernel_power_as_width_vanishes():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        m = int(rng.integers(2, 129))
+        offset = rng.uniform(-1.0, 1.0)
+        point = fejer_kernel(m, offset) ** 2
+        assert kernel_power_mean(m, offset, 0.0) == pytest.approx(point, rel=1e-9, abs=1e-13)
+        narrow = kernel_power_mean(m, offset, 1e-6 / m)
+        assert narrow == pytest.approx(point, rel=1e-9, abs=1e-10)
 
 
 def test_uniform_angles_validation():

@@ -14,6 +14,7 @@ from b5gcell import (
     build_scenario,
     default_bundle,
     ee_se_curve,
+    expected_kernel_power,
     find_crossing,
     run_sweep,
     sinr_mmwave,
@@ -124,20 +125,48 @@ def test_se_point_matches_equivalent_rate(bundle):
     assert via_rate.x_kind == RATE_VARIABLE
 
 
-def test_access_solver_hits_the_sinr_target(bundle):
-    model = build_scenario(bundle, SEP)
-    target = 2.5
+def _codebook_cells(model):
+    width = 2.0 / model.cfg.n_iue
+    return [UniformAngles(c - width / 2, c + width / 2) for c in model.beam_centers]
+
+
+def _assert_access_solver_hits(model, target):
     powers = model._solve_mmwave_powers(target)
     assert powers is not None and np.all(powers >= 0)
-    n = model.cfg.n_iue
-    width = 2.0 / n
-    cells = [UniformAngles(c - width / 2, c + width / 2)
-             for c in model.beam_centers]
-    for k in range(n):
+    cells = _codebook_cells(model)
+    for k in range(model.cfg.n_iue):
         got = sinr_mmwave(k, cells, tuple(model.beam_centers),
                           tuple(model.beta_access), tuple(powers),
                           model.cfg.m_t_iap, model.sigma_in)
         assert got.value == pytest.approx(target, rel=1e-9)
+
+
+def _crowded(bundle):
+    """64 random users per access point, as in the crowded benchmark workload."""
+    return replace(bundle, scenario=replace(bundle.scenario, n_iue=64),
+                   layout=replace(bundle.layout, placement="random"))
+
+
+def test_access_solver_hits_the_sinr_target(bundle):
+    _assert_access_solver_hits(build_scenario(bundle, SEP), 2.5)
+
+
+def test_access_solver_hits_the_sinr_target_with_64_random_users(bundle):
+    model = build_scenario(_crowded(bundle), SEP, rng=np.random.default_rng(3))
+    _assert_access_solver_hits(model, 0.2)
+
+
+def test_codebook_matrix_equals_scalar_expectations(bundle):
+    model = build_scenario(_crowded(bundle), SEP, rng=np.random.default_rng(4))
+    diag = np.diag(model.access_diag)
+    assert np.count_nonzero(model.access_diag - np.diag(diag)) == 0
+    assert np.all(np.diag(model.access_coupling) == 0.0)
+    for i, cell in enumerate(_codebook_cells(model)):
+        beta = model.beta_access[i]
+        for j, beam in enumerate(model.beam_centers):
+            scalar = beta * expected_kernel_power(model.cfg.m_t_iap, beam, cell)
+            entry = diag[i] if i == j else model.access_coupling[i, j]
+            assert entry == pytest.approx(scalar, rel=1e-12)
 
 
 def test_run_sweep_is_deterministic(bundle):
