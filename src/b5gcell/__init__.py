@@ -55,7 +55,6 @@ from .power import (
     pa_power_classb,
     pa_power_doherty,
     power_bmaa,
-    power_cell,
     power_iap_mmwave,
     power_lifi_iap,
     power_mbs,
@@ -71,5 +70,4 @@ from .scenario import (
     ee_se_curve,
     find_crossing,
     run_sweep,
-    solve_rate_point,
 )

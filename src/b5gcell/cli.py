@@ -125,6 +125,8 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
         f"variable={result.spec.variable}",
         f"grid={grid_text}",
         f"variants={variant_text}",
+        *(f"variant.{i}={v.name},{v.separation},{v.iap_kind},{v.m_t}"
+          for i, v in enumerate(result.spec.variants)),
         f"n_rows={len(result.rows)}",
         f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
     ]
@@ -190,11 +192,20 @@ def _read_results(path: Path):
     return rows
 
 
-def _summarize(rows) -> list:
+def _manifest_variants(recorded: dict) -> dict:
+    """VariantSpec per variant name, from the manifest's ``variant.<i>`` lines."""
+    fields = [v.rsplit(",", 3) for k, v in recorded.items() if k.startswith("variant.")]
+    try:
+        return {name: VariantSpec(name, separation, iap_kind, int(m_t))
+                for name, separation, iap_kind, m_t in fields}
+    except ValueError as exc:
+        raise ConfigError(f"bad variant line in the sweep manifest: {exc}") from None
+
+
+def _summarize(rows, specs: dict) -> list:
     by_variant = {}
     for r in rows:
         by_variant.setdefault(r.variant, []).append(r)
-    kinds = {r.x_kind for r in rows}
     out = [f"variants={','.join(by_variant)}",
            f"n_rows={len(rows)}",
            f"n_feasible={sum(1 for r in rows if r.feasible)}"]
@@ -221,10 +232,13 @@ def _summarize(rows) -> list:
                                      [r.total_power_w for r in by_variant[b]])
             if cross is not None:
                 out.append(f"crossing.{a}.vs.{b}={cross!r}")
+    # lifi / mmwave indoor-access power ratio per shared point, plus the mean
+    # saving, for separate variants (VariantSpec per name in *specs*) of equal M_T
+    sep = {name: s for name, s in specs.items() if s.separation == "separate"}
     pairs = [(a, b) for a in by_variant for b in by_variant
-             if "lifi" in a and "mmwave" in b and a.split(":")[0] != b.split(":")[0]]
-    # lifi / mmwave indoor-access power ratio per shared point, plus the mean saving
-    for a, b in (p for p in pairs if kinds):
+             if a in sep and b in sep and sep[a].iap_kind == "lifi"
+             and sep[b].iap_kind == "mmwave" and sep[a].m_t == sep[b].m_t]
+    for a, b in pairs:
         savings = []
         for ra, rb in zip(by_variant[a], by_variant[b]):
             if ra.feasible and rb.feasible and ra.x_value == rb.x_value:
@@ -244,8 +258,9 @@ def cmd_analyze(args) -> int:
         print(f"error: {results} not found", file=sys.stderr)
         return 1
     manifest = src / "manifest.txt"
+    recorded = dict(ln.partition("=")[::2] for ln in
+                    (manifest.read_text().splitlines() if manifest.is_file() else ()))
     if args.config is not None and manifest.is_file():
-        recorded = dict(ln.partition("=")[::2] for ln in manifest.read_text().splitlines())
         for key, digest in _config_digests(load_config(args.config), args.config).items():
             if recorded.get(key) != digest:
                 print(f"error: config does not match the sweep manifest "
@@ -255,7 +270,7 @@ def cmd_analyze(args) -> int:
     if not any(r.feasible for r in rows):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2
-    lines = _summarize(rows)
+    lines = _summarize(rows, _manifest_variants(recorded))
     text = "\n".join(lines) + "\n"
     (src / "summary.txt").write_text(text)
     sys.stdout.write(text)

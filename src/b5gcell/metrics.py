@@ -171,18 +171,24 @@ def macro_snr_draws(snr_mean: float, m_t: int, m_r: int, n_draws: int,
     return snr_mean * rng.gamma(shape, 1.0 / shape, size=n_draws)
 
 
-def required_sinr(se_target: float, gamma: float = 1.0) -> float:
-    """Exact inverse of the approximate SE law: 2^(se/gamma) - 1."""
-    if se_target < 0:
+def required_sinr(se_target, gamma: float = 1.0):
+    """Exact inverse of the approximate SE law: 2^(se/gamma) - 1, elementwise
+    through Python's ``**`` (np.power(2.0, x) can be an ulp off it); a float
+    for a scalar target."""
+    se = np.asarray(se_target, float)
+    if np.any(se < 0):
         raise ValueError(f"SE target must be >= 0, got {se_target!r}")
     if not 0 < gamma <= 1:
         raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
-    try:
-        return 2.0 ** (se_target / gamma) - 1.0
-    except OverflowError:
-        # beyond float range; inf is the correctly rounded value and it
-        # propagates into an infinite power demand downstream
-        return math.inf
+    out = []
+    for x in np.ravel(se / gamma).tolist():
+        try:
+            out.append(2.0 ** x - 1.0)
+        except OverflowError:
+            # beyond float range; inf is the correctly rounded value and it
+            # propagates into an infinite power demand downstream
+            out.append(math.inf)
+    return out[0] if se.ndim == 0 else np.reshape(out, se.shape)
 
 
 def energy_efficiency(se: float, total_power: float,

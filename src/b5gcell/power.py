@@ -11,13 +11,15 @@ Conventions fixed here once:
   A relay array is fed by the macro site's supply, so its own total carries
   no divisor.
 * An amplifier asked for more than its rating raises SaturationError; the
-  scenario layer converts that into an infeasible sweep point.
+  scenario layer marks such a sweep point infeasible before asking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .config import DeviceConstants, GopsModel, LiFiDeviceParams, ScenarioConfig
 
@@ -220,19 +222,19 @@ def rf_power_iap(m_t_iap: int, k: DeviceConstants) -> float:
 # amplifiers
 # ---------------------------------------------------------------------------
 
-def pa_power_classb(p_out: float, p_max: float) -> float:
-    """Class-B consumption (2/pi) sqrt(p_out p_max); zero output draws zero."""
+def pa_power_classb(p_out, p_max: float):
+    """Class-B consumption (2/pi) sqrt(p_out p_max), elementwise; zero draws zero."""
     if p_max <= 0:
         raise ValueError(f"p_max must be > 0, got {p_max!r}")
-    if p_out < 0:
+    if np.any(p_out < 0):
         raise ValueError(f"p_out must be >= 0, got {p_out!r}")
-    if p_out > p_max:
-        raise SaturationError(p_out, p_max, where="class-b pa")
-    return (2.0 / math.pi) * math.sqrt(p_out * p_max)
+    if np.any(p_out > p_max):
+        raise SaturationError(np.max(p_out), p_max, where="class-b pa")
+    return (2.0 / math.pi) * np.sqrt(p_out * p_max)
 
 
-def pa_power_doherty(p_out: float, p_max: float, continuized: bool = False) -> float:
-    """Two-branch Doherty consumption.
+def pa_power_doherty(p_out, p_max: float, continuized: bool = False):
+    """Two-branch Doherty consumption, elementwise.
 
     (2/pi) sqrt(p_out p_max) below a quarter of the rating and
     (6/pi) sqrt(p_out p_max) from the quarter point up, kept discontinuous as
@@ -241,16 +243,15 @@ def pa_power_doherty(p_out: float, p_max: float, continuized: bool = False) -> f
     """
     if p_max <= 0:
         raise ValueError(f"p_max must be > 0, got {p_max!r}")
-    if p_out < 0:
+    if np.any(p_out < 0):
         raise ValueError(f"p_out must be >= 0, got {p_out!r}")
-    if p_out > p_max:
-        raise SaturationError(p_out, p_max, where="doherty pa")
-    if p_out < 0.25 * p_max:
-        return (2.0 / math.pi) * math.sqrt(p_out * p_max)
-    upper = (6.0 / math.pi) * math.sqrt(p_out * p_max)
+    if np.any(p_out > p_max):
+        raise SaturationError(np.max(p_out), p_max, where="doherty pa")
+    root = np.sqrt(p_out * p_max)
+    upper = (6.0 / math.pi) * root
     if continuized:
         upper -= 2.0 * p_max / math.pi
-    return upper
+    return np.where(p_out < 0.25 * p_max, (2.0 / math.pi) * root, upper)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +323,3 @@ def power_mbs(k: DeviceConstants, site_load: ComplexityLoad,
     p_pa = sum(m.p_pa for m in mbsala_powers)
     total = (p_bb + p_rf + p_pa) / overhead_divisor(k)
     return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
-
-
-def power_cell(mbs: DevicePower, bmaa_powers=(), iap_powers=()) -> float:
-    """Cell total: macro site plus every building array and access point."""
-    return (mbs.p_total
-            + sum(p.p_total for p in bmaa_powers)
-            + sum(p.p_total for p in iap_powers))

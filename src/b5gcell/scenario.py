@@ -13,6 +13,7 @@ rate; infeasible points carry no power value.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -23,13 +24,14 @@ from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespac
 from .config import ConfigBundle, ConfigError, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
 from .power import (
-    SaturationError,
     bmaa_load,
     iap_load,
     mbs_load,
     mbsala_load,
+    overhead_divisor,
+    pa_power_classb,
+    pa_power_doherty,
     power_bmaa,
-    power_cell,
     power_iap_mmwave,
     power_lifi_iap,
     power_mbs,
@@ -38,6 +40,10 @@ from .power import (
 
 RATE_VARIABLE = "total_rate_bps"
 SE_VARIABLE = "se_bits_per_hz"
+_POWER_FIELDS = ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w")
+# float64 entries per stacked access solve; a larger stack raised peak memory
+# on 64-user access points without saving time
+ACCESS_SOLVE_ENTRIES = 4096
 
 
 class GridMismatchError(ValueError):
@@ -168,6 +174,8 @@ class ScenarioModel:
         pl_pen = np.array([apply_penetration(x, cfg.penetration_loss_db) for x in pl])
         self.beta_direct = np.array([db_to_linear(-x) for x in pl_pen])
 
+        # the swept total rate is split equally over every indoor user
+        self.n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
         self.sigma_out = cfg.noise_variance
         # indoor noise: identical density and noise figure, wider band
         self.sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
@@ -178,20 +186,24 @@ class ScenarioModel:
                                     np.full(cfg.n_iue, layout.user_height_m)])
         self.user_distances = np.linalg.norm(user_pos - iap_pos, axis=1)
 
+        # rate-independent device powers: only the amplifiers follow the rate
+        n_devices = cfg.n_arrays * cfg.n_buildings
+        mbsala = power_mbsala(mbsala_load(cfg, gops), k, cfg.m_t, ())
+        self._mbs = power_mbs(k, mbs_load(cfg, gops), [mbsala] * cfg.n_arrays)
+        self._bmaa_sum = self._iap_sum = 0
+        if variant.separation == "separate":
+            bmaa = power_bmaa(bmaa_load(cfg, gops), k, cfg.m_r)
+            self._bmaa_sum = _repeat_sum(bmaa.p_total, n_devices)
         if variant.separation == "separate" and variant.iap_kind == "mmwave":
             self.beta_access = np.array([
                 db_to_linear(-pathloss_freespace(d, cfg.carrier_freq_in))
                 for d in self.user_distances])
             self._init_beam_codebook()
+            self._iap = power_iap_mmwave(iap_load(gops), k, cfg.m_t_iap, 0.0)
         if variant.separation == "separate" and variant.iap_kind == "lifi":
             self._init_lifi(iap_pos, user_pos)
-
-        # static loads and device powers
-        self._mbsala_load = mbsala_load(cfg, gops)
-        self._site_load = mbs_load(cfg, gops)
-        if variant.separation == "separate":
-            self._bmaa_power = power_bmaa(bmaa_load(cfg, gops), k, cfg.m_r)
-            self._iap_bb_load = iap_load(gops)
+            iap = power_lifi_iap(lifi, float(np.mean(self.lifi_h)))
+            self._iap_sum = _repeat_sum(iap.p_total, n_devices)
 
     # -- indoor access precomputation ------------------------------------
 
@@ -221,131 +233,128 @@ class ScenarioModel:
             sinr_lifi(lifi.c_f, lifi.p_opt, hu, (), lifi.n0,
                       self.cfg.bandwidth_in).value
             for hu in self.lifi_h])
+        # each user must fit its TDMA share of the band
+        share = self.cfg.bandwidth_in / self.cfg.n_iue
+        self._lifi_capacity = min(self.cfg.gamma * share * math.log2(1.0 + sinr)
+                                  for sinr in self.lifi_sinr)
 
-    # -- per-point solves --------------------------------------------------
+    # -- evaluation over a grid ---------------------------------------------
 
-    def _solve_mmwave_powers(self, sinr_target: float):
-        """Per-user transmit powers hitting a common SINR target, or None.
-
+    def _solve_mmwave_powers(self, sinr_targets):
+        """Per-user transmit powers hitting each common SINR target (finite,
+        > 0), one row per target, NaN where no non-negative solution exists.
         Equal targets couple through beam sidelobes, giving a small linear
-        system per access point.
-        """
-        n = self.cfg.n_iue
-        if sinr_target == 0.0:
-            return np.zeros(n)
-        if math.isinf(sinr_target):  # unmeetable; inf * 0 would poison the diagonal
-            return None
-        mat = self.access_diag - sinr_target * self.access_coupling
+        system per access point."""
+        t = np.asarray(sinr_targets, float)[..., None, None]
+        mats = self.access_diag - t * self.access_coupling
+        rhs = np.broadcast_to(t * self.sigma_in, t.shape[:-2] + (self.cfg.n_iue, 1))
         try:
-            powers = np.linalg.solve(mat, np.full(n, sinr_target * self.sigma_in))
+            powers = np.linalg.solve(mats, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(powers)):
-            return None
-        if np.any(powers < -1e-18):
-            return None
-        return np.clip(powers, 0.0, None)
+            if mats.ndim == 2:
+                return np.full(self.cfg.n_iue, np.nan)
+            # one matrix at a time, so only the singular point fails
+            return np.array([self._solve_mmwave_powers(x) for x in sinr_targets])
+        ok = np.isfinite(powers).all(-1) & ~(powers < -1e-18).any(-1)
+        return np.where(ok[..., None], np.clip(powers, 0.0, None), np.nan)
 
-    def rate_point(self, total_rate: float, x_value: float | None = None,
-                   x_kind: str = RATE_VARIABLE) -> PointResult:
-        """Evaluate the cell at one total offered rate (bit/s)."""
-        if total_rate < 0:
-            raise ValueError(f"total rate must be >= 0, got {total_rate!r}")
-        cfg = self.cfg
-        x = total_rate if x_value is None else x_value
-        n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
-        rate_user = total_rate / n_users
+    def _access_power(self, sinr_targets):
+        """Summed indoor transmit power per SINR target, NaN where unmeetable."""
+        p_out = np.where(sinr_targets == 0.0, 0.0, np.nan)
+        todo = np.flatnonzero((sinr_targets > 0.0) & np.isfinite(sinr_targets))
+        chunk = max(1, ACCESS_SOLVE_ENTRIES // self.cfg.n_iue ** 2)
+        for start in range(0, todo.size, chunk):
+            idx = todo[start:start + chunk]
+            p_out[idx] = np.sum(self._solve_mmwave_powers(sinr_targets[idx]), axis=-1)
+        return p_out
 
-        def infeasible():
-            return PointResult(variant=self.variant.name, x_value=x, x_kind=x_kind,
-                               feasible=False, total_power_w=None, ee=None,
-                               p_mbs_w=None, p_bmaa_w=None, p_iap_w=None)
+    def rate_grid(self, total_rates) -> dict:
+        """Evaluate the cell at every total offered rate (bit/s) at once.
 
-        try:
-            if cfg.separation == "separate":
-                result = self._separate_point(rate_user)
+        Returns the bool array ``feasible`` and one float array per
+        PointResult power field, NaN where infeasible.  Only the amplifiers
+        depend on the rate; the other device powers were fixed at build.  Sums
+        run term by term in device order, so every entry equals its one-point
+        evaluation exactly.
+        """
+        feasible, values = self._grid_values(total_rates)
+        return {"feasible": feasible, **{name: np.where(feasible, value, np.nan)
+                                         for name, value in zip(_POWER_FIELDS, values)}}
+
+    def _grid_values(self, total_rates):
+        """Feasibility and the _POWER_FIELDS values (arrays, or one float where
+        a field does not depend on the rate); infeasible entries are left as
+        computed."""
+        rates = np.asarray(total_rates, float)
+        if np.any(rates < 0):
+            raise ValueError(f"total rate must be >= 0, got {rates.min()!r}")
+        cfg, k = self.cfg, self.k
+        rate_user = rates / self.n_users
+        feasible = np.ones(rates.shape, bool)
+        iap_sum = self._iap_sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.separation == "separate" and cfg.iap_kind == "mmwave":
+                p_out = self._access_power(
+                    required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma))
+                feasible &= p_out <= k.iap.pa_max   # False where NaN (unmeetable)
+                amp = pa_power_doherty(np.minimum(p_out, k.iap.pa_max), k.iap.pa_max)
+                iap = (self._iap.p_bb + self._iap.p_rf + amp) / overhead_divisor(k)
+                iap_sum = _repeat_sum(iap, cfg.n_arrays * cfg.n_buildings)
+            elif cfg.separation == "separate":   # fixed optical drive
+                feasible &= rate_user <= self._lifi_capacity
+            if cfg.separation == "separate":   # relay beams share a building's users
+                rate_link = rate_user * cfg.n_iue / cfg.n_beams
+                betas, streams, rx = self.beta_backhaul, cfg.n_beams, cfg.m_r
             else:
-                result = self._direct_point(rate_user)
-        except SaturationError:
-            return infeasible()
-        if result is None:
-            return infeasible()
-        mbs, bmaa_list, iap_list = result
-        total = power_cell(mbs, bmaa_list, iap_list)
-        se_cell = total_rate / cfg.bandwidth_out
-        return PointResult(
-            variant=self.variant.name, x_value=x, x_kind=x_kind, feasible=True,
-            total_power_w=total, ee=se_cell / total,
-            p_mbs_w=mbs.p_total,
-            p_bmaa_w=sum(p.p_total for p in bmaa_list),
-            p_iap_w=sum(p.p_total for p in iap_list),
-        )
+                rate_link = rate_user
+                betas, streams, rx = self.beta_direct, cfg.n_iue, cfg.ue_antennas
+            target = required_sinr(rate_link / cfg.bandwidth_out, cfg.gamma)
+            p_pa = 0
+            for beta in betas:   # building-major, one class-B amplifier per stream
+                p = target * self.sigma_out / (beta * cfg.m_t * rx)
+                feasible &= p <= k.mbsala.pa_max
+                amp = pa_power_classb(np.minimum(p, k.mbsala.pa_max), k.mbsala.pa_max)
+                p_pa = _repeat_sum(amp, streams, p_pa)
+            p_mbs = (self._mbs.p_bb + self._mbs.p_rf + _repeat_sum(p_pa, cfg.n_arrays)
+                     ) / overhead_divisor(k)
+            total = p_mbs + self._bmaa_sum + iap_sum
+            ee = rates / cfg.bandwidth_out / total
+        return feasible, (total, ee, p_mbs, self._bmaa_sum, iap_sum)
 
-    def _backhaul_beam_powers(self, rate_user: float):
-        """Per-beam relay transmit powers, building-major; saturation raises."""
-        cfg = self.cfg
-        rate_beam = rate_user * cfg.n_iue / cfg.n_beams
-        target = required_sinr(rate_beam / cfg.bandwidth_out, cfg.gamma)
-        powers = []
-        for beta in self.beta_backhaul:
-            p = target * self.sigma_out / (beta * cfg.m_t * cfg.m_r)
-            if p > self.k.mbsala.pa_max:
-                raise SaturationError(p, self.k.mbsala.pa_max, where="backhaul pa")
-            powers.extend([p] * cfg.n_beams)
-        return powers
+    def points(self, xs, x_kind: str = RATE_VARIABLE) -> list:
+        """PointResult rows at grid values *xs*: total offered rates (bit/s),
+        or for SE_VARIABLE per-link SE targets (bit/s/Hz on the outdoor band).
 
-    def _separate_point(self, rate_user: float):
-        cfg, k = self.cfg, self.k
-        n_devices = cfg.n_arrays * cfg.n_buildings
+        At a per-link SE every user demands se * bandwidth_out, so with the
+        default layout the relay beams and direct links run at exactly it.
+        """
+        rates = np.asarray(xs, float)
+        if x_kind == SE_VARIABLE:
+            if np.any(rates < 0):
+                raise ValueError(f"SE target must be >= 0, got {rates.min()!r}")
+            rates = rates * self.cfg.bandwidth_out * self.n_users
+        feasible, values = self._grid_values(rates)
+        # a rate-independent field shares one float across its rows
+        columns = [v.tolist() if np.ndim(v) else itertools.repeat(v) for v in values]
+        none = (None,) * len(columns)
+        return [PointResult(self.variant.name, float(x), x_kind, ok, *(row if ok else none))
+                for x, ok, *row in zip(xs, feasible.tolist(), *columns)]
 
-        if cfg.iap_kind == "mmwave":
-            target = required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma)
-            powers = self._solve_mmwave_powers(target)
-            if powers is None:
-                return None
-            p_out = float(np.sum(powers))
-            if p_out > k.iap.pa_max:
-                return None
-            iap = power_iap_mmwave(self._iap_bb_load, k, cfg.m_t_iap, p_out)
-        else:
-            # fixed optical drive: each user must fit its TDMA share of the band
-            share = cfg.bandwidth_in / cfg.n_iue
-            for sinr in self.lifi_sinr:
-                capacity = cfg.gamma * share * math.log2(1.0 + sinr)
-                if rate_user > capacity:
-                    return None
-            iap = power_lifi_iap(self.lifi, float(np.mean(self.lifi_h)))
-
-        beams = self._backhaul_beam_powers(rate_user)
-        mbsala = power_mbsala(self._mbsala_load, k, cfg.m_t, beams)
-        mbs = power_mbs(k, self._site_load, [mbsala] * cfg.n_arrays)
-        return mbs, [self._bmaa_power] * n_devices, [iap] * n_devices
-
-    def _direct_point(self, rate_user: float):
-        cfg, k = self.cfg, self.k
-        target = required_sinr(rate_user / cfg.bandwidth_out, cfg.gamma)
-        beams = []
-        for beta in self.beta_direct:
-            p = target * self.sigma_out / (beta * cfg.m_t * cfg.ue_antennas)
-            if p > k.mbsala.pa_max:
-                raise SaturationError(p, k.mbsala.pa_max, where="direct pa")
-            beams.extend([p] * cfg.n_iue)
-        mbsala = power_mbsala(self._mbsala_load, k, cfg.m_t, beams)
-        mbs = power_mbs(k, self._site_load, [mbsala] * cfg.n_arrays)
-        return mbs, [], []
+    def rate_point(self, total_rate: float) -> PointResult:
+        """Evaluate the cell at one total offered rate (bit/s)."""
+        return self.points([total_rate])[0]
 
     def se_point(self, se_per_link: float) -> PointResult:
-        """Evaluate at a per-link SE target (bit/s/Hz on the outdoor band).
+        """Evaluate at a per-link SE target (bit/s/Hz on the outdoor band)."""
+        return self.points([se_per_link], SE_VARIABLE)[0]
 
-        Every user demands se * bandwidth_out, so with the default layout the
-        relay beams and direct links run at exactly this SE.
-        """
-        if se_per_link < 0:
-            raise ValueError(f"SE target must be >= 0, got {se_per_link!r}")
-        cfg = self.cfg
-        n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
-        rate = se_per_link * cfg.bandwidth_out * n_users
-        return self.rate_point(rate, x_value=se_per_link, x_kind=SE_VARIABLE)
+
+def _repeat_sum(value, times: int, start=0):
+    """start + value + value + ... (*times* terms), added one at a time as the
+    device sums are, so that totals stay bit-identical to a point-wise sum."""
+    for _ in range(times):
+        start = start + value
+    return start
 
 
 def build_scenario(bundle: ConfigBundle, variant: VariantSpec | None = None,
@@ -357,10 +366,6 @@ def build_scenario(bundle: ConfigBundle, variant: VariantSpec | None = None,
         variant = VariantSpec(name=name, separation=s.separation,
                               iap_kind=s.iap_kind, m_t=s.m_t)
     return ScenarioModel(bundle, variant, rng=rng)
-
-
-def solve_rate_point(model: ScenarioModel, total_rate: float) -> PointResult:
-    return model.rate_point(total_rate)
 
 
 def _variant_stream(seed: int, name: str) -> np.random.Generator:
@@ -379,11 +384,7 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     rows = []
     for variant in spec.variants:
         model = build_scenario(bundle, variant, rng=_variant_stream(seed, variant.name))
-        for x in spec.grid:
-            if spec.variable == RATE_VARIABLE:
-                rows.append(model.rate_point(float(x)))
-            else:
-                rows.append(model.se_point(float(x)))
+        rows.extend(model.points(spec.grid, spec.variable))
     return SweepResult(spec=spec, seed=seed, rows=tuple(rows))
 
 

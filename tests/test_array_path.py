@@ -1,0 +1,185 @@
+"""The array evaluation path against the per-point reference engine.
+
+Every row must equal the reference row exactly: the same feasibility and the
+same float in every field, down to the last bit that results.csv prints.
+"""
+
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import scalar_oracle
+from b5gcell import default_bundle, load_config
+from b5gcell.cli import parse_grid, parse_variants
+from b5gcell.scenario import (
+    RATE_VARIABLE,
+    SE_VARIABLE,
+    SweepSpec,
+    VariantSpec,
+    build_scenario,
+    run_sweep,
+)
+
+PAPER_VARIANTS = ("sep-mmwave", "sep-lifi", "nonsep")
+
+
+def _fields(row):
+    powers = (row.total_power_w, row.ee, row.p_mbs_w, row.p_bmaa_w, row.p_iap_w)
+    return (row.variant, repr(row.x_value), row.x_kind, row.feasible,
+            *(None if v is None else repr(float(v)) for v in powers))
+
+
+def _assert_rows_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a == b, (a, b)
+        assert _fields(a) == _fields(b), (a, b)
+
+
+def _assert_sweep_matches(bundle, variable, grid, variants, seed=0):
+    spec = SweepSpec(variable, tuple(grid),
+                     parse_variants(variants, bundle.scenario.m_t))
+    _assert_rows_equal(run_sweep(bundle, spec, seed).rows,
+                       scalar_oracle.run_sweep(bundle, spec, seed).rows)
+
+
+@pytest.mark.parametrize("m_t", [64, 128, 256])
+def test_paper_rate_grids_match_reference(bundle, m_t):
+    variants = ",".join(f"{v}:mt={m_t}" for v in PAPER_VARIANTS)
+    _assert_sweep_matches(bundle, RATE_VARIABLE, parse_grid("0:6e9:25"), variants)
+
+
+def test_paper_se_grid_matches_reference(bundle):
+    _assert_sweep_matches(bundle, SE_VARIABLE, parse_grid("0.5:24:48"),
+                          ",".join(PAPER_VARIANTS))
+
+
+def test_dense_rate_grid_matches_reference(bundle):
+    _assert_sweep_matches(bundle, RATE_VARIABLE, parse_grid("0:6e9:2000"),
+                          ",".join(PAPER_VARIANTS))
+
+
+def test_grid_past_float_range_matches_reference(bundle):
+    # 2**(se/gamma) overflows from about 1e12 bit/s per user on
+    grid = parse_grid("0:1e300:40") + (1.0000001e300,)
+    _assert_sweep_matches(bundle, RATE_VARIABLE, grid, ",".join(PAPER_VARIANTS))
+    _assert_sweep_matches(bundle, SE_VARIABLE, parse_grid("0:5000:30"),
+                          ",".join(PAPER_VARIANTS))
+
+
+def test_zero_rate_point_matches_reference(bundle):
+    for base in PAPER_VARIANTS:
+        model = build_scenario(bundle, parse_variants(base, 128)[0])
+        _assert_rows_equal([model.rate_point(0.0), model.se_point(0.0)],
+                           [scalar_oracle.rate_point(model, 0.0),
+                            scalar_oracle.se_point(model, 0.0)])
+
+
+def _crowded_config_text(layout: int, n_iue: int = 64, n_buildings: int = 4) -> str:
+    """The 64-user random-placement config of the crowded benchmark workload,
+    layout *layout*: n_ue, pilot_len and coherence_block derived consistently."""
+    rng = random.Random(layout)
+    n_ue = n_buildings * n_iue
+    distances = sorted(round(rng.uniform(100.0, 400.0), 3) for _ in range(n_buildings))
+    offsets = [(round(rng.uniform(-2.5, 2.5), 3), round(rng.uniform(-2.5, 2.5), 3))
+               for _ in range(n_iue)]
+    return "\n".join([
+        "[scenario]",
+        f"n_buildings = {n_buildings}",
+        f"n_iue = {n_iue}",
+        f"n_ue = {n_ue}",
+        f"pilot_len = {n_ue}",
+        f"coherence_block = {n_ue + 180}",
+        "[layout]",
+        "placement = random",
+        "room_halfwidth_m = 2.5",
+        "distance_min_m = 100.0",
+        "distance_max_m = 400.0",
+        "building_distances_m = " + ", ".join(repr(d) for d in distances),
+        "user_offsets_m = " + "; ".join(f"{x!r}, {y!r}" for x, y in offsets),
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("layout", range(4))
+def test_crowded_random_layouts_match_reference(tmp_path, layout):
+    path = tmp_path / "crowded.ini"
+    path.write_text(_crowded_config_text(layout))
+    _assert_sweep_matches(load_config(str(path)), RATE_VARIABLE,
+                          parse_grid("0:12e9:200"),
+                          "sep-mmwave:mt=128,nonsep:mt=128", seed=layout)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.0, 2e10, allow_nan=False), min_size=2, max_size=40,
+                unique=True),
+       st.sampled_from([RATE_VARIABLE, SE_VARIABLE]))
+def test_random_increasing_grids_match_reference(values, variable):
+    grid = sorted(values) if variable == RATE_VARIABLE else sorted(v / 1e9 for v in values)
+    assume(len(set(grid)) == len(grid))
+    _assert_sweep_matches(default_bundle(), variable, grid,
+                          "sep-mmwave:mt=64,sep-lifi:mt=256,nonsep")
+
+
+def _singular_at_one(bundle):
+    """Two users whose access matrix I - t [[0, 1], [1, 0]] is singular at t = 1;
+    the narrow indoor band puts t = 1 where the backhaul is still feasible."""
+    scenario = replace(bundle.scenario, n_iue=2, bandwidth_in=1e7)
+    model = build_scenario(replace(bundle, scenario=scenario),
+                           VariantSpec("sep-mmwave", "separate", "mmwave", 64))
+    model.access_diag = np.eye(2)
+    model.access_coupling = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return model
+
+
+def test_singular_access_matrix_fails_only_its_own_point(bundle):
+    model = _singular_at_one(bundle)
+    targets = np.array([0.25, 0.5, 0.9, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.5])
+    powers = model._solve_mmwave_powers(targets)   # one stack of 7 matrices
+    assert powers.shape == (7, 2)
+    assert np.all(np.isnan(powers[4]))
+    for t, row in zip(targets, powers):
+        want = scalar_oracle.solve_mmwave_powers(model, float(t))
+        if want is None:
+            assert np.all(np.isnan(row)), t
+        else:
+            assert np.array_equal(row, want), t
+    # below the singular point the allocation stays non-negative and feasible
+    assert np.all(np.isfinite(powers[:4])) and np.all(powers[:4] >= 0)
+
+
+def test_singular_access_matrix_rows_match_reference(bundle):
+    model = _singular_at_one(bundle)
+    cfg = model.cfg
+    # target 2**(rate_user / bandwidth_in / gamma) - 1 is exactly 1 here
+    at_one = cfg.gamma * cfg.bandwidth_in * model.n_users
+    rates = [0.0, 0.5 * at_one, 0.99 * at_one, at_one, 1.01 * at_one]
+    got = model.points(rates)
+    _assert_rows_equal(got, [scalar_oracle.rate_point(model, r) for r in rates])
+    # negative powers past t = 1 fail the last point in both engines
+    assert [p.feasible for p in got] == [True, True, True, False, False]
+
+
+def test_rate_grid_arrays_hold_the_row_values_and_nan_where_infeasible(bundle):
+    model = build_scenario(bundle, parse_variants("sep-mmwave", 64)[0])
+    rates = parse_grid("0:2e11:50")
+    grid = model.rate_grid(rates)
+    rows = model.points(rates)
+    assert grid["feasible"].tolist() == [r.feasible for r in rows]
+    assert 0 < grid["feasible"].sum() < len(rows)
+    for name in ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w"):
+        assert grid[name].shape == (len(rows),)
+        for value, row in zip(grid[name].tolist(), rows):
+            want = getattr(row, name)
+            assert np.isnan(value) if want is None else value == want, name
+
+
+def test_negative_values_in_a_grid_are_rejected(bundle):
+    model = build_scenario(bundle, parse_variants("nonsep", 64)[0])
+    with pytest.raises(ValueError, match="total rate"):
+        model.rate_grid([0.0, -1.0])
+    with pytest.raises(ValueError, match="SE target"):
+        model.points([1.0, -0.5], SE_VARIABLE)

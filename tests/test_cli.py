@@ -130,6 +130,60 @@ def test_analyze_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def _analyze_lines(run_dir, capsys):
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(run_dir)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_analyze_pairs_lifi_and_mmwave_only_at_equal_array_size(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), "--grid", "0:4e9:9",
+          "--variants", "sep-lifi:mt=64,sep-mmwave:mt=256"])
+    lines = _analyze_lines(out, capsys)
+    assert "sep-lifi:mt=64.floor_power_w" in "\n".join(lines)
+    assert not [ln for ln in lines if ln.startswith(("ratio.", "saving."))]
+
+
+def test_analyze_pairs_bare_lifi_with_mmwave_at_the_configured_array_size(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("B5GCELL_SCENARIO__M_T", "128")
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), "--grid", "0:4e9:9",
+          "--variants", "sep-lifi,sep-mmwave:mt=128,sep-mmwave:mt=64"])
+    lines = _analyze_lines(out, capsys)
+    assert "saving.sep-lifi.vs.sep-mmwave:mt=128.mean_percent=" in "\n".join(lines)
+    assert not [ln for ln in lines if "mt=64" in ln and ln.startswith(("ratio.", "saving."))]
+
+
+def test_analyze_without_variant_lines_in_manifest_pairs_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    manifest = out / "manifest.txt"
+    manifest.write_text("".join(ln for ln in manifest.read_text().splitlines(True)
+                                if not ln.startswith("variant.")))
+    lines = _analyze_lines(out, capsys)
+    assert "n_rows=15" in lines
+    assert not [ln for ln in lines if ln.startswith(("ratio.", "saving."))]
+
+
+def test_analyze_bad_variant_line_in_manifest_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    with (out / "manifest.txt").open("a") as handle:
+        handle.write("variant.9=sep-lifi,separate,lifi,many\n")
+    assert main(["analyze", "--in", str(out)]) == 1
+    assert "bad variant line" in capsys.readouterr().err
+
+
+def test_manifest_records_each_variant_spec(tmp_path):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST, "--variants", "sep-lifi:mt=256,nonsep"])
+    manifest = _manifest(out)
+    assert manifest["variant.0"] == "sep-lifi:mt=256,separate,lifi,256"
+    assert manifest["variant.1"] == "nonsep,non-separate,mmwave,64"
+
+
 def test_analyze_missing_dir_exits_1(tmp_path):
     assert main(["analyze", "--in", str(tmp_path / "nope")]) == 1
 

@@ -16,7 +16,6 @@ from b5gcell import (
     pa_power_classb,
     pa_power_doherty,
     power_bmaa,
-    power_cell,
     power_iap_mmwave,
     power_lifi_iap,
     power_mbs,
@@ -35,6 +34,7 @@ from b5gcell.power import (
     rf_power_iap,
     rf_power_mbsala,
 )
+from scalar_oracle import power_cell
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 

@@ -18,7 +18,6 @@ from b5gcell import (
     find_crossing,
     run_sweep,
     sinr_mmwave,
-    solve_rate_point,
 )
 from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, GridMismatchError
 
@@ -60,11 +59,6 @@ def test_zero_rate_floor(bundle):
     assert point.total_power_w > 0
     assert point.ee == 0.0
     assert point.p_mbs_w > 0 and point.p_bmaa_w > 0 and point.p_iap_w > 0
-
-
-def test_solve_rate_point_is_the_point_api(bundle):
-    model = build_scenario(bundle, SEP)
-    assert solve_rate_point(model, 1e9) == model.rate_point(1e9)
 
 
 def test_power_splits_sum_to_total(bundle):
