@@ -11,9 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from b5gcell.config import load_config
+from b5gcell.cli import parse_grid
+from b5gcell.config import ConfigError, load_config
 from b5gcell.scenario import VariantSpec, build_scenario, ee_se_curve
 from b5gcell.svgplot import line_chart
 
@@ -28,9 +27,12 @@ def main(argv=None) -> int:
                         default="both")
     args = parser.parse_args(argv)
 
-    bundle = load_config(args.config)
-    lo, hi, n = args.grid.split(":")
-    se_grid = np.linspace(float(lo), float(hi), int(n))
+    try:
+        bundle = load_config(args.config)
+        se_grid = parse_grid(args.grid)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sizes = [int(s) for s in args.mt.split(",") if s]
     modes = (("separate", "non-separate") if args.mode == "both"
              else (args.mode,))
@@ -41,9 +43,7 @@ def main(argv=None) -> int:
             tag = "sep" if mode == "separate" else "nonsep"
             variant = VariantSpec(f"{tag}:mt={m_t}", mode, "mmwave", m_t)
             curve = ee_se_curve(build_scenario(bundle, variant), se_grid)
-            xs = [float(s) for s in se_grid]
-            ys = [pt if pt is not None else None for pt in curve.ee]
-            series.append((variant.name, xs, ys))
+            series.append((variant.name, list(se_grid), list(curve.ee)))
             if curve.peak_index is None:
                 print(f"{variant.name}: no feasible point")
                 continue

@@ -1,9 +1,5 @@
-"""Channel models: beamspace array responses, the normalised beam kernel,
-outdoor path loss with wall penetration, and the LiFi line-of-sight link.
-
-Angles on the antenna side live in sine space: a steering value of x means a
-physical departure angle asin(x/ (2*spacing)) for spacing in wavelengths, so
-with half-wavelength spacing the full visible range is x in [-1, 1).
+"""Channel models: outdoor path loss with wall penetration, and the LiFi
+line-of-sight link.
 """
 
 from __future__ import annotations
@@ -15,89 +11,9 @@ import numpy as np
 
 from .config import lambertian_order, LiFiDeviceParams
 
-# below this, sin(pi*x/2) is treated as a removable singularity of the kernel
-_KERNEL_SINGULARITY_EPS = 1e-9
-
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    if linear <= 0:
-        raise ValueError(f"linear gain must be > 0 to convert to dB, got {linear!r}")
-    return 10.0 * math.log10(linear)
-
-
-# ---------------------------------------------------------------------------
-# arrays and beams
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ArrayResponse:
-    """Unit-norm uniform-linear-array response vector."""
-
-    length: int
-    spacing: float       # element spacing in wavelengths
-    steering: float      # sine-space steering value
-    entries: np.ndarray  # complex, shape (length,)
-
-
-@dataclass(frozen=True)
-class BeamChannel:
-    """Rank-one outdoor beam channel between two arrays."""
-
-    beta: float          # linear large-scale gain
-    m_t: int
-    m_r: int
-    aod: float           # sine-space departure angle
-    aoa: float           # sine-space arrival angle
-
-
-def array_response(length: int, spacing: float, steering: float) -> ArrayResponse:
-    """Response vector (1/sqrt(M)) * exp(-j 2 pi spacing (m-1) steering), m = 1..M."""
-    if length < 1:
-        raise ValueError(f"array length must be >= 1, got {length}")
-    if spacing <= 0:
-        raise ValueError(f"element spacing must be > 0, got {spacing}")
-    phase = -2j * math.pi * spacing * steering * np.arange(length)
-    entries = np.exp(phase) / math.sqrt(length)
-    return ArrayResponse(length=length, spacing=spacing, steering=steering,
-                         entries=entries)
-
-
-def fejer_kernel(length: int, x):
-    """Normalised beam kernel sin(pi M x / 2) / (M sin(pi x / 2)).
-
-    Scalar in, scalar out; arrays broadcast elementwise.  At the removable
-    singularities (sin(pi x / 2) = 0) the limiting value
-    cos(pi M x / 2) / cos(pi x / 2) is returned, which is 1 at x = 0 and
-    +/-1 at even integers.
-    """
-    if length < 1:
-        raise ValueError(f"kernel order must be >= 1, got {length}")
-    arr = np.asarray(x, dtype=float)
-    half = 0.5 * math.pi * arr
-    den_core = np.sin(half)
-    singular = np.abs(den_core) < _KERNEL_SINGULARITY_EPS
-    safe_den = np.where(singular, 1.0, length * den_core)
-    regular = np.sin(length * half) / safe_den
-    limit = np.cos(length * half) / np.cos(half)
-    out = np.where(singular, limit, regular)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def beam_gain(channel: BeamChannel, tx_beam: float, rx_beam: float) -> float:
-    """Effective power gain of a beam pair against the channel's true angles.
-
-    beta * M_t * M_r * F_{M_t}(|aod - tx_beam|)^2 * F_{M_r}(|aoa - rx_beam|)^2;
-    the kernel is even, so mismatches enter through their magnitude.
-    """
-    f_tx = fejer_kernel(channel.m_t, abs(channel.aod - tx_beam))
-    f_rx = fejer_kernel(channel.m_r, abs(channel.aoa - rx_beam))
-    return channel.beta * channel.m_t * channel.m_r * f_tx ** 2 * f_rx ** 2
 
 
 # ---------------------------------------------------------------------------

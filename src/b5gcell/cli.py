@@ -153,6 +153,8 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
 
 
 def cmd_sweep(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     bundle = load_config(args.config)
     variable = RATE_VARIABLE if args.variable == "rate" else SE_VARIABLE
     grid_text = args.grid
@@ -170,6 +172,10 @@ def cmd_sweep(args) -> int:
     return code
 
 
+def _num(text: str):
+    return float(text) if text else None
+
+
 def _read_results(path: Path):
     text = path.read_text()
     lines = text.splitlines()
@@ -180,15 +186,13 @@ def _read_results(path: Path):
         f = ln.split(",")
         if len(f) != 9:
             raise ConfigError(f"{path}: malformed row {ln!r}")
-        feasible = f[5] == "true"
-
-        def num(s):
-            return float(s) if s else None
-
-        rows.append(PointResult(
-            variant=f[0], x_value=float(f[1]), x_kind=f[2],
-            feasible=feasible, total_power_w=num(f[3]), ee=num(f[4]),
-            p_mbs_w=num(f[6]), p_bmaa_w=num(f[7]), p_iap_w=num(f[8])))
+        try:
+            rows.append(PointResult(
+                variant=f[0], x_value=float(f[1]), x_kind=f[2],
+                feasible=f[5] == "true", total_power_w=_num(f[3]), ee=_num(f[4]),
+                p_mbs_w=_num(f[6]), p_bmaa_w=_num(f[7]), p_iap_w=_num(f[8])))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
     return rows
 
 
@@ -260,7 +264,11 @@ def cmd_analyze(args) -> int:
     manifest = src / "manifest.txt"
     recorded = dict(ln.partition("=")[::2] for ln in
                     (manifest.read_text().splitlines() if manifest.is_file() else ()))
-    if args.config is not None and manifest.is_file():
+    if args.config is not None:
+        if not manifest.is_file():
+            print(f"error: {manifest} not found, so there is nothing to verify "
+                  f"--config against", file=sys.stderr)
+            return 1
         for key, digest in _config_digests(load_config(args.config), args.config).items():
             if recorded.get(key) != digest:
                 print(f"error: config does not match the sweep manifest "

@@ -233,13 +233,12 @@ def pa_power_classb(p_out, p_max: float):
     return (2.0 / math.pi) * np.sqrt(p_out * p_max)
 
 
-def pa_power_doherty(p_out, p_max: float, continuized: bool = False):
+def pa_power_doherty(p_out, p_max: float):
     """Two-branch Doherty consumption, elementwise.
 
     (2/pi) sqrt(p_out p_max) below a quarter of the rating and
     (6/pi) sqrt(p_out p_max) from the quarter point up, kept discontinuous as
-    modelled; continuized=True subtracts the jump (2 p_max / pi) from the
-    upper branch so the curve is continuous at the quarter point.
+    modelled.
     """
     if p_max <= 0:
         raise ValueError(f"p_max must be > 0, got {p_max!r}")
@@ -248,10 +247,8 @@ def pa_power_doherty(p_out, p_max: float, continuized: bool = False):
     if np.any(p_out > p_max):
         raise SaturationError(np.max(p_out), p_max, where="doherty pa")
     root = np.sqrt(p_out * p_max)
-    upper = (6.0 / math.pi) * root
-    if continuized:
-        upper -= 2.0 * p_max / math.pi
-    return np.where(p_out < 0.25 * p_max, (2.0 / math.pi) * root, upper)[()]
+    return np.where(p_out < 0.25 * p_max, (2.0 / math.pi) * root,
+                    (6.0 / math.pi) * root)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +281,11 @@ def power_bmaa(load: ComplexityLoad, k: DeviceConstants, m_r: int) -> DevicePowe
 
 
 def power_iap_mmwave(load: ComplexityLoad, k: DeviceConstants, m_t_iap: int,
-                     p_out: float, continuized_pa: bool = False) -> DevicePower:
+                     p_out: float) -> DevicePower:
     """Indoor mmWave access point: baseband + RF + Doherty amplifier, own supply."""
     p_bb = bb_power(load, k.rho)
     p_rf = rf_power_iap(m_t_iap, k)
-    p_pa = pa_power_doherty(p_out, k.iap.pa_max, continuized=continuized_pa)
+    p_pa = pa_power_doherty(p_out, k.iap.pa_max)
     total = (p_bb + p_rf + p_pa) / overhead_divisor(k)
     return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
                        p_total=total)

@@ -230,8 +230,7 @@ class ScenarioModel:
             h.append(lifi_los_gain(geom, lifi))
         self.lifi_h = np.asarray(h)
         self.lifi_sinr = np.array([
-            sinr_lifi(lifi.c_f, lifi.p_opt, hu, (), lifi.n0,
-                      self.cfg.bandwidth_in).value
+            sinr_lifi(lifi.c_f, lifi.p_opt, hu, lifi.n0, self.cfg.bandwidth_in)
             for hu in self.lifi_h])
         # each user must fit its TDMA share of the band
         share = self.cfg.bandwidth_in / self.cfg.n_iue

@@ -13,31 +13,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from b5gcell import (
-    UniformAngles,
-    default_bundle,
-    fejer_kernel,
-    lambertian_order,
-    pa_power_doherty,
-    pathloss_winner_b5a,
-    required_sinr,
-    snr_macro,
-    spectral_efficiency,
-)
+from b5gcell import default_bundle
+from b5gcell.channel import pathloss_winner_b5a
 from b5gcell.cli import main as cli_main
-from b5gcell.metrics import expected_kernel_power, macro_snr_draws
+from b5gcell.config import lambertian_order
+from b5gcell.metrics import required_sinr
 from b5gcell.power import (
     bmaa_load,
     iap_load,
     mbsala_load,
     overhead_divisor,
+    pa_power_doherty,
     power_bmaa,
     power_iap_mmwave,
     power_lifi_iap,
     power_mbsala,
 )
 from b5gcell.scenario import SweepSpec, VariantSpec, build_scenario, ee_se_curve, find_crossing, run_sweep
-from kernel_oracles import grid_kernel_power, mc_kernel_power
+from kernel_oracles import (
+    UniformAngles,
+    expected_kernel_power,
+    fejer_kernel,
+    grid_kernel_power,
+    mc_kernel_power,
+)
+from link_oracles import macro_snr_draws, snr_macro, spectral_efficiency
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 RATE_GRID = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
@@ -105,9 +105,9 @@ def test_exact_formula_checks():
         s2 = 10.0 ** rng.uniform(-16, -10)
         m_t = int(rng.integers(1, 512))
         m_r = int(rng.integers(1, 512))
-        base = snr_macro(beta, m_t, m_r, p, s2).value
-        exact &= snr_macro(beta, 2 * m_t, m_r, p, s2).value == 2.0 * base
-        exact &= snr_macro(beta, m_t, 2 * m_r, p, s2).value == 2.0 * base
+        base = snr_macro(beta, m_t, m_r, p, s2)
+        exact &= snr_macro(beta, 2 * m_t, m_r, p, s2) == 2.0 * base
+        exact &= snr_macro(beta, m_t, 2 * m_r, p, s2) == 2.0 * base
     _check(lines, "macro SNR doubles exactly with either array (100 configs)", exact)
 
     _flush(lines)
@@ -144,8 +144,8 @@ def test_oracle_equivalence():
     for m_t, m_r in ((64, 64), (128, 64), (256, 64)):
         for mean in (1.0, 10.0, 1000.0):
             draws = macro_snr_draws(mean, m_t, m_r, 100_000, rng)
-            approx = spectral_efficiency(mean).value
-            exact = spectral_efficiency(mean, mode="exact-mc", draws=draws).value
+            approx = spectral_efficiency(mean)
+            exact = spectral_efficiency(mean, mode="exact-mc", draws=draws)
             worst = max(worst, _rel(approx, exact))
     _check(lines, "SE: approx-at-mean vs exact-MC within 2% (hardened arrays)",
            worst <= 2e-2, f"worst {worst * 100:.4f}%")
@@ -155,7 +155,7 @@ def test_oracle_equivalence():
     for _ in range(1000):
         se = rng.uniform(0.01, 30.0)
         gamma = rng.uniform(0.3, 1.0)
-        back = spectral_efficiency(required_sinr(se, gamma), gamma=gamma).value
+        back = spectral_efficiency(required_sinr(se, gamma), gamma=gamma)
         worst = max(worst, _rel(back, se))
     _check(lines, "required-SINR / SE round trip within 1e-12 (1000 values)",
            worst <= 1e-12, f"worst {worst:.2e}")

@@ -292,3 +292,40 @@ def test_analyze_config_refuses_run_made_with_env_override(tmp_path, monkeypatch
     capsys.readouterr()
     assert main(["analyze", "--in", str(out), "--config", str(cfg)]) == 1
     assert "config_sha256" in capsys.readouterr().err
+
+
+def test_analyze_config_without_manifest_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    (out / "manifest.txt").unlink()
+    other = tmp_path / "other.cfg"
+    other.write_text("[scenario]\nm_t = 256\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out), "--config", str(other)]) == 1
+    captured = capsys.readouterr()
+    assert "nothing to verify" in captured.err
+    assert captured.out == ""
+    assert not (out / "summary.txt").exists()
+
+
+def test_analyze_malformed_number_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    results = out / "results.csv"
+    lines = results.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[1] = "xx"
+    lines[1] = ",".join(fields)
+    results.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}: malformed row")
+    assert "Traceback" not in err
+
+
+def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out), "--seed", "-1", *FAST]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()

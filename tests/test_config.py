@@ -4,9 +4,10 @@ from dataclasses import fields, replace
 
 import pytest
 
-from b5gcell import ConfigError, default_bundle, dumps_config, lambertian_order, load_config, write_config
+from b5gcell import ConfigError, default_bundle, dumps_config, load_config, write_config
 from b5gcell.config import (DEFAULTS, BmaaRf, DeviceConstants, GopsModel, IapRf, LayoutConfig,
-                            LedElectrical, LiFiDeviceParams, MbsalaRf, ScenarioConfig)
+                            LedElectrical, LiFiDeviceParams, MbsalaRf, ScenarioConfig,
+                            lambertian_order)
 
 
 def test_defaults_load_without_file():

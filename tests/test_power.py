@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b5gcell import (
+from b5gcell import default_bundle
+from b5gcell.power import (
     ComplexityLoad,
     SaturationError,
     bb_power,
-    default_bundle,
+    bmaa_load,
+    estimation_op_count,
+    fft_op_count,
+    gops_fft,
+    iap_load,
+    mbs_load,
+    mbsala_load,
     overhead_divisor,
     pa_power_classb,
     pa_power_doherty,
@@ -20,15 +27,6 @@ from b5gcell import (
     power_lifi_iap,
     power_mbs,
     power_mbsala,
-)
-from b5gcell.power import (
-    bmaa_load,
-    estimation_op_count,
-    fft_op_count,
-    gops_fft,
-    iap_load,
-    mbs_load,
-    mbsala_load,
     precoding_item_count,
     rf_power_bmaa,
     rf_power_iap,
@@ -146,15 +144,6 @@ def test_doherty_branch_values_at_quarter_rating():
     # the printed jump is a factor of three
     assert pa_power_doherty(0.25, 1.0) / pa_power_doherty(below, 1.0) == \
         pytest.approx(3.0, rel=1e-9)
-
-
-def test_doherty_continuized_variant_closes_the_jump():
-    below = math.nextafter(0.25, 0.0)
-    jump = pa_power_doherty(0.25, 1.0, continuized=True) - \
-        pa_power_doherty(below, 1.0, continuized=True)
-    assert abs(jump) < 1e-9
-    # and still hits zero at zero output
-    assert pa_power_doherty(0.0, 1.0, continuized=True) == 0.0
 
 
 def test_doherty_saturation_error_carries_context():
