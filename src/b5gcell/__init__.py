@@ -21,7 +21,5 @@ from .scenario import (
     SweepSpec,
     VariantSpec,
     build_scenario,
-    ee_se_curve,
-    find_crossing,
     run_sweep,
 )

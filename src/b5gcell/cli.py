@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +27,6 @@ from .scenario import (
     PointResult,
     SweepSpec,
     VariantSpec,
-    _interp_crossing,
     run_sweep,
 )
 from .svgplot import line_chart
@@ -172,11 +172,10 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _num(text: str):
-    return float(text) if text else None
-
-
 def _read_results(path: Path):
+    """PointResult rows of a results.csv.  ``feasible`` must be ``true`` or
+    ``false``; a feasible row carries five finite numbers and an infeasible row
+    five empty fields.  Any other row is a ConfigError that names it."""
     text = path.read_text()
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -186,11 +185,18 @@ def _read_results(path: Path):
         f = ln.split(",")
         if len(f) != 9:
             raise ConfigError(f"{path}: malformed row {ln!r}")
+        numbers = (f[3], f[4], f[6], f[7], f[8])
         try:
-            rows.append(PointResult(
-                variant=f[0], x_value=float(f[1]), x_kind=f[2],
-                feasible=f[5] == "true", total_power_w=_num(f[3]), ee=_num(f[4]),
-                p_mbs_w=_num(f[6]), p_bmaa_w=_num(f[7]), p_iap_w=_num(f[8])))
+            if f[5] == "true":
+                values = tuple(map(float, numbers))
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("feasible row with a non-finite number")
+            elif f[5] == "false" and not any(numbers):
+                values = (None,) * 5
+            else:
+                raise ValueError("feasible must be true or false, and an "
+                                 "infeasible row carries no numbers")
+            rows.append(PointResult(f[0], float(f[1]), f[2], f[5] == "true", *values))
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
     return rows
@@ -204,6 +210,25 @@ def _manifest_variants(recorded: dict) -> dict:
                 for name, separation, iap_kind, m_t in fields}
     except ValueError as exc:
         raise ConfigError(f"bad variant line in the sweep manifest: {exc}") from None
+
+
+def _interp_crossing(xs, pa, pb):
+    """First sign flip of pa - pb with linear interpolation; None without one.
+
+    Only intervals with both endpoints feasible (not None) in both series count.
+    """
+    prev = None
+    for i in range(len(xs)):
+        if pa[i] is None or pb[i] is None:
+            prev = None
+            continue
+        diff = pa[i] - pb[i]
+        if prev is not None:
+            x0, d0 = prev
+            if d0 * diff < 0:
+                return x0 + (xs[i] - x0) * abs(d0) / (abs(d0) + abs(diff))
+        prev = (xs[i], diff)
+    return None
 
 
 def _summarize(rows, specs: dict) -> list:
@@ -224,6 +249,9 @@ def _summarize(rows, specs: dict) -> list:
         out.append(f"{name}.max_feasible_x={feas[-1].x_value!r}")
         out.append(f"{name}.peak_ee={best.ee!r}")
         out.append(f"{name}.peak_ee_x={best.x_value!r}")
+        # interior: the first EE maximum lies strictly inside the feasible range
+        interior = best is not feas[0] and best is not feas[-1]
+        out.append(f"{name}.peak_ee_interior={'true' if interior else 'false'}")
     names = list(by_variant)
     for i, a in enumerate(names):
         for b in names[i + 1:]:

@@ -69,8 +69,6 @@ class ScenarioConfig:
     noise_variance: float   # W, receiver noise over bandwidth_out
     coherence_block: int    # symbols per coherence block
     pilot_len: int          # pilot symbols per block
-    iap_kind: str           # 'mmwave' | 'lifi'
-    separation: str         # 'separate' | 'non-separate'
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,6 @@ DEFAULTS: dict[str, Default] = {
     "scenario.noise_variance": Default(1.59e-13, "derived: kTB at 290 K over 5 MHz plus 9 dB noise figure"),
     "scenario.coherence_block": Default(196, "engineering choice: symbols per coherence block"),
     "scenario.pilot_len": Default(16, "derived: pilot length equals users per sector"),
-    "scenario.iap_kind": Default("mmwave", "engineering choice: default indoor access technology"),
-    "scenario.separation": Default("separate", "engineering choice: default serving mode"),
     # mbsala
     "mbsala.p_mod": Default(0.003, "hardware estimate: low-power per-element modulator"),
     "mbsala.p_mix": Default(0.004, "hardware estimate: per-element mixer"),
@@ -514,10 +510,6 @@ def validate_bundle(bundle: ConfigBundle) -> None:
     _require(s.noise_variance > 0, "scenario.noise_variance", "> 0", s.noise_variance)
     _require(s.pilot_len <= s.coherence_block, "scenario.pilot_len",
              "<= coherence_block", s.pilot_len)
-    _require(s.iap_kind in ("mmwave", "lifi"), "scenario.iap_kind",
-             "one of mmwave|lifi", s.iap_kind)
-    _require(s.separation in ("separate", "non-separate"), "scenario.separation",
-             "one of separate|non-separate", s.separation)
 
     c = bundle.constants
     for sub, names in (("mbsala", ("p_mod", "p_mix", "p_dac", "p_clk")),

@@ -1,6 +1,5 @@
 """Scenario engine: wires channels, link metrics and device power models into
-per-cell operating points, rate/SE sweeps, crossing detection and the
-energy-efficiency curve.
+per-cell operating points and rate/SE sweeps.
 
 Traffic model: the swept total rate is split equally across every indoor user
 of the cell.  In separate mode each building's aggregate then rides over its
@@ -44,10 +43,6 @@ _POWER_FIELDS = ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w")
 # float64 entries per stacked access solve; a larger stack raised peak memory
 # on 64-user access points without saving time
 ACCESS_SOLVE_ENTRIES = 4096
-
-
-class GridMismatchError(ValueError):
-    """Two variants were compared on different grids."""
 
 
 @dataclass(frozen=True)
@@ -124,18 +119,6 @@ class SweepResult:
         return rows
 
 
-@dataclass(frozen=True)
-class EeSeCurve:
-    """Energy efficiency against the per-link SE grid for one variant."""
-
-    variant: str
-    se: tuple
-    ee: tuple            # None where infeasible
-    peak_index: int | None
-    peak_interior: bool
-    unimodal: bool
-
-
 class ScenarioModel:
     """Everything static about one variant; operating points are queried from it."""
 
@@ -144,8 +127,7 @@ class ScenarioModel:
         validate_bundle(bundle)
         self.bundle = bundle
         self.variant = variant
-        cfg = replace(bundle.scenario, m_t=variant.m_t,
-                      iap_kind=variant.iap_kind, separation=variant.separation)
+        cfg = replace(bundle.scenario, m_t=variant.m_t)
         self.cfg = cfg
         k, lifi, gops, layout = (bundle.constants, bundle.lifi, bundle.gops,
                                  bundle.layout)
@@ -287,21 +269,21 @@ class ScenarioModel:
         rates = np.asarray(total_rates, float)
         if np.any(rates < 0):
             raise ValueError(f"total rate must be >= 0, got {rates.min()!r}")
-        cfg, k = self.cfg, self.k
+        cfg, k, variant = self.cfg, self.k, self.variant
         rate_user = rates / self.n_users
         feasible = np.ones(rates.shape, bool)
         iap_sum = self._iap_sum
         with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.separation == "separate" and cfg.iap_kind == "mmwave":
+            if variant.separation == "separate" and variant.iap_kind == "mmwave":
                 p_out = self._access_power(
                     required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma))
                 feasible &= p_out <= k.iap.pa_max   # False where NaN (unmeetable)
                 amp = pa_power_doherty(np.minimum(p_out, k.iap.pa_max), k.iap.pa_max)
                 iap = (self._iap.p_bb + self._iap.p_rf + amp) / overhead_divisor(k)
                 iap_sum = _repeat_sum(iap, cfg.n_arrays * cfg.n_buildings)
-            elif cfg.separation == "separate":   # fixed optical drive
+            elif variant.separation == "separate":   # fixed optical drive
                 feasible &= rate_user <= self._lifi_capacity
-            if cfg.separation == "separate":   # relay beams share a building's users
+            if variant.separation == "separate":   # relay beams share a building's users
                 rate_link = rate_user * cfg.n_iue / cfg.n_beams
                 betas, streams, rx = self.beta_backhaul, cfg.n_beams, cfg.m_r
             else:
@@ -356,14 +338,9 @@ def _repeat_sum(value, times: int, start=0):
     return start
 
 
-def build_scenario(bundle: ConfigBundle, variant: VariantSpec | None = None,
+def build_scenario(bundle: ConfigBundle, variant: VariantSpec,
                    rng: np.random.Generator | None = None) -> ScenarioModel:
-    """Build the model for one variant; None derives the variant from the config."""
-    if variant is None:
-        s = bundle.scenario
-        name = "sep-" + s.iap_kind if s.separation == "separate" else "nonsep"
-        variant = VariantSpec(name=name, separation=s.separation,
-                              iap_kind=s.iap_kind, m_t=s.m_t)
+    """Build the model for one variant."""
     return ScenarioModel(bundle, variant, rng=rng)
 
 
@@ -385,66 +362,3 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
         model = build_scenario(bundle, variant, rng=_variant_stream(seed, variant.name))
         rows.extend(model.points(spec.grid, spec.variable))
     return SweepResult(spec=spec, seed=seed, rows=tuple(rows))
-
-
-def _interp_crossing(xs, pa, pb):
-    """First sign flip of pa - pb with linear interpolation; None without one."""
-    prev = None
-    for i in range(len(xs)):
-        if pa[i] is None or pb[i] is None:
-            prev = None
-            continue
-        diff = pa[i] - pb[i]
-        if prev is not None:
-            x0, d0 = prev
-            if d0 * diff < 0:
-                return x0 + (xs[i] - x0) * abs(d0) / (abs(d0) + abs(diff))
-        prev = (xs[i], diff)
-    return None
-
-
-def find_crossing(result: SweepResult, variant_a: str, variant_b: str):
-    """Grid value where the two variants' total powers cross, or None.
-
-    Only intervals with both endpoints feasible for both variants count.
-    """
-    rows_a = result.variant_rows(variant_a)
-    rows_b = result.variant_rows(variant_b)
-    xs_a = [r.x_value for r in rows_a]
-    xs_b = [r.x_value for r in rows_b]
-    if xs_a != xs_b:
-        raise GridMismatchError(
-            f"variants {variant_a!r} and {variant_b!r} were swept on different grids")
-    return _interp_crossing(xs_a,
-                            [r.total_power_w for r in rows_a],
-                            [r.total_power_w for r in rows_b])
-
-
-def ee_se_curve(model, se_grid) -> EeSeCurve:
-    """EE against per-link SE; flags whether the peak is interior and unique.
-
-    *model* only needs a se_point(se) method, so synthetic stubs can be swept
-    by the same code the real scenario uses.
-    """
-    points = [model.se_point(float(s)) for s in se_grid]
-    ee = [p.ee if p.feasible else None for p in points]
-    feasible_idx = [i for i, e in enumerate(ee) if e is not None]
-    if not feasible_idx:
-        return EeSeCurve(variant=points[0].variant if points else "",
-                         se=tuple(se_grid), ee=tuple(ee), peak_index=None,
-                         peak_interior=False, unimodal=True)
-    peak = max(feasible_idx, key=lambda i: ee[i])
-    interior = feasible_idx[0] < peak < feasible_idx[-1]
-    rises = 0
-    direction = 0  # +1 while ascending, -1 after the first descent
-    for prev, cur in zip(feasible_idx, feasible_idx[1:]):
-        step = ee[cur] - ee[prev]
-        if step > 0:
-            if direction <= 0:
-                rises += 1
-            direction = 1
-        elif step < 0:
-            direction = -1
-    return EeSeCurve(variant=points[0].variant, se=tuple(se_grid), ee=tuple(ee),
-                     peak_index=peak, peak_interior=interior,
-                     unimodal=rises <= 1)

@@ -90,7 +90,7 @@ def _outdoor_devices(model, beams):
 def _separate_point(model, rate_user: float):
     cfg, k, gops = model.cfg, model.k, model.bundle.gops
     n_devices = cfg.n_arrays * cfg.n_buildings
-    if cfg.iap_kind == "mmwave":
+    if model.variant.iap_kind == "mmwave":
         target = required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma)
         powers = solve_mmwave_powers(model, target)
         if powers is None:
@@ -132,7 +132,7 @@ def rate_point(model, total_rate: float, x_value=None,
                              feasible=False, total_power_w=None, ee=None,
                              p_mbs_w=None, p_bmaa_w=None, p_iap_w=None)
     try:
-        if cfg.separation == "separate":
+        if model.variant.separation == "separate":
             result = _separate_point(model, rate_user)
         else:
             result = _direct_point(model, rate_user)

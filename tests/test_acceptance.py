@@ -15,7 +15,7 @@ import pytest
 
 from b5gcell import default_bundle
 from b5gcell.channel import pathloss_winner_b5a
-from b5gcell.cli import main as cli_main
+from b5gcell.cli import _summarize, main as cli_main
 from b5gcell.config import lambertian_order
 from b5gcell.metrics import required_sinr
 from b5gcell.power import (
@@ -29,7 +29,7 @@ from b5gcell.power import (
     power_lifi_iap,
     power_mbsala,
 )
-from b5gcell.scenario import SweepSpec, VariantSpec, build_scenario, ee_se_curve, find_crossing, run_sweep
+from b5gcell.scenario import SE_VARIABLE, SweepSpec, VariantSpec, build_scenario, run_sweep
 from kernel_oracles import (
     UniformAngles,
     expected_kernel_power,
@@ -59,6 +59,11 @@ def _check(lines, name, ok, detail=""):
 
 def _rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def _summary(rows):
+    """analyze's summary of sweep rows as {key: value}."""
+    return dict(line.rsplit("=", 1) for line in _summarize(rows, {}))
 
 
 # --- 1. exact formula checks ---------------------------------------------------
@@ -189,7 +194,8 @@ def test_figure_shape_reproduction():
             if prev is not None and prev * diff < 0:
                 flips += 1
             prev = diff
-        cross = find_crossing(result, "non", "sep")
+        cross = _summary(result.rows).get("crossing.sep.vs.non")
+        cross = None if cross is None else float(cross)
         crossings[m_t] = cross
         _check(lines, f"M_T={m_t}: exactly one separate/non-separate crossing",
                flips == 1 and cross is not None,
@@ -216,14 +222,20 @@ def test_figure_shape_reproduction():
     for sep_kind in ("separate", "non-separate"):
         for m_t in (64, 128, 256):
             model = build_scenario(bundle, VariantSpec("v", sep_kind, "mmwave", m_t))
-            curve = ee_se_curve(model, SE_GRID)
-            peaks[(sep_kind, m_t)] = curve.ee[curve.peak_index]
+            rows = model.points(SE_GRID, SE_VARIABLE)
+            summary = _summary(rows)
+            peak_ee, peak_se = float(summary["v.peak_ee"]), float(summary["v.peak_ee_x"])
+            peaks[(sep_kind, m_t)] = peak_ee
             if m_t in (128, 256):
+                # one rise: no ascent after a descent, flat steps aside
+                ee = [r.ee for r in rows if r.feasible]
+                steps = [b - a for a, b in zip(ee, ee[1:]) if b != a]
+                rises = sum(1 for i, d in enumerate(steps)
+                            if d > 0 and (i == 0 or steps[i - 1] < 0))
                 _check(lines,
                        f"EE-SE {sep_kind} M_T={m_t}: interior maximum, single rise",
-                       curve.peak_interior and curve.unimodal,
-                       f"peak {curve.ee[curve.peak_index]:.3f} (bit/s/Hz)/W "
-                       f"at SE {curve.se[curve.peak_index]:.2f}")
+                       summary["v.peak_ee_interior"] == "true" and rises <= 1,
+                       f"peak {peak_ee:.3f} (bit/s/Hz)/W at SE {peak_se:.2f}")
     for sep_kind in ("separate", "non-separate"):
         hi, lo = peaks[(sep_kind, 256)], peaks[(sep_kind, 64)]
         _check(lines, f"EE-SE {sep_kind}: peak at M_T=256 >= peak at M_T=64",

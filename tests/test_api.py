@@ -10,8 +10,6 @@ PUBLIC = [
     "build_scenario",
     "default_bundle",
     "dumps_config",
-    "ee_se_curve",
-    "find_crossing",
     "load_config",
     "run_sweep",
     "write_config",

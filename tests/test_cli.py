@@ -8,7 +8,7 @@ from b5gcell.cli import CSV_HEADER, main, parse_grid, parse_variants
 from b5gcell.config import DEFAULTS
 
 FAST = ["--grid", "0:2e9:5"]
-DEFAULT_CONFIG_SHA256 = "aa205338d93335370cdd21e63913edf46b9b4708871f09dd29fef6f7a64e5d86"
+DEFAULT_CONFIG_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
 
 
 def _manifest(run_dir):
@@ -322,6 +322,34 @@ def test_analyze_malformed_number_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {results}: malformed row")
     assert "Traceback" not in err
+
+
+# field index -> text written into the first data row, which is feasible
+ROW_CONTRACT_BREAKS = {
+    "feasible-without-numbers": {3: "", 4: "", 6: "", 7: "", 8: ""},
+    "flag-yes": {5: "yes"},
+    "nan-power": {3: "nan"},
+    "infinite-ee": {4: "inf"},
+    "infeasible-with-numbers": {5: "false"},
+}
+
+
+@pytest.mark.parametrize("edits", ROW_CONTRACT_BREAKS.values(), ids=ROW_CONTRACT_BREAKS)
+def test_analyze_rejects_row_outside_the_contract(tmp_path, capsys, edits):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    results = out / "results.csv"
+    lines = results.read_text().splitlines()
+    fields = lines[1].split(",")
+    for index, text in edits.items():
+        fields[index] = text
+    lines[1] = ",".join(fields)
+    results.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}: malformed row")
+    assert not (out / "summary.txt").exists()
 
 
 def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_default_bundle_is_validated(bundle):
 
 # the DEFAULTS table drives load, default_bundle and dump
 
-DEFAULT_DUMP_SHA256 = "aa205338d93335370cdd21e63913edf46b9b4708871f09dd29fef6f7a64e5d86"
+DEFAULT_DUMP_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
 
 # section name -> the dataclass holding its keys
 SECTION_CLASSES = {
@@ -199,13 +199,21 @@ def test_env_override_with_dumped_text_gives_defaults(key, bundle):
     assert load_config(None, environ=env) == bundle
 
 
-@pytest.mark.parametrize("line", ["tx_positions = 0, 0, 3",
-                                  "rx_position = 1.5, 1.5, 0.85",
-                                  "c_ijf = 1.0"])
-def test_removed_lifi_keys_rejected(tmp_path, line):
+REMOVED_KEYS = [("lifi.tx_positions", "0, 0, 3"),
+                ("lifi.rx_position", "1.5, 1.5, 0.85"),
+                ("lifi.c_ijf", "1.0"),
+                # the variant alone sets the serving mode
+                ("scenario.iap_kind", "lifi"),
+                ("scenario.separation", "non-separate")]
+
+
+# each case is named after the line it writes into its section
+@pytest.mark.parametrize("key, value", REMOVED_KEYS,
+                         ids=[f"{k.partition('.')[2]} = {v}" for k, v in REMOVED_KEYS])
+def test_removed_lifi_keys_rejected(tmp_path, key, value):
+    section, _, name = key.partition(".")
     path = tmp_path / "cell.cfg"
-    path.write_text(f"[lifi]\n{line}\n")
-    key = "lifi." + line.split(" ")[0]
+    path.write_text(f"[{section}]\n{name} = {value}\n")
     with pytest.raises(ConfigError, match=f"unknown key {key}"):
         load_config(str(path), use_env=False)
 

@@ -10,22 +10,15 @@ from b5gcell import (
     VariantSpec,
     build_scenario,
     default_bundle,
-    ee_se_curve,
-    find_crossing,
     run_sweep,
 )
-from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, GridMismatchError, PointResult, SweepResult
+from b5gcell.cli import _summarize
+from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, PointResult
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
 
 SEP = VariantSpec("sep-mmwave", "separate", "mmwave", 64)
 LIFI = VariantSpec("sep-lifi", "separate", "lifi", 64)
 NON = VariantSpec("nonsep", "non-separate", "mmwave", 64)
-
-
-def test_variant_derived_from_config(bundle):
-    model = build_scenario(bundle)
-    assert model.variant.name == "sep-mmwave"
-    assert model.variant.separation == "separate"
 
 
 def test_variant_validation():
@@ -202,41 +195,43 @@ def test_random_placement_respects_bounds(bundle):
     assert np.all(np.abs(model.user_offsets) <= bundle.layout.room_halfwidth_m)
 
 
-def _fake_result(xs, pa, pb):
-    spec = SweepSpec(RATE_VARIABLE, tuple(xs), (VariantSpec("a", "separate", "mmwave", 4),
-                                                VariantSpec("b", "separate", "mmwave", 4)))
-    rows = []
-    for name, powers in (("a", pa), ("b", pb)):
-        for x, p in zip(xs, powers):
-            rows.append(PointResult(variant=name, x_value=float(x),
-                                    x_kind=RATE_VARIABLE, feasible=p is not None,
-                                    total_power_w=p, ee=None if p is None else 1.0,
-                                    p_mbs_w=p, p_bmaa_w=0.0, p_iap_w=0.0))
-    return SweepResult(spec=spec, seed=0, rows=tuple(rows))
+def _summary(rows):
+    """analyze's summary of *rows* as {key: value}."""
+    return dict(line.rsplit("=", 1) for line in _summarize(rows, {}))
+
+
+def _rows(name, xs, powers, x_kind=RATE_VARIABLE, ees=None):
+    """Synthetic sweep rows; a None power (or EE) marks an infeasible point."""
+    ees = ees or [None if p is None else 1.0 for p in powers]
+    return [PointResult(variant=name, x_value=float(x), x_kind=x_kind,
+                        feasible=p is not None and e is not None,
+                        total_power_w=p, ee=e, p_mbs_w=p, p_bmaa_w=0.0, p_iap_w=0.0)
+            for x, p, e in zip(xs, powers, ees)]
+
+
+def _fake_rows(xs, pa, pb):
+    return _rows("a", xs, pa) + _rows("b", xs, pb)
 
 
 def test_crossing_linear_interpolation():
-    result = _fake_result([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [2.0, 2.0, 2.0])
-    assert find_crossing(result, "a", "b") == pytest.approx(4.0 / 3.0, rel=1e-12)
+    summary = _summary(_fake_rows([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [2.0, 2.0, 2.0]))
+    assert float(summary["crossing.a.vs.b"]) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_crossing_none_without_sign_change():
-    result = _fake_result([0.0, 1.0], [0.0, 1.0], [2.0, 3.0])
-    assert find_crossing(result, "a", "b") is None
+    summary = _summary(_fake_rows([0.0, 1.0], [0.0, 1.0], [2.0, 3.0]))
+    assert "crossing.a.vs.b" not in summary
 
 
 def test_crossing_ignores_intervals_with_gaps():
-    result = _fake_result([0.0, 1.0, 2.0], [0.0, None, 4.0], [2.0, None, 2.0])
-    assert find_crossing(result, "a", "b") is None
+    summary = _summary(_fake_rows([0.0, 1.0, 2.0], [0.0, None, 4.0], [2.0, None, 2.0]))
+    assert "crossing.a.vs.b" not in summary
 
 
 def test_crossing_requires_matching_grids():
-    good = _fake_result([0.0, 1.0], [0.0, 1.0], [2.0, 2.0])
-    shifted = [r if r.variant == "a" else replace(r, x_value=r.x_value + 0.5)
-               for r in good.rows]
-    result = SweepResult(spec=good.spec, seed=0, rows=tuple(shifted))
-    with pytest.raises(GridMismatchError):
-        find_crossing(result, "a", "b")
+    assert "crossing.a.vs.b" in _summary(_fake_rows([0.0, 1.0], [0.0, 4.0], [2.0, 2.0]))
+    shifted = _rows("a", [0.0, 1.0], [0.0, 4.0]) + _rows("b", [0.5, 1.5], [2.0, 2.0])
+    assert not any(key.startswith("crossing.") for key in _summary(shifted))
 
 
 def test_unknown_variant_name_raises(bundle):
@@ -246,51 +241,36 @@ def test_unknown_variant_name_raises(bundle):
         result.variant_rows("nope")
 
 
-class _StubModel:
-    """Minimal se_point provider with a closed-form EE shape."""
-
-    def __init__(self, shape):
-        self.shape = shape
-
-    def se_point(self, s):
-        ee = self.shape(s)
-        return PointResult(variant="stub", x_value=s, x_kind=SE_VARIABLE,
-                           feasible=ee is not None, total_power_w=1.0, ee=ee,
-                           p_mbs_w=1.0, p_bmaa_w=0.0, p_iap_w=0.0)
+def _ee_summary(shape, grid):
+    """Summary of one synthetic SE sweep whose EE is shape(s), None = infeasible."""
+    ees = [shape(s) for s in grid]
+    return _summary(_rows("stub", grid, [1.0] * len(grid), SE_VARIABLE, ees))
 
 
 def test_ee_curve_finds_the_analytic_peak():
     # s * 2^-s peaks at 1/ln 2; frozen out-of-band value 1.4426950408889634
     grid = [0.25 * i for i in range(1, 17)]
-    curve = ee_se_curve(_StubModel(lambda s: s * 2.0 ** (-s)), grid)
-    assert curve.unimodal and curve.peak_interior
-    peak_se = curve.se[curve.peak_index]
-    assert abs(peak_se - 1.4426950408889634) <= 0.125 + 1e-12
-
-
-def test_ee_curve_flags_double_hump():
-    values = {1.0: 1.0, 2.0: 2.0, 3.0: 1.0, 4.0: 2.0, 5.0: 1.0}
-    curve = ee_se_curve(_StubModel(lambda s: values[s]), list(values))
-    assert not curve.unimodal
+    summary = _ee_summary(lambda s: s * 2.0 ** (-s), grid)
+    assert summary["stub.peak_ee_interior"] == "true"
+    assert abs(float(summary["stub.peak_ee_x"]) - 1.4426950408889634) <= 0.125 + 1e-12
 
 
 def test_ee_curve_boundary_peak_not_interior():
-    curve = ee_se_curve(_StubModel(lambda s: -s), [1.0, 2.0, 3.0])
-    assert curve.peak_index == 0
-    assert not curve.peak_interior
-    assert curve.unimodal
+    summary = _ee_summary(lambda s: -s, [1.0, 2.0, 3.0])
+    assert summary["stub.peak_ee_x"] == "1.0"
+    assert summary["stub.peak_ee_interior"] == "false"
 
 
 def test_ee_curve_skips_infeasible_tail():
-    curve = ee_se_curve(_StubModel(lambda s: s * 2.0 ** (-s) if s < 3 else None),
-                        [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
-    assert curve.ee[-1] is None and curve.ee[-2] is None
-    assert curve.peak_interior
+    summary = _ee_summary(lambda s: s * 2.0 ** (-s) if s < 3 else None,
+                          [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+    assert summary["stub.max_feasible_x"] == "2.5"
+    assert summary["stub.peak_ee_interior"] == "true"
 
 
 def test_ee_curve_on_the_real_model(bundle):
     model = build_scenario(bundle, NON)
-    curve = ee_se_curve(model, [float(s) for s in np.linspace(0.5, 12.0, 24)])
-    assert curve.variant == "nonsep"
-    assert curve.peak_index is not None
-    assert curve.ee[curve.peak_index] > 0
+    summary = _summary(model.points(np.linspace(0.5, 12.0, 24), SE_VARIABLE))
+    assert summary["variants"] == "nonsep"
+    assert float(summary["nonsep.peak_ee"]) > 0
+    assert summary["nonsep.peak_ee_interior"] == "true"
