@@ -186,8 +186,9 @@ def _read_results(path: Path):
         if len(f) != 9:
             raise ConfigError(f"{path}: malformed row {ln!r}")
         numbers = (f[3], f[4], f[6], f[7], f[8])
+        feasible = f[5] == "true"
         try:
-            if f[5] == "true":
+            if feasible:
                 values = tuple(map(float, numbers))
                 if not all(map(math.isfinite, values)):
                     raise ValueError("feasible row with a non-finite number")
@@ -196,7 +197,7 @@ def _read_results(path: Path):
             else:
                 raise ValueError("feasible must be true or false, and an "
                                  "infeasible row carries no numbers")
-            rows.append(PointResult(f[0], float(f[1]), f[2], f[5] == "true", *values))
+            rows.append(PointResult(f[0], float(f[1]), f[2], feasible, *values))
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
     return rows
