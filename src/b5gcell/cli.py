@@ -12,23 +12,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, dumps_config, load_config
-from .scenario import (
-    RATE_VARIABLE,
-    SE_VARIABLE,
-    PointResult,
-    SweepSpec,
-    VariantSpec,
-    run_sweep,
-)
+from .records import RATE_VARIABLE, SE_VARIABLE, SweepSpec, VariantSpec
 from .svgplot import line_chart
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
@@ -53,7 +45,7 @@ def parse_grid(text: str) -> tuple:
         n = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from None
-    if not np.isfinite([lo, hi]).all():
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ConfigError(f"grid bounds must be finite, got {text!r}")
     if n < 2:
         raise ConfigError(f"grid needs at least 2 points, got {n}")
@@ -61,6 +53,7 @@ def parse_grid(text: str) -> tuple:
         raise ConfigError(f"grid max must exceed min, got {text!r}")
     if lo < 0:
         raise ConfigError(f"grid min must be >= 0, got {text!r}")
+    import numpy as np   # the sweep path only; analyze stays numpy-free
     return tuple(float(x) for x in np.linspace(lo, hi, n))
 
 
@@ -152,6 +145,11 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
     return 0 if n_feasible else 2
 
 
+def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # imports numpy on first call
+    from .scenario import run_sweep
+    return run_sweep(bundle, spec, seed)
+
+
 def cmd_sweep(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
@@ -172,35 +170,36 @@ def cmd_sweep(args) -> int:
     return code
 
 
-def _read_results(path: Path):
-    """PointResult rows of a results.csv.  ``feasible`` must be ``true`` or
-    ``false``; a feasible row carries five finite numbers and an infeasible row
-    five empty fields.  Any other row is a ConfigError that names it."""
-    text = path.read_text()
-    lines = text.splitlines()
+def _read_results(path: Path) -> dict:
+    """Per variant, in file order, the (x, total power, EE) columns of a results.csv,
+    None where infeasible.  A row is ``true`` with six finite numbers or ``false``
+    with a finite x alone; any other row is a ConfigError that names it."""
+    lines = path.read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep results file")
-    rows = []
+    columns = {}
     for ln in lines[1:]:
-        f = ln.split(",")
-        if len(f) != 9:
-            raise ConfigError(f"{path}: malformed row {ln!r}")
-        numbers = (f[3], f[4], f[6], f[7], f[8])
-        feasible = f[5] == "true"
         try:
-            if feasible:
-                values = tuple(map(float, numbers))
-                if not all(map(math.isfinite, values)):
-                    raise ValueError("feasible row with a non-finite number")
-            elif f[5] == "false" and not any(numbers):
-                values = (None,) * 5
+            variant, x, _, power, ee, flag, p_mbs, p_bmaa, p_iap = ln.split(",")
+            x = float(x)
+            if flag == "true":
+                power, ee = float(power), float(ee)
+                numbers = (x, power, ee, float(p_mbs), float(p_bmaa), float(p_iap))
+            elif flag == "false" and not (power or ee or p_mbs or p_bmaa or p_iap):
+                power = ee = None
+                numbers = (x,)
             else:
                 raise ValueError("feasible must be true or false, and an "
                                  "infeasible row carries no numbers")
-            rows.append(PointResult(f[0], float(f[1]), f[2], feasible, *values))
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError("non-finite number")
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
-    return rows
+        xs, powers, ees = columns.setdefault(variant, ([], [], []))
+        xs.append(x)
+        powers.append(power)
+        ees.append(ee)
+    return columns
 
 
 def _manifest_variants(recorded: dict) -> dict:
@@ -232,52 +231,42 @@ def _interp_crossing(xs, pa, pb):
     return None
 
 
-def _summarize(rows, specs: dict) -> list:
-    by_variant = {}
-    for r in rows:
-        by_variant.setdefault(r.variant, []).append(r)
-    out = [f"variants={','.join(by_variant)}",
-           f"n_rows={len(rows)}",
-           f"n_feasible={sum(1 for r in rows if r.feasible)}"]
-    for name, vrows in by_variant.items():
-        feas = [r for r in vrows if r.feasible]
+def _summarize(columns: dict, specs: dict) -> list:
+    """Summary lines of _read_results' columns; *specs*: VariantSpec per name."""
+    out = [f"variants={','.join(columns)}",
+           f"n_rows={sum(len(xs) for xs, _, _ in columns.values())}",
+           f"n_feasible={sum(len(p) - p.count(None) for _, p, _ in columns.values())}"]
+    for name, (xs, powers, ees) in columns.items():
+        feas = [i for i, p in enumerate(powers) if p is not None]
         if not feas:
             out.append(f"{name}.feasible=none")
             continue
-        floor = feas[0]
-        best = max(feas, key=lambda r: r.ee)
-        out.append(f"{name}.floor_power_w={floor.total_power_w!r}")
-        out.append(f"{name}.max_feasible_x={feas[-1].x_value!r}")
-        out.append(f"{name}.peak_ee={best.ee!r}")
-        out.append(f"{name}.peak_ee_x={best.x_value!r}")
+        best = max(feas, key=ees.__getitem__)
+        out.append(f"{name}.floor_power_w={powers[feas[0]]!r}")
+        out.append(f"{name}.max_feasible_x={xs[feas[-1]]!r}")
+        out.append(f"{name}.peak_ee={ees[best]!r}")
+        out.append(f"{name}.peak_ee_x={xs[best]!r}")
         # interior: the first EE maximum lies strictly inside the feasible range
-        interior = best is not feas[0] and best is not feas[-1]
+        interior = feas[0] < best < feas[-1]
         out.append(f"{name}.peak_ee_interior={'true' if interior else 'false'}")
-    names = list(by_variant)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            xa = [r.x_value for r in by_variant[a]]
-            xb = [r.x_value for r in by_variant[b]]
-            if xa != xb:
-                continue
-            cross = _interp_crossing(xa,
-                                     [r.total_power_w for r in by_variant[a]],
-                                     [r.total_power_w for r in by_variant[b]])
-            if cross is not None:
-                out.append(f"crossing.{a}.vs.{b}={cross!r}")
+    for a, b in itertools.combinations(columns, 2):
+        (xa, pa, _), (xb, pb, _) = columns[a], columns[b]
+        cross = _interp_crossing(xa, pa, pb) if xa == xb else None
+        if cross is not None:
+            out.append(f"crossing.{a}.vs.{b}={cross!r}")
     # lifi / mmwave indoor-access power ratio per shared point, plus the mean
     # saving, for separate variants (VariantSpec per name in *specs*) of equal M_T
     sep = {name: s for name, s in specs.items() if s.separation == "separate"}
-    pairs = [(a, b) for a in by_variant for b in by_variant
+    pairs = [(a, b) for a in columns for b in columns
              if a in sep and b in sep and sep[a].iap_kind == "lifi"
              and sep[b].iap_kind == "mmwave" and sep[a].m_t == sep[b].m_t]
     for a, b in pairs:
+        (xa, pa, _), (xb, pb, _) = columns[a], columns[b]
         savings = []
-        for ra, rb in zip(by_variant[a], by_variant[b]):
-            if ra.feasible and rb.feasible and ra.x_value == rb.x_value:
-                out.append(f"ratio.{a}.vs.{b}.at.{ra.x_value!r}="
-                           f"{ra.total_power_w / rb.total_power_w!r}")
-                savings.append(1.0 - ra.total_power_w / rb.total_power_w)
+        for x, x_b, power_a, power_b in zip(xa, xb, pa, pb):
+            if power_a is not None and power_b is not None and x == x_b:
+                out.append(f"ratio.{a}.vs.{b}.at.{x!r}={power_a / power_b!r}")
+                savings.append(1.0 - power_a / power_b)
         if savings:
             out.append(f"saving.{a}.vs.{b}.mean_percent="
                        f"{100.0 * sum(savings) / len(savings)!r}")
@@ -303,11 +292,11 @@ def cmd_analyze(args) -> int:
                 print(f"error: config does not match the sweep manifest "
                       f"({key} {recorded.get(key)} != {digest})", file=sys.stderr)
                 return 1
-    rows = _read_results(results)
-    if not any(r.feasible for r in rows):
+    columns = _read_results(results)
+    if all(p.count(None) == len(p) for _, p, _ in columns.values()):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2
-    lines = _summarize(rows, _manifest_variants(recorded))
+    lines = _summarize(columns, _manifest_variants(recorded))
     text = "\n".join(lines) + "\n"
     (src / "summary.txt").write_text(text)
     sys.stdout.write(text)

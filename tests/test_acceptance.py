@@ -38,6 +38,7 @@ from kernel_oracles import (
     mc_kernel_power,
 )
 from link_oracles import macro_snr_draws, snr_macro, spectral_efficiency
+from result_columns import columns
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 RATE_GRID = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
@@ -63,7 +64,7 @@ def _rel(a, b):
 
 def _summary(rows):
     """analyze's summary of sweep rows as {key: value}."""
-    return dict(line.rsplit("=", 1) for line in _summarize(rows, {}))
+    return dict(line.rsplit("=", 1) for line in _summarize(columns(rows), {}))
 
 
 # --- 1. exact formula checks ---------------------------------------------------

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import b5gcell
 from b5gcell import ConfigError, default_bundle, write_config
 from b5gcell.cli import CSV_HEADER, main, parse_grid, parse_variants
 from b5gcell.config import DEFAULTS
@@ -331,6 +336,7 @@ ROW_CONTRACT_BREAKS = {
     "nan-power": {3: "nan"},
     "infinite-ee": {4: "inf"},
     "infeasible-with-numbers": {5: "false"},
+    "nan-x": {1: "nan"},
 }
 
 
@@ -357,3 +363,30 @@ def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):
     assert main(["sweep", "--out", str(out), "--seed", "-1", *FAST]) == 1
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# `python -m b5gcell <args>` in this interpreter; then the exit code and
+# whether numpy was loaded go to stderr
+NUMPY_PROBE = """
+import runpy, sys
+try:
+    runpy.run_module("b5gcell", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(f"exit={exc.code} numpy={'numpy' in sys.modules}", file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("with_config", [False, True], ids=["plain", "config"])
+def test_analyze_runs_without_numpy(tmp_path, with_config):
+    cfg = tmp_path / "cell.cfg"
+    write_config(default_bundle(), str(cfg))
+    config = ["--config", str(cfg)] if with_config else []
+    out = tmp_path / "run"
+    assert main(["sweep", *config, "--out", str(out), *FAST]) == 0
+    src = str(Path(b5gcell.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, "analyze", "--in", str(out),
+                           *config], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stderr.splitlines()[-1] == "exit=0 numpy=False"
+    assert proc.stdout == (out / "summary.txt").read_text()

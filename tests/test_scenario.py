@@ -15,6 +15,7 @@ from b5gcell import (
 from b5gcell.cli import _summarize
 from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, PointResult
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
+from result_columns import columns
 
 SEP = VariantSpec("sep-mmwave", "separate", "mmwave", 64)
 LIFI = VariantSpec("sep-lifi", "separate", "lifi", 64)
@@ -197,7 +198,7 @@ def test_random_placement_respects_bounds(bundle):
 
 def _summary(rows):
     """analyze's summary of *rows* as {key: value}."""
-    return dict(line.rsplit("=", 1) for line in _summarize(rows, {}))
+    return dict(line.rsplit("=", 1) for line in _summarize(columns(rows), {}))
 
 
 def _rows(name, xs, powers, x_kind=RATE_VARIABLE, ees=None):
