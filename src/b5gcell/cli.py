@@ -20,19 +20,13 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, dumps_config, load_config
-from .records import RATE_VARIABLE, SE_VARIABLE, SweepSpec, VariantSpec
+from .records import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepSpec, VariantSpec
 from .svgplot import line_chart
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
 DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
 DEFAULT_RATE_GRID = "0:6e9:25"
 DEFAULT_SE_GRID = "0.5:24:48"
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(float(value))
 
 
 def parse_grid(text: str) -> tuple:
@@ -100,14 +94,22 @@ def _config_digests(bundle, path: str | None) -> dict:
 
 def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
                    variant_text: str, plot: bool) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out {out_dir}: cannot make the output directory "
+                          f"({exc.strerror})") from None
+    xs = [float(x) for x in result.spec.grid]
+    kind = result.spec.variable
     lines = [CSV_HEADER]
-    for r in result.rows:
-        lines.append(",".join([
-            r.variant, _fmt(r.x_value), r.x_kind, _fmt(r.total_power_w),
-            _fmt(r.ee), "true" if r.feasible else "false",
-            _fmt(r.p_mbs_w), _fmt(r.p_bmaa_w), _fmt(r.p_iap_w),
-        ]))
+    for name, column in result.columns.items():
+        feasible = column["feasible"].tolist()
+        total, ee, p_mbs, p_bmaa, p_iap = (
+            [repr(v) if ok else "" for v, ok in zip(column[field].tolist(), feasible)]
+            for field in POWER_FIELDS)
+        lines += [f"{name},{x!r},{kind},{t},{e},{'true' if ok else 'false'},{m},{b},{i}"
+                  for x, t, e, ok, m, b, i in zip(xs, total, ee, feasible, p_mbs, p_bmaa,
+                                                  p_iap)]
     (out_dir / "results.csv").write_text("\n".join(lines) + "\n")
 
     manifest = [
@@ -115,33 +117,29 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
         f"version={__version__}",
         *(f"{key}={value}" for key, value in digests.items()),
         f"seed={result.seed}",
-        f"variable={result.spec.variable}",
+        f"variable={kind}",
         f"grid={grid_text}",
         f"variants={variant_text}",
         *(f"variant.{i}={v.name},{v.separation},{v.iap_kind},{v.m_t}"
           for i, v in enumerate(result.spec.variants)),
-        f"n_rows={len(result.rows)}",
+        f"n_rows={len(lines) - 1}",
         f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
     ]
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
-    n_feasible = sum(1 for r in result.rows if r.feasible)
+    n_feasible = sum(int(column["feasible"].sum()) for column in result.columns.values())
     if plot and n_feasible:
-        if result.spec.variable == RATE_VARIABLE:
+        if kind == RATE_VARIABLE:
             x_label, stem = "total rate (bit/s)", "rate"
         else:
             x_label, stem = "per-link SE (bit/s/Hz)", "se"
-        power_series, ee_series = [], []
-        for v in result.spec.variants:
-            rows = result.variant_rows(v.name)
-            xs = [r.x_value for r in rows]
-            power_series.append((v.name, xs, [r.total_power_w for r in rows]))
-            ee_series.append((v.name, xs, [r.ee for r in rows]))
-        (out_dir / f"power_vs_{stem}.svg").write_text(line_chart(
-            power_series, f"cell power vs {stem}", x_label, "total power (W)"))
-        (out_dir / f"ee_vs_{stem}.svg").write_text(line_chart(
-            ee_series, f"energy efficiency vs {stem}", x_label,
-            "EE (bit/s/Hz per W)"))
+        for prefix, field, title, y_label in (
+                ("power", "total_power_w", "cell power", "total power (W)"),
+                ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
+            series = [(name, xs, column[field].tolist())
+                      for name, column in result.columns.items()]
+            (out_dir / f"{prefix}_vs_{stem}.svg").write_text(
+                line_chart(series, f"{title} vs {stem}", x_label, y_label))
     return 0 if n_feasible else 2
 
 
@@ -166,15 +164,23 @@ def cmd_sweep(args) -> int:
                           grid_text, args.variants, plot=args.plot == "on")
     if code == 2:
         print("warning: no feasible point in the sweep", file=sys.stderr)
-    print(f"wrote {len(result.rows)} rows to {args.out}/results.csv")
+    print(f"wrote {len(grid) * len(variants)} rows to {args.out}/results.csv")
     return code
+
+
+def _read_lines(path: Path) -> list:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                          ) from None
 
 
 def _read_results(path: Path) -> dict:
     """Per variant, in file order, the (x, total power, EE) columns of a results.csv,
     None where infeasible.  A row is ``true`` with six finite numbers or ``false``
     with a finite x alone; any other row is a ConfigError that names it."""
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep results file")
     columns = {}
@@ -281,7 +287,7 @@ def cmd_analyze(args) -> int:
         return 1
     manifest = src / "manifest.txt"
     recorded = dict(ln.partition("=")[::2] for ln in
-                    (manifest.read_text().splitlines() if manifest.is_file() else ()))
+                    (_read_lines(manifest) if manifest.is_file() else ()))
     if args.config is not None:
         if not manifest.is_file():
             print(f"error: {manifest} not found, so there is nothing to verify "

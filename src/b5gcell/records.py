@@ -1,12 +1,15 @@
 """Sweep requests and results.  Standard library only, so ``b5gcell analyze``
 and the package root load without numpy or the scenario engine."""
 
+import math
 from dataclasses import dataclass
 
 from .config import ConfigError
 
 RATE_VARIABLE = "total_rate_bps"
 SE_VARIABLE = "se_bits_per_hz"
+# the float columns of one evaluated variant, beside its bool ``feasible``
+POWER_FIELDS = ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w")
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ class SweepSpec:
             raise ConfigError("sweep grid needs at least 2 points")
         prev = None
         for x in self.grid:
+            if not math.isfinite(x):
+                raise ConfigError(f"sweep grid values must be finite, got {x!r}")
             if x < 0:
                 raise ConfigError(f"sweep grid values must be >= 0, got {x!r}")
             if prev is not None and x <= prev:
@@ -56,28 +61,10 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class PointResult:
-    """One evaluated sweep point."""
-
-    variant: str
-    x_value: float
-    x_kind: str
-    feasible: bool
-    total_power_w: float | None
-    ee: float | None                # cell SE on the outdoor band per watt
-    p_mbs_w: float | None
-    p_bmaa_w: float | None
-    p_iap_w: float | None
-
-
-@dataclass(frozen=True)
 class SweepResult:
+    """Per variant name, in ``spec.variants`` order, the columns that
+    ``ScenarioModel.points`` returns over ``spec.grid``."""
+
     spec: SweepSpec
     seed: int
-    rows: tuple  # PointResult, variant-major then grid order
-
-    def variant_rows(self, name: str) -> tuple:
-        rows = tuple(r for r in self.rows if r.variant == name)
-        if not rows:
-            raise KeyError(f"no rows for variant {name!r}")
-        return rows
+    columns: dict

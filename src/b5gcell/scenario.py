@@ -6,13 +6,12 @@ of the cell.  In separate mode each building's aggregate then rides over its
 relay beams (building rate / beam count per beam), so the backhaul always
 carries exactly the indoor traffic it serves.  A point is infeasible when any
 amplifier would exceed its rating or an indoor link cannot reach the demanded
-rate; infeasible points carry no power value.
+rate; infeasible points carry NaN in every power field.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import replace
 
@@ -36,9 +35,9 @@ from .power import (
     power_mbs,
     power_mbsala,
 )
-from .records import RATE_VARIABLE, SE_VARIABLE, PointResult, SweepResult, SweepSpec, VariantSpec
+from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepResult, SweepSpec,
+                      VariantSpec)
 
-_POWER_FIELDS = ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w")
 # float64 entries per stacked access solve; a larger stack raised peak memory
 # on 64-user access points without saving time
 ACCESS_SOLVE_ENTRIES = 4096
@@ -174,26 +173,25 @@ class ScenarioModel:
             p_out[idx] = np.sum(self._solve_mmwave_powers(sinr_targets[idx]), axis=-1)
         return p_out
 
-    def rate_grid(self, total_rates) -> dict:
-        """Evaluate the cell at every total offered rate (bit/s) at once.
+    def points(self, xs, x_kind: str = RATE_VARIABLE) -> dict:
+        """Evaluate the cell at every grid value in *xs* at once: total offered
+        rates (bit/s), or for SE_VARIABLE per-link SE targets (bit/s/Hz on the
+        outdoor band).  At a per-link SE every user demands se * bandwidth_out,
+        so with the default layout the relay beams and direct links run at
+        exactly it.
 
         Returns the bool array ``feasible`` and one float array per
-        PointResult power field, NaN where infeasible.  Only the amplifiers
-        depend on the rate; the other device powers were fixed at build.  Sums
-        run term by term in device order, so every entry equals its one-point
+        POWER_FIELDS name, NaN where infeasible.  Only the amplifiers depend on
+        the rate; the other device powers were fixed at build.  Sums run term
+        by term in device order, so every entry equals its one-point
         evaluation exactly.
         """
-        feasible, values = self._grid_values(total_rates)
-        return {"feasible": feasible, **{name: np.where(feasible, value, np.nan)
-                                         for name, value in zip(_POWER_FIELDS, values)}}
-
-    def _grid_values(self, total_rates):
-        """Feasibility and the _POWER_FIELDS values (arrays, or one float where
-        a field does not depend on the rate); infeasible entries are left as
-        computed."""
-        rates = np.asarray(total_rates, float)
+        rates = np.asarray(xs, float)
         if np.any(rates < 0):
-            raise ValueError(f"total rate must be >= 0, got {rates.min()!r}")
+            what = "SE target" if x_kind == SE_VARIABLE else "total rate"
+            raise ValueError(f"{what} must be >= 0, got {rates.min()!r}")
+        if x_kind == SE_VARIABLE:
+            rates = rates * self.cfg.bandwidth_out * self.n_users
         cfg, k, variant = self.cfg, self.k, self.variant
         rate_user = rates / self.n_users
         feasible = np.ones(rates.shape, bool)
@@ -225,34 +223,9 @@ class ScenarioModel:
                      ) / overhead_divisor(k)
             total = p_mbs + self._bmaa_sum + iap_sum
             ee = rates / cfg.bandwidth_out / total
-        return feasible, (total, ee, p_mbs, self._bmaa_sum, iap_sum)
-
-    def points(self, xs, x_kind: str = RATE_VARIABLE) -> list:
-        """PointResult rows at grid values *xs*: total offered rates (bit/s),
-        or for SE_VARIABLE per-link SE targets (bit/s/Hz on the outdoor band).
-
-        At a per-link SE every user demands se * bandwidth_out, so with the
-        default layout the relay beams and direct links run at exactly it.
-        """
-        rates = np.asarray(xs, float)
-        if x_kind == SE_VARIABLE:
-            if np.any(rates < 0):
-                raise ValueError(f"SE target must be >= 0, got {rates.min()!r}")
-            rates = rates * self.cfg.bandwidth_out * self.n_users
-        feasible, values = self._grid_values(rates)
-        # a rate-independent field shares one float across its rows
-        columns = [v.tolist() if np.ndim(v) else itertools.repeat(v) for v in values]
-        none = (None,) * len(columns)
-        return [PointResult(self.variant.name, float(x), x_kind, ok, *(row if ok else none))
-                for x, ok, *row in zip(xs, feasible.tolist(), *columns)]
-
-    def rate_point(self, total_rate: float) -> PointResult:
-        """Evaluate the cell at one total offered rate (bit/s)."""
-        return self.points([total_rate])[0]
-
-    def se_point(self, se_per_link: float) -> PointResult:
-        """Evaluate at a per-link SE target (bit/s/Hz on the outdoor band)."""
-        return self.points([se_per_link], SE_VARIABLE)[0]
+        values = (total, ee, p_mbs, self._bmaa_sum, iap_sum)
+        return {"feasible": feasible, **{name: np.where(feasible, value, np.nan)
+                                         for name, value in zip(POWER_FIELDS, values)}}
 
 
 def _repeat_sum(value, times: int, start=0):
@@ -282,8 +255,8 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     Each variant gets an independent child RNG keyed on its name, so
     evaluation order cannot change random placements.
     """
-    rows = []
+    columns = {}
     for variant in spec.variants:
         model = build_scenario(bundle, variant, rng=_variant_stream(seed, variant.name))
-        rows.extend(model.points(spec.grid, spec.variable))
-    return SweepResult(spec=spec, seed=seed, rows=tuple(rows))
+        columns[variant.name] = model.points(spec.grid, spec.variable)
+    return SweepResult(spec=spec, seed=seed, columns=columns)

@@ -44,20 +44,15 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
-def line_chart(series, title: str, x_label: str, y_label: str,
-               log_y: bool = False) -> str:
+def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     """Render ``series`` = [(name, xs, ys), ...] to an SVG document string.
 
-    ``None`` y-values break the line (gaps for infeasible points).
+    NaN y-values break the line (gaps for infeasible points).
     """
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if y is not None]
+    ys_all = [y for _, _, ys in series for y in ys if not math.isnan(y)]
     if not xs_all or not ys_all:
         raise ValueError("nothing to plot: no finite points in any series")
-    if log_y:
-        ys_all = [y for y in ys_all if y > 0]
-        if not ys_all:
-            raise ValueError("log scale needs positive y values")
 
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
@@ -65,11 +60,8 @@ def line_chart(series, title: str, x_label: str, y_label: str,
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + (abs(y_lo) if y_lo else 1.0)
-    if log_y:
-        y_lo_t, y_hi_t = math.log10(y_lo), math.log10(y_hi)
-    else:
-        pad = 0.05 * (y_hi - y_lo)
-        y_lo_t, y_hi_t = y_lo - pad, y_hi + pad
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo_t, y_hi_t = y_lo - pad, y_hi + pad
 
     px0, px1 = _MARGIN["left"], _WIDTH - _MARGIN["right"]
     py0, py1 = _HEIGHT - _MARGIN["bottom"], _MARGIN["top"]
@@ -78,8 +70,7 @@ def line_chart(series, title: str, x_label: str, y_label: str,
         return px0 + (x - x_lo) / (x_hi - x_lo) * (px1 - px0)
 
     def sy(y):
-        t = math.log10(y) if log_y else y
-        return py0 + (t - y_lo_t) / (y_hi_t - y_lo_t) * (py1 - py0)
+        return py0 + (y - y_lo_t) / (y_hi_t - y_lo_t) * (py1 - py0)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -96,13 +87,7 @@ def line_chart(series, title: str, x_label: str, y_label: str,
                      f'y2="{py1}" stroke="#dddddd"/>')
         parts.append(f'<text x="{_fmt(x)}" y="{py0 + 16}" '
                      f'text-anchor="middle">{_tick_label(t)}</text>')
-    if log_y:
-        lo_d, hi_d = math.floor(y_lo_t), math.ceil(y_hi_t)
-        y_ticks = [10.0 ** d for d in range(int(lo_d), int(hi_d) + 1)
-                   if y_lo_t <= d <= y_hi_t]
-    else:
-        y_ticks = _ticks(y_lo_t, y_hi_t)
-    for t in y_ticks:
+    for t in _ticks(y_lo_t, y_hi_t):
         y = sy(t)
         parts.append(f'<line x1="{px0}" y1="{_fmt(y)}" x2="{px1}" '
                      f'y2="{_fmt(y)}" stroke="#dddddd"/>')
@@ -122,7 +107,7 @@ def line_chart(series, title: str, x_label: str, y_label: str,
         color = _PALETTE[idx % len(_PALETTE)]
         segments, current = [], []
         for x, y in zip(xs, ys):
-            if y is None or (log_y and y <= 0):
+            if math.isnan(y):
                 if current:
                     segments.append(current)
                 current = []

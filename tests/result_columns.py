@@ -1,13 +1,25 @@
-"""PointResult rows in the column form that ``cli._summarize`` reads."""
+"""Engine results in the forms the tests read them in."""
+
+from types import SimpleNamespace
+
+from b5gcell.records import RATE_VARIABLE
 
 
-def columns(rows) -> dict:
-    """Per variant, in row order: x values, total powers and EEs, the last two
-    None where a row is infeasible (what ``cli._read_results`` returns)."""
+def columns(xs, engine_columns: dict) -> dict:
+    """Per variant name, ``ScenarioModel.points`` columns over *xs* as the
+    reader's columns: x values, total powers and EEs, the last two None where a
+    point is infeasible (what ``cli._read_results`` returns)."""
     out = {}
-    for r in rows:
-        xs, powers, ees = out.setdefault(r.variant, ([], [], []))
-        xs.append(r.x_value)
-        powers.append(r.total_power_w if r.feasible else None)
-        ees.append(r.ee if r.feasible else None)
+    for name, column in engine_columns.items():
+        feasible = column["feasible"].tolist()
+        out[name] = ([float(x) for x in xs],
+                     *([v if ok else None for v, ok in zip(column[field].tolist(), feasible)]
+                       for field in ("total_power_w", "ee")))
     return out
+
+
+def point_at(model, x: float, x_kind: str = RATE_VARIABLE) -> SimpleNamespace:
+    """``model.points([x], x_kind)`` as one point of Python scalars: the bool
+    ``feasible`` and the power fields, NaN where infeasible."""
+    return SimpleNamespace(**{name: column.item()
+                              for name, column in model.points([x], x_kind).items()})

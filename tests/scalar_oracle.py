@@ -10,6 +10,7 @@ must reproduce its rows bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +26,22 @@ from b5gcell.power import (
     power_mbs,
     power_mbsala,
 )
-from b5gcell.scenario import (
-    RATE_VARIABLE,
-    SE_VARIABLE,
-    PointResult,
-    SweepResult,
-    _variant_stream,
-    build_scenario,
-)
+from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, _variant_stream, build_scenario
+
+
+@dataclass(frozen=True)
+class PointResult:
+    """One evaluated sweep point; the power fields are None where infeasible."""
+
+    variant: str
+    x_value: float
+    x_kind: str
+    feasible: bool
+    total_power_w: float | None
+    ee: float | None                # cell SE on the outdoor band per watt
+    p_mbs_w: float | None
+    p_bmaa_w: float | None
+    p_iap_w: float | None
 
 
 def power_cell(mbs, bmaa_powers=(), iap_powers=()) -> float:
@@ -158,11 +167,12 @@ def se_point(model, se_per_link: float) -> PointResult:
     return rate_point(model, rate, x_value=se_per_link, x_kind=SE_VARIABLE)
 
 
-def run_sweep(bundle, spec, seed: int = 0) -> SweepResult:
-    """The sweep of ``b5gcell.scenario.run_sweep``, one point at a time."""
+def run_sweep(bundle, spec, seed: int = 0) -> list:
+    """The sweep of ``b5gcell.scenario.run_sweep`` as PointResult rows, one
+    point at a time, variant-major then grid order."""
     rows = []
     for variant in spec.variants:
         model = build_scenario(bundle, variant, rng=_variant_stream(seed, variant.name))
         point = rate_point if spec.variable == RATE_VARIABLE else se_point
         rows.extend(point(model, float(x)) for x in spec.grid)
-    return SweepResult(spec=spec, seed=seed, rows=tuple(rows))
+    return rows

@@ -38,7 +38,7 @@ from kernel_oracles import (
     mc_kernel_power,
 )
 from link_oracles import macro_snr_draws, snr_macro, spectral_efficiency
-from result_columns import columns
+from result_columns import columns, point_at
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 RATE_GRID = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
@@ -62,9 +62,9 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def _summary(rows):
-    """analyze's summary of sweep rows as {key: value}."""
-    return dict(line.rsplit("=", 1) for line in _summarize(columns(rows), {}))
+def _summary(xs, engine_columns):
+    """analyze's summary of per-variant engine columns over *xs* as {key: value}."""
+    return dict(line.rsplit("=", 1) for line in _summarize(columns(xs, engine_columns), {}))
 
 
 # --- 1. exact formula checks ---------------------------------------------------
@@ -182,20 +182,21 @@ def test_figure_shape_reproduction():
                          (VariantSpec("sep", "separate", "mmwave", m_t),
                           VariantSpec("non", "non-separate", "mmwave", m_t)))
         result = run_sweep(bundle, spec, seed=0)
-        sep = result.variant_rows("sep")
-        non = result.variant_rows("non")
+        read = columns(RATE_GRID, result.columns)
+        _, sep, _ = read["sep"]   # total power per grid value, None where infeasible
+        _, non, _ = read["non"]
 
         flips = 0
         prev = None
         for a, b in zip(sep, non):
-            if not (a.feasible and b.feasible):
+            if a is None or b is None:
                 prev = None
                 continue
-            diff = b.total_power_w - a.total_power_w
+            diff = b - a
             if prev is not None and prev * diff < 0:
                 flips += 1
             prev = diff
-        cross = _summary(result.rows).get("crossing.sep.vs.non")
+        cross = _summary(RATE_GRID, result.columns).get("crossing.sep.vs.non")
         cross = None if cross is None else float(cross)
         crossings[m_t] = cross
         _check(lines, f"M_T={m_t}: exactly one separate/non-separate crossing",
@@ -204,18 +205,18 @@ def test_figure_shape_reproduction():
                f"{cross / 1e9:.3f} Gbit/s" if cross else f"{flips} sign flips")
 
         sides_ok = True
-        for a, b in zip(sep, non):
-            if not (a.feasible and b.feasible) or cross is None:
+        for x, a, b in zip(RATE_GRID, sep, non):
+            if a is None or b is None or cross is None:
                 continue
-            if a.x_value < cross:
-                sides_ok &= b.total_power_w < a.total_power_w
-            elif a.x_value > cross:
-                sides_ok &= a.total_power_w < b.total_power_w
+            if x < cross:
+                sides_ok &= b < a
+            elif x > cross:
+                sides_ok &= a < b
         _check(lines, f"M_T={m_t}: direct cheaper below crossing, relayed above",
                sides_ok)
 
-        for name, rows in (("separate", sep), ("non-separate", non)):
-            feas = [r.total_power_w for r in rows if r.feasible]
+        for name, powers in (("separate", sep), ("non-separate", non)):
+            feas = [p for p in powers if p is not None]
             mono = all(x <= y + 1e-9 for x, y in zip(feas, feas[1:]))
             _check(lines, f"M_T={m_t}: {name} power nondecreasing in rate", mono)
 
@@ -223,13 +224,13 @@ def test_figure_shape_reproduction():
     for sep_kind in ("separate", "non-separate"):
         for m_t in (64, 128, 256):
             model = build_scenario(bundle, VariantSpec("v", sep_kind, "mmwave", m_t))
-            rows = model.points(SE_GRID, SE_VARIABLE)
-            summary = _summary(rows)
+            column = model.points(SE_GRID, SE_VARIABLE)
+            summary = _summary(SE_GRID, {"v": column})
             peak_ee, peak_se = float(summary["v.peak_ee"]), float(summary["v.peak_ee_x"])
             peaks[(sep_kind, m_t)] = peak_ee
             if m_t in (128, 256):
                 # one rise: no ascent after a descent, flat steps aside
-                ee = [r.ee for r in rows if r.feasible]
+                ee = column["ee"][column["feasible"]].tolist()
                 steps = [b - a for a, b in zip(ee, ee[1:]) if b != a]
                 rises = sum(1 for i, d in enumerate(steps)
                             if d > 0 and (i == 0 or steps[i - 1] < 0))
@@ -256,8 +257,8 @@ def test_calibration_targets():
 
     sep = build_scenario(bundle, VariantSpec("sep", "separate", "mmwave", 256))
     non = build_scenario(bundle, VariantSpec("non", "non-separate", "mmwave", 256))
-    p_sep = sep.rate_point(5e9)
-    p_non = non.rate_point(5e9)
+    p_sep = point_at(sep, 5e9)
+    p_non = point_at(non, 5e9)
     ok = (p_sep.feasible and p_non.feasible
           and p_non.total_power_w / p_sep.total_power_w >= 2.0)
     ratio = (p_non.total_power_w / p_sep.total_power_w
@@ -270,10 +271,9 @@ def test_calibration_targets():
                      (VariantSpec("mmwave", "separate", "mmwave", 64),
                       VariantSpec("lifi", "separate", "lifi", 64)))
     result = run_sweep(bundle, spec, seed=0)
-    savings = []
-    for a, b in zip(result.variant_rows("lifi"), result.variant_rows("mmwave")):
-        if a.feasible and b.feasible:
-            savings.append(1.0 - a.total_power_w / b.total_power_w)
+    lifi, mmwave = result.columns["lifi"], result.columns["mmwave"]
+    both = lifi["feasible"] & mmwave["feasible"]
+    savings = (1.0 - lifi["total_power_w"][both] / mmwave["total_power_w"][both]).tolist()
     mean = float(np.mean(savings))
     ok = all(s > 0 for s in savings) and 0.05 <= mean <= 0.20
     _check(lines, "LiFi beats mmWave access at every point, mean saving in [5%,20%]",

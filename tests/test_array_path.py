@@ -1,9 +1,11 @@
 """The array evaluation path against the per-point reference engine.
 
-Every row must equal the reference row exactly: the same feasibility and the
-same float in every field, down to the last bit that results.csv prints.
+Every point of the engine's columns, read as a row, must equal the reference
+row exactly: the same feasibility and the same float in every field, down to
+the last bit that results.csv prints.
 """
 
+import math
 import random
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ import scalar_oracle
 from b5gcell import default_bundle, load_config
 from b5gcell.cli import parse_grid, parse_variants
 from b5gcell.scenario import (
+    POWER_FIELDS,
     RATE_VARIABLE,
     SE_VARIABLE,
     SweepSpec,
@@ -40,11 +43,36 @@ def _assert_rows_equal(got, want):
         assert _fields(a) == _fields(b), (a, b)
 
 
+def _rows(name, xs, x_kind, columns):
+    """One variant's columns as reference rows.  Each power column must be a
+    float array over *xs* that holds NaN exactly where a point is infeasible;
+    the row carries None there."""
+    feasible = columns["feasible"]
+    assert feasible.dtype == bool and feasible.shape == (len(xs),)
+    for field in POWER_FIELDS:
+        assert columns[field].dtype == np.float64 and columns[field].shape == (len(xs),)
+    rows = []
+    for x, ok, *values in zip(xs, feasible.tolist(),
+                              *(columns[field].tolist() for field in POWER_FIELDS)):
+        if not ok:
+            assert all(map(math.isnan, values)), (name, x, values)
+            values = [None] * len(values)
+        rows.append(scalar_oracle.PointResult(name, float(x), x_kind, ok, *values))
+    return rows
+
+
+def _points(model, xs, x_kind=RATE_VARIABLE):
+    return _rows(model.variant.name, xs, x_kind, model.points(xs, x_kind))
+
+
 def _assert_sweep_matches(bundle, variable, grid, variants, seed=0):
     spec = SweepSpec(variable, tuple(grid),
                      parse_variants(variants, bundle.scenario.m_t))
-    _assert_rows_equal(run_sweep(bundle, spec, seed).rows,
-                       scalar_oracle.run_sweep(bundle, spec, seed).rows)
+    result = run_sweep(bundle, spec, seed)
+    assert list(result.columns) == [v.name for v in spec.variants]
+    got = [row for v in spec.variants
+           for row in _rows(v.name, spec.grid, variable, result.columns[v.name])]
+    _assert_rows_equal(got, scalar_oracle.run_sweep(bundle, spec, seed))
 
 
 @pytest.mark.parametrize("m_t", [64, 128, 256])
@@ -74,7 +102,7 @@ def test_grid_past_float_range_matches_reference(bundle):
 def test_zero_rate_point_matches_reference(bundle):
     for base in PAPER_VARIANTS:
         model = build_scenario(bundle, parse_variants(base, 128)[0])
-        _assert_rows_equal([model.rate_point(0.0), model.se_point(0.0)],
+        _assert_rows_equal(_points(model, [0.0]) + _points(model, [0.0], SE_VARIABLE),
                            [scalar_oracle.rate_point(model, 0.0),
                             scalar_oracle.se_point(model, 0.0)])
 
@@ -157,29 +185,25 @@ def test_singular_access_matrix_rows_match_reference(bundle):
     # target 2**(rate_user / bandwidth_in / gamma) - 1 is exactly 1 here
     at_one = cfg.gamma * cfg.bandwidth_in * model.n_users
     rates = [0.0, 0.5 * at_one, 0.99 * at_one, at_one, 1.01 * at_one]
-    got = model.points(rates)
+    got = _points(model, rates)
     _assert_rows_equal(got, [scalar_oracle.rate_point(model, r) for r in rates])
     # negative powers past t = 1 fail the last point in both engines
     assert [p.feasible for p in got] == [True, True, True, False, False]
 
 
-def test_rate_grid_arrays_hold_the_row_values_and_nan_where_infeasible(bundle):
+def test_points_columns_hold_the_row_values_and_nan_where_infeasible(bundle):
     model = build_scenario(bundle, parse_variants("sep-mmwave", 64)[0])
     rates = parse_grid("0:2e11:50")
-    grid = model.rate_grid(rates)
-    rows = model.points(rates)
-    assert grid["feasible"].tolist() == [r.feasible for r in rows]
-    assert 0 < grid["feasible"].sum() < len(rows)
-    for name in ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w"):
-        assert grid[name].shape == (len(rows),)
-        for value, row in zip(grid[name].tolist(), rows):
-            want = getattr(row, name)
-            assert np.isnan(value) if want is None else value == want, name
+    columns = model.points(rates)
+    assert list(columns) == ["feasible", *POWER_FIELDS]
+    assert 0 < columns["feasible"].sum() < len(rates)
+    _assert_rows_equal(_rows(model.variant.name, rates, RATE_VARIABLE, columns),
+                       [scalar_oracle.rate_point(model, r) for r in rates])
 
 
 def test_negative_values_in_a_grid_are_rejected(bundle):
     model = build_scenario(bundle, parse_variants("nonsep", 64)[0])
     with pytest.raises(ValueError, match="total rate"):
-        model.rate_grid([0.0, -1.0])
+        model.points([0.0, -1.0])
     with pytest.raises(ValueError, match="SE target"):
         model.points([1.0, -0.5], SE_VARIABLE)

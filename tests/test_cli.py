@@ -84,6 +84,37 @@ def test_sweep_byte_identical_for_same_seed(tmp_path):
             == (b / "power_vs_rate.svg").read_bytes())
 
 
+# SHA-256 of the files a default sweep writes; each run has infeasible points
+PINNED_OUTPUTS = {
+    "rate": ([], {}, {
+        "results.csv": "1038309d87df5674d8887590f00480e28f0a4bd811f069664dfc08ca76cd14ca",
+        "power_vs_rate.svg": "167a6cd26a73a56179d25d211ee0d769fb87ec3a08cc7809d208da1ba9ce048c",
+        "ee_vs_rate.svg": "6ad8be438eb9f3bf2d96bd0af91493992174b13b58209e80c5d9ea37ee5c0f1a",
+    }),
+    "se": (["--variable", "se"], {}, {
+        "results.csv": "801377624c2cd64ea53113e1e4919d29952f10889437ba3bacf709a0fa5578b4",
+        "power_vs_se.svg": "f83e307673d1d40f761114a4053bceedcb190ffa67d51dfc078b4b86e78c04a8",
+        "ee_vs_se.svg": "eed37449db1b55545fa6c5b9dcdffc04361c798bc654723ceabd4a9f87b95885",
+    }),
+    "random-rate": ([], {"B5GCELL_LAYOUT__PLACEMENT": "random"}, {
+        "results.csv": "511af879ddc6e8f8c4bf27e0893265494ad5bf748c82901fd296d485fba46a1f",
+        "power_vs_rate.svg": "a6aad39a331d2d33f109b65f37e90d6bc5bb43f23f316587bb9b532b6fda998c",
+        "ee_vs_rate.svg": "0d4ecf7eec036c302a900353f0d72485be265f8dc5848de6658b770ae1c24549",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_OUTPUTS.values(), ids=PINNED_OUTPUTS)
+def test_sweep_outputs_match_pinned_digests(tmp_path, monkeypatch, case):
+    args, env, digests = case
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out), *args]) == 0
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
 def test_sweep_reads_config_file(tmp_path):
     cfg = tmp_path / "cell.cfg"
     cfg.write_text("[scenario]\nm_t = 128\n")
@@ -356,6 +387,28 @@ def test_analyze_rejects_row_outside_the_contract(tmp_path, capsys, edits):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {results}: malformed row")
     assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["results.csv", "manifest.txt"])
+def test_analyze_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    path = out / name
+    path.write_bytes(path.read_bytes() + b"note=\xff\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_sweep_out_onto_a_file_exits_1_naming_the_option(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("not a directory\n")
+    assert main(["sweep", "--out", str(tmp_path / out), *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {tmp_path / out}: ")
+    assert (tmp_path / "afile").read_text() == "not a directory\n"
 
 
 def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):

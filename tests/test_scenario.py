@@ -13,9 +13,9 @@ from b5gcell import (
     run_sweep,
 )
 from b5gcell.cli import _summarize
-from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, PointResult
+from b5gcell.scenario import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
-from result_columns import columns
+from result_columns import columns, point_at
 
 SEP = VariantSpec("sep-mmwave", "separate", "mmwave", 64)
 LIFI = VariantSpec("sep-lifi", "separate", "lifi", 64)
@@ -42,9 +42,16 @@ def test_sweep_spec_validation():
         SweepSpec(RATE_VARIABLE, (0.0, 1.0), (SEP, SEP))
 
 
+@pytest.mark.parametrize("grid", [(0.0, math.nan, 2e9), (0.0, 1e9, math.inf)],
+                         ids=["nan-in-the-middle", "inf-at-the-end"])
+def test_sweep_spec_rejects_non_finite_grid_values(grid):
+    with pytest.raises(ConfigError, match="finite"):
+        SweepSpec(RATE_VARIABLE, grid, (SEP,))
+
+
 def test_zero_rate_floor(bundle):
     model = build_scenario(bundle, SEP)
-    point = model.rate_point(0.0)
+    point = point_at(model, 0.0)
     assert point.feasible
     assert point.total_power_w > 0
     assert point.ee == 0.0
@@ -53,13 +60,13 @@ def test_zero_rate_floor(bundle):
 
 def test_power_splits_sum_to_total(bundle):
     model = build_scenario(bundle, SEP)
-    point = model.rate_point(2e9)
+    point = point_at(model, 2e9)
     assert point.total_power_w == pytest.approx(
         point.p_mbs_w + point.p_bmaa_w + point.p_iap_w, rel=1e-12)
 
 
 def test_direct_mode_has_no_indoor_devices(bundle):
-    point = build_scenario(bundle, NON).rate_point(1e9)
+    point = point_at(build_scenario(bundle, NON), 1e9)
     assert point.feasible
     assert point.p_bmaa_w == 0.0
     assert point.p_iap_w == 0.0
@@ -68,33 +75,32 @@ def test_direct_mode_has_no_indoor_devices(bundle):
 
 def test_backhaul_power_grows_with_rate(bundle):
     model = build_scenario(bundle, SEP)
-    assert model.rate_point(2e9).p_mbs_w > model.rate_point(1e9).p_mbs_w
+    assert point_at(model, 2e9).p_mbs_w > point_at(model, 1e9).p_mbs_w
 
 
 def test_lifi_access_power_is_rate_independent(bundle):
     model = build_scenario(bundle, LIFI)
-    assert model.rate_point(1e9).p_iap_w == model.rate_point(2e9).p_iap_w
+    assert point_at(model, 1e9).p_iap_w == point_at(model, 2e9).p_iap_w
 
 
 def test_monotone_total_power(bundle):
     for variant in (SEP, LIFI, NON):
         model = build_scenario(bundle, variant)
-        totals = [model.rate_point(r).total_power_w
-                  for r in np.linspace(0, 4e9, 9)]
-        feasible = [t for t in totals if t is not None]
+        column = model.points(np.linspace(0, 4e9, 9))
+        feasible = column["total_power_w"][column["feasible"]].tolist()
         assert all(a <= b + 1e-9 for a, b in zip(feasible, feasible[1:])), variant.name
 
 
 def test_absurd_rate_is_infeasible(bundle):
     for variant in (SEP, LIFI, NON):
-        point = build_scenario(bundle, variant).rate_point(1e12)
+        point = point_at(build_scenario(bundle, variant), 1e12)
         assert not point.feasible
-        assert point.total_power_w is None and point.ee is None
+        assert math.isnan(point.total_power_w) and math.isnan(point.ee)
 
 
 def test_negative_rate_rejected(bundle):
     with pytest.raises(ValueError):
-        build_scenario(bundle, SEP).rate_point(-1.0)
+        build_scenario(bundle, SEP).points([-1.0])
 
 
 def test_se_point_matches_equivalent_rate(bundle):
@@ -102,11 +108,11 @@ def test_se_point_matches_equivalent_rate(bundle):
     cfg = model.cfg
     users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
     s = 4.0
-    via_se = model.se_point(s)
-    via_rate = model.rate_point(s * cfg.bandwidth_out * users)
+    via_se = point_at(model, s, SE_VARIABLE)
+    via_rate = point_at(model, s * cfg.bandwidth_out * users)
+    assert via_se.feasible
     assert via_se.total_power_w == via_rate.total_power_w
-    assert via_se.x_kind == SE_VARIABLE and via_se.x_value == s
-    assert via_rate.x_kind == RATE_VARIABLE
+    assert vars(via_se) == vars(via_rate)
 
 
 def _codebook_cells(model):
@@ -153,14 +159,21 @@ def test_codebook_matrix_equals_scalar_expectations(bundle):
             assert entry == pytest.approx(scalar, rel=1e-12)
 
 
+def _same(a, b):
+    """Equal column sets: every field holds the same values, NaN matching NaN."""
+    return all(np.array_equal(a[field], b[field], equal_nan=True)
+               for field in ("feasible", *POWER_FIELDS))
+
+
 def test_run_sweep_is_deterministic(bundle):
     spec = SweepSpec(RATE_VARIABLE, (0.0, 1e9, 2e9), (SEP, NON))
     a = run_sweep(bundle, spec, seed=42)
     b = run_sweep(bundle, spec, seed=42)
-    assert a.rows == b.rows
-    # variant-major ordering, grid order within
-    assert [r.variant for r in a.rows] == ["sep-mmwave"] * 3 + ["nonsep"] * 3
-    assert [r.x_value for r in a.rows[:3]] == [0.0, 1e9, 2e9]
+    # one column set per variant in spec order, one entry per grid value
+    assert list(a.columns) == list(b.columns) == ["sep-mmwave", "nonsep"]
+    assert all(_same(a.columns[name], b.columns[name]) for name in a.columns)
+    assert all(column[field].shape == (3,) for column in a.columns.values()
+               for field in ("feasible", *POWER_FIELDS))
 
 
 def test_random_placement_seeded(bundle):
@@ -170,8 +183,8 @@ def test_random_placement_seeded(bundle):
     a = run_sweep(shuffled, spec, seed=1)
     b = run_sweep(shuffled, spec, seed=1)
     c = run_sweep(shuffled, spec, seed=2)
-    assert a.rows == b.rows
-    assert a.rows != c.rows
+    assert _same(a.columns["sep-mmwave"], b.columns["sep-mmwave"])
+    assert not _same(a.columns["sep-mmwave"], c.columns["sep-mmwave"])
 
 
 def test_variant_order_does_not_move_random_placements(bundle):
@@ -182,9 +195,9 @@ def test_variant_order_does_not_move_random_placements(bundle):
     ab = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (SEP, NON)), seed=3)
     ba = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (NON, SEP)), seed=3)
     alone = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (NON,)), seed=3)
-    assert ab.variant_rows("sep-mmwave") == ba.variant_rows("sep-mmwave")
-    assert ab.variant_rows("nonsep") == ba.variant_rows("nonsep")
-    assert ab.variant_rows("nonsep") == alone.variant_rows("nonsep")
+    assert _same(ab.columns["sep-mmwave"], ba.columns["sep-mmwave"])
+    assert _same(ab.columns["nonsep"], ba.columns["nonsep"])
+    assert _same(ab.columns["nonsep"], alone.columns["nonsep"])
 
 
 def test_random_placement_respects_bounds(bundle):
@@ -196,42 +209,44 @@ def test_random_placement_respects_bounds(bundle):
     assert np.all(np.abs(model.user_offsets) <= bundle.layout.room_halfwidth_m)
 
 
-def _summary(rows):
-    """analyze's summary of *rows* as {key: value}."""
-    return dict(line.rsplit("=", 1) for line in _summarize(columns(rows), {}))
+def _summary(columns):
+    """analyze's summary of the reader's *columns* as {key: value}."""
+    return dict(line.rsplit("=", 1) for line in _summarize(columns, {}))
 
 
-def _rows(name, xs, powers, x_kind=RATE_VARIABLE, ees=None):
-    """Synthetic sweep rows; a None power (or EE) marks an infeasible point."""
+def _columns(name, xs, powers, ees=None):
+    """Synthetic reader columns of one variant; a None power (or EE) marks an
+    infeasible point, which carries neither."""
     ees = ees or [None if p is None else 1.0 for p in powers]
-    return [PointResult(variant=name, x_value=float(x), x_kind=x_kind,
-                        feasible=p is not None and e is not None,
-                        total_power_w=p, ee=e, p_mbs_w=p, p_bmaa_w=0.0, p_iap_w=0.0)
-            for x, p, e in zip(xs, powers, ees)]
+    feasible = [p is not None and e is not None for p, e in zip(powers, ees)]
+    return {name: ([float(x) for x in xs],
+                   [p if ok else None for p, ok in zip(powers, feasible)],
+                   [e if ok else None for e, ok in zip(ees, feasible)])}
 
 
-def _fake_rows(xs, pa, pb):
-    return _rows("a", xs, pa) + _rows("b", xs, pb)
+def _fake_columns(xs, pa, pb):
+    return {**_columns("a", xs, pa), **_columns("b", xs, pb)}
 
 
 def test_crossing_linear_interpolation():
-    summary = _summary(_fake_rows([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [2.0, 2.0, 2.0]))
+    summary = _summary(_fake_columns([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [2.0, 2.0, 2.0]))
     assert float(summary["crossing.a.vs.b"]) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_crossing_none_without_sign_change():
-    summary = _summary(_fake_rows([0.0, 1.0], [0.0, 1.0], [2.0, 3.0]))
+    summary = _summary(_fake_columns([0.0, 1.0], [0.0, 1.0], [2.0, 3.0]))
     assert "crossing.a.vs.b" not in summary
 
 
 def test_crossing_ignores_intervals_with_gaps():
-    summary = _summary(_fake_rows([0.0, 1.0, 2.0], [0.0, None, 4.0], [2.0, None, 2.0]))
+    summary = _summary(_fake_columns([0.0, 1.0, 2.0], [0.0, None, 4.0], [2.0, None, 2.0]))
     assert "crossing.a.vs.b" not in summary
 
 
 def test_crossing_requires_matching_grids():
-    assert "crossing.a.vs.b" in _summary(_fake_rows([0.0, 1.0], [0.0, 4.0], [2.0, 2.0]))
-    shifted = _rows("a", [0.0, 1.0], [0.0, 4.0]) + _rows("b", [0.5, 1.5], [2.0, 2.0])
+    assert "crossing.a.vs.b" in _summary(_fake_columns([0.0, 1.0], [0.0, 4.0], [2.0, 2.0]))
+    shifted = {**_columns("a", [0.0, 1.0], [0.0, 4.0]),
+               **_columns("b", [0.5, 1.5], [2.0, 2.0])}
     assert not any(key.startswith("crossing.") for key in _summary(shifted))
 
 
@@ -239,13 +254,13 @@ def test_unknown_variant_name_raises(bundle):
     spec = SweepSpec(RATE_VARIABLE, (0.0, 1e9), (SEP,))
     result = run_sweep(bundle, spec)
     with pytest.raises(KeyError):
-        result.variant_rows("nope")
+        result.columns["nope"]
 
 
 def _ee_summary(shape, grid):
     """Summary of one synthetic SE sweep whose EE is shape(s), None = infeasible."""
     ees = [shape(s) for s in grid]
-    return _summary(_rows("stub", grid, [1.0] * len(grid), SE_VARIABLE, ees))
+    return _summary(_columns("stub", grid, [1.0] * len(grid), ees))
 
 
 def test_ee_curve_finds_the_analytic_peak():
@@ -271,7 +286,8 @@ def test_ee_curve_skips_infeasible_tail():
 
 def test_ee_curve_on_the_real_model(bundle):
     model = build_scenario(bundle, NON)
-    summary = _summary(model.points(np.linspace(0.5, 12.0, 24), SE_VARIABLE))
+    grid = np.linspace(0.5, 12.0, 24)
+    summary = _summary(columns(grid, {"nonsep": model.points(grid, SE_VARIABLE)}))
     assert summary["variants"] == "nonsep"
     assert float(summary["nonsep.peak_ee"]) > 0
     assert summary["nonsep.peak_ee_interior"] == "true"
