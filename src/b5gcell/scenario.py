@@ -26,9 +26,6 @@ from .power import (
     iap_load,
     mbs_load,
     mbsala_load,
-    overhead_divisor,
-    pa_power_classb,
-    pa_power_doherty,
     power_bmaa,
     power_iap_mmwave,
     power_lifi_iap,
@@ -92,10 +89,10 @@ class ScenarioModel:
                                     np.full(cfg.n_iue, layout.user_height_m)])
         self.user_distances = np.linalg.norm(user_pos - iap_pos, axis=1)
 
-        # rate-independent device powers: only the amplifiers follow the rate
+        # rate-independent loads and device powers: only the amplifiers follow
+        # the rate, so points() applies the device laws that have one
         n_devices = cfg.n_arrays * cfg.n_buildings
-        mbsala = power_mbsala(mbsala_load(cfg, gops), k, cfg.m_t, ())
-        self._mbs = power_mbs(k, mbs_load(cfg, gops), [mbsala] * cfg.n_arrays)
+        self._mbsala_load, self._mbs_load = mbsala_load(cfg, gops), mbs_load(cfg, gops)
         self._bmaa_sum = self._iap_sum = 0
         if variant.separation == "separate":
             bmaa = power_bmaa(bmaa_load(cfg, gops), k, cfg.m_r)
@@ -105,7 +102,7 @@ class ScenarioModel:
                 db_to_linear(-pathloss_freespace(d, cfg.carrier_freq_in))
                 for d in self.user_distances])
             self._init_beam_codebook()
-            self._iap = power_iap_mmwave(iap_load(gops), k, cfg.m_t_iap, 0.0)
+            self._iap_load = iap_load(gops)
         if variant.separation == "separate" and variant.iap_kind == "lifi":
             self._init_lifi(iap_pos, user_pos)
             iap = power_lifi_iap(lifi, float(np.mean(self.lifi_h)))
@@ -182,10 +179,13 @@ class ScenarioModel:
 
         Returns the bool array ``feasible`` and one float array per
         POWER_FIELDS name, NaN where infeasible.  Only the amplifiers depend on
-        the rate; the other device powers were fixed at build.  Sums run term
-        by term in device order, so every entry equals its one-point
-        evaluation exactly.
+        the rate; the device loads and the other device powers were fixed at
+        build.  Sums run term by term in device order, so every entry equals
+        its one-point evaluation exactly.
         """
+        if x_kind not in (RATE_VARIABLE, SE_VARIABLE):
+            raise ValueError(f"unknown grid kind {x_kind!r}: expected {RATE_VARIABLE} "
+                             f"or {SE_VARIABLE}")
         rates = np.asarray(xs, float)
         if np.any(rates < 0):
             what = "SE target" if x_kind == SE_VARIABLE else "total rate"
@@ -201,9 +201,9 @@ class ScenarioModel:
                 p_out = self._access_power(
                     required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma))
                 feasible &= p_out <= k.iap.pa_max   # False where NaN (unmeetable)
-                amp = pa_power_doherty(np.minimum(p_out, k.iap.pa_max), k.iap.pa_max)
-                iap = (self._iap.p_bb + self._iap.p_rf + amp) / overhead_divisor(k)
-                iap_sum = _repeat_sum(iap, cfg.n_arrays * cfg.n_buildings)
+                iap = power_iap_mmwave(self._iap_load, k, cfg.m_t_iap,
+                                       np.minimum(p_out, k.iap.pa_max))
+                iap_sum = _repeat_sum(iap.p_total, cfg.n_arrays * cfg.n_buildings)
             elif variant.separation == "separate":   # fixed optical drive
                 feasible &= rate_user <= self._lifi_capacity
             if variant.separation == "separate":   # relay beams share a building's users
@@ -213,14 +213,13 @@ class ScenarioModel:
                 rate_link = rate_user
                 betas, streams, rx = self.beta_direct, cfg.n_iue, cfg.ue_antennas
             target = required_sinr(rate_link / cfg.bandwidth_out, cfg.gamma)
-            p_pa = 0
-            for beta in betas:   # building-major, one class-B amplifier per stream
+            p_beams = []
+            for beta in betas:   # building-major, one amplifier per stream
                 p = target * self.sigma_out / (beta * cfg.m_t * rx)
                 feasible &= p <= k.mbsala.pa_max
-                amp = pa_power_classb(np.minimum(p, k.mbsala.pa_max), k.mbsala.pa_max)
-                p_pa = _repeat_sum(amp, streams, p_pa)
-            p_mbs = (self._mbs.p_bb + self._mbs.p_rf + _repeat_sum(p_pa, cfg.n_arrays)
-                     ) / overhead_divisor(k)
+                p_beams += [np.minimum(p, k.mbsala.pa_max)] * streams
+            mbsala = power_mbsala(self._mbsala_load, k, cfg.m_t, p_beams)
+            p_mbs = power_mbs(k, self._mbs_load, [mbsala] * cfg.n_arrays).p_total
             total = p_mbs + self._bmaa_sum + iap_sum
             ee = rates / cfg.bandwidth_out / total
         values = (total, ee, p_mbs, self._bmaa_sum, iap_sum)

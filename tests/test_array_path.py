@@ -207,3 +207,9 @@ def test_negative_values_in_a_grid_are_rejected(bundle):
         model.points([0.0, -1.0])
     with pytest.raises(ValueError, match="SE target"):
         model.points([1.0, -0.5], SE_VARIABLE)
+
+
+def test_unknown_grid_kind_is_rejected(bundle):
+    model = build_scenario(bundle, parse_variants("nonsep", 64)[0])
+    with pytest.raises(ValueError, match=f"'se'.*{RATE_VARIABLE}.*{SE_VARIABLE}"):
+        model.points([4.0], "se")

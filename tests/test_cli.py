@@ -402,6 +402,20 @@ def test_analyze_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, name):
     assert not (out / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_non_utf8_config_file_exits_1_naming_the_file(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[scenario]\nm_t = 64 # \xff\n")
+    args = {"sweep": ["sweep", "--out", str(tmp_path / "x"), *FAST],
+            "analyze": ["analyze", "--in", str(out)]}[command]
+    capsys.readouterr()
+    assert main([*args, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {cfg}: not UTF-8 text")
+    assert not (tmp_path / "x").exists() and not (out / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
 def test_sweep_out_onto_a_file_exits_1_naming_the_option(tmp_path, capsys, out):
     (tmp_path / "afile").write_text("not a directory\n")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -197,6 +198,57 @@ def test_env_override_with_dumped_text_gives_defaults(key, bundle):
     section, _, name = key.partition(".")
     env = {f"B5GCELL_{section.upper()}__{name.upper()}": text}
     assert load_config(None, environ=env) == bundle
+
+
+def _env(key, text):
+    section, _, name = key.partition(".")
+    return {f"B5GCELL_{section.upper()}__{name.upper()}": text}
+
+
+# a value that breaks each rule of the table
+RULE_BREAKS = {
+    ">= 1": "0", ">= 0": "-1", "> 0": "0", "0 < gamma <= 1": "1.5", "in [0, 1)": "1",
+    "in (0, pi/2) rad": "1.6", "in (0, pi/2] rad": "0", "unit length": "0, 0, 2",
+    "a power of two >= 2": "3", "one of fixed|random": "grid",
+    "every distance >= 1 m": "100, 0.5, 300, 400",
+}
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_every_key_rejects_a_value_that_breaks_its_rule(key, bundle):
+    default = DEFAULTS[key]
+    cases = [(RULE_BREAKS[default.rule], default.rule)] if default.rule else []
+    if isinstance(default.value, (float, tuple)):   # inf would pass every "> 0"
+        dumped = _dumped_values(dumps_config(bundle))[key]
+        cases.append((re.sub(r"^[^,]+", "inf", dumped), "finite"))
+    assert cases, f"{key} has neither a rule nor a finiteness check"
+    for text, rule in cases:
+        with pytest.raises(ConfigError, match=re.escape(f"{key}: must satisfy {rule} (got ")):
+            load_config(None, environ=_env(key, text))
+
+
+CROSS_KEY_BREAKS = {
+    "pilot_len": ("scenario.pilot_len", "200",
+                  "scenario.pilot_len: must satisfy <= coherence_block (got 200)"),
+    "distances": ("scenario.n_buildings", "2",
+                  "layout.building_distances_m: must satisfy one distance per building "
+                  "(n_buildings=2)"),
+    "offsets": ("scenario.n_iue", "5",
+                "layout.user_offsets_m: must satisfy at least n_iue=5 offsets"),
+    "heights": ("layout.user_height_m", "3.5",
+                "layout.iap_height_m: must satisfy > user_height_m (got 3.0)"),
+    "distance_min": ("layout.distance_min_m", "0.5",
+                     "layout.distance_min_m: must satisfy 1 <= min <= max (got 0.5)"),
+    "distance_range": ("layout.distance_min_m", "500",
+                       "layout.distance_min_m: must satisfy 1 <= min <= max (got 500.0)"),
+}
+
+
+@pytest.mark.parametrize("key, text, message", CROSS_KEY_BREAKS.values(),
+                         ids=CROSS_KEY_BREAKS)
+def test_cross_key_rule_names_its_key(key, text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(None, environ=_env(key, text))
 
 
 REMOVED_KEYS = [("lifi.tx_positions", "0, 0, 3"),
