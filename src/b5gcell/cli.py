@@ -92,6 +92,15 @@ def _config_digests(bundle, path: str | None) -> dict:
     return digests
 
 
+def _reprs(values) -> list:
+    """``[repr(v) for v in values]`` for a float64 array, formatting each distinct
+    bit pattern once.  Bits, not values, pick the text: ``0.0 == -0.0``."""
+    import numpy as np
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in bits.view(np.float64).tolist()]
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
                    variant_text: str, plot: bool) -> int:
     try:
@@ -99,18 +108,21 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory "
                           f"({exc.strerror})") from None
-    xs = [float(x) for x in result.spec.grid]
+    import numpy as np   # loaded by the sweep already
     kind = result.spec.variable
-    lines = [CSV_HEADER]
-    for name, column in result.columns.items():
-        feasible = column["feasible"].tolist()
-        total, ee, p_mbs, p_bmaa, p_iap = (
-            [repr(v) if ok else "" for v, ok in zip(column[field].tolist(), feasible)]
-            for field in POWER_FIELDS)
-        lines += [f"{name},{x!r},{kind},{t},{e},{'true' if ok else 'false'},{m},{b},{i}"
-                  for x, t, e, ok, m, b, i in zip(xs, total, ee, feasible, p_mbs, p_bmaa,
-                                                  p_iap)]
-    (out_dir / "results.csv").write_text("\n".join(lines) + "\n")
+    x_texts = _reprs(np.asarray(result.spec.grid, dtype=np.float64))
+    n_rows = 0
+    with open(out_dir / "results.csv", "w") as csv:
+        csv.write(CSV_HEADER + "\n")
+        for name, column in result.columns.items():
+            total, ee, p_mbs, p_bmaa, p_iap = (_reprs(column[field]) for field in POWER_FIELDS)
+            rows = list(map(",".join, zip(itertools.repeat(name), x_texts, itertools.repeat(kind),
+                                          total, ee, itertools.repeat("true"),
+                                          p_mbs, p_bmaa, p_iap)))
+            for i in np.flatnonzero(~column["feasible"]).tolist():
+                rows[i] = f"{name},{x_texts[i]},{kind},,,false,,,"
+            csv.write("\n".join(rows) + "\n")
+            n_rows += len(rows)
 
     manifest = [
         "format=b5gcell-sweep-v1",
@@ -122,7 +134,7 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
         f"variants={variant_text}",
         *(f"variant.{i}={v.name},{v.separation},{v.iap_kind},{v.m_t}"
           for i, v in enumerate(result.spec.variants)),
-        f"n_rows={len(lines) - 1}",
+        f"n_rows={n_rows}",
         f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
     ]
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n")
@@ -136,10 +148,9 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
         for prefix, field, title, y_label in (
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
-            series = [(name, xs, column[field].tolist())
-                      for name, column in result.columns.items()]
+            series = [(name, column[field].tolist()) for name, column in result.columns.items()]
             (out_dir / f"{prefix}_vs_{stem}.svg").write_text(
-                line_chart(series, f"{title} vs {stem}", x_label, y_label))
+                line_chart(result.spec.grid, series, f"{title} vs {stem}", x_label, y_label))
     return 0 if n_feasible else 2
 
 
@@ -183,25 +194,30 @@ def _read_results(path: Path) -> dict:
     lines = _read_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep results file")
-    columns = {}
+    isfinite = math.isfinite
+    columns, current = {}, None
     for ln in lines[1:]:
         try:
             variant, x, _, power, ee, flag, p_mbs, p_bmaa, p_iap = ln.split(",")
             x = float(x)
             if flag == "true":
                 power, ee = float(power), float(ee)
-                numbers = (x, power, ee, float(p_mbs), float(p_bmaa), float(p_iap))
+                p_mbs, p_bmaa, p_iap = float(p_mbs), float(p_bmaa), float(p_iap)
+                finite = (isfinite(x) and isfinite(power) and isfinite(ee)
+                          and isfinite(p_mbs) and isfinite(p_bmaa) and isfinite(p_iap))
             elif flag == "false" and not (power or ee or p_mbs or p_bmaa or p_iap):
                 power = ee = None
-                numbers = (x,)
+                finite = isfinite(x)
             else:
                 raise ValueError("feasible must be true or false, and an "
                                  "infeasible row carries no numbers")
-            if not all(map(math.isfinite, numbers)):
+            if not finite:
                 raise ValueError("non-finite number")
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
-        xs, powers, ees = columns.setdefault(variant, ([], [], []))
+        if variant != current:
+            xs, powers, ees = columns.setdefault(variant, ([], [], []))
+            current = variant
         xs.append(x)
         powers.append(power)
         ees.append(ee)

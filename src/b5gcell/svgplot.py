@@ -6,6 +6,7 @@ formatting, so the same data always serializes to the same bytes.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -44,17 +45,17 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
-def line_chart(series, title: str, x_label: str, y_label: str) -> str:
-    """Render ``series`` = [(name, xs, ys), ...] to an SVG document string.
+def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
+    """Render ``series`` = [(name, ys), ...], each ys over the one grid ``xs``,
+    to an SVG document string.
 
     NaN y-values break the line (gaps for infeasible points).
     """
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys if not math.isnan(y)]
-    if not xs_all or not ys_all:
+    ys_all = [y for _, ys in series for y in ys if not math.isnan(y)]
+    if not xs or not ys_all:
         raise ValueError("nothing to plot: no finite points in any series")
 
-    x_lo, x_hi = min(xs_all), max(xs_all)
+    x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -103,22 +104,16 @@ def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     parts.append(f'<text x="16" y="{(py0 + py1) / 2:.0f}" text-anchor="middle" '
                  f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{y_label}</text>')
 
-    for idx, (name, xs, ys) in enumerate(series):
+    # sx and sy written out, operation for operation, so every .2f digit stays
+    x_px = [f"{px0 + (x - x_lo) / (x_hi - x_lo) * (px1 - px0):.2f}," for x in xs]
+    for idx, (name, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        segments, current = [], []
-        for x, y in zip(xs, ys):
-            if math.isnan(y):
-                if current:
-                    segments.append(current)
-                current = []
-                continue
-            current.append((sx(x), sy(y)))
-        if current:
-            segments.append(current)
-        for seg in segments:
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in seg)
-            parts.append(f'<polyline points="{pts}" fill="none" '
-                         f'stroke="{color}" stroke-width="1.8"/>')
+        pts = [x + f"{py0 + (y - y_lo_t) / (y_hi_t - y_lo_t) * (py1 - py0):.2f}"
+               if y == y else "" for x, y in zip(x_px, ys)]   # NaN != NaN: a gap
+        for drawn, seg in itertools.groupby(pts, key=bool):
+            if drawn:
+                parts.append(f'<polyline points="{" ".join(seg)}" fill="none" '
+                             f'stroke="{color}" stroke-width="1.8"/>')
         ly = _MARGIN["top"] + 14 * idx + 4
         parts.append(f'<line x1="{px1 - 130}" y1="{ly}" x2="{px1 - 106}" '
                      f'y2="{ly}" stroke="{color}" stroke-width="2"/>')

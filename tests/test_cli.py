@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import b5gcell
 from b5gcell import ConfigError, default_bundle, write_config
-from b5gcell.cli import CSV_HEADER, main, parse_grid, parse_variants
+from b5gcell.cli import CSV_HEADER, _reprs, main, parse_grid, parse_variants
 from b5gcell.config import DEFAULTS
 
 FAST = ["--grid", "0:2e9:5"]
@@ -101,6 +102,13 @@ PINNED_OUTPUTS = {
         "power_vs_rate.svg": "a6aad39a331d2d33f109b65f37e90d6bc5bb43f23f316587bb9b532b6fda998c",
         "ee_vs_rate.svg": "0d4ecf7eec036c302a900353f0d72485be265f8dc5848de6658b770ae1c24549",
     }),
+    # 6,000 rows, 422 of them infeasible; values repeat within and across the variants
+    "dense-mt128": (["--grid", "0:6e9:2000", "--variants",
+                     "sep-mmwave:mt=128,sep-lifi:mt=128,nonsep:mt=128"], {}, {
+        "results.csv": "6cd1ec64e0804c888212b069a0e788b65e11f9d786188f9b62e0f87fc307bdf3",
+        "power_vs_rate.svg": "290fa6c731e18d86ba424ae45bb3f5c7a9bf82e1ba403ff0da13ffcc5cba48bc",
+        "ee_vs_rate.svg": "c35e486cdf4b44febc666cef4cfa775769340e7f663246abb8aba192dc82c9a3",
+    }),
 }
 
 
@@ -113,6 +121,11 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, monkeypatch, case):
     assert main(["sweep", "--out", str(out), *args]) == 0
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in digests} == digests
+
+
+def test_reprs_formats_each_value_as_repr():
+    values = [0.0, -0.0, math.nan, 5e-324, 1.7976931348623157e308] * 3
+    assert _reprs(np.array(values)) == [repr(v) for v in values]
 
 
 def test_sweep_reads_config_file(tmp_path):
@@ -368,6 +381,12 @@ ROW_CONTRACT_BREAKS = {
     "infinite-ee": {4: "inf"},
     "infeasible-with-numbers": {5: "false"},
     "nan-x": {1: "nan"},
+    "infinite-p-mbs": {6: "inf"},
+    "nan-p-bmaa": {7: "nan"},
+    "overflowing-p-iap": {8: "1e999"},
+    "infeasible-infinite-x": {1: "inf", 3: "", 4: "", 5: "false", 6: "", 7: "", 8: ""},
+    "8-fields": {8: None},
+    "10-fields": {9: "0.0"},
 }
 
 
@@ -378,8 +397,8 @@ def test_analyze_rejects_row_outside_the_contract(tmp_path, capsys, edits):
     results = out / "results.csv"
     lines = results.read_text().splitlines()
     fields = lines[1].split(",")
-    for index, text in edits.items():
-        fields[index] = text
+    for index, text in edits.items():   # None drops the field, index 9 appends one
+        fields[index:index + 1] = [] if text is None else [text]
     lines[1] = ",".join(fields)
     results.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
