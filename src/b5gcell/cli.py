@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, dumps_config, load_config
-from .records import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepSpec, VariantSpec
+from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, VARIANT_KINDS, SweepSpec,
+                      VariantSpec)
 from .svgplot import line_chart
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
@@ -68,16 +69,7 @@ def parse_variants(text: str, default_m_t: int) -> tuple:
                 m_t = int(val)
             except ValueError:
                 raise ConfigError(f"bad antenna count in {token!r}") from None
-        if base == "sep-mmwave":
-            spec = VariantSpec(token, "separate", "mmwave", m_t)
-        elif base == "sep-lifi":
-            spec = VariantSpec(token, "separate", "lifi", m_t)
-        elif base == "nonsep":
-            spec = VariantSpec(token, "non-separate", "mmwave", m_t)
-        else:
-            raise ConfigError(f"unknown variant {base!r} (expected sep-mmwave, "
-                              f"sep-lifi or nonsep)")
-        out.append(spec)
+        out.append(VariantSpec(token, base, m_t))
     if not out:
         raise ConfigError("no variants given")
     return tuple(out)
@@ -132,7 +124,7 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
         f"variable={kind}",
         f"grid={grid_text}",
         f"variants={variant_text}",
-        *(f"variant.{i}={v.name},{v.separation},{v.iap_kind},{v.m_t}"
+        *(f"variant.{i}={v.name},{','.join(VARIANT_KINDS[v.kind])},{v.m_t}"
           for i, v in enumerate(result.spec.variants)),
         f"n_rows={n_rows}",
         f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
@@ -225,11 +217,13 @@ def _read_results(path: Path) -> dict:
 
 
 def _manifest_variants(recorded: dict) -> dict:
-    """VariantSpec per variant name, from the manifest's ``variant.<i>`` lines."""
+    """VariantSpec per variant name, from the manifest's
+    ``variant.<i>=<name>,<separation>,<iap_kind>,<m_t>`` lines."""
     fields = [v.rsplit(",", 3) for k, v in recorded.items() if k.startswith("variant.")]
+    kinds = {pair: kind for kind, pair in VARIANT_KINDS.items()}
     try:
-        return {name: VariantSpec(name, separation, iap_kind, int(m_t))
-                for name, separation, iap_kind, m_t in fields}
+        return {name: VariantSpec(name, kinds.get(tuple(pair), ",".join(pair)), int(m_t))
+                for name, *pair, m_t in fields}
     except ValueError as exc:
         raise ConfigError(f"bad variant line in the sweep manifest: {exc}") from None
 
@@ -276,19 +270,16 @@ def _summarize(columns: dict, specs: dict) -> list:
         cross = _interp_crossing(xa, pa, pb) if xa == xb else None
         if cross is not None:
             out.append(f"crossing.{a}.vs.{b}={cross!r}")
-    # lifi / mmwave indoor-access power ratio per shared point, plus the mean
-    # saving, for separate variants (VariantSpec per name in *specs*) of equal M_T
-    sep = {name: s for name, s in specs.items() if s.separation == "separate"}
+    # mean lifi / mmwave saving over the shared feasible points, for each
+    # sep-lifi and sep-mmwave pair (VariantSpec per name in *specs*) of equal M_T
     pairs = [(a, b) for a in columns for b in columns
-             if a in sep and b in sep and sep[a].iap_kind == "lifi"
-             and sep[b].iap_kind == "mmwave" and sep[a].m_t == sep[b].m_t]
+             if a in specs and b in specs and specs[a].kind == "sep-lifi"
+             and specs[b].kind == "sep-mmwave" and specs[a].m_t == specs[b].m_t]
     for a, b in pairs:
         (xa, pa, _), (xb, pb, _) = columns[a], columns[b]
-        savings = []
-        for x, x_b, power_a, power_b in zip(xa, xb, pa, pb):
-            if power_a is not None and power_b is not None and x == x_b:
-                out.append(f"ratio.{a}.vs.{b}.at.{x!r}={power_a / power_b!r}")
-                savings.append(1.0 - power_a / power_b)
+        savings = [1.0 - power_a / power_b
+                   for x, x_b, power_a, power_b in zip(xa, xb, pa, pb)
+                   if power_a is not None and power_b is not None and x == x_b]
         if savings:
             out.append(f"saving.{a}.vs.{b}.mean_percent="
                        f"{100.0 * sum(savings) / len(savings)!r}")

@@ -36,10 +36,6 @@ class ConfigError(ValueError):
 
 def lambertian_order(half_angle: float) -> float:
     """Lambertian mode number for an LED half-intensity angle (rad): -1/log2(cos a)."""
-    if not 0.0 < half_angle < math.pi / 2:
-        raise ConfigError(
-            f"half_angle must lie in (0, pi/2) rad, got {half_angle!r}"
-        )
     return -1.0 / math.log2(math.cos(half_angle))
 
 

@@ -30,8 +30,6 @@ def sinr_lifi(c_f: float, p_tx: float, h_los: float, n0: float,
               bandwidth: float) -> float:
     """Optical SINR (c p H)^2 / (n0 B): the electrical signal power over the
     receiver noise in the band."""
-    if n0 <= 0 or bandwidth <= 0:
-        raise ValueError("n0 and bandwidth must be > 0")
     return (c_f * p_tx * h_los) ** 2 / (n0 * bandwidth)
 
 
@@ -40,10 +38,6 @@ def required_sinr(se_target, gamma: float = 1.0):
     through Python's ``**`` (np.power(2.0, x) can be an ulp off it); a float
     for a scalar target."""
     se = np.asarray(se_target, float)
-    if np.any(se < 0):
-        raise ValueError(f"SE target must be >= 0, got {se_target!r}")
-    if not 0 < gamma <= 1:
-        raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
     out = []
     for x in np.ravel(se / gamma).tolist():
         try:

@@ -10,8 +10,7 @@ Conventions fixed here once:
   the macro site, the building-mounted array, and the indoor access point.
   A relay array is fed by the macro site's supply, so its own total carries
   no divisor.
-* An amplifier asked for more than its rating raises SaturationError; the
-  scenario layer marks such a sweep point infeasible before asking.
+* The laws check nothing; the gate is validate_bundle, SweepSpec and points().
 """
 
 from __future__ import annotations
@@ -22,16 +21,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .config import DeviceConstants, GopsModel, LiFiDeviceParams, ScenarioConfig
-
-
-class SaturationError(ValueError):
-    """An amplifier was driven past its saturation rating."""
-
-    def __init__(self, p_out: float, p_max: float, where: str = "pa"):
-        self.p_out = p_out
-        self.p_max = p_max
-        self.where = where
-        super().__init__(f"{where}: output {p_out:.6g} W exceeds rating {p_max:.6g} W")
 
 
 @dataclass(frozen=True)
@@ -75,10 +64,6 @@ class DevicePower:
 
 def fft_op_count(n_symbols: int, n_fft: int) -> float:
     """Operations per frame of one (I)FFT stage: N_s * N_fft * log2(N_fft)."""
-    if n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise ValueError(f"n_fft must be a power of two >= 2, got {n_fft}")
-    if n_symbols < 0:
-        raise ValueError(f"n_symbols must be >= 0, got {n_symbols}")
     return n_symbols * n_fft * math.log2(n_fft)
 
 
@@ -87,29 +72,18 @@ def gops_fft(n_symbols: int, n_fft: int, frame_rate: float) -> float:
     return fft_op_count(n_symbols, n_fft) * frame_rate / 1e9
 
 
-def estimation_op_count(m_t: int, n_ue: int, pilot_len: int | None = None) -> float:
-    """Channel-estimation operations per coherence block: tau * M_t * N_ue.
-
-    The pilot length defaults to N_ue (one orthogonal pilot per user).
-    """
-    tau = n_ue if pilot_len is None else pilot_len
-    if min(m_t, n_ue, tau) < 0:
-        raise ValueError("antenna, user and pilot counts must be >= 0")
-    return tau * m_t * n_ue
+def estimation_op_count(m_t: int, n_ue: int, pilot_len: int) -> float:
+    """Channel-estimation operations per coherence block: tau * M_t * N_ue."""
+    return pilot_len * m_t * n_ue
 
 
-def gops_estimation(m_t: int, n_ue: int, blocks_per_s: float,
-                    pilot_len: int | None = None) -> float:
+def gops_estimation(m_t: int, n_ue: int, blocks_per_s: float, pilot_len: int) -> float:
     return estimation_op_count(m_t, n_ue, pilot_len) * blocks_per_s / 1e9
 
 
 def precoding_item_count(n_ue: int, n_buildings: int, n_beams: int,
                          pilot_len: int, coherence_block: int) -> float:
     """Precoded/combined items per frame: (N_ue + N_b L)(1 - tau / N_c)."""
-    if coherence_block < 1:
-        raise ValueError(f"coherence_block must be >= 1, got {coherence_block}")
-    if pilot_len < 0 or pilot_len > coherence_block:
-        raise ValueError(f"pilot_len must lie in [0, coherence_block], got {pilot_len}")
     return (n_ue + n_buildings * n_beams) * (1.0 - pilot_len / coherence_block)
 
 
@@ -144,12 +118,8 @@ def mbsala_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
     )
 
 
-def bmaa_load(cfg: ScenarioConfig, gops: GopsModel,
-              l_beams: int | None = None) -> ComplexityLoad:
+def bmaa_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
     """Receive-side workload of one building array, scaled by its beam count."""
-    l_x = cfg.n_beams if l_beams is None else l_beams
-    if l_x < 0:
-        raise ValueError(f"beam count must be >= 0, got {l_x}")
     per_beam = ComplexityLoad(
         fltr=gops.fltr,
         bf=gops_precoding(cfg.n_ue, cfg.n_buildings, cfg.n_beams, cfg.pilot_len,
@@ -162,7 +132,7 @@ def bmaa_load(cfg: ScenarioConfig, gops: GopsModel,
         ctrl=gops.ctrl,
         nw=gops.nw,
     )
-    return ComplexityLoad(**{f.name: l_x * getattr(per_beam, f.name)
+    return ComplexityLoad(**{f.name: cfg.n_beams * getattr(per_beam, f.name)
                              for f in fields(per_beam)})
 
 
@@ -188,8 +158,6 @@ def mbs_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
 
 def bb_power(load: ComplexityLoad, rho: float) -> float:
     """Baseband power: total GOPS / (GOPS per watt)."""
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
     return load.total / rho
 
 
@@ -198,8 +166,6 @@ def bb_power(load: ComplexityLoad, rho: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _rf_front_end(antennas: int, per_antenna: float, clock: float) -> float:
-    if antennas < 1:
-        raise ValueError(f"antenna count must be >= 1, got {antennas}")
     return antennas * per_antenna + math.sqrt(antennas) * clock
 
 
@@ -224,12 +190,6 @@ def rf_power_iap(m_t_iap: int, k: DeviceConstants) -> float:
 
 def pa_power_classb(p_out, p_max: float):
     """Class-B consumption (2/pi) sqrt(p_out p_max), elementwise; zero draws zero."""
-    if p_max <= 0:
-        raise ValueError(f"p_max must be > 0, got {p_max!r}")
-    if np.any(p_out < 0):
-        raise ValueError(f"p_out must be >= 0, got {p_out!r}")
-    if np.any(p_out > p_max):
-        raise SaturationError(np.max(p_out), p_max, where="class-b pa")
     return (2.0 / math.pi) * np.sqrt(p_out * p_max)
 
 
@@ -240,12 +200,6 @@ def pa_power_doherty(p_out, p_max: float):
     (6/pi) sqrt(p_out p_max) from the quarter point up, kept discontinuous as
     modelled.
     """
-    if p_max <= 0:
-        raise ValueError(f"p_max must be > 0, got {p_max!r}")
-    if np.any(p_out < 0):
-        raise ValueError(f"p_out must be >= 0, got {p_out!r}")
-    if np.any(p_out > p_max):
-        raise SaturationError(np.max(p_out), p_max, where="doherty pa")
     root = np.sqrt(p_out * p_max)
     return np.where(p_out < 0.25 * p_max, (2.0 / math.pi) * root,
                     (6.0 / math.pi) * root)[()]
@@ -297,8 +251,6 @@ def power_lifi_iap(params: LiFiDeviceParams, h_los: float) -> DevicePower:
     Illumination is rate-independent; communication scales with the squared
     LOS gain.  Neither term carries a supply overhead divisor.
     """
-    if h_los < 0:
-        raise ValueError(f"h_los must be >= 0, got {h_los!r}")
     led = params.led
     drive = led.q * led.phi
     p_illum = (led.n * led.v_t * drive / (led.p_f * led.eps)

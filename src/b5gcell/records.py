@@ -12,20 +12,24 @@ SE_VARIABLE = "se_bits_per_hz"
 POWER_FIELDS = ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w")
 
 
+# variant kind -> the (separation, iap_kind) pair its manifest line records
+VARIANT_KINDS = {"sep-mmwave": ("separate", "mmwave"), "sep-lifi": ("separate", "lifi"),
+                 "nonsep": ("non-separate", "mmwave")}
+
+
 @dataclass(frozen=True)
 class VariantSpec:
-    """One scenario variant of a sweep."""
+    """One scenario variant of a sweep: a VARIANT_KINDS kind at *m_t* outdoor
+    transmit antennas."""
 
     name: str
-    separation: str      # 'separate' | 'non-separate'
-    iap_kind: str        # 'mmwave' | 'lifi' (unused when non-separate)
+    kind: str
     m_t: int
 
     def __post_init__(self):
-        if self.separation not in ("separate", "non-separate"):
-            raise ConfigError(f"variant {self.name}: bad separation {self.separation!r}")
-        if self.iap_kind not in ("mmwave", "lifi"):
-            raise ConfigError(f"variant {self.name}: bad iap_kind {self.iap_kind!r}")
+        if self.kind not in VARIANT_KINDS:
+            raise ConfigError(f"variant {self.name}: unknown kind {self.kind!r} "
+                              f"(expected sep-mmwave, sep-lifi or nonsep)")
         if self.m_t < 1:
             raise ConfigError(f"variant {self.name}: m_t must be >= 1")
 

@@ -94,16 +94,16 @@ class ScenarioModel:
         n_devices = cfg.n_arrays * cfg.n_buildings
         self._mbsala_load, self._mbs_load = mbsala_load(cfg, gops), mbs_load(cfg, gops)
         self._bmaa_sum = self._iap_sum = 0
-        if variant.separation == "separate":
+        if variant.kind != "nonsep":
             bmaa = power_bmaa(bmaa_load(cfg, gops), k, cfg.m_r)
             self._bmaa_sum = _repeat_sum(bmaa.p_total, n_devices)
-        if variant.separation == "separate" and variant.iap_kind == "mmwave":
+        if variant.kind == "sep-mmwave":
             self.beta_access = np.array([
                 db_to_linear(-pathloss_freespace(d, cfg.carrier_freq_in))
                 for d in self.user_distances])
             self._init_beam_codebook()
             self._iap_load = iap_load(gops)
-        if variant.separation == "separate" and variant.iap_kind == "lifi":
+        if variant.kind == "sep-lifi":
             self._init_lifi(iap_pos, user_pos)
             iap = power_lifi_iap(lifi, float(np.mean(self.lifi_h)))
             self._iap_sum = _repeat_sum(iap.p_total, n_devices)
@@ -197,16 +197,16 @@ class ScenarioModel:
         feasible = np.ones(rates.shape, bool)
         iap_sum = self._iap_sum
         with np.errstate(over="ignore", invalid="ignore"):
-            if variant.separation == "separate" and variant.iap_kind == "mmwave":
+            if variant.kind == "sep-mmwave":
                 p_out = self._access_power(
                     required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma))
                 feasible &= p_out <= k.iap.pa_max   # False where NaN (unmeetable)
                 iap = power_iap_mmwave(self._iap_load, k, cfg.m_t_iap,
                                        np.minimum(p_out, k.iap.pa_max))
                 iap_sum = _repeat_sum(iap.p_total, cfg.n_arrays * cfg.n_buildings)
-            elif variant.separation == "separate":   # fixed optical drive
+            elif variant.kind == "sep-lifi":   # fixed optical drive
                 feasible &= rate_user <= self._lifi_capacity
-            if variant.separation == "separate":   # relay beams share a building's users
+            if variant.kind != "nonsep":   # relay beams share a building's users
                 rate_link = rate_user * cfg.n_iue / cfg.n_beams
                 betas, streams, rx = self.beta_backhaul, cfg.n_beams, cfg.m_r
             else:

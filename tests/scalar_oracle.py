@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from b5gcell.power import (
-    SaturationError,
     bmaa_load,
     iap_load,
     mbs_load,
@@ -27,6 +26,10 @@ from b5gcell.power import (
     power_mbsala,
 )
 from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, _variant_stream, build_scenario
+
+
+class SaturationError(ValueError):
+    """An outdoor amplifier would pass its rating, so the point is infeasible."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def _backhaul_beam_powers(model, rate_user: float):
     for beta in model.beta_backhaul:
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.m_r)
         if p > model.k.mbsala.pa_max:
-            raise SaturationError(p, model.k.mbsala.pa_max, where="backhaul pa")
+            raise SaturationError(f"backhaul pa: {p!r} W > {model.k.mbsala.pa_max!r} W")
         powers.extend([p] * cfg.n_beams)
     return powers
 
@@ -99,7 +102,7 @@ def _outdoor_devices(model, beams):
 def _separate_point(model, rate_user: float):
     cfg, k, gops = model.cfg, model.k, model.bundle.gops
     n_devices = cfg.n_arrays * cfg.n_buildings
-    if model.variant.iap_kind == "mmwave":
+    if model.variant.kind == "sep-mmwave":
         target = required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma)
         powers = solve_mmwave_powers(model, target)
         if powers is None:
@@ -127,7 +130,7 @@ def _direct_point(model, rate_user: float):
     for beta in model.beta_direct:
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.ue_antennas)
         if p > k.mbsala.pa_max:
-            raise SaturationError(p, k.mbsala.pa_max, where="direct pa")
+            raise SaturationError(f"direct pa: {p!r} W > {k.mbsala.pa_max!r} W")
         beams.extend([p] * cfg.n_iue)
     return _outdoor_devices(model, beams), [], []
 
@@ -141,7 +144,7 @@ def rate_point(model, total_rate: float, x_value=None,
                              feasible=False, total_power_w=None, ee=None,
                              p_mbs_w=None, p_bmaa_w=None, p_iap_w=None)
     try:
-        if model.variant.separation == "separate":
+        if model.variant.kind != "nonsep":
             result = _separate_point(model, rate_user)
         else:
             result = _direct_point(model, rate_user)

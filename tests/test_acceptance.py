@@ -179,8 +179,8 @@ def test_figure_shape_reproduction():
     crossings = {}
     for m_t in (64, 128, 256):
         spec = SweepSpec("total_rate_bps", RATE_GRID,
-                         (VariantSpec("sep", "separate", "mmwave", m_t),
-                          VariantSpec("non", "non-separate", "mmwave", m_t)))
+                         (VariantSpec("sep", "sep-mmwave", m_t),
+                          VariantSpec("non", "nonsep", m_t)))
         result = run_sweep(bundle, spec, seed=0)
         read = columns(RATE_GRID, result.columns)
         _, sep, _ = read["sep"]   # total power per grid value, None where infeasible
@@ -221,9 +221,9 @@ def test_figure_shape_reproduction():
             _check(lines, f"M_T={m_t}: {name} power nondecreasing in rate", mono)
 
     peaks = {}
-    for sep_kind in ("separate", "non-separate"):
+    for sep_kind in ("sep-mmwave", "nonsep"):
         for m_t in (64, 128, 256):
-            model = build_scenario(bundle, VariantSpec("v", sep_kind, "mmwave", m_t))
+            model = build_scenario(bundle, VariantSpec("v", sep_kind, m_t))
             column = model.points(SE_GRID, SE_VARIABLE)
             summary = _summary(SE_GRID, {"v": column})
             peak_ee, peak_se = float(summary["v.peak_ee"]), float(summary["v.peak_ee_x"])
@@ -238,7 +238,7 @@ def test_figure_shape_reproduction():
                        f"EE-SE {sep_kind} M_T={m_t}: interior maximum, single rise",
                        summary["v.peak_ee_interior"] == "true" and rises <= 1,
                        f"peak {peak_ee:.3f} (bit/s/Hz)/W at SE {peak_se:.2f}")
-    for sep_kind in ("separate", "non-separate"):
+    for sep_kind in ("sep-mmwave", "nonsep"):
         hi, lo = peaks[(sep_kind, 256)], peaks[(sep_kind, 64)]
         _check(lines, f"EE-SE {sep_kind}: peak at M_T=256 >= peak at M_T=64",
                hi >= lo, f"{hi:.3f} vs {lo:.3f}")
@@ -255,8 +255,8 @@ def test_calibration_targets():
     lines = []
     bundle = default_bundle()
 
-    sep = build_scenario(bundle, VariantSpec("sep", "separate", "mmwave", 256))
-    non = build_scenario(bundle, VariantSpec("non", "non-separate", "mmwave", 256))
+    sep = build_scenario(bundle, VariantSpec("sep", "sep-mmwave", 256))
+    non = build_scenario(bundle, VariantSpec("non", "nonsep", 256))
     p_sep = point_at(sep, 5e9)
     p_non = point_at(non, 5e9)
     ok = (p_sep.feasible and p_non.feasible
@@ -268,8 +268,8 @@ def test_calibration_targets():
            f"{p_sep.total_power_w:.0f} W)")
 
     spec = SweepSpec("total_rate_bps", RATE_GRID,
-                     (VariantSpec("mmwave", "separate", "mmwave", 64),
-                      VariantSpec("lifi", "separate", "lifi", 64)))
+                     (VariantSpec("mmwave", "sep-mmwave", 64),
+                      VariantSpec("lifi", "sep-lifi", 64)))
     result = run_sweep(bundle, spec, seed=0)
     lifi, mmwave = result.columns["lifi"], result.columns["mmwave"]
     both = lifi["feasible"] & mmwave["feasible"]

