@@ -5,7 +5,7 @@ line-of-sight link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -42,13 +42,11 @@ def apply_penetration(path_loss_db: float, penetration_db: float) -> float:
 # LiFi line of sight
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiFiGeometry:
-    """Geometry of one LED-to-photodiode link."""
+class LiFiGeometry(namedtuple("LiFiGeometry", "distance phi psi")):
+    """Geometry of one LED-to-photodiode link: distance (m), radiance angle at
+    the LED and incidence angle at the photodiode (rad)."""
 
-    distance: float   # m
-    phi: float        # radiance angle at the LED, rad
-    psi: float        # incidence angle at the photodiode, rad
+    __slots__ = ()
 
 
 def lifi_angles(tx_pos, rx_pos, n_tx, n_rx) -> LiFiGeometry:

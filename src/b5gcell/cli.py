@@ -11,11 +11,9 @@ Exit codes: 0 ok, 1 bad configuration or input, 2 sweep had no feasible point.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import math
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -78,6 +76,7 @@ def parse_variants(text: str, default_m_t: int) -> tuple:
 def _config_digests(bundle, path: str | None) -> dict:
     """``config_sha256`` of the effective bundle's canonical dump (file and env
     overrides included), plus ``config_file_sha256`` of the file's bytes if given."""
+    import hashlib   # not needed by a plain analyze
     digests = {"config_sha256": hashlib.sha256(dumps_config(bundle).encode()).hexdigest()}
     if path is not None:
         digests["config_file_sha256"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -101,6 +100,7 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
         raise ConfigError(f"--out {out_dir}: cannot make the output directory "
                           f"({exc.strerror})") from None
     import numpy as np   # loaded by the sweep already
+    from datetime import datetime, timezone
     kind = result.spec.variable
     x_texts = _reprs(np.asarray(result.spec.grid, dtype=np.float64))
     n_rows = 0
@@ -182,7 +182,8 @@ def _read_lines(path: Path) -> list:
 def _read_results(path: Path) -> dict:
     """Per variant, in file order, the (x, total power, EE) columns of a results.csv,
     None where infeasible.  A row is ``true`` with six finite numbers or ``false``
-    with a finite x alone; any other row is a ConfigError that names it."""
+    with a finite x alone; each variant's rows are contiguous with increasing x.
+    Any other row is a ConfigError that names it."""
     lines = _read_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep results file")
@@ -208,8 +209,14 @@ def _read_results(path: Path) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
         if variant != current:
-            xs, powers, ees = columns.setdefault(variant, ([], [], []))
+            if variant in columns:
+                raise ConfigError(f"{path}: out-of-order row {ln!r}: variant {variant} "
+                                  f"reappears after another variant's rows")
+            xs, powers, ees = columns[variant] = ([], [], [])
             current = variant
+        elif x <= xs[-1]:
+            raise ConfigError(f"{path}: out-of-order row {ln!r}: x_value must exceed "
+                              f"the variant's previous {xs[-1]!r}")
         xs.append(x)
         powers.append(power)
         ees.append(ee)

@@ -2,8 +2,9 @@
 
 ``DEFAULTS`` is the config: each ``section.key`` row states the key's default
 value, the rule a value must satisfy and a note on its meaning, unit and
-provenance.  The section classes are built from the table, and the loader,
-``default_bundle``, ``validate_bundle`` and the canonical writer all walk it.
+provenance.  The section classes are named tuples whose fields are the table's
+keys, and the loader, ``default_bundle``, ``validate_bundle`` and the
+canonical writer all walk it.
 A key's type is the type of its default: ints parse with ``int(text, 0)``,
 floats with ``float``, strings are lower-cased, a flat tuple is a comma vector
 and a tuple of tuples a ``;`` list of such vectors.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass, make_dataclass
+from collections import namedtuple
 
 ENV_PREFIX = "B5GCELL_"
 
@@ -43,11 +44,8 @@ def lambertian_order(half_angle: float) -> float:
 # the table: value, rule and note of every key
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Default:
-    value: object
-    rule: str | None   # a _RULES entry; None when only finiteness or a cross-key rule applies
-    note: str
+# rule: a _RULES entry; None when only finiteness or a cross-key rule applies
+Default = namedtuple("Default", "value rule note")
 
 
 # rule text -> predicate; a rule starting "every " holds for each component
@@ -192,13 +190,12 @@ _SECTIONS = tuple(dict.fromkeys(key.partition(".")[0] for key in DEFAULTS))
 # ---------------------------------------------------------------------------
 
 def _section_class(name: str, section: str | None, doc: str, **nested):
-    """Frozen dataclass holding the *nested* section classes, then one field
-    per DEFAULTS key of *section*, typed by its default."""
-    own = [(key.partition(".")[2], type(d.value)) for key, d in DEFAULTS.items()
-           if key.partition(".")[0] == section]
-    return make_dataclass(name, [*nested.items(), *own], frozen=True,
-                          namespace={"__doc__": doc, "__module__": __name__,
-                                     "_section": section})
+    """Named tuple holding the *nested* sections (class per field name in
+    ``_nested``), then one field per DEFAULTS key of *section*."""
+    own = [key.partition(".")[2] for key in DEFAULTS if key.partition(".")[0] == section]
+    cls = namedtuple(name, [*nested, *own], module=__name__)
+    cls.__doc__, cls._section, cls._nested = doc, section, nested
+    return cls
 
 
 ScenarioConfig = _section_class("ScenarioConfig", "scenario",
@@ -231,19 +228,18 @@ ConfigBundle = _section_class("ConfigBundle", None, "Every config section of one
 
 def _build(cls, values: dict[str, object]):
     """Nest flat ``section.key`` values into *cls* and its nested sections."""
-    return cls(**{f.name: _build(f.type, values) if is_dataclass(f.type)
-                  else values[f"{cls._section}.{f.name}"] for f in fields(cls)})
+    return cls._make(_build(cls._nested[name], values) if name in cls._nested
+                     else values[f"{cls._section}.{name}"] for name in cls._fields)
 
 
 def _flatten(obj) -> dict[str, object]:
     """{section.key: value} of a bundle or one of its sections."""
     out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
+    for name, value in zip(obj._fields, obj):
+        if name in obj._nested:
             out.update(_flatten(value))
         else:
-            out[f"{obj._section}.{f.name}"] = value
+            out[f"{obj._section}.{name}"] = value
     return out
 
 

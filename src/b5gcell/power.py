@@ -16,46 +16,32 @@ Conventions fixed here once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 import numpy as np
 
 from .config import DeviceConstants, GopsModel, LiFiDeviceParams, ScenarioConfig
 
 
-@dataclass(frozen=True)
-class ComplexityLoad:
+# processing stages, in the order ``total`` adds them
+_STAGES = "fltr fft est bf pre map demap dec enc ctrl nw smpl".split()
+
+
+class ComplexityLoad(namedtuple("ComplexityLoad", _STAGES, defaults=(0.0,) * len(_STAGES))):
     """Baseband workload split by processing stage, each in GOPS."""
 
-    fltr: float = 0.0
-    fft: float = 0.0
-    est: float = 0.0
-    bf: float = 0.0
-    pre: float = 0.0
-    map: float = 0.0
-    demap: float = 0.0
-    dec: float = 0.0
-    enc: float = 0.0
-    ctrl: float = 0.0
-    nw: float = 0.0
-    smpl: float = 0.0
+    __slots__ = ()
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, f.name) for f in fields(self))
+        return sum(self)
 
 
-@dataclass(frozen=True)
-class DevicePower:
+class DevicePower(namedtuple("DevicePower", "kind p_bb p_rf p_pa p_total p_illum p_comm",
+                             defaults=(0.0, 0.0))):
     """Power breakdown of one device (W)."""
 
-    kind: str
-    p_bb: float
-    p_rf: float
-    p_pa: float
-    p_total: float
-    p_illum: float = 0.0
-    p_comm: float = 0.0
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +118,7 @@ def bmaa_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
         ctrl=gops.ctrl,
         nw=gops.nw,
     )
-    return ComplexityLoad(**{f.name: cfg.n_beams * getattr(per_beam, f.name)
-                             for f in fields(per_beam)})
+    return ComplexityLoad._make(cfg.n_beams * x for x in per_beam)
 
 
 def iap_load(gops: GopsModel) -> ComplexityLoad:

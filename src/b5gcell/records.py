@@ -2,7 +2,7 @@
 and the package root load without numpy or the scenario engine."""
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import ConfigError
 
@@ -17,39 +17,38 @@ VARIANT_KINDS = {"sep-mmwave": ("separate", "mmwave"), "sep-lifi": ("separate", 
                  "nonsep": ("non-separate", "mmwave")}
 
 
-@dataclass(frozen=True)
-class VariantSpec:
+class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):
     """One scenario variant of a sweep: a VARIANT_KINDS kind at *m_t* outdoor
     transmit antennas."""
 
-    name: str
-    kind: str
-    m_t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
-            raise ConfigError(f"variant {self.name}: unknown kind {self.kind!r} "
+    def __new__(cls, name: str, kind: str, m_t: int):
+        if kind not in VARIANT_KINDS:
+            raise ConfigError(f"variant {name}: unknown kind {kind!r} "
                               f"(expected sep-mmwave, sep-lifi or nonsep)")
-        if self.m_t < 1:
-            raise ConfigError(f"variant {self.name}: m_t must be >= 1")
+        if m_t < 1:
+            raise ConfigError(f"variant {name}: m_t must be >= 1")
+        return super().__new__(cls, name, kind, m_t)
+
+    @classmethod
+    def _make(cls, iterable):   # _replace builds through _make: check there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", "variable grid variants")):
     """Sweep request: which variable, over which grid, for which variants."""
 
-    variable: str
-    grid: tuple
-    variants: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variable not in (RATE_VARIABLE, SE_VARIABLE):
+    def __new__(cls, variable: str, grid: tuple, variants: tuple):
+        if variable not in (RATE_VARIABLE, SE_VARIABLE):
             raise ConfigError(f"sweep variable must be {RATE_VARIABLE} or "
-                              f"{SE_VARIABLE}, got {self.variable!r}")
-        if len(self.grid) < 2:
+                              f"{SE_VARIABLE}, got {variable!r}")
+        if len(grid) < 2:
             raise ConfigError("sweep grid needs at least 2 points")
         prev = None
-        for x in self.grid:
+        for x in grid:
             if not math.isfinite(x):
                 raise ConfigError(f"sweep grid values must be finite, got {x!r}")
             if x < 0:
@@ -57,18 +56,20 @@ class SweepSpec:
             if prev is not None and x <= prev:
                 raise ConfigError("sweep grid must be strictly increasing")
             prev = x
-        if not self.variants:
+        if not variants:
             raise ConfigError("sweep needs at least one variant")
-        names = [v.name for v in self.variants]
+        names = [v.name for v in variants]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate variant names in sweep: {names}")
+        return super().__new__(cls, variable, grid, variants)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(namedtuple("SweepResult", "spec seed columns")):
     """Per variant name, in ``spec.variants`` order, the columns that
     ``ScenarioModel.points`` returns over ``spec.grid``."""
 
-    spec: SweepSpec
-    seed: int
-    columns: dict
+    __slots__ = ()

@@ -11,9 +11,7 @@ rate; infeasible points carry NaN in every power field.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,7 +46,7 @@ class ScenarioModel:
         validate_bundle(bundle)
         self.bundle = bundle
         self.variant = variant
-        cfg = replace(bundle.scenario, m_t=variant.m_t)
+        cfg = bundle.scenario._replace(m_t=variant.m_t)
         self.cfg = cfg
         k, lifi, gops, layout = (bundle.constants, bundle.lifi, bundle.gops,
                                  bundle.layout)
@@ -244,6 +242,7 @@ def build_scenario(bundle: ConfigBundle, variant: VariantSpec,
 def _variant_stream(seed: int, name: str) -> np.random.Generator:
     # keyed on the variant name, not its list position: reordering or adding
     # variants must not move anyone's random placement
+    import hashlib   # with numpy.random, loaded by random placement alone
     digest = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
     return np.random.default_rng(np.random.SeedSequence([seed, digest]))
 
@@ -251,11 +250,13 @@ def _variant_stream(seed: int, name: str) -> np.random.Generator:
 def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResult:
     """Evaluate every variant over the grid; deterministic for a (config, seed).
 
-    Each variant gets an independent child RNG keyed on its name, so
-    evaluation order cannot change random placements.
+    Under random placement each variant gets an independent child RNG keyed
+    on its name, so evaluation order cannot change random placements.
     """
+    draws = bundle.layout.placement == "random"
     columns = {}
     for variant in spec.variants:
-        model = build_scenario(bundle, variant, rng=_variant_stream(seed, variant.name))
+        rng = _variant_stream(seed, variant.name) if draws else None
+        model = build_scenario(bundle, variant, rng=rng)
         columns[variant.name] = model.points(spec.grid, spec.variable)
     return SweepResult(spec=spec, seed=seed, columns=columns)

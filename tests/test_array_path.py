@@ -7,8 +7,6 @@ the last bit that results.csv prints.
 
 import math
 import random
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -155,8 +153,8 @@ def test_random_increasing_grids_match_reference(values, variable):
 def _singular_at_one(bundle):
     """Two users whose access matrix I - t [[0, 1], [1, 0]] is singular at t = 1;
     the narrow indoor band puts t = 1 where the backhaul is still feasible."""
-    scenario = replace(bundle.scenario, n_iue=2, bandwidth_in=1e7)
-    model = build_scenario(replace(bundle, scenario=scenario),
+    scenario = bundle.scenario._replace(n_iue=2, bandwidth_in=1e7)
+    model = build_scenario(bundle._replace(scenario=scenario),
                            VariantSpec("sep-mmwave", "sep-mmwave", 64))
     model.access_diag = np.eye(2)
     model.access_coupling = np.array([[0.0, 1.0], [1.0, 0.0]])

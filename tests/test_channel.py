@@ -112,10 +112,9 @@ def test_db_linear_round_trip(x):
 def _nadir_params():
     # emission exponent 1, 1 cm^2 detector, unity filter, n=1.5, 90 deg FoV
     from b5gcell import default_bundle
-    from dataclasses import replace
     lifi = default_bundle().lifi
-    return replace(lifi, half_angle=math.pi / 3, area_pd=1e-4, g_filter=1.0,
-                   refr_index=1.5, fov=math.pi / 2)
+    return lifi._replace(half_angle=math.pi / 3, area_pd=1e-4, g_filter=1.0,
+                         refr_index=1.5, fov=math.pi / 2)
 
 
 def test_lifi_nadir_frozen_values():

@@ -415,6 +415,37 @@ def test_analyze_rejects_row_outside_the_contract(tmp_path, capsys, edits):
     assert not (out / "summary.txt").exists()
 
 
+# rows of a results.csv (header first) -> the same rows out of order, and the row to blame
+ROW_ORDER_BREAKS = {
+    # the first nonsep row moved to the end: its x_value falls back to 0
+    "last-variant-row-moved-to-end": lambda rows: (
+        [r for r in rows if r != _first(rows, "nonsep")] + [_first(rows, "nonsep")],
+        _first(rows, "nonsep")),
+    # the first sep-mmwave row moved to the end: the variant reappears after nonsep
+    "first-row-moved-to-end": lambda rows: ([rows[0], *rows[2:], rows[1]], rows[1]),
+    "swapped-rows": lambda rows: ([rows[0], rows[2], rows[1], *rows[3:]], rows[1]),
+    "repeated-row": lambda rows: ([rows[0], rows[1], rows[1], *rows[2:]], rows[1]),
+}
+
+
+def _first(rows, variant):
+    return next(r for r in rows if r.startswith(variant + ","))
+
+
+@pytest.mark.parametrize("reorder", ROW_ORDER_BREAKS.values(), ids=ROW_ORDER_BREAKS)
+def test_analyze_rejects_rows_out_of_order(tmp_path, capsys, reorder):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), "--plot", "off"])
+    results = out / "results.csv"
+    rows, blamed = reorder(results.read_text().splitlines())
+    results.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {results}: out-of-order row {blamed!r}")
+    assert not (out / "summary.txt").exists()
+
+
 @pytest.mark.parametrize("name", ["results.csv", "manifest.txt"])
 def test_analyze_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, name):
     out = tmp_path / "run"
@@ -458,15 +489,29 @@ def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):
     assert not out.exists()
 
 
-# `python -m b5gcell <args>` in this interpreter; then the exit code and
-# whether numpy was loaded go to stderr
+# `python -m b5gcell <args>` in this interpreter; then the exit code and the
+# modules the command loaded beyond those of the bare interpreter go to stderr
 NUMPY_PROBE = """
-import runpy, sys
+import sys
+bare = set(sys.modules)
+import runpy
 try:
     runpy.run_module("b5gcell", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    print(f"exit={exc.code} numpy={'numpy' in sys.modules}", file=sys.stderr)
+    print(f"exit={exc.code} loaded={','.join(sorted(set(sys.modules) - bare))}",
+          file=sys.stderr)
 """
+
+
+def _probe(*args):
+    """Exit code and the set of modules loaded by ``b5gcell <args>`` in a fresh process."""
+    src = str(Path(b5gcell.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, _, loaded = proc.stderr.splitlines()[-1].partition(" loaded=")
+    return code, set(loaded.split(",")), proc.stdout
 
 
 @pytest.mark.parametrize("with_config", [False, True], ids=["plain", "config"])
@@ -476,10 +521,19 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
     config = ["--config", str(cfg)] if with_config else []
     out = tmp_path / "run"
     assert main(["sweep", *config, "--out", str(out), *FAST]) == 0
-    src = str(Path(b5gcell.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, "analyze", "--in", str(out),
-                           *config], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.stderr.splitlines()[-1] == "exit=0 numpy=False"
-    assert proc.stdout == (out / "summary.txt").read_text()
+    code, loaded, stdout = _probe("analyze", "--in", str(out), *config)
+    assert code == "exit=0"
+    assert stdout == (out / "summary.txt").read_text()
+    # digests and the timestamp are a sweep's and a --config check's business
+    unused = {"numpy", "dataclasses"} if with_config else \
+        {"numpy", "dataclasses", "datetime", "hashlib"}
+    assert loaded & unused == set()
+
+
+def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path):
+    out = tmp_path / "run"
+    code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
+    assert code == "exit=0"
+    assert "numpy" in loaded
+    assert loaded & {"dataclasses", "numpy.random"} == set()
+    assert (out / "results.csv").is_file()

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import re
-from dataclasses import fields, replace
 
 import pytest
 
@@ -120,8 +119,8 @@ def test_noise_dbm_alternative(tmp_path):
 
 
 def test_vector_keys_round_trip(tmp_path, bundle):
-    swapped = replace(bundle, layout=replace(bundle.layout,
-                                             building_distances_m=(50.0, 120.0, 310.0, 390.0)))
+    swapped = bundle._replace(layout=bundle.layout._replace(
+        building_distances_m=(50.0, 120.0, 310.0, 390.0)))
     path = tmp_path / "cell.cfg"
     write_config(swapped, str(path))
     again = load_config(str(path), use_env=False)
@@ -160,7 +159,7 @@ def test_default_bundle_is_validated(bundle):
 
 DEFAULT_DUMP_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
 
-# section name -> the dataclass holding its keys
+# section name -> the named tuple holding its keys
 SECTION_CLASSES = {
     "scenario": ScenarioConfig, "mbsala": MbsalaRf, "bmaa": BmaaRf, "iap": IapRf,
     "devices": DeviceConstants, "lifi": LiFiDeviceParams, "lifi_led": LedElectrical,
@@ -182,8 +181,8 @@ def _dumped_values(text):
 
 
 def test_defaults_keys_match_dataclass_fields_one_to_one():
-    field_keys = [f"{section}.{f.name}" for section, cls in SECTION_CLASSES.items()
-                  for f in fields(cls) if f.name not in NESTED]
+    field_keys = [f"{section}.{name}" for section, cls in SECTION_CLASSES.items()
+                  for name in cls._fields if name not in NESTED]
     assert len(field_keys) == len(set(field_keys))
     assert sorted(field_keys) == sorted(DEFAULTS)
 

@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -76,7 +75,7 @@ def test_complexity_total_is_sum_of_parts():
 def test_bmaa_load_scales_with_beam_count(bundle):
     gops = bundle.gops
     for n_beams in (1, 4, 8):
-        load = bmaa_load(replace(bundle.scenario, n_beams=n_beams), gops)
+        load = bmaa_load(bundle.scenario._replace(n_beams=n_beams), gops)
         assert (load.fltr, load.smpl, load.demap, load.dec) == \
             (n_beams * gops.fltr, n_beams * gops.smpl, n_beams * gops.demap, n_beams * gops.dec)
 
@@ -95,9 +94,8 @@ def test_rf_mbsala_hand_sum(bundle):
 
 
 def test_rf_affine_plus_root_shape(bundle):
-    k = replace(bundle.constants,
-                mbsala=replace(bundle.constants.mbsala,
-                               p_mod=0.01, p_mix=0.01, p_dac=0.01, p_clk=0.01))
+    k = bundle.constants._replace(mbsala=bundle.constants.mbsala._replace(
+        p_mod=0.01, p_mix=0.01, p_dac=0.01, p_clk=0.01))
     assert rf_power_mbsala(64, k) == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
     assert rf_power_mbsala(64, k) == pytest.approx(2.0, rel=1e-12)
 
@@ -167,7 +165,7 @@ def test_overhead_divisor_frozen(bundle):
 @settings(max_examples=100)
 def test_overhead_exactness_invariant(ec, ea, ed, bb, rf):
     bundle = default_bundle()
-    k = replace(bundle.constants, eta_c=ec, eta_acdc=ea, eta_dcdc=ed)
+    k = bundle.constants._replace(eta_c=ec, eta_acdc=ea, eta_dcdc=ed)
     load = ComplexityLoad(fltr=bb * k.rho)
     device = power_bmaa(load, k, 64)
     recovered = device.p_total * (1 - ec) * (1 - ea) * (1 - ed)
@@ -197,7 +195,7 @@ def test_mbsala_pa_additive_over_beams(bundle):
 
 
 def test_bmaa_without_overhead_is_bare_sum(bundle):
-    k = replace(bundle.constants, eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0)
+    k = bundle.constants._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0)
     load = bmaa_load(bundle.scenario, bundle.gops)
     device = power_bmaa(load, k, 64)
     assert device.p_total == pytest.approx(device.p_bb + device.p_rf, rel=1e-12)
@@ -225,7 +223,7 @@ def test_lifi_comm_scales_with_h_squared(h):
 
 
 def test_lifi_dark_led_draws_nothing(bundle):
-    lifi = replace(bundle.lifi, led=replace(bundle.lifi.led, phi=0.0))
+    lifi = bundle.lifi._replace(led=bundle.lifi.led._replace(phi=0.0))
     device = power_lifi_iap(lifi, 0.0)
     assert device.p_illum == 0.0 and device.p_comm == 0.0 and device.p_total == 0.0
 
@@ -241,7 +239,7 @@ def test_mbs_overhead_identity_with_arrays(bundle):
 
 def test_mbs_without_overhead_passes_arrays_through(bundle):
     cfg, k = bundle.scenario, bundle.constants
-    k0 = replace(k, eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0)
+    k0 = k._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0)
     array = power_mbsala(ComplexityLoad(), k0, 64, [25.0, 25.0])
     mbs = power_mbs(k0, ComplexityLoad(), [array])
     assert mbs.p_total == pytest.approx(array.p_total, rel=1e-12)

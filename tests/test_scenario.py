@@ -1,7 +1,5 @@
 import math
 import re
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -50,6 +48,37 @@ def test_sweep_spec_validation():
 def test_sweep_spec_rejects_non_finite_grid_values(grid):
     with pytest.raises(ConfigError, match="finite"):
         SweepSpec(RATE_VARIABLE, grid, (SEP,))
+
+
+GRID_SPEC = SweepSpec(RATE_VARIABLE, (0.0, 1.0), (SEP,))
+# the three ways to build a record from a valid one with some fields changed
+RECORD_BUILDS = {
+    "constructor": lambda good, bad: type(good)(**{**good._asdict(), **bad}),
+    "_replace": lambda good, bad: good._replace(**bad),
+    "_make": lambda good, bad: type(good)._make({**good._asdict(), **bad}.values()),
+}
+BAD_RECORDS = {
+    "m_t=0": (SEP, {"m_t": 0}, "m_t must be >= 1"),
+    "unknown-kind": (SEP, {"kind": "sep-wifi"}, "unknown kind 'sep-wifi'"),
+    "non-increasing-grid": (GRID_SPEC, {"grid": (1.0, 1.0)}, "strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("build", RECORD_BUILDS.values(), ids=RECORD_BUILDS)
+@pytest.mark.parametrize("good, bad, message", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_records_validate_on_every_construction_path(build, good, bad, message):
+    assert build(good, {}) == good
+    with pytest.raises(ConfigError, match=message):
+        build(good, bad)
+
+
+@pytest.mark.parametrize("record, field", [(SEP, "m_t"), (GRID_SPEC, "grid")],
+                         ids=["VariantSpec", "SweepSpec"])
+def test_records_reject_attribute_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = "x"
 
 
 def test_zero_rate_floor(bundle):
@@ -113,7 +142,7 @@ def test_negative_rate_rejected(bundle):
     ("layout", "user_height_m", 3.0, "layout.iap_height_m"),
 ], ids=["gamma", "half_angle", "heights"])
 def test_build_validates_a_bundle_built_in_code(bundle, section, field, value, key):
-    broken = replace(bundle, **{section: replace(getattr(bundle, section), **{field: value})})
+    broken = bundle._replace(**{section: getattr(bundle, section)._replace(**{field: value})})
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must satisfy"):
         build_scenario(broken, LIFI)
 
@@ -148,8 +177,8 @@ def _assert_access_solver_hits(model, target):
 
 def _crowded(bundle):
     """64 random users per access point, as in the crowded benchmark workload."""
-    return replace(bundle, scenario=replace(bundle.scenario, n_iue=64),
-                   layout=replace(bundle.layout, placement="random"))
+    return bundle._replace(scenario=bundle.scenario._replace(n_iue=64),
+                           layout=bundle.layout._replace(placement="random"))
 
 
 def test_access_solver_hits_the_sinr_target(bundle):
@@ -192,8 +221,8 @@ def test_run_sweep_is_deterministic(bundle):
 
 
 def test_random_placement_seeded(bundle):
-    layout = replace(bundle.layout, placement="random")
-    shuffled = replace(bundle, layout=layout)
+    layout = bundle.layout._replace(placement="random")
+    shuffled = bundle._replace(layout=layout)
     spec = SweepSpec(RATE_VARIABLE, (0.0, 1e9), (SEP,))
     a = run_sweep(shuffled, spec, seed=1)
     b = run_sweep(shuffled, spec, seed=1)
@@ -205,7 +234,7 @@ def test_random_placement_seeded(bundle):
 def test_variant_order_does_not_move_random_placements(bundle):
     # per-variant streams are keyed on the name, so reordering the list or
     # dropping a member leaves everyone else's placements untouched
-    shuffled = replace(bundle, layout=replace(bundle.layout, placement="random"))
+    shuffled = bundle._replace(layout=bundle.layout._replace(placement="random"))
     grid = (0.0, 1e9)
     ab = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (SEP, NON)), seed=3)
     ba = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (NON, SEP)), seed=3)
@@ -216,8 +245,8 @@ def test_variant_order_does_not_move_random_placements(bundle):
 
 
 def test_random_placement_respects_bounds(bundle):
-    layout = replace(bundle.layout, placement="random")
-    model = build_scenario(replace(bundle, layout=layout), SEP,
+    layout = bundle.layout._replace(placement="random")
+    model = build_scenario(bundle._replace(layout=layout), SEP,
                            rng=np.random.default_rng(5))
     assert np.all(model.building_distances >= bundle.layout.distance_min_m)
     assert np.all(model.building_distances <= bundle.layout.distance_max_m)
