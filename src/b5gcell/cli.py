@@ -18,14 +18,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, dumps_config, load_config
-from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, VARIANT_KINDS, SweepSpec,
-                      VariantSpec)
+from .records import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepSpec, VariantSpec
 from .svgplot import line_chart
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
 DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
-DEFAULT_RATE_GRID = "0:6e9:25"
-DEFAULT_SE_GRID = "0.5:24:48"
+# --variable choice -> (x_kind, default grid, chart x label)
+VARIABLES = {"rate": (RATE_VARIABLE, "0:6e9:25", "total rate (bit/s)"),
+             "se": (SE_VARIABLE, "0.5:24:48", "per-link SE (bit/s/Hz)")}
 
 
 def parse_grid(text: str) -> tuple:
@@ -92,8 +92,8 @@ def _reprs(values) -> list:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
-def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
-                   variant_text: str, plot: bool) -> int:
+def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -> int:
+    """Write the sweep directory; *axis* is the charts' (file stem, x label), None for none."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
@@ -117,14 +117,13 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
             n_rows += len(rows)
 
     manifest = [
-        "format=b5gcell-sweep-v1",
+        "format=b5gcell-sweep-v2",
         f"version={__version__}",
         *(f"{key}={value}" for key, value in digests.items()),
         f"seed={result.seed}",
         f"variable={kind}",
         f"grid={grid_text}",
-        f"variants={variant_text}",
-        *(f"variant.{i}={v.name},{','.join(VARIANT_KINDS[v.kind])},{v.m_t}"
+        *(f"variant.{i}={v.name},{v.kind},{v.m_t}"
           for i, v in enumerate(result.spec.variants)),
         f"n_rows={n_rows}",
         f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
@@ -132,11 +131,8 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str,
     (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n")
 
     n_feasible = sum(int(column["feasible"].sum()) for column in result.columns.values())
-    if plot and n_feasible:
-        if kind == RATE_VARIABLE:
-            x_label, stem = "total rate (bit/s)", "rate"
-        else:
-            x_label, stem = "per-link SE (bit/s/Hz)", "se"
+    if axis and n_feasible:
+        stem, x_label = axis
         for prefix, field, title, y_label in (
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
@@ -155,16 +151,14 @@ def cmd_sweep(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     bundle = load_config(args.config)
-    variable = RATE_VARIABLE if args.variable == "rate" else SE_VARIABLE
-    grid_text = args.grid
-    if grid_text is None:
-        grid_text = DEFAULT_RATE_GRID if args.variable == "rate" else DEFAULT_SE_GRID
+    variable, default_grid, x_label = VARIABLES[args.variable]
+    grid_text = default_grid if args.grid is None else args.grid
     grid = parse_grid(grid_text)
     variants = parse_variants(args.variants, bundle.scenario.m_t)
     spec = SweepSpec(variable=variable, grid=grid, variants=variants)
     result = run_sweep(bundle, spec, seed=args.seed)
     code = _write_outputs(Path(args.out), result, _config_digests(bundle, args.config),
-                          grid_text, args.variants, plot=args.plot == "on")
+                          grid_text, (args.variable, x_label) if args.plot == "on" else None)
     if code == 2:
         print("warning: no feasible point in the sweep", file=sys.stderr)
     print(f"wrote {len(grid) * len(variants)} rows to {args.out}/results.csv")
@@ -225,12 +219,10 @@ def _read_results(path: Path) -> dict:
 
 def _manifest_variants(recorded: dict) -> dict:
     """VariantSpec per variant name, from the manifest's
-    ``variant.<i>=<name>,<separation>,<iap_kind>,<m_t>`` lines."""
-    fields = [v.rsplit(",", 3) for k, v in recorded.items() if k.startswith("variant.")]
-    kinds = {pair: kind for kind, pair in VARIANT_KINDS.items()}
+    ``variant.<i>=<name>,<kind>,<m_t>`` lines."""
+    fields = [v.rsplit(",", 2) for k, v in recorded.items() if k.startswith("variant.")]
     try:
-        return {name: VariantSpec(name, kinds.get(tuple(pair), ",".join(pair)), int(m_t))
-                for name, *pair, m_t in fields}
+        return {name: VariantSpec(name, kind, int(m_t)) for name, kind, m_t in fields}
     except ValueError as exc:
         raise ConfigError(f"bad variant line in the sweep manifest: {exc}") from None
 
@@ -297,22 +289,23 @@ def cmd_analyze(args) -> int:
     src = Path(getattr(args, "in"))
     results = src / "results.csv"
     if not results.is_file():
-        print(f"error: {results} not found", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{results} not found")
     manifest = src / "manifest.txt"
     recorded = dict(ln.partition("=")[::2] for ln in
                     (_read_lines(manifest) if manifest.is_file() else ()))
     if args.config is not None:
         if not manifest.is_file():
-            print(f"error: {manifest} not found, so there is nothing to verify "
-                  f"--config against", file=sys.stderr)
-            return 1
+            raise ConfigError(f"{manifest} not found, so there is nothing to verify "
+                              f"--config against")
         for key, digest in _config_digests(load_config(args.config), args.config).items():
             if recorded.get(key) != digest:
-                print(f"error: config does not match the sweep manifest "
-                      f"({key} {recorded.get(key)} != {digest})", file=sys.stderr)
-                return 1
+                raise ConfigError(f"config does not match the sweep manifest "
+                                  f"({key} {recorded.get(key)} != {digest})")
     columns = _read_results(results)
+    n_rows = str(sum(len(xs) for xs, _, _ in columns.values()))
+    if recorded.get("n_rows", n_rows) != n_rows:
+        raise ConfigError(f"{results}: {n_rows} rows, but the sweep manifest records "
+                          f"n_rows={recorded['n_rows']}")
     if all(p.count(None) == len(p) for _, p, _ in columns.values()):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2
@@ -332,10 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="evaluate variants over a grid")
     sweep.add_argument("--config", default=None, help="config file (defaults used when omitted)")
-    sweep.add_argument("--variable", choices=("rate", "se"), default="rate")
-    sweep.add_argument("--grid", default=None,
-                       help="min:max:points (default rate %s, se %s)"
-                            % (DEFAULT_RATE_GRID, DEFAULT_SE_GRID))
+    sweep.add_argument("--variable", choices=tuple(VARIABLES), default="rate")
+    sweep.add_argument("--grid", default=None, help="min:max:points (default %s)" % ", ".join(
+        f"{key} {grid}" for key, (_, grid, _) in VARIABLES.items()))
     sweep.add_argument("--variants", default=DEFAULT_VARIANTS,
                        help="comma list of sep-mmwave|sep-lifi|nonsep, each "
                             "optionally :mt=N (default %(default)s)")

@@ -12,9 +12,7 @@ SE_VARIABLE = "se_bits_per_hz"
 POWER_FIELDS = ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w")
 
 
-# variant kind -> the (separation, iap_kind) pair its manifest line records
-VARIANT_KINDS = {"sep-mmwave": ("separate", "mmwave"), "sep-lifi": ("separate", "lifi"),
-                 "nonsep": ("non-separate", "mmwave")}
+VARIANT_KINDS = ("sep-mmwave", "sep-lifi", "nonsep")
 
 
 class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):

@@ -41,8 +41,7 @@ ACCESS_SOLVE_ENTRIES = 4096
 class ScenarioModel:
     """Everything static about one variant; operating points are queried from it."""
 
-    def __init__(self, bundle: ConfigBundle, variant: VariantSpec,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, bundle: ConfigBundle, variant: VariantSpec, seed: int = 0):
         validate_bundle(bundle)
         self.bundle = bundle
         self.variant = variant
@@ -53,10 +52,9 @@ class ScenarioModel:
         self.k = k
         self.lifi = lifi
 
-        # geometry: fixed layout, or one seeded draw per model
+        # geometry: fixed layout, or a draw from the variant's own seeded stream
         if layout.placement == "random":
-            if rng is None:
-                rng = np.random.default_rng(0)
+            rng = _variant_stream(seed, variant.name)
             distances = np.sort(rng.uniform(layout.distance_min_m,
                                             layout.distance_max_m,
                                             cfg.n_buildings))
@@ -233,10 +231,9 @@ def _repeat_sum(value, times: int, start=0):
     return start
 
 
-def build_scenario(bundle: ConfigBundle, variant: VariantSpec,
-                   rng: np.random.Generator | None = None) -> ScenarioModel:
-    """Build the model for one variant."""
-    return ScenarioModel(bundle, variant, rng=rng)
+def build_scenario(bundle: ConfigBundle, variant: VariantSpec, seed: int = 0) -> ScenarioModel:
+    """Build the model for one variant; *seed* picks its random placement."""
+    return ScenarioModel(bundle, variant, seed)
 
 
 def _variant_stream(seed: int, name: str) -> np.random.Generator:
@@ -250,13 +247,11 @@ def _variant_stream(seed: int, name: str) -> np.random.Generator:
 def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResult:
     """Evaluate every variant over the grid; deterministic for a (config, seed).
 
-    Under random placement each variant gets an independent child RNG keyed
-    on its name, so evaluation order cannot change random placements.
+    Under random placement each variant draws from a stream keyed on its
+    name, so evaluation order cannot change random placements.
     """
-    draws = bundle.layout.placement == "random"
     columns = {}
     for variant in spec.variants:
-        rng = _variant_stream(seed, variant.name) if draws else None
-        model = build_scenario(bundle, variant, rng=rng)
+        model = build_scenario(bundle, variant, seed)
         columns[variant.name] = model.points(spec.grid, spec.variable)
     return SweepResult(spec=spec, seed=seed, columns=columns)

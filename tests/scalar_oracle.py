@@ -25,7 +25,7 @@ from b5gcell.power import (
     power_mbs,
     power_mbsala,
 )
-from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, _variant_stream, build_scenario
+from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, build_scenario
 
 
 class SaturationError(ValueError):
@@ -175,7 +175,7 @@ def run_sweep(bundle, spec, seed: int = 0) -> list:
     point at a time, variant-major then grid order."""
     rows = []
     for variant in spec.variants:
-        model = build_scenario(bundle, variant, rng=_variant_stream(seed, variant.name))
+        model = build_scenario(bundle, variant, seed=seed)
         point = rate_point if spec.variable == RATE_VARIABLE else se_point
         rows.extend(point(model, float(x)) for x in spec.grid)
     return rows

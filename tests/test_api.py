@@ -1,4 +1,6 @@
+import re
 import types
+from pathlib import Path
 
 import b5gcell
 import b5gcell.scenario
@@ -25,3 +27,13 @@ def test_package_exports_only_the_entry_points():
     assert names == PUBLIC
     assert b5gcell.run_sweep is b5gcell.scenario.run_sweep
     assert b5gcell.build_scenario is b5gcell.scenario.build_scenario
+
+
+def test_readme_python_blocks_run():
+    # every fenced python block of README.md, in order, in one namespace
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)

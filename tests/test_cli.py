@@ -215,11 +215,13 @@ def test_analyze_without_variant_lines_in_manifest_pairs_nothing(tmp_path, capsy
     assert not [ln for ln in lines if ln.startswith(("ratio.", "saving."))]
 
 
-# a variant line whose antenna count is no integer, whose separation is
-# unknown, or whose (separation, iap_kind) pair names no variant kind
-BAD_VARIANT_LINES = {"bad-m_t": "variant.9=sep-lifi,separate,lifi,many",
-                     "bad-separation": "variant.9=x,indoor,mmwave,64",
-                     "non-separate-lifi": "variant.9=x,non-separate,lifi,64"}
+# a variant line whose antenna count is no integer, whose kind is unknown
+# (such as a format-v1 separation), or that is a whole format-v1 line with
+# the kind spelled as its (separation, iap_kind) pair
+BAD_VARIANT_LINES = {"bad-m_t": "variant.9=sep-lifi,sep-lifi,many",
+                     "bad-separation": "variant.9=x,indoor,64",
+                     "non-separate-lifi": "variant.9=x,non-separate,64",
+                     "v1-pair": "variant.9=x,separate,lifi,64"}
 
 
 @pytest.mark.parametrize("line", BAD_VARIANT_LINES.values(), ids=BAD_VARIANT_LINES)
@@ -236,8 +238,10 @@ def test_manifest_records_each_variant_spec(tmp_path):
     out = tmp_path / "run"
     main(["sweep", "--out", str(out), *FAST, "--variants", "sep-lifi:mt=256,nonsep"])
     manifest = _manifest(out)
-    assert manifest["variant.0"] == "sep-lifi:mt=256,separate,lifi,256"
-    assert manifest["variant.1"] == "nonsep,non-separate,mmwave,64"
+    assert manifest["format"] == "b5gcell-sweep-v2"
+    assert manifest["variant.0"] == "sep-lifi:mt=256,sep-lifi,256"
+    assert manifest["variant.1"] == "nonsep,nonsep,64"
+    assert "variants" not in manifest
 
 
 def test_analyze_missing_dir_exits_1(tmp_path):
@@ -361,6 +365,22 @@ def test_analyze_config_without_manifest_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "nothing to verify" in captured.err
     assert captured.out == ""
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("cut", ["last-row", "variant-block"])
+def test_analyze_rejects_rows_missing_from_the_manifest_count(tmp_path, capsys, cut):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), *FAST])
+    results = out / "results.csv"
+    header, *rows = results.read_text().splitlines()
+    kept = rows[:-1] if cut == "last-row" else [r for r in rows if not r.startswith("sep-lifi,")]
+    results.write_text("\n".join([header, *kept]) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {results}: {len(kept)} rows, but the sweep manifest "
+                   f"records n_rows={len(rows)}\n")
     assert not (out / "summary.txt").exists()
 
 

@@ -186,12 +186,12 @@ def test_access_solver_hits_the_sinr_target(bundle):
 
 
 def test_access_solver_hits_the_sinr_target_with_64_random_users(bundle):
-    model = build_scenario(_crowded(bundle), SEP, rng=np.random.default_rng(3))
+    model = build_scenario(_crowded(bundle), SEP, seed=3)
     _assert_access_solver_hits(model, 0.2)
 
 
 def test_codebook_matrix_equals_scalar_expectations(bundle):
-    model = build_scenario(_crowded(bundle), SEP, rng=np.random.default_rng(4))
+    model = build_scenario(_crowded(bundle), SEP, seed=4)
     diag = np.diag(model.access_diag)
     assert np.count_nonzero(model.access_diag - np.diag(diag)) == 0
     assert np.all(np.diag(model.access_coupling) == 0.0)
@@ -244,10 +244,20 @@ def test_variant_order_does_not_move_random_placements(bundle):
     assert _same(ab.columns["nonsep"], alone.columns["nonsep"])
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("variant", [SEP, LIFI, NON], ids=lambda v: v.kind)
+def test_library_and_sweep_build_one_random_cell(bundle, variant, seed):
+    # build_scenario and run_sweep draw a variant's layout from the same seed
+    shuffled = bundle._replace(layout=bundle.layout._replace(placement="random"))
+    grid = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
+    swept = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (SEP, LIFI, NON)), seed=seed)
+    built = build_scenario(shuffled, variant, seed=seed).points(grid)
+    assert _same(built, swept.columns[variant.name])
+
+
 def test_random_placement_respects_bounds(bundle):
     layout = bundle.layout._replace(placement="random")
-    model = build_scenario(bundle._replace(layout=layout), SEP,
-                           rng=np.random.default_rng(5))
+    model = build_scenario(bundle._replace(layout=layout), SEP, seed=5)
     assert np.all(model.building_distances >= bundle.layout.distance_min_m)
     assert np.all(model.building_distances <= bundle.layout.distance_max_m)
     assert np.all(np.abs(model.user_offsets) <= bundle.layout.room_halfwidth_m)
