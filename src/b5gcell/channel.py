@@ -9,8 +9,6 @@ from collections import namedtuple
 
 import numpy as np
 
-from .config import lambertian_order, LiFiDeviceParams
-
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -42,6 +40,11 @@ def apply_penetration(path_loss_db: float, penetration_db: float) -> float:
 # LiFi line of sight
 # ---------------------------------------------------------------------------
 
+def lambertian_order(half_angle: float) -> float:
+    """Lambertian mode number for an LED half-intensity angle (rad): -1/log2(cos a)."""
+    return -1.0 / math.log2(math.cos(half_angle))
+
+
 class LiFiGeometry(namedtuple("LiFiGeometry", "distance phi psi")):
     """Geometry of one LED-to-photodiode link: distance (m), radiance angle at
     the LED and incidence angle at the photodiode (rad)."""
@@ -60,18 +63,19 @@ def lifi_angles(tx_pos, rx_pos, n_tx, n_rx) -> LiFiGeometry:
                         psi=math.acos(min(1.0, max(-1.0, cos_psi))))
 
 
-def lifi_los_gain(geom: LiFiGeometry, params: LiFiDeviceParams) -> float:
+def lifi_los_gain(geom: LiFiGeometry, lifi) -> float:
     """Lambertian LOS channel gain; zero outside the receiver field of view.
 
     (m+1) A / (2 pi d^2) * cos^m(phi) * g_filter * g(psi) * cos(psi), with the
-    concentrator gain g(psi) = n^2 / sin^2(FOV) inside the field of view.
+    concentrator gain g(psi) = n^2 / sin^2(FOV) inside the field of view and
+    the optics read from *lifi*, a bundle's ``lifi`` section.
     """
-    if geom.psi < 0 or geom.psi > params.fov:
+    if geom.psi < 0 or geom.psi > lifi.fov:
         return 0.0
     if geom.phi >= math.pi / 2:
         return 0.0
-    m = lambertian_order(params.half_angle)
-    conc = params.refr_index ** 2 / math.sin(params.fov) ** 2
-    return ((m + 1.0) * params.area_pd / (2.0 * math.pi * geom.distance ** 2)
+    m = lambertian_order(lifi.half_angle)
+    conc = lifi.refr_index ** 2 / math.sin(lifi.fov) ** 2
+    return ((m + 1.0) * lifi.area_pd / (2.0 * math.pi * geom.distance ** 2)
             * math.cos(geom.phi) ** m
-            * params.g_filter * conc * math.cos(geom.psi))
+            * lifi.g_filter * conc * math.cos(geom.psi))

@@ -92,43 +92,56 @@ def _reprs(values) -> list:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
+def _csv_chunks(result, x_texts: list):
+    """results.csv text: the header, then one chunk per variant."""
+    import numpy as np   # loaded by the sweep already
+    kind = result.spec.variable
+    yield CSV_HEADER + "\n"
+    for name, column in result.columns.items():
+        total, ee, p_mbs, p_bmaa, p_iap = (_reprs(column[field]) for field in POWER_FIELDS)
+        rows = list(map(",".join, zip(itertools.repeat(name), x_texts, itertools.repeat(kind),
+                                      total, ee, itertools.repeat("true"),
+                                      p_mbs, p_bmaa, p_iap)))
+        for i in np.flatnonzero(~column["feasible"]).tolist():
+            rows[i] = f"{name},{x_texts[i]},{kind},,,false,,,"
+        yield "\n".join(rows) + "\n"
+
+
+def _write(path: Path, chunks) -> None:
+    """Write the text *chunks* to *path*, failing as --out does."""
+    try:
+        with open(path, "w") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"--out {path.parent}: cannot write {path.name} "
+                          f"({exc.strerror})") from None
+
+
 def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -> int:
     """Write the sweep directory; *axis* is the charts' (file stem, x label), None for none."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory "
                           f"({exc.strerror})") from None
     import numpy as np   # loaded by the sweep already
     from datetime import datetime, timezone
-    kind = result.spec.variable
     x_texts = _reprs(np.asarray(result.spec.grid, dtype=np.float64))
-    n_rows = 0
-    with open(out_dir / "results.csv", "w") as csv:
-        csv.write(CSV_HEADER + "\n")
-        for name, column in result.columns.items():
-            total, ee, p_mbs, p_bmaa, p_iap = (_reprs(column[field]) for field in POWER_FIELDS)
-            rows = list(map(",".join, zip(itertools.repeat(name), x_texts, itertools.repeat(kind),
-                                          total, ee, itertools.repeat("true"),
-                                          p_mbs, p_bmaa, p_iap)))
-            for i in np.flatnonzero(~column["feasible"]).tolist():
-                rows[i] = f"{name},{x_texts[i]},{kind},,,false,,,"
-            csv.write("\n".join(rows) + "\n")
-            n_rows += len(rows)
+    _write(out_dir / "results.csv", _csv_chunks(result, x_texts))
 
     manifest = [
         "format=b5gcell-sweep-v2",
         f"version={__version__}",
         *(f"{key}={value}" for key, value in digests.items()),
         f"seed={result.seed}",
-        f"variable={kind}",
+        f"variable={result.spec.variable}",
         f"grid={grid_text}",
         *(f"variant.{i}={v.name},{v.kind},{v.m_t}"
           for i, v in enumerate(result.spec.variants)),
-        f"n_rows={n_rows}",
+        f"n_rows={len(x_texts) * len(result.columns)}",
         f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
     ]
-    (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n")
+    _write(out_dir / "manifest.txt", ["\n".join(manifest) + "\n"])
 
     n_feasible = sum(int(column["feasible"].sum()) for column in result.columns.values())
     if axis and n_feasible:
@@ -137,8 +150,8 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
             series = [(name, column[field].tolist()) for name, column in result.columns.items()]
-            (out_dir / f"{prefix}_vs_{stem}.svg").write_text(
-                line_chart(result.spec.grid, series, f"{title} vs {stem}", x_label, y_label))
+            _write(out_dir / f"{prefix}_vs_{stem}.svg", [
+                line_chart(result.spec.grid, series, f"{title} vs {stem}", x_label, y_label)])
     return 0 if n_feasible else 2
 
 

@@ -2,9 +2,10 @@
 
 ``DEFAULTS`` is the config: each ``section.key`` row states the key's default
 value, the rule a value must satisfy and a note on its meaning, unit and
-provenance.  The section classes are named tuples whose fields are the table's
-keys, and the loader, ``default_bundle``, ``validate_bundle`` and the
-canonical writer all walk it.
+provenance.  ``ConfigBundle`` has one field per section, in table order, and
+each section is a named tuple generated from its rows; the loader,
+``default_bundle``, ``validate_bundle`` and the canonical writer all walk the
+table.
 A key's type is the type of its default: ints parse with ``int(text, 0)``,
 floats with ``float``, strings are lower-cased, a flat tuple is a comma vector
 and a tuple of tuples a ``;`` list of such vectors.
@@ -33,11 +34,6 @@ ENV_PREFIX = "B5GCELL_"
 
 class ConfigError(ValueError):
     """Raised when a config file, env override, or bundle violates an invariant."""
-
-
-def lambertian_order(half_angle: float) -> float:
-    """Lambertian mode number for an LED half-intensity angle (rad): -1/log2(cos a)."""
-    return -1.0 / math.log2(math.cos(half_angle))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +137,10 @@ DEFAULTS: dict[str, Default] = {
     "lifi.p_opt": Default(3.0, "> 0", "engineering choice: luminaire optical output, W"),
     "lifi.n0": Default(1e-21, "> 0", "engineering choice: receiver noise density per Hz of "
                                      "bandwidth_in"),
-    # lifi LED electrical set
+    # lifi LED electrical set.  The illumination and communication power laws
+    # are taken as given, so the units of this set are declared by configuration
+    # rather than asserted: q*phi is the drive current in A when phi is a photon
+    # rate in 1/s.
     "lifi_led.n": Default(2.0, "> 0", "typical diode ideality factor"),
     "lifi_led.q": Default(1.602e-19, "> 0", "elementary charge (C)"),
     "lifi_led.v_t": Default(0.0259, "> 0", "thermal voltage at 300 K (V)"),
@@ -181,71 +180,38 @@ DEFAULTS: dict[str, Default] = {
 }
 
 
-# section names, in table (and dump) order
-_SECTIONS = tuple(dict.fromkeys(key.partition(".")[0] for key in DEFAULTS))
-
-
 # ---------------------------------------------------------------------------
-# parameter bundles, built from the table
+# the bundle, built from the table
 # ---------------------------------------------------------------------------
 
-def _section_class(name: str, section: str | None, doc: str, **nested):
-    """Named tuple holding the *nested* sections (class per field name in
-    ``_nested``), then one field per DEFAULTS key of *section*."""
-    own = [key.partition(".")[2] for key in DEFAULTS if key.partition(".")[0] == section]
-    cls = namedtuple(name, [*nested, *own], module=__name__)
-    cls.__doc__, cls._section, cls._nested = doc, section, nested
-    return cls
+# section name -> its named tuple, one field per key; both in table (and dump) order
+_SECTIONS = {section: namedtuple(section, [key.partition(".")[2] for key in DEFAULTS
+                                           if key.partition(".")[0] == section])
+             for section in dict.fromkeys(key.partition(".")[0] for key in DEFAULTS)}
+
+ConfigBundle = namedtuple("ConfigBundle", _SECTIONS, module=__name__)
+ConfigBundle.__doc__ = "Every config section of one run, as one field per DEFAULTS section."
 
 
-ScenarioConfig = _section_class("ScenarioConfig", "scenario",
-                                "Cell-level scenario parameters shared by every variant.")
-MbsalaRf = _section_class("MbsalaRf", "mbsala",
-                          "Per-element transmit chain draws of an outdoor relay array (W).")
-BmaaRf = _section_class("BmaaRf", "bmaa",
-                        "Per-element receive chain draws of a building-mounted array (W).")
-IapRf = _section_class("IapRf", "iap",
-                       "Per-element chain draws of the indoor mmWave access point (W).")
-DeviceConstants = _section_class("DeviceConstants", "devices",
-                                 "Hardware constants shared by the power models.",
-                                 mbsala=MbsalaRf, bmaa=BmaaRf, iap=IapRf)
-LedElectrical = _section_class("LedElectrical", "lifi_led",
-                               "Electrical constants of the LiFi LED driver.  The illumination "
-                               "and communication power laws are taken as given, so the units "
-                               "of this set are declared by configuration rather than asserted: "
-                               "q*phi is the drive current in A when phi is a photon rate in 1/s.")
-LiFiDeviceParams = _section_class("LiFiDeviceParams", "lifi",
-                                  "Optical front-end and geometry defaults for one LiFi "
-                                  "access point.", led=LedElectrical)
-GopsModel = _section_class("GopsModel", "gops",
-                           "Complexity accounting: timescale plus fixed workload terms (GOPS).")
-LayoutConfig = _section_class("LayoutConfig", "layout",
-                              "Deterministic cell geometry; a seeded random alternative exists.")
-ConfigBundle = _section_class("ConfigBundle", None, "Every config section of one run.",
-                              scenario=ScenarioConfig, constants=DeviceConstants,
-                              lifi=LiFiDeviceParams, gops=GopsModel, layout=LayoutConfig)
+def _build(values: dict[str, object]) -> ConfigBundle:
+    """Bundle of flat ``section.key`` values."""
+    return ConfigBundle._make(cls._make(values[f"{section}.{name}"] for name in cls._fields)
+                              for section, cls in _SECTIONS.items())
 
 
-def _build(cls, values: dict[str, object]):
-    """Nest flat ``section.key`` values into *cls* and its nested sections."""
-    return cls._make(_build(cls._nested[name], values) if name in cls._nested
-                     else values[f"{cls._section}.{name}"] for name in cls._fields)
+def _flatten(bundle: ConfigBundle) -> dict[str, object]:
+    """{section.key: value} of a bundle."""
+    return {f"{section}.{name}": value for section, values in zip(bundle._fields, bundle)
+            for name, value in zip(values._fields, values)}
 
 
-def _flatten(obj) -> dict[str, object]:
-    """{section.key: value} of a bundle or one of its sections."""
-    out = {}
-    for name, value in zip(obj._fields, obj):
-        if name in obj._nested:
-            out.update(_flatten(value))
-        else:
-            out[f"{obj._section}.{name}"] = value
-    return out
+# the section classes are not module attributes, so a bundle pickles as its values
+ConfigBundle.__reduce__ = lambda self: (_build, (_flatten(self),))
 
 
 def default_bundle() -> ConfigBundle:
     """Bundle built purely from the shipped defaults table."""
-    return _build(ConfigBundle, {key: d.value for key, d in DEFAULTS.items()})
+    return _build({key: d.value for key, d in DEFAULTS.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +273,19 @@ _ALIASES = {
 }
 
 
+def _split(text: str, sep: str) -> list:
+    """The *sep*-separated parts of *text*: none for a blank text, and a blank
+    part among others is an error rather than a skipped component."""
+    if not text.strip():
+        return []
+    parts = text.split(sep)
+    if not all(part.strip() for part in parts):
+        raise ValueError("empty component")
+    return parts
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+    return tuple(float(p) for p in _split(text, ","))
 
 
 def _parse(key: str, text: str):
@@ -322,7 +299,7 @@ def _parse(key: str, text: str):
         return float(text)
     if isinstance(default[0], tuple):
         dim = len(default[0])
-        vecs = tuple(_floats(part) for part in text.split(";") if part.strip())
+        vecs = tuple(_floats(part) for part in _split(text, ";"))
         for vec in vecs:
             if len(vec) != dim:
                 raise ValueError(f"expected {dim} components per ';'-separated entry, "
@@ -381,7 +358,7 @@ def load_config(path: str | None = None, use_env: bool = True,
         _overlay(values, _parse_text(text, path))
     if use_env:
         _overlay(values, _env_overrides(environ if environ is not None else os.environ))
-    bundle = _build(ConfigBundle, values)
+    bundle = _build(values)
     validate_bundle(bundle)
     return bundle
 

@@ -11,6 +11,11 @@ Conventions fixed here once:
   A relay array is fed by the macro site's supply, so its own total carries
   no divisor.
 * The laws check nothing; the gate is validate_bundle, SweepSpec and points().
+
+Arguments name the config they read: *cfg* is a bundle's ``scenario`` section
+(with the variant's m_t), *gops* its ``gops`` section, *led* its ``lifi_led``
+section and *b* the whole bundle, whose device sections the device laws read
+by their table names.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .config import DeviceConstants, GopsModel, LiFiDeviceParams, ScenarioConfig
+from .config import ConfigBundle
 
 
 # processing stages, in the order ``total`` adds them
@@ -81,15 +86,15 @@ def gops_precoding(n_ue: int, n_buildings: int, n_beams: int, pilot_len: int,
     return items * weight * frame_rate / 1e9
 
 
-def _blocks_per_s(cfg: ScenarioConfig, gops: GopsModel) -> float:
+def _blocks_per_s(cfg, gops) -> float:
     return gops.n_symbols * gops.frame_rate / cfg.coherence_block
 
 
-def _pre_weight(antennas: int, gops: GopsModel) -> float:
+def _pre_weight(antennas: int, gops) -> float:
     return gops.pre_weight if gops.pre_weight > 0 else antennas * gops.n_fft
 
 
-def mbsala_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
+def mbsala_load(cfg, gops) -> ComplexityLoad:
     """Transmit-side workload of one relay array."""
     return ComplexityLoad(
         fltr=gops.fltr,
@@ -104,7 +109,7 @@ def mbsala_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
     )
 
 
-def bmaa_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
+def bmaa_load(cfg, gops) -> ComplexityLoad:
     """Receive-side workload of one building array, scaled by its beam count."""
     per_beam = ComplexityLoad(
         fltr=gops.fltr,
@@ -121,7 +126,7 @@ def bmaa_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
     return ComplexityLoad._make(cfg.n_beams * x for x in per_beam)
 
 
-def iap_load(gops: GopsModel) -> ComplexityLoad:
+def iap_load(gops) -> ComplexityLoad:
     """Workload of the indoor mmWave access point."""
     return ComplexityLoad(
         fltr=gops.fltr,
@@ -132,7 +137,7 @@ def iap_load(gops: GopsModel) -> ComplexityLoad:
     )
 
 
-def mbs_load(cfg: ScenarioConfig, gops: GopsModel) -> ComplexityLoad:
+def mbs_load(cfg, gops) -> ComplexityLoad:
     """Site-level workload: control, network and encoding per attached array."""
     return ComplexityLoad(
         ctrl=cfg.n_arrays * gops.ctrl,
@@ -154,19 +159,19 @@ def _rf_front_end(antennas: int, per_antenna: float, clock: float) -> float:
     return antennas * per_antenna + math.sqrt(antennas) * clock
 
 
-def rf_power_mbsala(m_t: int, k: DeviceConstants) -> float:
-    return _rf_front_end(m_t, k.mbsala.p_mod + k.mbsala.p_mix + k.mbsala.p_dac,
-                         k.mbsala.p_clk)
+def rf_power_mbsala(m_t: int, b: ConfigBundle) -> float:
+    rf = b.mbsala
+    return _rf_front_end(m_t, rf.p_mod + rf.p_mix + rf.p_dac, rf.p_clk)
 
 
-def rf_power_bmaa(m_r: int, k: DeviceConstants) -> float:
-    return _rf_front_end(m_r, k.bmaa.p_mix + k.bmaa.p_vga + k.bmaa.p_adc
-                         + k.bmaa.p_lna, k.bmaa.p_clc)
+def rf_power_bmaa(m_r: int, b: ConfigBundle) -> float:
+    rf = b.bmaa
+    return _rf_front_end(m_r, rf.p_mix + rf.p_vga + rf.p_adc + rf.p_lna, rf.p_clc)
 
 
-def rf_power_iap(m_t_iap: int, k: DeviceConstants) -> float:
-    return _rf_front_end(m_t_iap, k.iap.p_mix + k.iap.p_dac + k.iap.p_bft
-                         + k.iap.p_fs, k.iap.p_clc)
+def rf_power_iap(m_t_iap: int, b: ConfigBundle) -> float:
+    rf = b.iap
+    return _rf_front_end(m_t_iap, rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs, rf.p_clc)
 
 
 # ---------------------------------------------------------------------------
@@ -194,49 +199,49 @@ def pa_power_doherty(p_out, p_max: float):
 # device aggregates
 # ---------------------------------------------------------------------------
 
-def overhead_divisor(k: DeviceConstants) -> float:
-    return (1.0 - k.eta_c) * (1.0 - k.eta_acdc) * (1.0 - k.eta_dcdc)
+def overhead_divisor(b: ConfigBundle) -> float:
+    d = b.devices
+    return (1.0 - d.eta_c) * (1.0 - d.eta_acdc) * (1.0 - d.eta_dcdc)
 
 
-def power_mbsala(load: ComplexityLoad, k: DeviceConstants, m_t: int,
+def power_mbsala(load: ComplexityLoad, b: ConfigBundle, m_t: int,
                  p_out_per_beam) -> DevicePower:
     """One relay array: baseband + RF front end + class-B amplifier per stream.
 
     No overhead divisor here; the macro-site supply carries it.
     """
-    p_bb = bb_power(load, k.rho)
-    p_rf = rf_power_mbsala(m_t, k)
-    p_pa = sum(pa_power_classb(p, k.mbsala.pa_max) for p in p_out_per_beam)
+    p_bb = bb_power(load, b.devices.rho)
+    p_rf = rf_power_mbsala(m_t, b)
+    p_pa = sum(pa_power_classb(p, b.mbsala.pa_max) for p in p_out_per_beam)
     return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
                        p_total=p_bb + p_rf + p_pa)
 
 
-def power_bmaa(load: ComplexityLoad, k: DeviceConstants, m_r: int) -> DevicePower:
+def power_bmaa(load: ComplexityLoad, b: ConfigBundle, m_r: int) -> DevicePower:
     """One building-mounted array: receive-only, own supply overhead."""
-    p_bb = bb_power(load, k.rho)
-    p_rf = rf_power_bmaa(m_r, k)
-    total = (p_bb + p_rf) / overhead_divisor(k)
+    p_bb = bb_power(load, b.devices.rho)
+    p_rf = rf_power_bmaa(m_r, b)
+    total = (p_bb + p_rf) / overhead_divisor(b)
     return DevicePower(kind="bmaa", p_bb=p_bb, p_rf=p_rf, p_pa=0.0, p_total=total)
 
 
-def power_iap_mmwave(load: ComplexityLoad, k: DeviceConstants, m_t_iap: int,
+def power_iap_mmwave(load: ComplexityLoad, b: ConfigBundle, m_t_iap: int,
                      p_out: float) -> DevicePower:
     """Indoor mmWave access point: baseband + RF + Doherty amplifier, own supply."""
-    p_bb = bb_power(load, k.rho)
-    p_rf = rf_power_iap(m_t_iap, k)
-    p_pa = pa_power_doherty(p_out, k.iap.pa_max)
-    total = (p_bb + p_rf + p_pa) / overhead_divisor(k)
+    p_bb = bb_power(load, b.devices.rho)
+    p_rf = rf_power_iap(m_t_iap, b)
+    p_pa = pa_power_doherty(p_out, b.iap.pa_max)
+    total = (p_bb + p_rf + p_pa) / overhead_divisor(b)
     return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
                        p_total=total)
 
 
-def power_lifi_iap(params: LiFiDeviceParams, h_los: float) -> DevicePower:
+def power_lifi_iap(led, h_los: float) -> DevicePower:
     """LiFi access point: illumination power plus communication power.
 
     Illumination is rate-independent; communication scales with the squared
     LOS gain.  Neither term carries a supply overhead divisor.
     """
-    led = params.led
     drive = led.q * led.phi
     p_illum = (led.n * led.v_t * drive / (led.p_f * led.eps)
                * math.log(drive / (led.p_f * led.eps * led.i_s) + 1.0))
@@ -245,15 +250,14 @@ def power_lifi_iap(params: LiFiDeviceParams, h_los: float) -> DevicePower:
                        p_total=p_illum + p_comm, p_illum=p_illum, p_comm=p_comm)
 
 
-def power_mbs(k: DeviceConstants, site_load: ComplexityLoad,
-              mbsala_powers) -> DevicePower:
+def power_mbs(b: ConfigBundle, site_load: ComplexityLoad, mbsala_powers) -> DevicePower:
     """Macro site: own baseband plus its relay arrays, all over the supply divisor.
 
     The reported breakdown aggregates the arrays' stages so that
     p_total * divisor == p_bb + p_rf + p_pa holds exactly.
     """
-    p_bb = bb_power(site_load, k.rho) + sum(m.p_bb for m in mbsala_powers)
+    p_bb = bb_power(site_load, b.devices.rho) + sum(m.p_bb for m in mbsala_powers)
     p_rf = sum(m.p_rf for m in mbsala_powers)
     p_pa = sum(m.p_pa for m in mbsala_powers)
-    total = (p_bb + p_rf + p_pa) / overhead_divisor(k)
+    total = (p_bb + p_rf + p_pa) / overhead_divisor(b)
     return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)

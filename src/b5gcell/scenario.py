@@ -47,10 +47,7 @@ class ScenarioModel:
         self.variant = variant
         cfg = bundle.scenario._replace(m_t=variant.m_t)
         self.cfg = cfg
-        k, lifi, gops, layout = (bundle.constants, bundle.lifi, bundle.gops,
-                                 bundle.layout)
-        self.k = k
-        self.lifi = lifi
+        gops, layout = bundle.gops, bundle.layout
 
         # geometry: fixed layout, or a draw from the variant's own seeded stream
         if layout.placement == "random":
@@ -91,7 +88,7 @@ class ScenarioModel:
         self._mbsala_load, self._mbs_load = mbsala_load(cfg, gops), mbs_load(cfg, gops)
         self._bmaa_sum = self._iap_sum = 0
         if variant.kind != "nonsep":
-            bmaa = power_bmaa(bmaa_load(cfg, gops), k, cfg.m_r)
+            bmaa = power_bmaa(bmaa_load(cfg, gops), bundle, cfg.m_r)
             self._bmaa_sum = _repeat_sum(bmaa.p_total, n_devices)
         if variant.kind == "sep-mmwave":
             self.beta_access = np.array([
@@ -101,7 +98,7 @@ class ScenarioModel:
             self._iap_load = iap_load(gops)
         if variant.kind == "sep-lifi":
             self._init_lifi(iap_pos, user_pos)
-            iap = power_lifi_iap(lifi, float(np.mean(self.lifi_h)))
+            iap = power_lifi_iap(bundle.lifi_led, float(np.mean(self.lifi_h)))
             self._iap_sum = _repeat_sum(iap.p_total, n_devices)
 
     # -- indoor access precomputation ------------------------------------
@@ -122,7 +119,7 @@ class ScenarioModel:
         self.access_coupling = coupling
 
     def _init_lifi(self, iap_pos, user_pos):
-        lifi = self.lifi
+        lifi = self.bundle.lifi
         h = []
         for pos in user_pos:
             geom = lifi_angles(iap_pos, pos, lifi.n_tx, lifi.n_rx)
@@ -188,7 +185,7 @@ class ScenarioModel:
             raise ValueError(f"{what} must be >= 0, got {rates.min()!r}")
         if x_kind == SE_VARIABLE:
             rates = rates * self.cfg.bandwidth_out * self.n_users
-        cfg, k, variant = self.cfg, self.k, self.variant
+        cfg, b, variant = self.cfg, self.bundle, self.variant
         rate_user = rates / self.n_users
         feasible = np.ones(rates.shape, bool)
         iap_sum = self._iap_sum
@@ -196,9 +193,9 @@ class ScenarioModel:
             if variant.kind == "sep-mmwave":
                 p_out = self._access_power(
                     required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma))
-                feasible &= p_out <= k.iap.pa_max   # False where NaN (unmeetable)
-                iap = power_iap_mmwave(self._iap_load, k, cfg.m_t_iap,
-                                       np.minimum(p_out, k.iap.pa_max))
+                feasible &= p_out <= b.iap.pa_max   # False where NaN (unmeetable)
+                iap = power_iap_mmwave(self._iap_load, b, cfg.m_t_iap,
+                                       np.minimum(p_out, b.iap.pa_max))
                 iap_sum = _repeat_sum(iap.p_total, cfg.n_arrays * cfg.n_buildings)
             elif variant.kind == "sep-lifi":   # fixed optical drive
                 feasible &= rate_user <= self._lifi_capacity
@@ -212,10 +209,10 @@ class ScenarioModel:
             p_beams = []
             for beta in betas:   # building-major, one amplifier per stream
                 p = target * self.sigma_out / (beta * cfg.m_t * rx)
-                feasible &= p <= k.mbsala.pa_max
-                p_beams += [np.minimum(p, k.mbsala.pa_max)] * streams
-            mbsala = power_mbsala(self._mbsala_load, k, cfg.m_t, p_beams)
-            p_mbs = power_mbs(k, self._mbs_load, [mbsala] * cfg.n_arrays).p_total
+                feasible &= p <= b.mbsala.pa_max
+                p_beams += [np.minimum(p, b.mbsala.pa_max)] * streams
+            mbsala = power_mbsala(self._mbsala_load, b, cfg.m_t, p_beams)
+            p_mbs = power_mbs(b, self._mbs_load, [mbsala] * cfg.n_arrays).p_total
             total = p_mbs + self._bmaa_sum + iap_sum
             ee = rates / cfg.bandwidth_out / total
         values = (total, ee, p_mbs, self._bmaa_sum, iap_sum)

@@ -87,20 +87,20 @@ def _backhaul_beam_powers(model, rate_user: float):
     powers = []
     for beta in model.beta_backhaul:
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.m_r)
-        if p > model.k.mbsala.pa_max:
-            raise SaturationError(f"backhaul pa: {p!r} W > {model.k.mbsala.pa_max!r} W")
+        if p > model.bundle.mbsala.pa_max:
+            raise SaturationError(f"backhaul pa: {p!r} W > {model.bundle.mbsala.pa_max!r} W")
         powers.extend([p] * cfg.n_beams)
     return powers
 
 
 def _outdoor_devices(model, beams):
-    cfg, k, gops = model.cfg, model.k, model.bundle.gops
-    mbsala = power_mbsala(mbsala_load(cfg, gops), k, cfg.m_t, beams)
-    return power_mbs(k, mbs_load(cfg, gops), [mbsala] * cfg.n_arrays)
+    cfg, b, gops = model.cfg, model.bundle, model.bundle.gops
+    mbsala = power_mbsala(mbsala_load(cfg, gops), b, cfg.m_t, beams)
+    return power_mbs(b, mbs_load(cfg, gops), [mbsala] * cfg.n_arrays)
 
 
 def _separate_point(model, rate_user: float):
-    cfg, k, gops = model.cfg, model.k, model.bundle.gops
+    cfg, b, gops = model.cfg, model.bundle, model.bundle.gops
     n_devices = cfg.n_arrays * cfg.n_buildings
     if model.variant.kind == "sep-mmwave":
         target = required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma)
@@ -108,29 +108,29 @@ def _separate_point(model, rate_user: float):
         if powers is None:
             return None
         p_out = float(np.sum(powers))
-        if p_out > k.iap.pa_max:
+        if p_out > b.iap.pa_max:
             return None
-        iap = power_iap_mmwave(iap_load(gops), k, cfg.m_t_iap, p_out)
+        iap = power_iap_mmwave(iap_load(gops), b, cfg.m_t_iap, p_out)
     else:
         share = cfg.bandwidth_in / cfg.n_iue
         for sinr in model.lifi_sinr:
             capacity = cfg.gamma * share * math.log2(1.0 + sinr)
             if rate_user > capacity:
                 return None
-        iap = power_lifi_iap(model.lifi, float(np.mean(model.lifi_h)))
+        iap = power_lifi_iap(model.bundle.lifi_led, float(np.mean(model.lifi_h)))
     mbs = _outdoor_devices(model, _backhaul_beam_powers(model, rate_user))
-    bmaa = power_bmaa(bmaa_load(cfg, gops), k, cfg.m_r)
+    bmaa = power_bmaa(bmaa_load(cfg, gops), b, cfg.m_r)
     return mbs, [bmaa] * n_devices, [iap] * n_devices
 
 
 def _direct_point(model, rate_user: float):
-    cfg, k = model.cfg, model.k
+    cfg, b = model.cfg, model.bundle
     target = required_sinr(rate_user / cfg.bandwidth_out, cfg.gamma)
     beams = []
     for beta in model.beta_direct:
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.ue_antennas)
-        if p > k.mbsala.pa_max:
-            raise SaturationError(f"direct pa: {p!r} W > {k.mbsala.pa_max!r} W")
+        if p > b.mbsala.pa_max:
+            raise SaturationError(f"direct pa: {p!r} W > {b.mbsala.pa_max!r} W")
         beams.extend([p] * cfg.n_iue)
     return _outdoor_devices(model, beams), [], []
 

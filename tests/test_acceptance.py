@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from b5gcell import default_bundle
-from b5gcell.channel import pathloss_winner_b5a
+from b5gcell.channel import lambertian_order, pathloss_winner_b5a
 from b5gcell.cli import _summarize, main as cli_main
-from b5gcell.config import lambertian_order
 from b5gcell.metrics import required_sinr
 from b5gcell.power import (
     bmaa_load,
@@ -98,7 +97,7 @@ def test_exact_formula_checks():
     _check(lines, "doherty values incl. both branch values at quarter rating", ok,
            f"jump {pa_power_doherty(0.25, 1.0) / pa_power_doherty(below, 1.0):.6f}x")
 
-    divisor = overhead_divisor(default_bundle().constants)
+    divisor = overhead_divisor(default_bundle())
     ok = _rel(1.0 / divisor, 1.2778736182991504) <= 1e-9
     _check(lines, "supply overhead: 1 W numerator -> 1.27787 W", ok,
            f"got {1.0 / divisor:.10f}")
@@ -298,11 +297,11 @@ def test_determinism_and_schema(tmp_path):
            identical)
 
     bundle = default_bundle()
-    cfg, k, gops = bundle.scenario, bundle.constants, bundle.gops
-    mbsala = power_mbsala(mbsala_load(cfg, gops), k, 64, [1.0] * 4)
-    bmaa = power_bmaa(bmaa_load(cfg, gops), k, 64)
-    iap = power_iap_mmwave(iap_load(gops), k, 16, 0.1)
-    lifi = power_lifi_iap(bundle.lifi, 1e-5)
+    cfg, gops = bundle.scenario, bundle.gops
+    mbsala = power_mbsala(mbsala_load(cfg, gops), bundle, 64, [1.0] * 4)
+    bmaa = power_bmaa(bmaa_load(cfg, gops), bundle, 64)
+    iap = power_iap_mmwave(iap_load(gops), bundle, 16, 0.1)
+    lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     current = {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,
         "mbsala.p_pa": mbsala.p_pa, "mbsala.p_total": mbsala.p_total,

@@ -502,6 +502,16 @@ def test_sweep_out_onto_a_file_exits_1_naming_the_option(tmp_path, capsys, out):
     assert (tmp_path / "afile").read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("name", ["results.csv", "manifest.txt"])
+def test_sweep_unwritable_output_file_exits_1_naming_it(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    assert main(["sweep", "--out", str(out), *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: cannot write {name} (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out), "--seed", "-1", *FAST]) == 1

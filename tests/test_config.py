@@ -1,20 +1,23 @@
+import copy
 import hashlib
 import math
+import pickle
 import re
 
+import numpy as np
 import pytest
 
-from b5gcell import ConfigError, default_bundle, dumps_config, load_config, write_config
-from b5gcell.config import (DEFAULTS, BmaaRf, DeviceConstants, GopsModel, IapRf, LayoutConfig,
-                            LedElectrical, LiFiDeviceParams, MbsalaRf, ScenarioConfig,
-                            lambertian_order)
+from b5gcell import (ConfigBundle, ConfigError, VariantSpec, build_scenario, default_bundle,
+                     dumps_config, load_config, write_config)
+from b5gcell.channel import lambertian_order
+from b5gcell.config import DEFAULTS
 
 
 def test_defaults_load_without_file():
     bundle = load_config(None, use_env=False)
     assert bundle.scenario.m_t == 64
     assert bundle.scenario.n_arrays == 4
-    assert bundle.constants.rho == 160.0
+    assert bundle.devices.rho == 160.0
     assert bundle.lifi.half_angle == pytest.approx(math.pi / 3)
 
 
@@ -50,7 +53,7 @@ def test_env_overrides_beat_file(tmp_path):
 
 def test_env_override_other_sections():
     bundle = load_config(None, environ={"B5GCELL_DEVICES__RHO": "320"})
-    assert bundle.constants.rho == 320.0
+    assert bundle.devices.rho == 320.0
 
 
 def test_malformed_env_name_rejected():
@@ -159,14 +162,6 @@ def test_default_bundle_is_validated(bundle):
 
 DEFAULT_DUMP_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
 
-# section name -> the named tuple holding its keys
-SECTION_CLASSES = {
-    "scenario": ScenarioConfig, "mbsala": MbsalaRf, "bmaa": BmaaRf, "iap": IapRf,
-    "devices": DeviceConstants, "lifi": LiFiDeviceParams, "lifi_led": LedElectrical,
-    "gops": GopsModel, "layout": LayoutConfig,
-}
-NESTED = {"mbsala", "bmaa", "iap", "led"}
-
 
 def _dumped_values(text):
     """{section.key: text} from a canonical dump."""
@@ -180,11 +175,41 @@ def _dumped_values(text):
     return out
 
 
-def test_defaults_keys_match_dataclass_fields_one_to_one():
-    field_keys = [f"{section}.{name}" for section, cls in SECTION_CLASSES.items()
-                  for name in cls._fields if name not in NESTED]
-    assert len(field_keys) == len(set(field_keys))
-    assert sorted(field_keys) == sorted(DEFAULTS)
+def test_defaults_keys_match_dataclass_fields_one_to_one(bundle):
+    # one bundle field per table section, one section field per key, in table order
+    sections = [key.partition(".")[0] for key in DEFAULTS]
+    assert ConfigBundle._fields == tuple(dict.fromkeys(sections))
+    for section, values in zip(ConfigBundle._fields, bundle):
+        assert values._fields == tuple(key.partition(".")[2] for key in DEFAULTS
+                                       if key.partition(".")[0] == section)
+
+
+# one key of each device section the power laws read by its table name, the
+# value set in code, and a variant whose points the key moves
+DEVICE_KEYS = [("mbsala.pa_max", 20.0, "nonsep"), ("bmaa.p_adc", 0.01, "sep-lifi"),
+                   ("iap.pa_max", 0.5, "sep-mmwave"), ("devices.rho", 320.0, "nonsep"),
+                   ("lifi_led.phi", 1e18, "sep-lifi")]
+
+
+@pytest.mark.parametrize("key, value, kind", DEVICE_KEYS,
+                         ids=[key for key, _, _ in DEVICE_KEYS])
+def test_env_override_reaches_the_section_of_its_table_name(bundle, key, value, kind):
+    section, _, name = key.partition(".")
+    loaded = load_config(None, environ=_env(key, repr(value)))
+    made = bundle._replace(**{section: getattr(bundle, section)._replace(**{name: value})})
+    assert loaded == made != bundle
+    variant, rates = VariantSpec(kind, kind, 64), np.linspace(0.0, 6e9, 25)
+    columns = [build_scenario(b, variant).points(rates) for b in (loaded, made, bundle)]
+    for column in columns[0]:
+        np.testing.assert_array_equal(columns[0][column], columns[1][column])
+    assert not np.array_equal(columns[0]["total_power_w"], columns[2]["total_power_w"],
+                              equal_nan=True)
+
+
+def test_bundle_pickles_and_copies(bundle):
+    changed = bundle._replace(lifi_led=bundle.lifi_led._replace(phi=1e18))
+    assert pickle.loads(pickle.dumps(changed)) == changed
+    assert copy.deepcopy(changed) == changed
 
 
 def test_default_dump_digest_pinned(bundle):
@@ -350,3 +375,28 @@ def test_fixed_placement_needs_one_offset_per_user():
 def test_fixed_placement_needs_one_distance_per_building():
     with pytest.raises(ConfigError, match="layout.building_distances_m"):
         load_config(None, environ={"B5GCELL_SCENARIO__N_BUILDINGS": "2"})
+
+
+EMPTY_COMPONENTS = {
+    "distances-inner": ("layout.building_distances_m", "100,,200,300,400"),
+    "normal-trailing": ("lifi.n_tx", "0, 0, -1,"),
+    "offsets-inner-vector": ("layout.user_offsets_m", "1.5, 1.5; ; -1.5, -1.5; 1.5, -1.5"),
+    "offsets-trailing-vector": ("layout.user_offsets_m",
+                                "1.5, 1.5; -1.5, 1.5; -1.5, -1.5; 1.5, -1.5;"),
+    "offsets-trailing-number": ("layout.user_offsets_m",
+                                "1.5, 1.5; -1.5, 1.5; -1.5,; 1.5, -1.5"),
+}
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+@pytest.mark.parametrize("key, text", EMPTY_COMPONENTS.values(), ids=EMPTY_COMPONENTS)
+def test_vector_empty_component_rejected(tmp_path, source, key, text):
+    if source == "file":
+        section, _, name = key.partition(".")
+        path = tmp_path / "cell.cfg"
+        path.write_text(f"[{section}]\n{name} = {text}\n")
+        sources = {"path": str(path), "use_env": False}
+    else:
+        sources = {"environ": _env(key, text)}
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: empty component")):
+        load_config(**sources)

@@ -88,29 +88,28 @@ def test_bb_power_is_load_over_rho():
 # --- RF front ends ---------------------------------------------------------------
 
 def test_rf_mbsala_hand_sum(bundle):
-    k = bundle.constants
     # defaults: per-antenna 10 mW, clock 50 mW
-    assert rf_power_mbsala(64, k) == pytest.approx(64 * 0.01 + 8 * 0.05, rel=1e-12)
+    assert rf_power_mbsala(64, bundle) == pytest.approx(64 * 0.01 + 8 * 0.05, rel=1e-12)
 
 
 def test_rf_affine_plus_root_shape(bundle):
-    k = bundle.constants._replace(mbsala=bundle.constants.mbsala._replace(
+    b = bundle._replace(mbsala=bundle.mbsala._replace(
         p_mod=0.01, p_mix=0.01, p_dac=0.01, p_clk=0.01))
-    assert rf_power_mbsala(64, k) == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
-    assert rf_power_mbsala(64, k) == pytest.approx(2.0, rel=1e-12)
+    assert rf_power_mbsala(64, b) == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
+    assert rf_power_mbsala(64, b) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rf_increment_approaches_per_antenna_share(bundle):
-    k = bundle.constants
-    per_antenna = k.bmaa.p_mix + k.bmaa.p_vga + k.bmaa.p_adc + k.bmaa.p_lna
-    inc = rf_power_bmaa(1024, k) - rf_power_bmaa(1023, k)
-    assert 0 < inc - per_antenna < 0.02 * k.bmaa.p_clc
+    rf = bundle.bmaa
+    per_antenna = rf.p_mix + rf.p_vga + rf.p_adc + rf.p_lna
+    inc = rf_power_bmaa(1024, bundle) - rf_power_bmaa(1023, bundle)
+    assert 0 < inc - per_antenna < 0.02 * rf.p_clc
 
 
 def test_rf_single_antenna(bundle):
-    k = bundle.constants
-    per = k.iap.p_mix + k.iap.p_dac + k.iap.p_bft + k.iap.p_fs
-    assert rf_power_iap(1, k) == pytest.approx(per + k.iap.p_clc, rel=1e-12)
+    rf = bundle.iap
+    per = rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs
+    assert rf_power_iap(1, bundle) == pytest.approx(per + rf.p_clc, rel=1e-12)
 
 
 # --- amplifiers ------------------------------------------------------------------
@@ -156,7 +155,7 @@ def test_amplifiers_monotone_and_zero_at_zero(p_max, a, b):
 
 def test_overhead_divisor_frozen(bundle):
     # frozen from an out-of-band evaluation of 1/(0.9 * 0.925 * 0.94)
-    assert 1.0 / overhead_divisor(bundle.constants) == pytest.approx(
+    assert 1.0 / overhead_divisor(bundle) == pytest.approx(
         1.2778736182991504, rel=1e-9)
 
 
@@ -165,92 +164,87 @@ def test_overhead_divisor_frozen(bundle):
 @settings(max_examples=100)
 def test_overhead_exactness_invariant(ec, ea, ed, bb, rf):
     bundle = default_bundle()
-    k = bundle.constants._replace(eta_c=ec, eta_acdc=ea, eta_dcdc=ed)
-    load = ComplexityLoad(fltr=bb * k.rho)
-    device = power_bmaa(load, k, 64)
+    b = bundle._replace(devices=bundle.devices._replace(eta_c=ec, eta_acdc=ea, eta_dcdc=ed))
+    load = ComplexityLoad(fltr=bb * b.devices.rho)
+    device = power_bmaa(load, b, 64)
     recovered = device.p_total * (1 - ec) * (1 - ea) * (1 - ed)
     assert recovered == pytest.approx(device.p_bb + device.p_rf + device.p_pa,
                                       rel=1e-12, abs=1e-12)
 
 
 def test_mbsala_has_no_divisor(bundle):
-    cfg, k = bundle.scenario, bundle.constants
-    device = power_mbsala(mbsala_load(cfg, bundle.gops), k, 64, [1.0] * 4)
+    device = power_mbsala(mbsala_load(bundle.scenario, bundle.gops), bundle, 64, [1.0] * 4)
     assert device.p_total == pytest.approx(device.p_bb + device.p_rf + device.p_pa,
                                            rel=1e-12)
 
 
 def test_mbsala_zero_load_zero_output_is_rf_only(bundle):
-    device = power_mbsala(ComplexityLoad(), bundle.constants, 64, [])
+    device = power_mbsala(ComplexityLoad(), bundle, 64, [])
     assert device.p_bb == 0.0 and device.p_pa == 0.0
     assert device.p_total == device.p_rf
 
 
 def test_mbsala_pa_additive_over_beams(bundle):
-    cfg, k = bundle.scenario, bundle.constants
-    load = mbsala_load(cfg, bundle.gops)
-    four = power_mbsala(load, k, 64, [0.5] * 4)
-    eight = power_mbsala(load, k, 64, [0.5] * 8)
+    load = mbsala_load(bundle.scenario, bundle.gops)
+    four = power_mbsala(load, bundle, 64, [0.5] * 4)
+    eight = power_mbsala(load, bundle, 64, [0.5] * 8)
     assert eight.p_pa == pytest.approx(2 * four.p_pa, rel=1e-12)
 
 
 def test_bmaa_without_overhead_is_bare_sum(bundle):
-    k = bundle.constants._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0)
+    b = bundle._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0))
     load = bmaa_load(bundle.scenario, bundle.gops)
-    device = power_bmaa(load, k, 64)
+    device = power_bmaa(load, b, 64)
     assert device.p_total == pytest.approx(device.p_bb + device.p_rf, rel=1e-12)
 
 
 def test_iap_floor_is_rf_only_through_divisor(bundle):
-    k = bundle.constants
-    device = power_iap_mmwave(ComplexityLoad(), k, 16, 0.0)
+    device = power_iap_mmwave(ComplexityLoad(), bundle, 16, 0.0)
     assert device.p_total == pytest.approx(device.p_rf / 0.78255, rel=1e-9)
 
 
 def test_lifi_illumination_ignores_channel(bundle):
-    a = power_lifi_iap(bundle.lifi, 1e-5)
-    b = power_lifi_iap(bundle.lifi, 3e-6)
+    a = power_lifi_iap(bundle.lifi_led, 1e-5)
+    b = power_lifi_iap(bundle.lifi_led, 3e-6)
     assert a.p_illum == b.p_illum
     assert a.p_comm != b.p_comm
 
 
 @given(h=st.floats(1e-8, 1e-3))
 def test_lifi_comm_scales_with_h_squared(h):
-    lifi = default_bundle().lifi
-    base = power_lifi_iap(lifi, h)
-    double = power_lifi_iap(lifi, 2 * h)
+    led = default_bundle().lifi_led
+    base = power_lifi_iap(led, h)
+    double = power_lifi_iap(led, 2 * h)
     assert double.p_comm == pytest.approx(4 * base.p_comm, rel=1e-12)
 
 
 def test_lifi_dark_led_draws_nothing(bundle):
-    lifi = bundle.lifi._replace(led=bundle.lifi.led._replace(phi=0.0))
-    device = power_lifi_iap(lifi, 0.0)
+    device = power_lifi_iap(bundle.lifi_led._replace(phi=0.0), 0.0)
     assert device.p_illum == 0.0 and device.p_comm == 0.0 and device.p_total == 0.0
 
 
 def test_mbs_overhead_identity_with_arrays(bundle):
-    cfg, k = bundle.scenario, bundle.constants
-    array = power_mbsala(mbsala_load(cfg, bundle.gops), k, 64, [1.0] * 4)
-    mbs = power_mbs(k, mbs_load(cfg, bundle.gops), [array] * 4)
-    numerator = mbs.p_total * (1 - k.eta_c) * (1 - k.eta_acdc) * (1 - k.eta_dcdc)
+    cfg, d = bundle.scenario, bundle.devices
+    array = power_mbsala(mbsala_load(cfg, bundle.gops), bundle, 64, [1.0] * 4)
+    mbs = power_mbs(bundle, mbs_load(cfg, bundle.gops), [array] * 4)
+    numerator = mbs.p_total * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
     assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa, rel=1e-12)
     assert mbs.p_pa == pytest.approx(4 * array.p_pa, rel=1e-12)
 
 
 def test_mbs_without_overhead_passes_arrays_through(bundle):
-    cfg, k = bundle.scenario, bundle.constants
-    k0 = k._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0)
-    array = power_mbsala(ComplexityLoad(), k0, 64, [25.0, 25.0])
-    mbs = power_mbs(k0, ComplexityLoad(), [array])
+    b0 = bundle._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0))
+    array = power_mbsala(ComplexityLoad(), b0, 64, [25.0, 25.0])
+    mbs = power_mbs(b0, ComplexityLoad(), [array])
     assert mbs.p_total == pytest.approx(array.p_total, rel=1e-12)
 
 
 def test_power_cell_sums_components(bundle):
-    cfg, k = bundle.scenario, bundle.constants
-    mbs = power_mbs(k, mbs_load(cfg, bundle.gops),
-                    [power_mbsala(mbsala_load(cfg, bundle.gops), k, 64, [1.0])])
-    bmaa = power_bmaa(bmaa_load(cfg, bundle.gops), k, 64)
-    iap = power_iap_mmwave(iap_load(bundle.gops), k, 16, 0.1)
+    cfg = bundle.scenario
+    mbs = power_mbs(bundle, mbs_load(cfg, bundle.gops),
+                    [power_mbsala(mbsala_load(cfg, bundle.gops), bundle, 64, [1.0])])
+    bmaa = power_bmaa(bmaa_load(cfg, bundle.gops), bundle, 64)
+    iap = power_iap_mmwave(iap_load(bundle.gops), bundle, 16, 0.1)
     total = power_cell(mbs, [bmaa, bmaa], [iap])
     assert total == pytest.approx(mbs.p_total + 2 * bmaa.p_total + iap.p_total,
                                   rel=1e-12)
@@ -261,8 +255,7 @@ def test_power_cell_sums_components(bundle):
 @settings(max_examples=60)
 def test_all_powers_nonnegative(m_t, p):
     bundle = default_bundle()
-    cfg, k = bundle.scenario, bundle.constants
-    device = power_mbsala(mbsala_load(cfg, bundle.gops), k, m_t, [p])
+    device = power_mbsala(mbsala_load(bundle.scenario, bundle.gops), bundle, m_t, [p])
     assert device.p_bb >= 0 and device.p_rf >= 0 and device.p_pa >= 0
     assert device.p_total >= 0
 
@@ -282,11 +275,11 @@ def _golden_values():
 
 def _current_device_powers():
     bundle = default_bundle()
-    cfg, k, gops = bundle.scenario, bundle.constants, bundle.gops
-    mbsala = power_mbsala(mbsala_load(cfg, gops), k, 64, [1.0] * 4)
-    bmaa = power_bmaa(bmaa_load(cfg, gops), k, 64)
-    iap = power_iap_mmwave(iap_load(gops), k, 16, 0.1)
-    lifi = power_lifi_iap(bundle.lifi, 1e-5)
+    cfg, gops = bundle.scenario, bundle.gops
+    mbsala = power_mbsala(mbsala_load(cfg, gops), bundle, 64, [1.0] * 4)
+    bmaa = power_bmaa(bmaa_load(cfg, gops), bundle, 64)
+    iap = power_iap_mmwave(iap_load(gops), bundle, 16, 0.1)
+    lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     return {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,
         "mbsala.p_pa": mbsala.p_pa, "mbsala.p_total": mbsala.p_total,
