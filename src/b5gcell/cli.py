@@ -19,7 +19,6 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, dumps_config, load_config
 from .records import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepSpec, VariantSpec
-from .svgplot import line_chart
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
 DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
@@ -149,7 +148,7 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
         for prefix, field, title, y_label in (
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
-            series = [(name, column[field].tolist()) for name, column in result.columns.items()]
+            series = [(name, column[field]) for name, column in result.columns.items()]
             _write(out_dir / f"{prefix}_vs_{stem}.svg", [
                 line_chart(result.spec.grid, series, f"{title} vs {stem}", x_label, y_label)])
     return 0 if n_feasible else 2
@@ -158,6 +157,11 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
 def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # imports numpy on first call
     from .scenario import run_sweep
     return run_sweep(bundle, spec, seed)
+
+
+def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
+    from .svgplot import line_chart   # numpy-based: loaded only where charts are drawn
+    return line_chart(xs, series, title, x_label, y_label)
 
 
 def cmd_sweep(args) -> int:

@@ -400,8 +400,8 @@ def validate_bundle(bundle: ConfigBundle) -> None:
                  "layout.building_distances_m",
                  f"one distance per building (n_buildings={s.n_buildings})",
                  lay.building_distances_m)
-        _require(len(lay.user_offsets_m) >= s.n_iue, "layout.user_offsets_m",
-                 f"at least n_iue={s.n_iue} offsets", lay.user_offsets_m)
+        _require(len(lay.user_offsets_m) == s.n_iue, "layout.user_offsets_m",
+                 f"one offset per indoor user (n_iue={s.n_iue})", lay.user_offsets_m)
     _require(lay.iap_height_m > lay.user_height_m, "layout.iap_height_m",
              "> user_height_m", lay.iap_height_m)
     _require(1.0 <= lay.distance_min_m <= lay.distance_max_m, "layout.distance_min_m",

@@ -59,7 +59,7 @@ class ScenarioModel:
                                   size=(cfg.n_iue, 2))
         else:
             distances = np.asarray(layout.building_distances_m, float)
-            offsets = np.asarray(layout.user_offsets_m[:cfg.n_iue], float)
+            offsets = np.asarray(layout.user_offsets_m, float)
         self.building_distances = distances
         self.user_offsets = offsets
 

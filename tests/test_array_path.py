@@ -154,7 +154,8 @@ def _singular_at_one(bundle):
     """Two users whose access matrix I - t [[0, 1], [1, 0]] is singular at t = 1;
     the narrow indoor band puts t = 1 where the backhaul is still feasible."""
     scenario = bundle.scenario._replace(n_iue=2, bandwidth_in=1e7)
-    model = build_scenario(bundle._replace(scenario=scenario),
+    layout = bundle.layout._replace(user_offsets_m=bundle.layout.user_offsets_m[:2])
+    model = build_scenario(bundle._replace(scenario=scenario, layout=layout),
                            VariantSpec("sep-mmwave", "sep-mmwave", 64))
     model.access_diag = np.eye(2)
     model.access_coupling = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -319,6 +319,18 @@ def test_sweep_infinite_vector_component_exits_1_naming_key(tmp_path, capsys, mo
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
+def test_sweep_extra_fixed_offset_exits_1_naming_key(tmp_path, capsys, monkeypatch):
+    # a fifth offset for four indoor users would otherwise be dropped without a word
+    monkeypatch.setenv("B5GCELL_LAYOUT__USER_OFFSETS_M",
+                       "1.5, 1.5; -1.5, 1.5; -1.5, -1.5; 1.5, -1.5; 0.1, 0.1")
+    out = tmp_path / "x"
+    assert main(["sweep", "--out", str(out), "--variants", "sep-mmwave,sep-lifi",
+                 *FAST]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: layout.user_offsets_m: must satisfy one offset per indoor user (n_iue=4)")
+    assert not out.exists()
+
+
 def test_config_sha256_covers_env_overrides(tmp_path, monkeypatch):
     plain, overridden = tmp_path / "plain", tmp_path / "mt256"
     main(["sweep", "--out", str(plain), *FAST])
@@ -555,8 +567,8 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
     assert code == "exit=0"
     assert stdout == (out / "summary.txt").read_text()
     # digests and the timestamp are a sweep's and a --config check's business
-    unused = {"numpy", "dataclasses"} if with_config else \
-        {"numpy", "dataclasses", "datetime", "hashlib"}
+    unused = {"numpy", "dataclasses", "b5gcell.svgplot"} if with_config else \
+        {"numpy", "dataclasses", "datetime", "hashlib", "b5gcell.svgplot"}
     assert loaded & unused == set()
 
 
@@ -567,3 +579,11 @@ def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path)
     assert "numpy" in loaded
     assert loaded & {"dataclasses", "numpy.random"} == set()
     assert (out / "results.csv").is_file()
+
+
+def test_sweep_without_charts_does_not_load_the_chart_code(tmp_path):
+    out = tmp_path / "run"
+    code, loaded, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
+    assert code == "exit=0"
+    assert "numpy" in loaded and "b5gcell.svgplot" not in loaded
+    assert (out / "results.csv").is_file() and not list(out.glob("*.svg"))

@@ -259,7 +259,7 @@ CROSS_KEY_BREAKS = {
                   "layout.building_distances_m: must satisfy one distance per building "
                   "(n_buildings=2)"),
     "offsets": ("scenario.n_iue", "5",
-                "layout.user_offsets_m: must satisfy at least n_iue=5 offsets"),
+                "layout.user_offsets_m: must satisfy one offset per indoor user (n_iue=5)"),
     "heights": ("layout.user_height_m", "3.5",
                 "layout.iap_height_m: must satisfy > user_height_m (got 3.0)"),
     "distance_min": ("layout.distance_min_m", "0.5",

@@ -1,9 +1,12 @@
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from b5gcell.svgplot import line_chart
+from b5gcell.svgplot import _fmt_column, line_chart
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -44,6 +47,9 @@ def test_empty_series_rejected():
         line_chart([], [("a", [])], "t", "x", "y")
     with pytest.raises(ValueError):
         line_chart([0, 1], [("a", [math.nan, math.nan])], "t", "x", "y")
+    with pytest.raises(ValueError, match="nothing to plot"):
+        line_chart(np.arange(3.0), [("a", np.full(3, np.nan)), ("b", np.full(3, np.nan))],
+                   "t", "x", "y")
 
 
 def test_flat_series_still_renders():
@@ -57,3 +63,100 @@ def test_series_sharing_xs_keep_their_own_gaps():
                            ("b", [6.0, 5.0, math.nan, math.nan, 2.0, 1.0])])
     points = [len(p.get("points").split()) for p in root.findall(f"{NS}polyline")]
     assert points == [6, 2, 2]
+
+
+COLUMN_CASES = {
+    "int-xs": ([0, 1, 2, 3], [[1.0, 2.0, 4.0, 3.0]]),
+    "nan-start-middle-end": (list(range(8)),
+                             [[math.nan, 1.0, 2.0, math.nan, 3.0, 4.0, 5.0, math.nan],
+                              [2.0, 1.5, 1.0, 0.5, 0.25, math.nan, math.nan, 0.1]]),
+    "one-point-run": ([0.0, 0.5, 1.0, 1.5, 2.0], [[1.0, math.nan, 2.0, 3.0, math.nan]]),
+    "flat": ([1e9, 2e9, 3e9], [[5.0, 5.0, 5.0]]),
+    "flat-zero": ([0.0, 1.0], [[0.0, 0.0], [math.nan, math.nan]]),
+}
+
+
+@pytest.mark.parametrize("xs, columns", COLUMN_CASES.values(), ids=COLUMN_CASES)
+def test_lists_and_float64_columns_render_the_same_bytes(xs, columns):
+    names = [f"s{i}" for i in range(len(columns))]
+    from_lists = line_chart(xs, list(zip(names, columns)), "t", "x", "y")
+    from_arrays = line_chart(np.asarray(xs, dtype=np.float64),
+                             [(n, np.asarray(c, dtype=np.float64))
+                              for n, c in zip(names, columns)], "t", "x", "y")
+    assert from_lists == from_arrays
+    root = ET.fromstring(from_arrays)
+    runs = [len(p.get("points").split()) for p in root.findall(f"{NS}polyline")]
+    assert sum(runs) == sum(not math.isnan(y) for c in columns for y in c)
+    # every series keeps its legend entry, drawn or not
+    assert [t.text for t in root.findall(f"{NS}text")][-len(names):] == names
+
+
+@pytest.mark.parametrize("xs, ys", [([0.0, math.inf], [1.0, 2.0]),
+                                    ([0.0, 1.0], [1.0, -math.inf]),
+                                    ([0.0, 1.0], [-1.7e308, 1.7e308])],   # range overflows
+                         ids=["inf-x", "inf-y", "overflowing-range"])
+def test_non_finite_pixels_rejected(xs, ys):
+    with pytest.raises(ValueError, match="cannot plot"):
+        line_chart(xs, [("a", ys)], "t", "x", "y")
+
+
+def _pixel_texts(xs, columns):
+    """Per series, per maximal NaN-free run, the ``x,y`` text of each point, from
+    the closed-form pixel map evaluated one Python float at a time."""
+    finite = [y for c in columns for y in c if not math.isnan(y)]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(finite), max(finite)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + (abs(y_lo) if y_lo else 1.0)
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    runs = []
+    for column in columns:
+        run = []
+        for x, y in zip(xs, column):
+            if math.isnan(y):
+                if run:
+                    runs.append(run)
+                run = []
+                continue
+            px = 72 + (x - x_lo) / (x_hi - x_lo) * (704 - 72)
+            py = 394 + (y - y_lo) / (y_hi - y_lo) * (28 - 394)
+            run.append(f"{px:.2f},{py:.2f}")
+        if run:
+            runs.append(run)
+    return runs
+
+
+@st.composite
+def _grids_and_columns(draw):
+    xs = sorted(draw(st.lists(st.floats(0.0, 1e10), min_size=1, max_size=40, unique=True)))
+    value = st.one_of(st.just(math.nan), st.floats(-1e6, 1e6))
+    columns = draw(st.lists(st.lists(value, min_size=len(xs), max_size=len(xs)),
+                            min_size=1, max_size=4))
+    assume(any(not math.isnan(y) for c in columns for y in c))
+    return xs, columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grids_and_columns())
+@example(([0.0], [[5e-324]]))   # y and x ranges whose tick step underflows
+@example(([0.0, 2.5e-323], [[1.0, 2.0]]))
+def test_polyline_points_are_the_closed_form_pixels(case):
+    xs, columns = case
+    svg = line_chart(np.asarray(xs), [(f"s{i}", np.asarray(c)) for i, c in enumerate(columns)],
+                     "t", "x", "y")
+    drawn = [p.get("points").split() for p in ET.fromstring(svg).findall(f"{NS}polyline")]
+    assert drawn == _pixel_texts(xs, columns)
+
+
+def test_column_text_is_fixed_point_text_at_and_beside_ties():
+    # v * 100 rounds onto n + 0.5 for these, while the exact product may lie on
+    # either side; multiples of 1/8 are exact ties, which go to the even digit
+    halves = (np.arange(0, 72_000, 7) + 0.5) / 100
+    values = np.concatenate([halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1e3),
+                             np.arange(0, 5_760) / 8, [0.0, 0.004, 0.005, 0.015, 9.995, 99.995]])
+    text, used = _fmt_column(values, ord(" "))
+    got = text[used].tobytes().decode().split()
+    assert got == [f"{v:.2f}" for v in values.tolist()]
