@@ -125,7 +125,8 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
                           f"({exc.strerror})") from None
     import numpy as np   # loaded by the sweep already
     from datetime import datetime, timezone
-    x_texts = _reprs(np.asarray(result.spec.grid, dtype=np.float64))
+    xs = np.asarray(result.spec.grid, dtype=np.float64)   # for the x texts and both charts
+    x_texts = _reprs(xs)
     _write(out_dir / "results.csv", _csv_chunks(result, x_texts))
 
     manifest = [
@@ -150,7 +151,7 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
             series = [(name, column[field]) for name, column in result.columns.items()]
             _write(out_dir / f"{prefix}_vs_{stem}.svg", [
-                line_chart(result.spec.grid, series, f"{title} vs {stem}", x_label, y_label)])
+                line_chart(xs, series, f"{title} vs {stem}", x_label, y_label)])
     return 0 if n_feasible else 2
 
 
@@ -245,21 +246,27 @@ def _manifest_variants(recorded: dict) -> dict:
 
 
 def _interp_crossing(xs, pa, pb):
-    """First sign flip of pa - pb with linear interpolation; None without one.
+    """First sign flip of pa - pb with linear interpolation, or the first x of
+    the exact zeros it flips across; None without one.
 
     Only intervals with both endpoints feasible (not None) in both series count.
     """
-    prev = None
+    prev = zero_x = None   # last nonzero (x, diff); first zero since then
     for i in range(len(xs)):
         if pa[i] is None or pb[i] is None:
-            prev = None
+            prev = zero_x = None
             continue
         diff = pa[i] - pb[i]
-        if prev is not None:
+        if diff == 0:
+            if prev is not None and zero_x is None:
+                zero_x = xs[i]
+            continue
+        if prev is not None and (prev[1] < 0) != (diff < 0):
+            if zero_x is not None:
+                return zero_x
             x0, d0 = prev
-            if d0 * diff < 0:
-                return x0 + (xs[i] - x0) * abs(d0) / (abs(d0) + abs(diff))
-        prev = (xs[i], diff)
+            return x0 + (xs[i] - x0) * abs(d0) / (abs(d0) + abs(diff))
+        prev, zero_x = (xs[i], diff), None
     return None
 
 

@@ -6,7 +6,10 @@ of the cell.  In separate mode each building's aggregate then rides over its
 relay beams (building rate / beam count per beam), so the backhaul always
 carries exactly the indoor traffic it serves.  A point is infeasible when any
 amplifier would exceed its rating or an indoor link cannot reach the demanded
-rate; infeasible points carry NaN in every power field.
+rate: the LiFi hop's capacity is exceeded, or the mmWave access SINR target
+reaches t_star, past which no nonnegative power allocation exists.  The
+circulant beam codebook gives the summed mmWave access power in closed form,
+with no linear solve.  Infeasible points carry NaN in every power field.
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ from .power import (
 )
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepResult, SweepSpec,
                       VariantSpec)
-
-# float64 entries per stacked access solve; a larger stack raised peak memory
-# on 64-user access points without saving time
-ACCESS_SOLVE_ENTRIES = 4096
-
 
 class ScenarioModel:
     """Everything static about one variant; operating points are queried from it."""
@@ -105,18 +103,20 @@ class ScenarioModel:
 
     def _init_beam_codebook(self):
         """Evenly spaced sine-space beams, one per indoor user; a user's
-        departure angle is uniform over its beam's cell.  With E_ij the mean
-        power of beam j over user i's cell, the access system is D - t C with
-        D = diag(beta_i E_ii) and C = beta_i E_ij off the diagonal."""
+        departure angle is uniform over its beam's cell.  E_ij, the mean power
+        of beam j over user i's cell, depends only on (i - j) mod n (the beams
+        are even in sine space and the kernel has period 2), so the access
+        system (I - t A) p = t sigma_in D^-1 1, A_ij = E_ij / E_00 off the
+        diagonal and D = diag(beta_i E_00), has the all-ones Perron vector:
+        summing its rows gives the total power in closed form,
+        sigma_in t sum_i 1 / (beta_i E_00) / (1 - t lambda_0), with lambda_0 =
+        sum_{j != 0} E_0j / E_00.  Every power is nonnegative exactly when t is
+        below t_star = 1 / lambda_0 (inf for a single user)."""
         n = self.cfg.n_iue
         width = 2.0 / n
-        centers = -1.0 + (np.arange(n) + 0.5) * width
-        self.beam_centers = centers
-        coupling = self.beta_access[:, None] * kernel_power_mean(
-            self.cfg.m_t_iap, centers[:, None] - centers[None, :], width / 2)
-        self.access_diag = np.diag(np.diag(coupling))
-        np.fill_diagonal(coupling, 0.0)
-        self.access_coupling = coupling
+        row = kernel_power_mean(self.cfg.m_t_iap, np.arange(n) * width, width / 2)
+        self.t_star = float(row[0] / np.sum(row[1:])) if n > 1 else math.inf
+        self.access_scale = self.sigma_in * np.sum(1.0 / (self.beta_access * row[0]))
 
     def _init_lifi(self, iap_pos, user_pos):
         lifi = self.bundle.lifi
@@ -135,33 +135,12 @@ class ScenarioModel:
 
     # -- evaluation over a grid ---------------------------------------------
 
-    def _solve_mmwave_powers(self, sinr_targets):
-        """Per-user transmit powers hitting each common SINR target (finite,
-        > 0), one row per target, NaN where no non-negative solution exists.
-        Equal targets couple through beam sidelobes, giving a small linear
-        system per access point."""
-        t = np.asarray(sinr_targets, float)[..., None, None]
-        mats = self.access_diag - t * self.access_coupling
-        rhs = np.broadcast_to(t * self.sigma_in, t.shape[:-2] + (self.cfg.n_iue, 1))
-        try:
-            powers = np.linalg.solve(mats, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            if mats.ndim == 2:
-                return np.full(self.cfg.n_iue, np.nan)
-            # one matrix at a time, so only the singular point fails
-            return np.array([self._solve_mmwave_powers(x) for x in sinr_targets])
-        ok = np.isfinite(powers).all(-1) & ~(powers < -1e-18).any(-1)
-        return np.where(ok[..., None], np.clip(powers, 0.0, None), np.nan)
-
     def _access_power(self, sinr_targets):
-        """Summed indoor transmit power per SINR target, NaN where unmeetable."""
-        p_out = np.where(sinr_targets == 0.0, 0.0, np.nan)
-        todo = np.flatnonzero((sinr_targets > 0.0) & np.isfinite(sinr_targets))
-        chunk = max(1, ACCESS_SOLVE_ENTRIES // self.cfg.n_iue ** 2)
-        for start in range(0, todo.size, chunk):
-            idx = todo[start:start + chunk]
-            p_out[idx] = np.sum(self._solve_mmwave_powers(sinr_targets[idx]), axis=-1)
-        return p_out
+        """Summed indoor transmit power per SINR target, NaN where unmeetable:
+        an infinite target or one at or past t_star."""
+        t = np.where((sinr_targets > 0.0) & (sinr_targets < self.t_star), sinr_targets, np.nan)
+        p_out = self.access_scale * t / (1.0 - t / self.t_star)
+        return np.where(sinr_targets == 0.0, 0.0, p_out)
 
     def points(self, xs, x_kind: str = RATE_VARIABLE) -> dict:
         """Evaluate the cell at every grid value in *xs* at once: total offered
@@ -247,8 +226,8 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     Under random placement each variant draws from a stream keyed on its
     name, so evaluation order cannot change random placements.
     """
-    columns = {}
+    columns, grid = {}, np.asarray(spec.grid, float)
     for variant in spec.variants:
         model = build_scenario(bundle, variant, seed)
-        columns[variant.name] = model.points(spec.grid, spec.variable)
+        columns[variant.name] = model.points(grid, spec.variable)
     return SweepResult(spec=spec, seed=seed, columns=columns)

@@ -2,11 +2,14 @@
 
 This is the evaluation the scenario engine once ran for every grid point, one
 point at a time: the required SINR through Python's ``**``, the indoor access
-system solved once per point, and every device built through the scalar laws
-of ``b5gcell.power`` and summed by ``power_cell`` below.  It reads the model's
-geometry, gains and codebook but none of its precomputed device powers, and
+system built as a full n x n matrix of beam expectations and solved once per
+point, and every device built through the scalar laws of ``b5gcell.power`` and
+summed by ``power_cell`` below.  It reads the model's geometry and gains but
+neither its closed-form access power nor its precomputed device powers, and
 recomputes the complexity loads from the bundle.  ``ScenarioModel.points``
-must reproduce its rows bit for bit.
+must reproduce its rows bit for bit, except that the summed access power of a
+``sep-mmwave`` row (and so its total power, EE and access point power) may
+differ from this solve in the last bits.
 """
 
 import math
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from b5gcell.metrics import kernel_power_mean
 from b5gcell.power import (
     bmaa_load,
     iap_load,
@@ -61,14 +65,36 @@ def required_sinr(se_target: float, gamma: float) -> float:
         return math.inf
 
 
+def beam_centers(n: int):
+    """Sine-space centres of n evenly spaced beams over [-1, 1], one per user."""
+    return -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
+
+
+def beam_expectations(n: int, m_t_iap: int):
+    """The n x n matrix E_ij: the mean power of beam j over user i's codebook
+    cell, one kernel mean per (i, j) pair."""
+    centers = beam_centers(n)
+    return kernel_power_mean(m_t_iap, centers[:, None] - centers[None, :], 1.0 / n)
+
+
+def access_matrix(model):
+    """beta_i E_ij: each row of beam_expectations times its user's gain."""
+    return model.beta_access[:, None] * beam_expectations(model.cfg.n_iue,
+                                                          model.cfg.m_t_iap)
+
+
 def solve_mmwave_powers(model, sinr_target: float):
-    """Per-user powers hitting a common SINR target, or None."""
+    """Per-user powers hitting a common SINR target, or None: the access
+    system D - t C, with D the diagonal of access_matrix and C its off-diagonal
+    part, solved against t * sigma_in for every user."""
     n = model.cfg.n_iue
     if sinr_target == 0.0:
         return np.zeros(n)
     if math.isinf(sinr_target):
         return None
-    mat = model.access_diag - sinr_target * model.access_coupling
+    coupling = access_matrix(model)
+    diag = np.diag(np.diag(coupling))
+    mat = diag - sinr_target * (coupling - diag)
     try:
         powers = np.linalg.solve(mat, np.full(n, sinr_target * model.sigma_in))
     except np.linalg.LinAlgError:

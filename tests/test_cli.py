@@ -104,7 +104,7 @@ PINNED_OUTPUTS = {
     # 6,000 rows, 422 of them infeasible; values repeat within and across the variants
     "dense-mt128": (["--grid", "0:6e9:2000", "--variants",
                      "sep-mmwave:mt=128,sep-lifi:mt=128,nonsep:mt=128"], {}, {
-        "results.csv": "6cd1ec64e0804c888212b069a0e788b65e11f9d786188f9b62e0f87fc307bdf3",
+        "results.csv": "8d9c275dbaf32a3ab8100d61f9c0ade7985628ec54629103042e305729be1948",
         "power_vs_rate.svg": "290fa6c731e18d86ba424ae45bb3f5c7a9bf82e1ba403ff0da13ffcc5cba48bc",
         "ee_vs_rate.svg": "c35e486cdf4b44febc666cef4cfa775769340e7f663246abb8aba192dc82c9a3",
     }),

@@ -2,7 +2,10 @@ import math
 import re
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import scalar_oracle
 from b5gcell import (
     ConfigError,
     SweepSpec,
@@ -160,24 +163,27 @@ def test_se_point_matches_equivalent_rate(bundle):
 
 
 def _codebook_cells(model):
-    width = 2.0 / model.cfg.n_iue
-    return [UniformAngles(c - width / 2, c + width / 2) for c in model.beam_centers]
+    n = model.cfg.n_iue
+    return [UniformAngles(c - 1.0 / n, c + 1.0 / n) for c in scalar_oracle.beam_centers(n)]
 
 
 def _assert_access_solver_hits(model, target):
-    powers = model._solve_mmwave_powers(target)
+    powers = scalar_oracle.solve_mmwave_powers(model, target)
     assert powers is not None and np.all(powers >= 0)
     cells = _codebook_cells(model)
+    beams = tuple(scalar_oracle.beam_centers(model.cfg.n_iue))
     for k in range(model.cfg.n_iue):
-        got = sinr_mmwave(k, cells, tuple(model.beam_centers),
-                          tuple(model.beta_access), tuple(powers),
+        got = sinr_mmwave(k, cells, beams, tuple(model.beta_access), tuple(powers),
                           model.cfg.m_t_iap, model.sigma_in)
         assert got == pytest.approx(target, rel=1e-9)
+    assert model._access_power(np.array([target]))[0] == pytest.approx(np.sum(powers),
+                                                                       rel=1e-12)
 
 
-def _crowded(bundle):
-    """64 random users per access point, as in the crowded benchmark workload."""
-    return bundle._replace(scenario=bundle.scenario._replace(n_iue=64),
+def _crowded(bundle, **scenario):
+    """Random placement with 64 users per access point, as in the crowded
+    benchmark workload, unless *scenario* overrides n_iue or other keys."""
+    return bundle._replace(scenario=bundle.scenario._replace(**{"n_iue": 64, **scenario}),
                            layout=bundle.layout._replace(placement="random"))
 
 
@@ -192,15 +198,54 @@ def test_access_solver_hits_the_sinr_target_with_64_random_users(bundle):
 
 def test_codebook_matrix_equals_scalar_expectations(bundle):
     model = build_scenario(_crowded(bundle), SEP, seed=4)
-    diag = np.diag(model.access_diag)
-    assert np.count_nonzero(model.access_diag - np.diag(diag)) == 0
-    assert np.all(np.diag(model.access_coupling) == 0.0)
+    matrix = scalar_oracle.access_matrix(model)
+    beams = scalar_oracle.beam_centers(model.cfg.n_iue)
     for i, cell in enumerate(_codebook_cells(model)):
         beta = model.beta_access[i]
-        for j, beam in enumerate(model.beam_centers):
+        for j, beam in enumerate(beams):
             scalar = beta * expected_kernel_power(model.cfg.m_t_iap, beam, cell)
-            entry = diag[i] if i == j else model.access_coupling[i, j]
-            assert entry == pytest.approx(scalar, rel=1e-12)
+            assert matrix[i, j] == pytest.approx(scalar, rel=1e-12)
+
+
+@pytest.mark.parametrize("m_t_iap", [1, 2, 3, 16, 64, 100])
+def test_beam_expectations_are_circulant(m_t_iap):
+    # the closed form's premise: E_ij depends only on (i - j) mod n
+    for n in range(1, 65):
+        expectations = scalar_oracle.beam_expectations(n, m_t_iap)
+        shift = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+        assert np.max(np.abs(expectations - expectations[0][shift])) <= (
+            1e-12 * expectations[0, 0]), n
+
+
+def test_t_star_at_the_defaults_and_at_64_users(bundle):
+    assert build_scenario(bundle, SEP).t_star == pytest.approx(20.0835, abs=1e-4)
+    crowded = _crowded(bundle)
+    (t_star,) = {build_scenario(crowded, SEP, seed=s).t_star for s in range(3)}
+    assert t_star == pytest.approx(0.325882, abs=1e-6)
+    single = bundle._replace(scenario=bundle.scenario._replace(n_iue=1),
+                             layout=bundle.layout._replace(user_offsets_m=((1.5, 1.5),)))
+    assert build_scenario(single, SEP).t_star == math.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 64), st.sampled_from([1, 2, 3, 16, 64, 100]),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.0, 1.0 - 1e-6), min_size=1, max_size=4))
+def test_closed_form_access_power_equals_the_full_solve(n_iue, m_t_iap, seed, fractions):
+    bundle = _crowded(default_bundle(), n_iue=n_iue, m_t_iap=m_t_iap)
+    model = build_scenario(bundle, SEP, seed=seed)
+    # a single user has no interference, so no t*; its targets are free
+    scale = model.t_star if math.isfinite(model.t_star) else 1e3
+    targets = scale * np.array(fractions)
+    for t, got in zip(targets, model._access_power(targets)):
+        want = scalar_oracle.solve_mmwave_powers(model, float(t))
+        assert want is not None and np.all(want >= 0), t
+        assert got == pytest.approx(np.sum(want), rel=1e-12 / (1.0 - t / model.t_star)), t
+    if math.isfinite(model.t_star):
+        past = model.t_star * np.array([1.0, 1.0 + 1e-9, 2.0])
+        assert np.all(np.isnan(model._access_power(past)))
+    # t* follows from the codebook alone, whatever the placement
+    assert build_scenario(bundle, SEP, seed=seed + 1).t_star == model.t_star
 
 
 def _same(a, b):
@@ -290,6 +335,26 @@ def test_crossing_linear_interpolation():
 def test_crossing_none_without_sign_change():
     summary = _summary(_fake_columns([0.0, 1.0], [0.0, 1.0], [2.0, 3.0]))
     assert "crossing.a.vs.b" not in summary
+
+
+@pytest.mark.parametrize("pa", [[3.0, 2.0, 1.0], [3.0, 2.0, 2.0, 1.0]],
+                         ids=["one-zero", "run-of-zeros"])
+def test_crossing_through_an_exact_zero_is_reported_at_its_first_x(pa):
+    xs = [0.0, 1.0, 2.0, 3.0][:len(pa)]
+    summary = _summary(_fake_columns(xs, pa, [2.0] * len(pa)))
+    assert float(summary["crossing.a.vs.b"]) == 1.0
+
+
+@pytest.mark.parametrize("pa", [[3.0, 2.0, 3.0], [1.0, 2.0, 2.0, 1.0], [3.0, 2.0]],
+                         ids=["touch-above", "touch-below", "zero-at-end"])
+def test_a_touch_gives_no_crossing(pa):
+    summary = _summary(_fake_columns([0.0, 1.0, 2.0, 3.0][:len(pa)], pa, [2.0] * len(pa)))
+    assert "crossing.a.vs.b" not in summary
+
+
+def test_a_zero_at_the_start_is_no_crossing_but_a_later_flip_is():
+    summary = _summary(_fake_columns([0.0, 1.0, 2.0], [2.0, 3.0, 1.0], [2.0, 2.0, 2.0]))
+    assert float(summary["crossing.a.vs.b"]) == 1.5
 
 
 def test_crossing_ignores_intervals_with_gaps():
