@@ -52,10 +52,10 @@ def parse_grid(text: str) -> tuple:
 def parse_variants(text: str, default_m_t: int) -> tuple:
     """Comma list of sep-mmwave | sep-lifi | nonsep, each optionally :mt=N."""
     out = []
-    for token in text.split(","):
+    for i, token in enumerate(text.split(","), start=1):
         token = token.strip()
         if not token:
-            continue
+            raise ConfigError(f"variant {i} of {text!r} is empty")
         base, _, opt = token.partition(":")
         m_t = default_m_t
         if opt:
@@ -67,8 +67,6 @@ def parse_variants(text: str, default_m_t: int) -> tuple:
             except ValueError:
                 raise ConfigError(f"bad antenna count in {token!r}") from None
         out.append(VariantSpec(token, base, m_t))
-    if not out:
-        raise ConfigError("no variants given")
     return tuple(out)
 
 

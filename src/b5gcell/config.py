@@ -380,11 +380,22 @@ def _finite(value) -> bool:
     return math.isfinite(value)
 
 
+def _typed(default, value) -> bool:
+    """*value* has the type of *default*, where an int may stand for a float and
+    a bool for nothing; a vector is a tuple of such components."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_typed(default[0], x) for x in value)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 def validate_bundle(bundle: ConfigBundle) -> None:
     """Check every documented invariant; the first violation raises ConfigError."""
     values = _flatten(bundle)
     for key, default in DEFAULTS.items():
         value = values[key]
+        _require(_typed(default.value, value), key, f"type {type(default.value).__name__}", value)
         if isinstance(default.value, (float, tuple)):
             _require(_finite(value), key, "finite", value)
         if default.rule is not None:

@@ -22,17 +22,7 @@ from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespac
     pathloss_winner_b5a, apply_penetration
 from .config import ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
-from .power import (
-    bmaa_load,
-    iap_load,
-    mbs_load,
-    mbsala_load,
-    power_bmaa,
-    power_iap_mmwave,
-    power_lifi_iap,
-    power_mbs,
-    power_mbsala,
-)
+from .power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepResult, SweepSpec,
                       VariantSpec)
 
@@ -45,7 +35,7 @@ class ScenarioModel:
         self.variant = variant
         cfg = bundle.scenario._replace(m_t=variant.m_t)
         self.cfg = cfg
-        gops, layout = bundle.gops, bundle.layout
+        layout = bundle.layout
 
         # geometry: fixed layout, or a draw from the variant's own seeded stream
         if layout.placement == "random":
@@ -80,20 +70,17 @@ class ScenarioModel:
                                     np.full(cfg.n_iue, layout.user_height_m)])
         self.user_distances = np.linalg.norm(user_pos - iap_pos, axis=1)
 
-        # rate-independent loads and device powers: only the amplifiers follow
-        # the rate, so points() applies the device laws that have one
+        # rate-independent device powers: only the amplifiers follow the rate,
+        # so points() applies the device laws that have one
         n_devices = cfg.n_arrays * cfg.n_buildings
-        self._mbsala_load, self._mbs_load = mbsala_load(cfg, gops), mbs_load(cfg, gops)
         self._bmaa_sum = self._iap_sum = 0
         if variant.kind != "nonsep":
-            bmaa = power_bmaa(bmaa_load(cfg, gops), bundle, cfg.m_r)
-            self._bmaa_sum = _repeat_sum(bmaa.p_total, n_devices)
+            self._bmaa_sum = _repeat_sum(power_bmaa(cfg, bundle).p_total, n_devices)
         if variant.kind == "sep-mmwave":
             self.beta_access = np.array([
                 db_to_linear(-pathloss_freespace(d, cfg.carrier_freq_in))
                 for d in self.user_distances])
             self._init_beam_codebook()
-            self._iap_load = iap_load(gops)
         if variant.kind == "sep-lifi":
             self._init_lifi(iap_pos, user_pos)
             iap = power_lifi_iap(bundle.lifi_led, float(np.mean(self.lifi_h)))
@@ -151,17 +138,18 @@ class ScenarioModel:
 
         Returns the bool array ``feasible`` and one float array per
         POWER_FIELDS name, NaN where infeasible.  Only the amplifiers depend on
-        the rate; the device loads and the other device powers were fixed at
-        build.  Sums run term by term in device order, so every entry equals
-        its one-point evaluation exactly.
+        the rate; the building arrays' and LiFi access points' powers were
+        fixed at build.  Sums run term by term in device order, so every entry
+        equals its one-point evaluation exactly.
         """
         if x_kind not in (RATE_VARIABLE, SE_VARIABLE):
             raise ValueError(f"unknown grid kind {x_kind!r}: expected {RATE_VARIABLE} "
                              f"or {SE_VARIABLE}")
         rates = np.asarray(xs, float)
-        if np.any(rates < 0):
+        bad = ~(np.isfinite(rates) & (rates >= 0))
+        if np.any(bad):
             what = "SE target" if x_kind == SE_VARIABLE else "total rate"
-            raise ValueError(f"{what} must be >= 0, got {rates.min()!r}")
+            raise ValueError(f"{what} must be finite and >= 0, got {float(rates[bad][0])!r}")
         if x_kind == SE_VARIABLE:
             rates = rates * self.cfg.bandwidth_out * self.n_users
         cfg, b, variant = self.cfg, self.bundle, self.variant
@@ -173,8 +161,7 @@ class ScenarioModel:
                 p_out = self._access_power(
                     required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma))
                 feasible &= p_out <= b.iap.pa_max   # False where NaN (unmeetable)
-                iap = power_iap_mmwave(self._iap_load, b, cfg.m_t_iap,
-                                       np.minimum(p_out, b.iap.pa_max))
+                iap = power_iap_mmwave(cfg, b, np.minimum(p_out, b.iap.pa_max))
                 iap_sum = _repeat_sum(iap.p_total, cfg.n_arrays * cfg.n_buildings)
             elif variant.kind == "sep-lifi":   # fixed optical drive
                 feasible &= rate_user <= self._lifi_capacity
@@ -190,8 +177,8 @@ class ScenarioModel:
                 p = target * self.sigma_out / (beta * cfg.m_t * rx)
                 feasible &= p <= b.mbsala.pa_max
                 p_beams += [np.minimum(p, b.mbsala.pa_max)] * streams
-            mbsala = power_mbsala(self._mbsala_load, b, cfg.m_t, p_beams)
-            p_mbs = power_mbs(b, self._mbs_load, [mbsala] * cfg.n_arrays).p_total
+            mbsala = power_mbsala(cfg, b, p_beams)
+            p_mbs = power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total
             total = p_mbs + self._bmaa_sum + iap_sum
             ee = rates / cfg.bandwidth_out / total
         values = (total, ee, p_mbs, self._bmaa_sum, iap_sum)
@@ -199,12 +186,13 @@ class ScenarioModel:
                                          for name, value in zip(POWER_FIELDS, values)}}
 
 
-def _repeat_sum(value, times: int, start=0):
-    """start + value + value + ... (*times* terms), added one at a time as the
-    device sums are, so that totals stay bit-identical to a point-wise sum."""
+def _repeat_sum(value, times: int):
+    """value + value + ... (*times* terms), added one at a time as the device
+    sums are, so that totals stay bit-identical to a point-wise sum."""
+    total = 0
     for _ in range(times):
-        start = start + value
-    return start
+        total = total + value
+    return total
 
 
 def build_scenario(bundle: ConfigBundle, variant: VariantSpec, seed: int = 0) -> ScenarioModel:

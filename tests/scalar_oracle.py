@@ -5,8 +5,10 @@ point at a time: the required SINR through Python's ``**``, the indoor access
 system built as a full n x n matrix of beam expectations and solved once per
 point, and every device built through the scalar laws of ``b5gcell.power`` and
 summed by ``power_cell`` below.  It reads the model's geometry and gains but
-neither its closed-form access power nor its precomputed device powers, and
-recomputes the complexity loads from the bundle.  ``ScenarioModel.points``
+neither its closed-form access power nor its precomputed device powers: every
+device law runs again at every point.  The laws themselves are shared, so the
+hand-transcribed device powers in ``tests/test_power.py`` check them.
+``ScenarioModel.points``
 must reproduce its rows bit for bit, except that the summed access power of a
 ``sep-mmwave`` row (and so its total power, EE and access point power) may
 differ from this solve in the last bits.
@@ -18,17 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from b5gcell.metrics import kernel_power_mean
-from b5gcell.power import (
-    bmaa_load,
-    iap_load,
-    mbs_load,
-    mbsala_load,
-    power_bmaa,
-    power_iap_mmwave,
-    power_lifi_iap,
-    power_mbs,
-    power_mbsala,
-)
+from b5gcell.power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
 from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, build_scenario
 
 
@@ -120,13 +112,13 @@ def _backhaul_beam_powers(model, rate_user: float):
 
 
 def _outdoor_devices(model, beams):
-    cfg, b, gops = model.cfg, model.bundle, model.bundle.gops
-    mbsala = power_mbsala(mbsala_load(cfg, gops), b, cfg.m_t, beams)
-    return power_mbs(b, mbs_load(cfg, gops), [mbsala] * cfg.n_arrays)
+    cfg, b = model.cfg, model.bundle
+    mbsala = power_mbsala(cfg, b, beams)
+    return power_mbs(cfg, b, [mbsala] * cfg.n_arrays)
 
 
 def _separate_point(model, rate_user: float):
-    cfg, b, gops = model.cfg, model.bundle, model.bundle.gops
+    cfg, b = model.cfg, model.bundle
     n_devices = cfg.n_arrays * cfg.n_buildings
     if model.variant.kind == "sep-mmwave":
         target = required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma)
@@ -136,7 +128,7 @@ def _separate_point(model, rate_user: float):
         p_out = float(np.sum(powers))
         if p_out > b.iap.pa_max:
             return None
-        iap = power_iap_mmwave(iap_load(gops), b, cfg.m_t_iap, p_out)
+        iap = power_iap_mmwave(cfg, b, p_out)
     else:
         share = cfg.bandwidth_in / cfg.n_iue
         for sinr in model.lifi_sinr:
@@ -145,7 +137,7 @@ def _separate_point(model, rate_user: float):
                 return None
         iap = power_lifi_iap(model.bundle.lifi_led, float(np.mean(model.lifi_h)))
     mbs = _outdoor_devices(model, _backhaul_beam_powers(model, rate_user))
-    bmaa = power_bmaa(bmaa_load(cfg, gops), b, cfg.m_r)
+    bmaa = power_bmaa(cfg, b)
     return mbs, [bmaa] * n_devices, [iap] * n_devices
 
 

@@ -18,9 +18,6 @@ from b5gcell.channel import lambertian_order, pathloss_winner_b5a
 from b5gcell.cli import _summarize, main as cli_main
 from b5gcell.metrics import required_sinr
 from b5gcell.power import (
-    bmaa_load,
-    iap_load,
-    mbsala_load,
     overhead_divisor,
     pa_power_doherty,
     power_bmaa,
@@ -297,10 +294,10 @@ def test_determinism_and_schema(tmp_path):
            identical)
 
     bundle = default_bundle()
-    cfg, gops = bundle.scenario, bundle.gops
-    mbsala = power_mbsala(mbsala_load(cfg, gops), bundle, 64, [1.0] * 4)
-    bmaa = power_bmaa(bmaa_load(cfg, gops), bundle, 64)
-    iap = power_iap_mmwave(iap_load(gops), bundle, 16, 0.1)
+    cfg = bundle.scenario
+    mbsala = power_mbsala(cfg, bundle, [1.0] * 4)
+    bmaa = power_bmaa(cfg, bundle)
+    iap = power_iap_mmwave(cfg, bundle, 0.1)
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     current = {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,

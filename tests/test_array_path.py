@@ -220,6 +220,12 @@ def test_negative_values_in_a_grid_are_rejected(bundle):
         model.points([0.0, -1.0])
     with pytest.raises(ValueError, match="SE target"):
         model.points([1.0, -0.5], SE_VARIABLE)
+    # non-finite values fail as SweepSpec fails them, rather than as infeasible rows
+    for xs in ([math.nan], [math.inf], [1e9, math.nan]):
+        with pytest.raises(ValueError, match=r"total rate must be finite and >= 0"):
+            model.points(xs)
+        with pytest.raises(ValueError, match=r"SE target must be finite and >= 0"):
+            model.points(xs, SE_VARIABLE)
 
 
 def test_unknown_grid_kind_is_rejected(bundle):

@@ -53,6 +53,16 @@ def test_parse_variants_rejects(bad):
         parse_variants(bad, default_m_t=64)
 
 
+@pytest.mark.parametrize("text, entry", [("sep-mmwave,,nonsep", 2), ("sep-mmwave,nonsep,", 3),
+                                         (",nonsep", 1), ("nonsep, ", 2)])
+def test_sweep_empty_variant_entry_exits_1_naming_it(tmp_path, capsys, text, entry):
+    # an empty entry is an error, as an empty config vector component is
+    out = tmp_path / "x"
+    assert main(["sweep", "--out", str(out), "--variants", text, *FAST]) == 1
+    assert capsys.readouterr().err.startswith(f"error: variant {entry} of {text!r} is empty")
+    assert not (out / "results.csv").exists()
+
+
 def test_sweep_writes_schema_and_manifest(tmp_path):
     out = tmp_path / "run"
     code = main(["sweep", "--out", str(out), "--seed", "3", *FAST])

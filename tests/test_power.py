@@ -8,15 +8,8 @@ from hypothesis import strategies as st
 
 from b5gcell import ConfigError, default_bundle, load_config
 from b5gcell.power import (
-    ComplexityLoad,
-    bb_power,
-    bmaa_load,
-    estimation_op_count,
-    fft_op_count,
-    gops_fft,
-    iap_load,
-    mbs_load,
-    mbsala_load,
+    _gops_fft,
+    _gops_precoding,
     overhead_divisor,
     pa_power_classb,
     pa_power_doherty,
@@ -25,21 +18,37 @@ from b5gcell.power import (
     power_lifi_iap,
     power_mbs,
     power_mbsala,
-    precoding_item_count,
-    rf_power_bmaa,
-    rf_power_iap,
-    rf_power_mbsala,
 )
 from scalar_oracle import power_cell
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 
 
+def _gops(bundle, **keys):
+    """*bundle* with the given ``gops`` keys replaced."""
+    return bundle._replace(gops=bundle.gops._replace(**keys))
+
+
+def _idle(bundle, **keys):
+    """*bundle* with no baseband workload, then the given ``gops`` keys: every
+    fixed stage is zero and no frame runs, which zeroes the FFT, estimation and
+    precoding stages.  The laws check nothing, so a zero frame rate reaches them."""
+    zero = dict.fromkeys("frame_rate fltr map demap smpl dec enc ctrl nw".split(), 0.0)
+    return _gops(bundle, **{**zero, **keys})
+
+
+def _gops_at_rho_1(law, cfg, bundle, *args):
+    """A device's baseband workload in GOPS: its p_bb at one GOPS per watt."""
+    return law(cfg, bundle._replace(devices=bundle.devices._replace(rho=1.0)), *args).p_bb
+
+
 # --- complexity laws -----------------------------------------------------------
 
-def test_fft_ops_per_frame_frozen():
-    assert fft_op_count(14, 2048) == 14 * 2048 * 11
-    assert fft_op_count(14, 2048) == 315392
+def test_fft_ops_per_frame_frozen(bundle):
+    # at 1e9 frames per second the GOPS figure is the operation count per frame
+    gops = bundle.gops._replace(frame_rate=1e9)
+    assert _gops_fft(gops) == 14 * 2048 * 11
+    assert _gops_fft(gops) == 315392
 
 
 def test_fft_requires_power_of_two():
@@ -48,68 +57,115 @@ def test_fft_requires_power_of_two():
         load_config(None, environ={"B5GCELL_GOPS__N_FFT": "1500"})
 
 
-def test_gops_fft_timescale():
-    assert gops_fft(14, 2048, 1000.0) == pytest.approx(0.315392, rel=1e-12)
+def test_gops_fft_timescale(bundle):
+    assert _gops_fft(bundle.gops) == pytest.approx(0.315392, rel=1e-12)
+    # the access point's baseband is the FFT alone once the fixed stages are idle
+    idle = _idle(bundle, frame_rate=1000.0)
+    assert _gops_at_rho_1(power_iap_mmwave, bundle.scenario, idle, 0.0) == _gops_fft(idle.gops)
 
 
 def test_estimation_ops_default_pilot_equals_users(bundle):
     cfg = bundle.scenario
     assert cfg.pilot_len == cfg.n_ue == 16
-    assert estimation_op_count(cfg.m_t, cfg.n_ue, cfg.pilot_len) == 64 * 16 * 16
-    assert estimation_op_count(64, 16, pilot_len=8) == 64 * 16 * 8
+    # a block of pilots alone leaves nothing to precode: a relay array's
+    # baseband is then the FFT plus channel estimation, tau * M_t * N_ue per block
+    for pilot_len, ops in ((16, 64 * 16 * 16), (8, 64 * 16 * 8)):
+        pilots_only = cfg._replace(pilot_len=pilot_len, coherence_block=pilot_len)
+        b = _idle(bundle, frame_rate=1000.0)
+        est = _gops_at_rho_1(power_mbsala, pilots_only, b, []) - _gops_fft(b.gops)
+        assert est == pytest.approx(ops * (14 * 1000.0 / pilot_len) / 1e9, rel=1e-9)
 
 
-def test_precoding_items_frozen():
+def test_precoding_items_frozen(bundle):
     # frozen from an out-of-band evaluation of (16 + 4*4) * (1 - 16/196)
-    items = precoding_item_count(16, 4, 4, 16, 196)
+    gops = bundle.gops._replace(pre_weight=1.0, frame_rate=1e9)
+    items = _gops_precoding(bundle.scenario, gops, 64)
     assert items == pytest.approx(29.387755102040817, rel=1e-12)
 
 
-def test_complexity_total_is_sum_of_parts():
-    load = mbsala_load(default_bundle().scenario, default_bundle().gops)
-    parts = (load.fltr + load.fft + load.est + load.bf + load.pre + load.map
-             + load.demap + load.dec + load.enc + load.ctrl + load.nw + load.smpl)
-    assert load.total == pytest.approx(parts, rel=1e-15)
+def test_complexity_total_is_sum_of_parts(bundle):
+    cfg, g = bundle.scenario, bundle.gops
+    est = cfg.pilot_len * cfg.m_t * cfg.n_ue * (g.n_symbols * g.frame_rate
+                                                / cfg.coherence_block) / 1e9
+    parts = (g.fltr + _gops_fft(g) + est + _gops_precoding(cfg, g, cfg.m_t) + g.map
+             + g.ctrl + g.nw)
+    assert _gops_at_rho_1(power_mbsala, cfg, bundle, []) == pytest.approx(parts, rel=1e-15)
 
 
 def test_bmaa_load_scales_with_beam_count(bundle):
-    gops = bundle.gops
+    # every stage runs once per beam: dropping the fixed ones lowers the
+    # workload by n_beams times their sum
+    g = bundle.gops
+    bare = _gops(bundle, fltr=0.0, smpl=0.0, demap=0.0, dec=0.0)
     for n_beams in (1, 4, 8):
-        load = bmaa_load(bundle.scenario._replace(n_beams=n_beams), gops)
-        assert (load.fltr, load.smpl, load.demap, load.dec) == \
-            (n_beams * gops.fltr, n_beams * gops.smpl, n_beams * gops.demap, n_beams * gops.dec)
+        cfg = bundle.scenario._replace(n_beams=n_beams)
+        drop = (_gops_at_rho_1(power_bmaa, cfg, bundle)
+                - _gops_at_rho_1(power_bmaa, cfg, bare))
+        assert drop == pytest.approx(n_beams * (g.fltr + g.smpl + g.demap + g.dec),
+                                     rel=1e-12)
 
 
-def test_bb_power_is_load_over_rho():
-    load = ComplexityLoad(fltr=320.0)
-    assert bb_power(load, 160.0) == 2.0
+def test_bb_power_is_load_over_rho(bundle):
+    # one array's site workload of 320 GOPS at 160 GOPS per watt
+    b = _idle(bundle, enc=320.0)._replace(devices=bundle.devices._replace(rho=160.0))
+    assert power_mbs(bundle.scenario._replace(n_arrays=1), b, []).p_bb == 2.0
+
+
+def test_device_laws_read_their_own_antenna_counts(bundle):
+    # hand-transcribed at m_t = 128 != m_r = 64: a relay array reading m_r, a
+    # building array reading m_t or an access point reading either misses these
+    cfg = bundle.scenario._replace(m_t=128)
+    assert (cfg.m_r, cfg.m_t_iap) == (64, 16)
+    fft = 14 * 2048 * 11 * 1000 / 1e9
+    items = (16 + 4 * 4) * (1 - 16 / 196)
+    mbsala = power_mbsala(cfg, bundle, [])
+    est = 16 * 128 * 16 * (14 * 1000 / 196) / 1e9
+    assert mbsala.p_bb == pytest.approx(
+        (10 + fft + est + items * 128 * 2048 * 1000 / 1e9 + 5 + 10 + 10) / 160, rel=1e-12)
+    assert mbsala.p_rf == pytest.approx(128 * 0.010 + math.sqrt(128) * 0.05, rel=1e-12)
+    bmaa = power_bmaa(cfg, bundle)
+    assert bmaa.p_bb == pytest.approx(
+        4 * (10 + fft + items * 64 * 2048 * 1000 / 1e9 + 5 + 15 + 10 + 10 + 5) / 160,
+        rel=1e-12)
+    assert bmaa.p_rf == pytest.approx(64 * 0.015 + 8 * 0.04, rel=1e-12)
+    iap = power_iap_mmwave(cfg, bundle, 0.0)
+    assert iap.p_bb == pytest.approx((10 + fft + 5 + 10 + 10) / 160, rel=1e-12)
+    assert iap.p_rf == pytest.approx(16 * 0.090 + 4 * 0.08, rel=1e-12)
+    mbs = power_mbs(cfg, bundle, [mbsala] * 4)
+    assert mbs.p_bb == pytest.approx(4 * (20 + 10 + 10) / 160 + 4 * mbsala.p_bb, rel=1e-12)
+    assert mbs.p_rf == pytest.approx(4 * mbsala.p_rf, rel=1e-12)
 
 
 # --- RF front ends ---------------------------------------------------------------
 
 def test_rf_mbsala_hand_sum(bundle):
     # defaults: per-antenna 10 mW, clock 50 mW
-    assert rf_power_mbsala(64, bundle) == pytest.approx(64 * 0.01 + 8 * 0.05, rel=1e-12)
+    assert power_mbsala(bundle.scenario, bundle, []).p_rf == pytest.approx(
+        64 * 0.01 + 8 * 0.05, rel=1e-12)
 
 
 def test_rf_affine_plus_root_shape(bundle):
     b = bundle._replace(mbsala=bundle.mbsala._replace(
         p_mod=0.01, p_mix=0.01, p_dac=0.01, p_clk=0.01))
-    assert rf_power_mbsala(64, b) == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
-    assert rf_power_mbsala(64, b) == pytest.approx(2.0, rel=1e-12)
+    p_rf = power_mbsala(b.scenario, b, []).p_rf
+    assert p_rf == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
+    assert p_rf == pytest.approx(2.0, rel=1e-12)
 
 
 def test_rf_increment_approaches_per_antenna_share(bundle):
     rf = bundle.bmaa
     per_antenna = rf.p_mix + rf.p_vga + rf.p_adc + rf.p_lna
-    inc = rf_power_bmaa(1024, bundle) - rf_power_bmaa(1023, bundle)
+    cfg = bundle.scenario
+    inc = (power_bmaa(cfg._replace(m_r=1024), bundle).p_rf
+           - power_bmaa(cfg._replace(m_r=1023), bundle).p_rf)
     assert 0 < inc - per_antenna < 0.02 * rf.p_clc
 
 
 def test_rf_single_antenna(bundle):
     rf = bundle.iap
     per = rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs
-    assert rf_power_iap(1, bundle) == pytest.approx(per + rf.p_clc, rel=1e-12)
+    device = power_iap_mmwave(bundle.scenario._replace(m_t_iap=1), bundle, 0.0)
+    assert device.p_rf == pytest.approx(per + rf.p_clc, rel=1e-12)
 
 
 # --- amplifiers ------------------------------------------------------------------
@@ -165,41 +221,40 @@ def test_overhead_divisor_frozen(bundle):
 def test_overhead_exactness_invariant(ec, ea, ed, bb, rf):
     bundle = default_bundle()
     b = bundle._replace(devices=bundle.devices._replace(eta_c=ec, eta_acdc=ea, eta_dcdc=ed))
-    load = ComplexityLoad(fltr=bb * b.devices.rho)
-    device = power_bmaa(load, b, 64)
+    # one beam whose only stage is filtering at bb watts
+    one_beam = b.scenario._replace(n_beams=1)
+    device = power_bmaa(one_beam, _idle(b, fltr=bb * b.devices.rho))
     recovered = device.p_total * (1 - ec) * (1 - ea) * (1 - ed)
     assert recovered == pytest.approx(device.p_bb + device.p_rf + device.p_pa,
                                       rel=1e-12, abs=1e-12)
 
 
 def test_mbsala_has_no_divisor(bundle):
-    device = power_mbsala(mbsala_load(bundle.scenario, bundle.gops), bundle, 64, [1.0] * 4)
+    device = power_mbsala(bundle.scenario, bundle, [1.0] * 4)
     assert device.p_total == pytest.approx(device.p_bb + device.p_rf + device.p_pa,
                                            rel=1e-12)
 
 
 def test_mbsala_zero_load_zero_output_is_rf_only(bundle):
-    device = power_mbsala(ComplexityLoad(), bundle, 64, [])
+    device = power_mbsala(bundle.scenario, _idle(bundle), [])
     assert device.p_bb == 0.0 and device.p_pa == 0.0
     assert device.p_total == device.p_rf
 
 
 def test_mbsala_pa_additive_over_beams(bundle):
-    load = mbsala_load(bundle.scenario, bundle.gops)
-    four = power_mbsala(load, bundle, 64, [0.5] * 4)
-    eight = power_mbsala(load, bundle, 64, [0.5] * 8)
+    four = power_mbsala(bundle.scenario, bundle, [0.5] * 4)
+    eight = power_mbsala(bundle.scenario, bundle, [0.5] * 8)
     assert eight.p_pa == pytest.approx(2 * four.p_pa, rel=1e-12)
 
 
 def test_bmaa_without_overhead_is_bare_sum(bundle):
     b = bundle._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0))
-    load = bmaa_load(bundle.scenario, bundle.gops)
-    device = power_bmaa(load, b, 64)
+    device = power_bmaa(b.scenario, b)
     assert device.p_total == pytest.approx(device.p_bb + device.p_rf, rel=1e-12)
 
 
 def test_iap_floor_is_rf_only_through_divisor(bundle):
-    device = power_iap_mmwave(ComplexityLoad(), bundle, 16, 0.0)
+    device = power_iap_mmwave(bundle.scenario, _idle(bundle), 0.0)
     assert device.p_total == pytest.approx(device.p_rf / 0.78255, rel=1e-9)
 
 
@@ -225,26 +280,26 @@ def test_lifi_dark_led_draws_nothing(bundle):
 
 def test_mbs_overhead_identity_with_arrays(bundle):
     cfg, d = bundle.scenario, bundle.devices
-    array = power_mbsala(mbsala_load(cfg, bundle.gops), bundle, 64, [1.0] * 4)
-    mbs = power_mbs(bundle, mbs_load(cfg, bundle.gops), [array] * 4)
+    array = power_mbsala(cfg, bundle, [1.0] * 4)
+    mbs = power_mbs(cfg, bundle, [array] * 4)
     numerator = mbs.p_total * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
     assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa, rel=1e-12)
     assert mbs.p_pa == pytest.approx(4 * array.p_pa, rel=1e-12)
 
 
 def test_mbs_without_overhead_passes_arrays_through(bundle):
-    b0 = bundle._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0))
-    array = power_mbsala(ComplexityLoad(), b0, 64, [25.0, 25.0])
-    mbs = power_mbs(b0, ComplexityLoad(), [array])
+    b0 = _idle(bundle)._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0,
+                                                                 eta_dcdc=0.0))
+    array = power_mbsala(b0.scenario, b0, [25.0, 25.0])
+    mbs = power_mbs(b0.scenario, b0, [array])
     assert mbs.p_total == pytest.approx(array.p_total, rel=1e-12)
 
 
 def test_power_cell_sums_components(bundle):
     cfg = bundle.scenario
-    mbs = power_mbs(bundle, mbs_load(cfg, bundle.gops),
-                    [power_mbsala(mbsala_load(cfg, bundle.gops), bundle, 64, [1.0])])
-    bmaa = power_bmaa(bmaa_load(cfg, bundle.gops), bundle, 64)
-    iap = power_iap_mmwave(iap_load(bundle.gops), bundle, 16, 0.1)
+    mbs = power_mbs(cfg, bundle, [power_mbsala(cfg, bundle, [1.0])])
+    bmaa = power_bmaa(cfg, bundle)
+    iap = power_iap_mmwave(cfg, bundle, 0.1)
     total = power_cell(mbs, [bmaa, bmaa], [iap])
     assert total == pytest.approx(mbs.p_total + 2 * bmaa.p_total + iap.p_total,
                                   rel=1e-12)
@@ -255,7 +310,7 @@ def test_power_cell_sums_components(bundle):
 @settings(max_examples=60)
 def test_all_powers_nonnegative(m_t, p):
     bundle = default_bundle()
-    device = power_mbsala(mbsala_load(bundle.scenario, bundle.gops), bundle, m_t, [p])
+    device = power_mbsala(bundle.scenario._replace(m_t=m_t), bundle, [p])
     assert device.p_bb >= 0 and device.p_rf >= 0 and device.p_pa >= 0
     assert device.p_total >= 0
 
@@ -275,10 +330,10 @@ def _golden_values():
 
 def _current_device_powers():
     bundle = default_bundle()
-    cfg, gops = bundle.scenario, bundle.gops
-    mbsala = power_mbsala(mbsala_load(cfg, gops), bundle, 64, [1.0] * 4)
-    bmaa = power_bmaa(bmaa_load(cfg, gops), bundle, 64)
-    iap = power_iap_mmwave(iap_load(gops), bundle, 16, 0.1)
+    cfg = bundle.scenario
+    mbsala = power_mbsala(cfg, bundle, [1.0] * 4)
+    bmaa = power_bmaa(cfg, bundle)
+    iap = power_iap_mmwave(cfg, bundle, 0.1)
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     return {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,

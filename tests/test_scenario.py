@@ -143,7 +143,13 @@ def test_negative_rate_rejected(bundle):
     ("scenario", "gamma", 0.0, "scenario.gamma"),
     ("lifi", "half_angle", 0.0, "lifi.half_angle"),
     ("layout", "user_height_m", 3.0, "layout.iap_height_m"),
-], ids=["gamma", "half_angle", "heights"])
+    # an int key takes an int, not a float or a bool
+    ("gops", "n_fft", 2048.0, "gops.n_fft"),
+    ("scenario", "m_t_iap", 16.5, "scenario.m_t_iap"),
+    ("scenario", "n_iue", 4.0, "scenario.n_iue"),
+    ("scenario", "n_beams", True, "scenario.n_beams"),
+], ids=["gamma", "half_angle", "heights", "float_n_fft", "float_m_t_iap", "float_n_iue",
+        "bool_n_beams"])
 def test_build_validates_a_bundle_built_in_code(bundle, section, field, value, key):
     broken = bundle._replace(**{section: getattr(bundle, section)._replace(**{field: value})})
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must satisfy"):
