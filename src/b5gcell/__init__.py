@@ -9,19 +9,18 @@ device laws are imported from their own modules.
 
 __version__ = "0.1.0"
 
-from .config import (ConfigBundle, ConfigError, default_bundle, dumps_config, load_config,
-                     write_config)
-from .records import SweepSpec, VariantSpec
+from .records import ConfigError, SweepSpec, VariantSpec
 
 __all__ = ["ConfigBundle", "ConfigError", "SweepSpec", "VariantSpec", "build_scenario",
            "default_bundle", "dumps_config", "load_config", "run_sweep", "write_config"]
 
 
-def __getattr__(name):   # PEP 562: the numpy engine is imported on first use
-    if name in ("build_scenario", "run_sweep"):
-        from . import scenario
-        return getattr(scenario, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def __getattr__(name):   # PEP 562: the config table and the numpy engine load on first use
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = "scenario" if name in ("build_scenario", "run_sweep") else "config"
+    return getattr(import_module(f".{module}", __name__), name)
 
 
 def __dir__():

@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, dumps_config, load_config
-from .records import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepSpec, VariantSpec
+from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepSpec,
+                      VariantSpec, sha256)
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
 DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
@@ -73,10 +73,9 @@ def parse_variants(text: str, default_m_t: int) -> tuple:
 def _config_digests(bundle, path: str | None) -> dict:
     """``config_sha256`` of the effective bundle's canonical dump (file and env
     overrides included), plus ``config_file_sha256`` of the file's bytes if given."""
-    import hashlib   # not needed by a plain analyze
-    digests = {"config_sha256": hashlib.sha256(dumps_config(bundle).encode()).hexdigest()}
+    digests = {"config_sha256": sha256(dumps_config(bundle).encode()).hexdigest()}
     if path is not None:
-        digests["config_file_sha256"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        digests["config_file_sha256"] = sha256(Path(path).read_bytes()).hexdigest()
     return digests
 
 
@@ -151,6 +150,16 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
             _write(out_dir / f"{prefix}_vs_{stem}.svg", [
                 line_chart(xs, series, f"{title} vs {stem}", x_label, y_label)])
     return 0 if n_feasible else 2
+
+
+def load_config(path: str | None):   # the config table loads only for a command that reads one
+    from .config import load_config
+    return load_config(path)
+
+
+def dumps_config(bundle) -> str:
+    from .config import dumps_config
+    return dumps_config(bundle)
 
 
 def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # imports numpy on first call

@@ -5,7 +5,7 @@ value, the rule a value must satisfy and a note on its meaning, unit and
 provenance.  ``ConfigBundle`` has one field per section, in table order, and
 each section is a named tuple generated from its rows; the loader,
 ``default_bundle``, ``validate_bundle`` and the canonical writer all walk the
-table.
+table; they raise ``records.ConfigError``, which imports without the table.
 A key's type is the type of its default: ints parse with ``int(text, 0)``,
 floats with ``float``, strings are lower-cased, a flat tuple is a comma vector
 and a tuple of tuples a ``;`` list of such vectors.
@@ -29,11 +29,9 @@ import math
 import os
 from collections import namedtuple
 
+from .records import ConfigError
+
 ENV_PREFIX = "B5GCELL_"
-
-
-class ConfigError(ValueError):
-    """Raised when a config file, env override, or bundle violates an invariant."""
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +427,7 @@ def _fmt(default, value) -> str:
         if isinstance(default[0], tuple):
             return "; ".join(_fmt(default[0], vec) for vec in value)
         return ", ".join(repr(float(x)) for x in value)
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(default, float) else str(value)
 
 
 def dumps_config(bundle: ConfigBundle) -> str:

@@ -1,10 +1,16 @@
-"""Sweep requests and results.  Standard library only, so ``b5gcell analyze``
-and the package root load without numpy or the scenario engine."""
+"""Sweep requests and results, ``ConfigError`` and the digests' SHA-256.  Standard library
+only, so ``b5gcell analyze`` and the package root load without numpy or the config table."""
 
 import math
 from collections import namedtuple
 
-from .config import ConfigError
+try:   # CPython's built-in SHA-256: hashlib's digests without loading OpenSSL
+    from _sha2 import sha256            # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256      # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 RATE_VARIABLE = "total_rate_bps"
 SE_VARIABLE = "se_bits_per_hz"
@@ -13,6 +19,10 @@ POWER_FIELDS = ("total_power_w", "ee", "p_mbs_w", "p_bmaa_w", "p_iap_w")
 
 
 VARIANT_KINDS = ("sep-mmwave", "sep-lifi", "nonsep")
+
+
+class ConfigError(ValueError):
+    """Raised when a config file, env override, or bundle violates an invariant."""
 
 
 class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):

@@ -24,7 +24,7 @@ from .config import ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
 from .power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepResult, SweepSpec,
-                      VariantSpec)
+                      VariantSpec, sha256)
 
 class ScenarioModel:
     """Everything static about one variant; operating points are queried from it."""
@@ -203,8 +203,7 @@ def build_scenario(bundle: ConfigBundle, variant: VariantSpec, seed: int = 0) ->
 def _variant_stream(seed: int, name: str) -> np.random.Generator:
     # keyed on the variant name, not its list position: reordering or adding
     # variants must not move anyone's random placement
-    import hashlib   # with numpy.random, loaded by random placement alone
-    digest = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
+    digest = int.from_bytes(sha256(name.encode()).digest()[:8], "big")
     return np.random.default_rng(np.random.SeedSequence([seed, digest]))
 
 

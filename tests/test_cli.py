@@ -576,9 +576,11 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
     code, loaded, stdout = _probe("analyze", "--in", str(out), *config)
     assert code == "exit=0"
     assert stdout == (out / "summary.txt").read_text()
-    # digests and the timestamp are a sweep's and a --config check's business
-    unused = {"numpy", "dataclasses", "b5gcell.svgplot"} if with_config else \
-        {"numpy", "dataclasses", "datetime", "hashlib", "b5gcell.svgplot"}
+    # digests and the timestamp are a sweep's and a --config check's business; the
+    # digests come from the built-in SHA-256, so no command maps OpenSSL's _hashlib
+    unused = {"numpy", "dataclasses", "_hashlib", "b5gcell.svgplot"} if with_config else \
+        {"numpy", "dataclasses", "datetime", "hashlib", "_hashlib", "b5gcell.config",
+         "b5gcell.svgplot"}
     assert loaded & unused == set()
 
 
@@ -587,7 +589,7 @@ def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path)
     code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
     assert code == "exit=0"
     assert "numpy" in loaded
-    assert loaded & {"dataclasses", "numpy.random"} == set()
+    assert loaded & {"dataclasses", "numpy.random", "_hashlib"} == set()
     assert (out / "results.csv").is_file()
 
 

@@ -217,6 +217,16 @@ def test_default_dump_digest_pinned(bundle):
     assert digest == DEFAULT_DUMP_SHA256
 
 
+@pytest.mark.parametrize("key", ["scenario.bandwidth_in", "mbsala.pa_max", "gops.frame_rate"])
+def test_float_key_set_to_an_int_dumps_as_its_float(bundle, key):
+    # the same effective config, so the same canonical dump and config_sha256
+    section, _, name = key.partition(".")
+    value = int(DEFAULTS[key].value)
+    made = bundle._replace(**{section: getattr(bundle, section)._replace(**{name: value})})
+    assert made == bundle
+    assert hashlib.sha256(dumps_config(made).encode()).hexdigest() == DEFAULT_DUMP_SHA256
+
+
 @pytest.mark.parametrize("key", list(DEFAULTS))
 def test_env_override_with_dumped_text_gives_defaults(key, bundle):
     text = _dumped_values(dumps_config(bundle))[key]
