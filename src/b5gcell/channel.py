@@ -1,5 +1,4 @@
-"""Channel models: outdoor path loss with wall penetration, and the LiFi
-line-of-sight link.
+"""Channel models: outdoor and indoor path loss, and the LiFi line-of-sight link.
 """
 
 from __future__ import annotations
@@ -29,11 +28,6 @@ def pathloss_winner_b5a(distance_m: float, carrier_ghz: float) -> float:
 def pathloss_freespace(distance_m: float, carrier_ghz: float) -> float:
     """Free-space path loss in dB: 20 log10(4 pi d f / c). Used for short indoor links."""
     return 20.0 * math.log10(4.0 * math.pi * distance_m * carrier_ghz * 1e9 / 299792458.0)
-
-
-def apply_penetration(path_loss_db: float, penetration_db: float) -> float:
-    """Add a wall-penetration loss to a path-loss budget (both in dB)."""
-    return path_loss_db + penetration_db
 
 
 # ---------------------------------------------------------------------------

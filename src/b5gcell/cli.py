@@ -103,13 +103,13 @@ def _csv_chunks(result, x_texts: list):
         yield "\n".join(rows) + "\n"
 
 
-def _write(path: Path, chunks) -> None:
-    """Write the text *chunks* to *path*, failing as --out does."""
+def _write(path: Path, chunks, flag: str = "--out") -> None:
+    """Write the text *chunks* to *path*, failing as the directory option *flag* does."""
     try:
         with open(path, "w") as handle:
             handle.writelines(chunks)
     except OSError as exc:
-        raise ConfigError(f"--out {path.parent}: cannot write {path.name} "
+        raise ConfigError(f"{flag} {path.parent}: cannot write {path.name} "
                           f"({exc.strerror})") from None
 
 
@@ -193,16 +193,18 @@ def cmd_sweep(args) -> int:
 def _read_lines(path: Path) -> list:
     try:
         return path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
                           ) from None
 
 
-def _read_results(path: Path) -> dict:
+def _read_results(path: Path, x_kind: str) -> dict:
     """Per variant, in file order, the (x, total power, EE) columns of a results.csv,
-    None where infeasible.  A row is ``true`` with six finite numbers or ``false``
-    with a finite x alone; each variant's rows are contiguous with increasing x.
-    Any other row is a ConfigError that names it."""
+    None where infeasible.  A row has the x_kind *x_kind* and is ``true`` with six
+    finite numbers or ``false`` with a finite x alone; each variant's rows are
+    contiguous with increasing x.  Any other row is a ConfigError that names it."""
     lines = _read_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep results file")
@@ -210,7 +212,9 @@ def _read_results(path: Path) -> dict:
     columns, current = {}, None
     for ln in lines[1:]:
         try:
-            variant, x, _, power, ee, flag, p_mbs, p_bmaa, p_iap = ln.split(",")
+            variant, x, kind, power, ee, flag, p_mbs, p_bmaa, p_iap = ln.split(",")
+            if kind != x_kind:
+                raise ValueError(f"x_kind must be the manifest's variable {x_kind}")
             x = float(x)
             if flag == "true":
                 power, ee = float(power), float(ee)
@@ -242,16 +246,6 @@ def _read_results(path: Path) -> dict:
     return columns
 
 
-def _manifest_variants(recorded: dict) -> dict:
-    """VariantSpec per variant name, from the manifest's
-    ``variant.<i>=<name>,<kind>,<m_t>`` lines."""
-    fields = [v.rsplit(",", 2) for k, v in recorded.items() if k.startswith("variant.")]
-    try:
-        return {name: VariantSpec(name, kind, int(m_t)) for name, kind, m_t in fields}
-    except ValueError as exc:
-        raise ConfigError(f"bad variant line in the sweep manifest: {exc}") from None
-
-
 def _interp_crossing(xs, pa, pb):
     """First sign flip of pa - pb with linear interpolation, or the first x of
     the exact zeros it flips across; None without one.
@@ -278,7 +272,7 @@ def _interp_crossing(xs, pa, pb):
 
 
 def _summarize(columns: dict, specs: dict) -> list:
-    """Summary lines of _read_results' columns; *specs*: VariantSpec per name."""
+    """Summary lines of _read_results' columns on one x grid; *specs*: VariantSpec per name."""
     out = [f"variants={','.join(columns)}",
            f"n_rows={sum(len(xs) for xs, _, _ in columns.values())}",
            f"n_feasible={sum(len(p) - p.count(None) for _, p, _ in columns.values())}"]
@@ -296,20 +290,18 @@ def _summarize(columns: dict, specs: dict) -> list:
         interior = feas[0] < best < feas[-1]
         out.append(f"{name}.peak_ee_interior={'true' if interior else 'false'}")
     for a, b in itertools.combinations(columns, 2):
-        (xa, pa, _), (xb, pb, _) = columns[a], columns[b]
-        cross = _interp_crossing(xa, pa, pb) if xa == xb else None
+        (xs, pa, _), (_, pb, _) = columns[a], columns[b]
+        cross = _interp_crossing(xs, pa, pb)
         if cross is not None:
             out.append(f"crossing.{a}.vs.{b}={cross!r}")
     # mean lifi / mmwave saving over the shared feasible points, for each
-    # sep-lifi and sep-mmwave pair (VariantSpec per name in *specs*) of equal M_T
-    pairs = [(a, b) for a in columns for b in columns
-             if a in specs and b in specs and specs[a].kind == "sep-lifi"
+    # sep-lifi and sep-mmwave pair of equal M_T
+    pairs = [(a, b) for a in specs for b in specs if specs[a].kind == "sep-lifi"
              and specs[b].kind == "sep-mmwave" and specs[a].m_t == specs[b].m_t]
     for a, b in pairs:
-        (xa, pa, _), (xb, pb, _) = columns[a], columns[b]
         savings = [1.0 - power_a / power_b
-                   for x, x_b, power_a, power_b in zip(xa, xb, pa, pb)
-                   if power_a is not None and power_b is not None and x == x_b]
+                   for power_a, power_b in zip(columns[a][1], columns[b][1])
+                   if power_a is not None and power_b is not None]
         if savings:
             out.append(f"saving.{a}.vs.{b}.mean_percent="
                        f"{100.0 * sum(savings) / len(savings)!r}")
@@ -318,31 +310,39 @@ def _summarize(columns: dict, specs: dict) -> list:
 
 def cmd_analyze(args) -> int:
     src = Path(getattr(args, "in"))
-    results = src / "results.csv"
-    if not results.is_file():
-        raise ConfigError(f"{results} not found")
-    manifest = src / "manifest.txt"
-    recorded = dict(ln.partition("=")[::2] for ln in
-                    (_read_lines(manifest) if manifest.is_file() else ()))
+    manifest, results = src / "manifest.txt", src / "results.csv"
+    recorded = dict(ln.partition("=")[::2] for ln in _read_lines(manifest))
+    if (recorded.get("format") != "b5gcell-sweep-v2"
+            or not {"variable", "n_rows"} <= recorded.keys()):
+        raise ConfigError(f"{manifest}: not a b5gcell-sweep-v2 manifest with variable "
+                          f"and n_rows lines")
+    # VariantSpec per name, in order, from the variant.<i>=<name>,<kind>,<m_t> lines
+    fields = [v.rsplit(",", 2) for k, v in recorded.items() if k.startswith("variant.")]
+    try:
+        specs = {name: VariantSpec(name, kind, int(m_t)) for name, kind, m_t in fields}
+    except ValueError as exc:
+        raise ConfigError(f"{manifest}: bad variant line: {exc}") from None
     if args.config is not None:
-        if not manifest.is_file():
-            raise ConfigError(f"{manifest} not found, so there is nothing to verify "
-                              f"--config against")
         for key, digest in _config_digests(load_config(args.config), args.config).items():
             if recorded.get(key) != digest:
                 raise ConfigError(f"config does not match the sweep manifest "
                                   f"({key} {recorded.get(key)} != {digest})")
-    columns = _read_results(results)
+    columns = _read_results(results, recorded["variable"])
+    if list(columns) != list(specs):
+        raise ConfigError(f"{results}: variant blocks {list(columns)}, but {manifest} "
+                          f"records {list(specs)}")
     n_rows = str(sum(len(xs) for xs, _, _ in columns.values()))
-    if recorded.get("n_rows", n_rows) != n_rows:
-        raise ConfigError(f"{results}: {n_rows} rows, but the sweep manifest records "
+    if n_rows != recorded["n_rows"]:
+        raise ConfigError(f"{results}: {n_rows} rows, but {manifest} records "
                           f"n_rows={recorded['n_rows']}")
+    grids = [xs for xs, _, _ in columns.values()]
+    if grids[1:] != grids[:-1]:
+        raise ConfigError(f"{results}: the variant blocks differ in their x_value column")
     if all(p.count(None) == len(p) for _, p, _ in columns.values()):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2
-    lines = _summarize(columns, _manifest_variants(recorded))
-    text = "\n".join(lines) + "\n"
-    (src / "summary.txt").write_text(text)
+    text = "\n".join(_summarize(columns, specs)) + "\n"
+    _write(src / "summary.txt", [text], "--in")
     sys.stdout.write(text)
     return 0
 

@@ -2,15 +2,8 @@
 only, so ``b5gcell analyze`` and the package root load without numpy or the config table."""
 
 import math
+import sys
 from collections import namedtuple
-
-try:   # CPython's built-in SHA-256: hashlib's digests without loading OpenSSL
-    from _sha2 import sha256            # 3.12 and later
-except ImportError:
-    try:
-        from _sha256 import sha256      # 3.10, 3.11
-    except ImportError:
-        from hashlib import sha256
 
 RATE_VARIABLE = "total_rate_bps"
 SE_VARIABLE = "se_bits_per_hz"
@@ -25,6 +18,16 @@ class ConfigError(ValueError):
     """Raised when a config file, env override, or bundle violates an invariant."""
 
 
+def sha256(data: bytes = b""):
+    """``hashlib.sha256(data)``: hashlib's once loaded (numpy.random loads it), else CPython's
+    built-in ``_sha2`` (``_sha256`` before 3.12), so a digest maps no second SHA-256."""
+    for name in ("hashlib",) if "hashlib" in sys.modules else ("_sha2", "_sha256", "hashlib"):
+        try:
+            return __import__(name).sha256(data)
+        except ImportError:
+            continue
+
+
 class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):
     """One scenario variant of a sweep: a VARIANT_KINDS kind at *m_t* outdoor
     transmit antennas."""
@@ -35,8 +38,8 @@ class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):
         if kind not in VARIANT_KINDS:
             raise ConfigError(f"variant {name}: unknown kind {kind!r} "
                               f"(expected sep-mmwave, sep-lifi or nonsep)")
-        if m_t < 1:
-            raise ConfigError(f"variant {name}: m_t must be >= 1")
+        if isinstance(m_t, bool) or not isinstance(m_t, int) or m_t < 1:
+            raise ConfigError(f"variant {name}: m_t must be >= 1 and an int, not {m_t!r}")
         return super().__new__(cls, name, kind, m_t)
 
     @classmethod

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespace, \
-    pathloss_winner_b5a, apply_penetration
+    pathloss_winner_b5a
 from .config import ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
 from .power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
@@ -55,7 +55,7 @@ class ScenarioModel:
         pl = np.array([pathloss_winner_b5a(d, cfg.carrier_freq_out)
                        for d in distances])
         self.beta_backhaul = np.array([db_to_linear(-x) for x in pl])
-        pl_pen = np.array([apply_penetration(x, cfg.penetration_loss_db) for x in pl])
+        pl_pen = pl + cfg.penetration_loss_db   # the direct link also crosses the wall
         self.beta_direct = np.array([db_to_linear(-x) for x in pl_pen])
 
         # the swept total rate is split equally over every indoor user
@@ -203,8 +203,9 @@ def build_scenario(bundle: ConfigBundle, variant: VariantSpec, seed: int = 0) ->
 def _variant_stream(seed: int, name: str) -> np.random.Generator:
     # keyed on the variant name, not its list position: reordering or adding
     # variants must not move anyone's random placement
+    random = np.random   # loads hashlib first, so the digest maps no second SHA-256
     digest = int.from_bytes(sha256(name.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([seed, digest]))
+    return random.default_rng(random.SeedSequence([seed, digest]))
 
 
 def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResult:

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from b5gcell import ConfigError, load_config
+from b5gcell import ConfigError, VariantSpec, build_scenario, load_config
 from b5gcell.channel import (
     LiFiGeometry,
-    apply_penetration,
     db_to_linear,
     lifi_angles,
     lifi_los_gain,
@@ -98,8 +97,17 @@ def test_freespace_distance_doubling_adds_6db():
                                                                  rel=1e-9)
 
 
-def test_penetration_adds_in_db():
-    assert apply_penetration(89.5, 20.0) == 109.5
+def test_penetration_adds_in_db(bundle):
+    """The direct link pays the wall on top of the backhaul's path loss."""
+    relay = VariantSpec("relay", "sep-mmwave", 64)
+    model = build_scenario(bundle, relay)
+    pen = bundle.scenario.penetration_loss_db
+    np.testing.assert_allclose(model.beta_direct / model.beta_backhaul,
+                               10.0 ** (-pen / 10.0), rtol=1e-12)
+    thicker = bundle._replace(scenario=bundle.scenario._replace(penetration_loss_db=pen + 10))
+    walled = build_scenario(thicker, relay)
+    np.testing.assert_allclose(walled.beta_direct, model.beta_direct / 10.0, rtol=1e-12)
+    assert walled.beta_backhaul.tobytes() == model.beta_backhaul.tobytes()
 
 
 @given(x=st.floats(-120.0, 60.0))

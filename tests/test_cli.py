@@ -132,6 +132,25 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, monkeypatch, case):
             for name in digests} == digests
 
 
+# SHA-256 of the summary.txt that analyze writes for the default rate and SE sweeps
+PINNED_SUMMARIES = {
+    "rate": ([], "6ff77d4a8019a20dbe2c36e6d1acb1a8d6b8788d101cc9cdee6febba97fec286"),
+    "se": (["--variable", "se"],
+           "c24af5792ad39ddb46d2c6618ddce7dc6bcc5d4dffc2b972271e62a31b3b2fd1"),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_SUMMARIES.values(), ids=PINNED_SUMMARIES)
+def test_analyze_summary_matches_pinned_digest(tmp_path, capsys, case):
+    args, digest = case
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out), "--plot", "off", *args]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "summary.txt").read_text()
+    assert hashlib.sha256((out / "summary.txt").read_bytes()).hexdigest() == digest
+
+
 def test_reprs_formats_each_value_as_repr():
     values = [0.0, -0.0, math.nan, 5e-324, 1.7976931348623157e308] * 3
     assert _reprs(np.array(values)) == [repr(v) for v in values]
@@ -214,15 +233,58 @@ def test_analyze_pairs_bare_lifi_with_mmwave_at_the_configured_array_size(
     assert not [ln for ln in lines if "mt=64" in ln and ln.startswith(("ratio.", "saving."))]
 
 
-def test_analyze_without_variant_lines_in_manifest_pairs_nothing(tmp_path, capsys):
+def _shift_x(row, variant):
+    """*row* of results.csv with its x_value raised by 0.5 if it is one of *variant*'s."""
+    fields = row.split(",")
+    if fields[0] == variant:
+        fields[1] = repr(float(fields[1]) + 0.5)
+    return ",".join(fields)
+
+
+# (manifest lines, results.csv lines) of a default sweep -> the same edited into a
+# directory that sweep never writes (None: no manifest), the file the error names
+# and the cause it gives
+DIRECTORY_BREAKS = {
+    "no-manifest": (lambda m, r: (None, r), "manifest.txt", "cannot read"),
+    "format-v1": (lambda m, r: ([ln.replace("-v2", "-v1") for ln in m], r),
+                  "manifest.txt", "not a b5gcell-sweep-v2 manifest"),
+    "no-n_rows-line": (lambda m, r: ([ln for ln in m if not ln.startswith("n_rows=")], r),
+                       "manifest.txt", "not a b5gcell-sweep-v2 manifest"),
+    "no-variable-line": (lambda m, r: ([ln for ln in m if not ln.startswith("variable=")], r),
+                         "manifest.txt", "not a b5gcell-sweep-v2 manifest"),
+    "no-variant-lines": (lambda m, r: ([ln for ln in m if not ln.startswith("variant.")], r),
+                         "results.csv", "variant blocks"),
+    "renamed-block": (lambda m, r: (m, [ln.replace("sep-lifi,", "sep-lifX,") for ln in r]),
+                      "results.csv", "variant blocks"),
+    "reordered-blocks": (lambda m, r: (m, [r[0], *r[6:11], *r[1:6], *r[11:]]),
+                         "results.csv", "variant blocks"),
+    # the crossing of two variants needs one grid
+    "shifted-grid": (lambda m, r: (m, [_shift_x(ln, "nonsep") for ln in r]),
+                     "results.csv", "x_value column"),
+    "other-x_kind": (lambda m, r: (m, [r[0], r[1].replace(",total_rate_bps,", ",se_bits_per_hz,"),
+                                       *r[2:]]),
+                     "results.csv", "x_kind must be the manifest's variable total_rate_bps"),
+}
+
+
+@pytest.mark.parametrize("edit, name, cause", DIRECTORY_BREAKS.values(), ids=DIRECTORY_BREAKS)
+def test_analyze_rejects_a_directory_unlike_its_manifest(tmp_path, capsys, edit, name, cause):
     out = tmp_path / "run"
-    main(["sweep", "--out", str(out), *FAST])
-    manifest = out / "manifest.txt"
-    manifest.write_text("".join(ln for ln in manifest.read_text().splitlines(True)
-                                if not ln.startswith("variant.")))
-    lines = _analyze_lines(out, capsys)
-    assert "n_rows=15" in lines
-    assert not [ln for ln in lines if ln.startswith(("ratio.", "saving."))]
+    main(["sweep", "--out", str(out), "--plot", "off", *FAST])
+    manifest, results = out / "manifest.txt", out / "results.csv"
+    manifest_lines, rows = edit(manifest.read_text().splitlines(),
+                                results.read_text().splitlines())
+    if manifest_lines is None:
+        manifest.unlink()
+    else:
+        manifest.write_text("\n".join(manifest_lines) + "\n")
+    results.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {out / name}: ")
+    assert cause in captured.err and captured.out == ""
+    assert not (out / "summary.txt").exists()
 
 
 # a variant line whose antenna count is no integer, whose kind is unknown
@@ -385,7 +447,7 @@ def test_analyze_config_without_manifest_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "--in", str(out), "--config", str(other)]) == 1
     captured = capsys.readouterr()
-    assert "nothing to verify" in captured.err
+    assert captured.err.startswith(f"error: {out / 'manifest.txt'}: cannot read (")
     assert captured.out == ""
     assert not (out / "summary.txt").exists()
 
@@ -394,15 +456,18 @@ def test_analyze_config_without_manifest_exits_1(tmp_path, capsys):
 def test_analyze_rejects_rows_missing_from_the_manifest_count(tmp_path, capsys, cut):
     out = tmp_path / "run"
     main(["sweep", "--out", str(out), *FAST])
-    results = out / "results.csv"
+    results, manifest = out / "results.csv", out / "manifest.txt"
     header, *rows = results.read_text().splitlines()
     kept = rows[:-1] if cut == "last-row" else [r for r in rows if not r.startswith("sep-lifi,")]
     results.write_text("\n".join([header, *kept]) + "\n")
     capsys.readouterr()
     assert main(["analyze", "--in", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == (f"error: {results}: {len(kept)} rows, but the sweep manifest "
-                   f"records n_rows={len(rows)}\n")
+    assert err == {
+        "last-row": f"error: {results}: 14 rows, but {manifest} records n_rows=15\n",
+        "variant-block": (f"error: {results}: variant blocks ['sep-mmwave', 'nonsep'], but "
+                          f"{manifest} records ['sep-mmwave', 'sep-lifi', 'nonsep']\n"),
+    }[cut]
     assert not (out / "summary.txt").exists()
 
 
@@ -534,6 +599,16 @@ def test_sweep_unwritable_output_file_exits_1_naming_it(tmp_path, capsys, name):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_analyze_unwritable_summary_exits_1_naming_it(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), "--plot", "off", *FAST])
+    (out / "summary.txt").mkdir()
+    capsys.readouterr()
+    assert main(["analyze", "--in", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: --in {out}: cannot write summary.txt "
+                                       f"(Is a directory)\n")
+
+
 def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out), "--seed", "-1", *FAST]) == 1
@@ -579,8 +654,8 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
     # digests and the timestamp are a sweep's and a --config check's business; the
     # digests come from the built-in SHA-256, so no command maps OpenSSL's _hashlib
     unused = {"numpy", "dataclasses", "_hashlib", "b5gcell.svgplot"} if with_config else \
-        {"numpy", "dataclasses", "datetime", "hashlib", "_hashlib", "b5gcell.config",
-         "b5gcell.svgplot"}
+        {"numpy", "dataclasses", "datetime", "hashlib", "_hashlib", "_sha2", "_sha256",
+         "b5gcell.config", "b5gcell.svgplot"}
     assert loaded & unused == set()
 
 
@@ -590,6 +665,16 @@ def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path)
     assert code == "exit=0"
     assert "numpy" in loaded
     assert loaded & {"dataclasses", "numpy.random", "_hashlib"} == set()
+    assert (out / "results.csv").is_file()
+
+
+def test_random_layout_sweep_hashes_with_the_loaded_hashlib(tmp_path, monkeypatch):
+    monkeypatch.setenv("B5GCELL_LAYOUT__PLACEMENT", "random")
+    out = tmp_path / "run"
+    code, loaded, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
+    assert code == "exit=0"
+    # numpy.random loads OpenSSL's SHA-256 through hashlib; the digests use it too
+    assert "_hashlib" in loaded and loaded & {"_sha2", "_sha256"} == set()
     assert (out / "results.csv").is_file()
 
 
