@@ -313,9 +313,14 @@ def cmd_analyze(args) -> int:
     manifest, results = src / "manifest.txt", src / "results.csv"
     recorded = dict(ln.partition("=")[::2] for ln in _read_lines(manifest))
     if (recorded.get("format") != "b5gcell-sweep-v2"
-            or not {"variable", "n_rows"} <= recorded.keys()):
-        raise ConfigError(f"{manifest}: not a b5gcell-sweep-v2 manifest with variable "
-                          f"and n_rows lines")
+            or not {"variable", "grid", "n_rows"} <= recorded.keys()):
+        raise ConfigError(f"{manifest}: not a b5gcell-sweep-v2 manifest with variable, "
+                          f"grid and n_rows lines")
+    try:
+        lo, hi, n = recorded["grid"].split(":")
+        grid = float(lo), float(hi), int(n)
+    except ValueError as exc:
+        raise ConfigError(f"{manifest}: bad grid line: {exc}") from None
     # VariantSpec per name, in order, from the variant.<i>=<name>,<kind>,<m_t> lines
     fields = [v.rsplit(",", 2) for k, v in recorded.items() if k.startswith("variant.")]
     try:
@@ -338,6 +343,10 @@ def cmd_analyze(args) -> int:
     grids = [xs for xs, _, _ in columns.values()]
     if grids[1:] != grids[:-1]:
         raise ConfigError(f"{results}: the variant blocks differ in their x_value column")
+    # linspace gives both ends exactly; the interior would need its rounding
+    if grids and (grids[0][0], grids[0][-1], len(grids[0])) != grid:
+        raise ConfigError(f"{manifest}: grid={recorded['grid']} does not match {results}'s "
+                          f"{len(grids[0])} x_values from {grids[0][0]!r} to {grids[0][-1]!r}")
     if all(p.count(None) == len(p) for _, p, _ in columns.values()):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2

@@ -2,7 +2,6 @@
 only, so ``b5gcell analyze`` and the package root load without numpy or the config table."""
 
 import math
-import sys
 from collections import namedtuple
 
 RATE_VARIABLE = "total_rate_bps"
@@ -19,9 +18,9 @@ class ConfigError(ValueError):
 
 
 def sha256(data: bytes = b""):
-    """``hashlib.sha256(data)``: hashlib's once loaded (numpy.random loads it), else CPython's
-    built-in ``_sha2`` (``_sha256`` before 3.12), so a digest maps no second SHA-256."""
-    for name in ("hashlib",) if "hashlib" in sys.modules else ("_sha2", "_sha256", "hashlib"):
+    """``hashlib.sha256(data)`` from CPython's built-in ``_sha2`` (``_sha256`` before 3.12),
+    so a digest does not load OpenSSL; ``hashlib`` only on a build without either."""
+    for name in ("_sha2", "_sha256", "hashlib"):
         try:
             return __import__(name).sha256(data)
         except ImportError:

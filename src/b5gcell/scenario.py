@@ -43,8 +43,9 @@ class ScenarioModel:
             distances = np.sort(rng.uniform(layout.distance_min_m,
                                             layout.distance_max_m,
                                             cfg.n_buildings))
-            offsets = rng.uniform(-layout.room_halfwidth_m, layout.room_halfwidth_m,
-                                  size=(cfg.n_iue, 2))
+            offsets = np.reshape(rng.uniform(-layout.room_halfwidth_m,
+                                             layout.room_halfwidth_m, 2 * cfg.n_iue),
+                                 (cfg.n_iue, 2))
         else:
             distances = np.asarray(layout.building_distances_m, float)
             offsets = np.asarray(layout.user_offsets_m, float)
@@ -200,12 +201,12 @@ def build_scenario(bundle: ConfigBundle, variant: VariantSpec, seed: int = 0) ->
     return ScenarioModel(bundle, variant, seed)
 
 
-def _variant_stream(seed: int, name: str) -> np.random.Generator:
-    # keyed on the variant name, not its list position: reordering or adding
-    # variants must not move anyone's random placement
-    random = np.random   # loads hashlib first, so the digest maps no second SHA-256
-    digest = int.from_bytes(sha256(name.encode()).digest()[:8], "big")
-    return random.default_rng(random.SeedSequence([seed, digest]))
+def _variant_stream(seed: int, name: str):
+    """The stream of ``np.random.default_rng(np.random.SeedSequence([seed, digest]))``,
+    *digest* the first 8 bytes of the name's SHA-256: keyed on the variant name, not its
+    list position, so reordering or adding variants moves no one's random placement."""
+    from .stream import Stream   # random placement only
+    return Stream([seed, int.from_bytes(sha256(name.encode()).digest()[:8], "big")])
 
 
 def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResult:

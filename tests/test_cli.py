@@ -264,7 +264,27 @@ DIRECTORY_BREAKS = {
     "other-x_kind": (lambda m, r: (m, [r[0], r[1].replace(",total_rate_bps,", ",se_bits_per_hz,"),
                                        *r[2:]]),
                      "results.csv", "x_kind must be the manifest's variable total_rate_bps"),
+    # the manifest's grid=lo:hi:n must give the x_value column's count and end points
+    "no-grid-line": (lambda m, r: ([ln for ln in m if not ln.startswith("grid=")], r),
+                     "manifest.txt", "not a b5gcell-sweep-v2 manifest"),
+    "other-grid": (lambda m, r: (_regrid(m, "0:9e9:7"), r),
+                   "manifest.txt", "grid=0:9e9:7 does not match"),
+    "grid-more-points": (lambda m, r: (_regrid(m, "0:2e9:6"), r),
+                         "manifest.txt", "grid=0:2e9:6 does not match"),
+    "grid-other-min": (lambda m, r: (_regrid(m, "1e-300:2e9:5"), r),
+                       "manifest.txt", "grid=1e-300:2e9:5 does not match"),
+    "grid-other-max": (lambda m, r: (_regrid(m, "0:2000000000.0000002:5"), r),
+                       "manifest.txt", "grid=0:2000000000.0000002:5 does not match"),
+    "malformed-grid": (lambda m, r: (_regrid(m, "0:2e9"), r),
+                       "manifest.txt", "bad grid line"),
+    "grid-of-floats": (lambda m, r: (_regrid(m, "0:2e9:5.0"), r),
+                       "manifest.txt", "bad grid line"),
 }
+
+
+def _regrid(manifest_lines, grid):
+    """*manifest_lines* with the grid line recording *grid*."""
+    return [f"grid={grid}" if ln.startswith("grid=") else ln for ln in manifest_lines]
 
 
 @pytest.mark.parametrize("edit, name, cause", DIRECTORY_BREAKS.values(), ids=DIRECTORY_BREAKS)
@@ -664,17 +684,19 @@ def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path)
     code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
     assert code == "exit=0"
     assert "numpy" in loaded
-    assert loaded & {"dataclasses", "numpy.random", "_hashlib"} == set()
+    assert loaded & {"dataclasses", "numpy.random", "_hashlib", "b5gcell.stream"} == set()
     assert (out / "results.csv").is_file()
 
 
-def test_random_layout_sweep_hashes_with_the_loaded_hashlib(tmp_path, monkeypatch):
+def test_random_layout_sweep_loads_neither_numpy_random_nor_hashlib(tmp_path, monkeypatch):
     monkeypatch.setenv("B5GCELL_LAYOUT__PLACEMENT", "random")
     out = tmp_path / "run"
     code, loaded, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
     assert code == "exit=0"
-    # numpy.random loads OpenSSL's SHA-256 through hashlib; the digests use it too
-    assert "_hashlib" in loaded and loaded & {"_sha2", "_sha256"} == set()
+    # the layout comes from the standard-library stream and the digests from the
+    # built-in SHA-256, so OpenSSL is never mapped
+    assert "b5gcell.stream" in loaded and loaded & {"_sha2", "_sha256"}
+    assert loaded & {"numpy.random", "secrets", "hashlib", "_hashlib"} == set()
     assert (out / "results.csv").is_file()
 
 
