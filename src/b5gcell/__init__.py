@@ -15,7 +15,7 @@ __all__ = ["ConfigBundle", "ConfigError", "SweepSpec", "VariantSpec", "build_sce
            "default_bundle", "dumps_config", "load_config", "run_sweep", "write_config"]
 
 
-def __getattr__(name):   # PEP 562: the config table and the numpy engine load on first use
+def __getattr__(name):   # PEP 562: the config table and the engine load on first use
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module

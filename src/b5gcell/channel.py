@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-import numpy as np
-
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -47,11 +45,13 @@ class LiFiGeometry(namedtuple("LiFiGeometry", "distance phi psi")):
 
 
 def lifi_angles(tx_pos, rx_pos, n_tx, n_rx) -> LiFiGeometry:
-    """Radiance and incidence angles from positions and unit normals."""
-    d = np.asarray(rx_pos, float) - np.asarray(tx_pos, float)
-    dist = float(np.linalg.norm(d))
-    cos_phi = float(np.dot(d, np.asarray(n_tx, float))) / dist
-    cos_psi = float(np.dot(-d, np.asarray(n_rx, float))) / dist
+    """Radiance and incidence angles from positions and unit normals.  The
+    distance and both dot products are plain sums in coordinate order, so they
+    round the same on every machine."""
+    dx, dy, dz = (float(r) - float(t) for r, t in zip(rx_pos, tx_pos))
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    cos_phi = (dx * n_tx[0] + dy * n_tx[1] + dz * n_tx[2]) / dist
+    cos_psi = (-dx * n_rx[0] + -dy * n_rx[1] + -dz * n_rx[2]) / dist
     return LiFiGeometry(distance=dist,
                         phi=math.acos(min(1.0, max(-1.0, cos_phi))),
                         psi=math.acos(min(1.0, max(-1.0, cos_psi))))

@@ -14,6 +14,8 @@ import argparse
 import itertools
 import math
 import sys
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from . import __version__
@@ -28,7 +30,8 @@ VARIABLES = {"rate": (RATE_VARIABLE, "0:6e9:25", "total rate (bit/s)"),
 
 
 def parse_grid(text: str) -> tuple:
-    """``min:max:points`` -> inclusive, evenly spaced grid."""
+    """``min:max:points`` -> inclusive, evenly spaced grid: the floats of
+    ``np.linspace(min, max, points)``, ``i * step + min`` with both ends exact."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be min:max:points, got {text!r}")
@@ -45,8 +48,10 @@ def parse_grid(text: str) -> tuple:
         raise ConfigError(f"grid max must exceed min, got {text!r}")
     if lo < 0:
         raise ConfigError(f"grid min must be >= 0, got {text!r}")
-    import numpy as np   # the sweep path only; analyze stays numpy-free
-    return tuple(float(x) for x in np.linspace(lo, hi, n))
+    step = (hi - lo) / (n - 1)
+    if step == 0:   # linspace's form for a span of a few subnormals
+        return tuple([i / (n - 1) * (hi - lo) + lo for i in range(n - 1)] + [hi])
+    return tuple([i * step + lo for i in range(n - 1)] + [hi])
 
 
 def parse_variants(text: str, default_m_t: int) -> tuple:
@@ -80,26 +85,32 @@ def _config_digests(bundle, path: str | None) -> dict:
 
 
 def _reprs(values) -> list:
-    """``[repr(v) for v in values]`` for a float64 array, formatting each distinct
-    bit pattern once.  Bits, not values, pick the text: ``0.0 == -0.0``."""
-    import numpy as np
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [repr(v) for v in bits.view(np.float64).tolist()]
-    return list(map(texts.__getitem__, inverse.tolist()))
+    """``[repr(v) for v in values]`` for floats, formatting each distinct value
+    once.  ``0.0 == -0.0`` share a key, so zeros are formatted again where they
+    stand; a NaN is found only as the same object, which has the same text."""
+    texts = dict.fromkeys(values)
+    if len(texts) == len(values):   # no value repeats: nothing to share
+        return list(map(repr, values))
+    for v in texts:
+        texts[v] = repr(v)
+    out = list(map(texts.__getitem__, values))
+    if 0.0 in texts:
+        out = [text if v else repr(v) for v, text in zip(values, out)]
+    return out
 
 
-def _csv_chunks(result, x_texts: list):
+def _csv_chunks(result, xs: list):
     """results.csv text: the header, then one chunk per variant."""
-    import numpy as np   # loaded by the sweep already
-    kind = result.spec.variable
+    kind, x_texts = result.spec.variable, _reprs(xs)
     yield CSV_HEADER + "\n"
     for name, column in result.columns.items():
         total, ee, p_mbs, p_bmaa, p_iap = (_reprs(column[field]) for field in POWER_FIELDS)
         rows = list(map(",".join, zip(itertools.repeat(name), x_texts, itertools.repeat(kind),
                                       total, ee, itertools.repeat("true"),
                                       p_mbs, p_bmaa, p_iap)))
-        for i in np.flatnonzero(~column["feasible"]).tolist():
-            rows[i] = f"{name},{x_texts[i]},{kind},,,false,,,"
+        for i, ok in enumerate(column["feasible"]):
+            if not ok:
+                rows[i] = f"{name},{x_texts[i]},{kind},,,false,,,"
         yield "\n".join(rows) + "\n"
 
 
@@ -120,11 +131,9 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory "
                           f"({exc.strerror})") from None
-    import numpy as np   # loaded by the sweep already
     from datetime import datetime, timezone
-    xs = np.asarray(result.spec.grid, dtype=np.float64)   # for the x texts and both charts
-    x_texts = _reprs(xs)
-    _write(out_dir / "results.csv", _csv_chunks(result, x_texts))
+    xs = [float(x) for x in result.spec.grid]   # for the x texts and both charts
+    _write(out_dir / "results.csv", _csv_chunks(result, xs))
 
     manifest = [
         "format=b5gcell-sweep-v2",
@@ -135,12 +144,12 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
         f"grid={grid_text}",
         *(f"variant.{i}={v.name},{v.kind},{v.m_t}"
           for i, v in enumerate(result.spec.variants)),
-        f"n_rows={len(x_texts) * len(result.columns)}",
+        f"n_rows={len(xs) * len(result.columns)}",
         f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
     ]
     _write(out_dir / "manifest.txt", ["\n".join(manifest) + "\n"])
 
-    n_feasible = sum(int(column["feasible"].sum()) for column in result.columns.values())
+    n_feasible = sum(sum(column["feasible"]) for column in result.columns.values())
     if axis and n_feasible:
         stem, x_label = axis
         for prefix, field, title, y_label in (
@@ -162,13 +171,13 @@ def dumps_config(bundle) -> str:
     return dumps_config(bundle)
 
 
-def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # imports numpy on first call
+def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # loads the engine on first call
     from .scenario import run_sweep
     return run_sweep(bundle, spec, seed)
 
 
 def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
-    from .svgplot import line_chart   # numpy-based: loaded only where charts are drawn
+    from .svgplot import line_chart   # loaded only where charts are drawn
     return line_chart(xs, series, title, x_label, y_label)
 
 
@@ -302,9 +311,9 @@ def _summarize(columns: dict, specs: dict) -> list:
         savings = [1.0 - power_a / power_b
                    for power_a, power_b in zip(columns[a][1], columns[b][1])
                    if power_a is not None and power_b is not None]
-        if savings:
+        if savings:   # added in row order: sum() compensates from Python 3.12 on
             out.append(f"saving.{a}.vs.{b}.mean_percent="
-                       f"{100.0 * sum(savings) / len(savings)!r}")
+                       f"{100.0 * reduce(add, savings, 0) / len(savings)!r}")
     return out
 
 

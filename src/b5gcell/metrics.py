@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+
+def _sinc(x: float) -> float:
+    """sin(pi x) / (pi x) in numpy's form: y = pi x, with x = 0 taken as 1e-20."""
+    y = math.pi * (1e-20 if x == 0 else x)
+    return math.sin(y) / y
 
 
-def kernel_power_mean(length: int, offset, half):
+def kernel_power_mean(length: int, offset: float, half: float) -> float:
     """Exact mean of F_M(theta - beam)^2 over theta uniform on [mid - half,
-    mid + half], ``offset = mid - beam``; *offset* and *half* broadcast, and
-    the sum over k accumulates into one array of their broadcast shape."""
-    offset = np.asarray(offset, float)
-    total = np.full(np.broadcast_shapes(offset.shape, np.shape(half)), float(length))
+    mid + half], ``offset = mid - beam``, the cosine terms added in k order."""
+    total = float(length)
     for k in range(1, length):
-        total += 2.0 * (length - k) * np.cos(math.pi * k * offset) * np.sinc(k * half)
+        total += 2.0 * (length - k) * math.cos(math.pi * k * offset) * _sinc(k * half)
     return total / float(length) ** 2
 
 
@@ -34,16 +36,12 @@ def sinr_lifi(c_f: float, p_tx: float, h_los: float, n0: float,
 
 
 def required_sinr(se_target, gamma: float = 1.0):
-    """Exact inverse of the approximate SE law: 2^(se/gamma) - 1, elementwise
-    through Python's ``**`` (np.power(2.0, x) can be an ulp off it); a float
-    for a scalar target."""
-    se = np.asarray(se_target, float)
-    out = []
-    for x in np.ravel(se / gamma).tolist():
-        try:
-            out.append(2.0 ** x - 1.0)
-        except OverflowError:
-            # beyond float range; inf is the correctly rounded value and it
-            # propagates into an infinite power demand downstream
-            out.append(math.inf)
-    return out[0] if se.ndim == 0 else np.reshape(out, se.shape)
+    """Exact inverse of the approximate SE law: 2^(se/gamma) - 1 through
+    Python's ``**``, of one target (a float back) or of each target in a
+    sequence (a list back).  From se/gamma = 1024 on, 2^(se/gamma) is beyond
+    float range (``**`` would raise): inf, the correctly rounded value, which
+    propagates into an infinite power demand downstream."""
+    if isinstance(se_target, (int, float)):
+        return required_sinr([se_target], gamma)[0]
+    inf = math.inf
+    return [inf if (x := se / gamma) >= 1024.0 else 2.0 ** x - 1.0 for se in se_target]

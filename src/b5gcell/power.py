@@ -11,6 +11,9 @@ Conventions fixed here once:
   A relay array is fed by the macro site's supply, so its own total carries
   no divisor.
 * The laws check nothing; the gate is validate_bundle, SweepSpec and points().
+* An amplifier's output power is one float or a column of them, one per grid
+  point (a list); a law maps over a column in the order it evaluates one float,
+  so every entry of its result equals that point's own evaluation.
 
 Each device has one law, baseband GOPS / rho plus its RF front end plus its
 amplifier, over the supply divisor where it owns one, and each law sums its own
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-
-import numpy as np
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 from .config import ConfigBundle
 
@@ -56,25 +60,46 @@ def _gops_precoding(cfg, gops, antennas: int) -> float:
     return items * weight * gops.frame_rate / 1e9
 
 
+def _each(law, x):
+    """``law(x)`` of one float, or ``[law(v) for v in x]`` of a column."""
+    return law(x) if isinstance(x, (int, float)) else list(map(law, x))
+
+
+def add_up(terms):
+    """0 + t0 + t1 + ..., one term at a time in order: of floats, or of
+    equal-length columns point by point.  The built-in ``sum`` compensates a
+    float sum from Python 3.12 on, which would move results with the version."""
+    if terms and not isinstance(terms[0], (int, float)):
+        total = repeat(0)
+        for column in terms:   # chained lazily: one pass, no list per term
+            total = map(add, total, column)
+        return list(total)
+    return reduce(add, terms, 0)
+
+
 # ---------------------------------------------------------------------------
 # amplifiers
 # ---------------------------------------------------------------------------
 
 def pa_power_classb(p_out, p_max: float):
-    """Class-B consumption (2/pi) sqrt(p_out p_max), elementwise; zero draws zero."""
-    return (2.0 / math.pi) * np.sqrt(p_out * p_max)
+    """Class-B consumption (2/pi) sqrt(p_out p_max); zero draws zero."""
+    scale, sqrt = 2.0 / math.pi, math.sqrt
+    if isinstance(p_out, (int, float)):
+        return scale * sqrt(p_out * p_max)
+    return [scale * sqrt(p * p_max) for p in p_out]
 
 
 def pa_power_doherty(p_out, p_max: float):
-    """Two-branch Doherty consumption, elementwise.
+    """Two-branch Doherty consumption.
 
     (2/pi) sqrt(p_out p_max) below a quarter of the rating and
     (6/pi) sqrt(p_out p_max) from the quarter point up, kept discontinuous as
     modelled.
     """
-    root = np.sqrt(p_out * p_max)
-    return np.where(p_out < 0.25 * p_max, (2.0 / math.pi) * root,
-                    (6.0 / math.pi) * root)[()]
+    low, high, quarter, sqrt = 2.0 / math.pi, 6.0 / math.pi, 0.25 * p_max, math.sqrt
+    if isinstance(p_out, (int, float)):
+        return (low if p_out < quarter else high) * sqrt(p_out * p_max)
+    return [(low if p < quarter else high) * sqrt(p * p_max) for p in p_out]
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +121,13 @@ def power_mbsala(cfg, b: ConfigBundle, p_out_per_beam) -> DevicePower:
             + _gops_precoding(cfg, g, cfg.m_t) + g.map + g.ctrl + g.nw)
     p_bb = gops / b.devices.rho
     p_rf = cfg.m_t * (rf.p_mod + rf.p_mix + rf.p_dac) + math.sqrt(cfg.m_t) * rf.p_clk
-    p_pa = sum(pa_power_classb(p, rf.pa_max) for p in p_out_per_beam)
+    drawn = {}   # streams that share one column object draw their amplifier once
+    for p in p_out_per_beam:
+        if id(p) not in drawn:
+            drawn[id(p)] = pa_power_classb(p, rf.pa_max)
+    p_pa = add_up([drawn[id(p)] for p in p_out_per_beam])
     return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
-                       p_total=p_bb + p_rf + p_pa)
+                       p_total=_each(lambda pa: p_bb + p_rf + pa, p_pa))
 
 
 def power_bmaa(cfg, b: ConfigBundle) -> DevicePower:
@@ -124,7 +153,8 @@ def power_iap_mmwave(cfg, b: ConfigBundle, p_out) -> DevicePower:
     p_rf = (cfg.m_t_iap * (rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs)
             + math.sqrt(cfg.m_t_iap) * rf.p_clc)
     p_pa = pa_power_doherty(p_out, rf.pa_max)
-    total = (p_bb + p_rf + p_pa) / overhead_divisor(b)
+    divisor = overhead_divisor(b)
+    total = _each(lambda pa: (p_bb + p_rf + pa) / divisor, p_pa)
     return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
 
 
@@ -151,9 +181,10 @@ def power_mbs(cfg, b: ConfigBundle, mbsala_powers) -> DevicePower:
     """
     g, arrays = b.gops, cfg.n_arrays
     site_gops = arrays * g.enc + arrays * g.ctrl + arrays * g.nw
-    p_bb = site_gops / b.devices.rho + sum(m.p_bb for m in mbsala_powers)
-    p_rf = sum(m.p_rf for m in mbsala_powers)
-    p_pa = sum(m.p_pa for m in mbsala_powers)
-    total = (p_bb + p_rf + p_pa) / overhead_divisor(b)
+    p_bb = site_gops / b.devices.rho + add_up([m.p_bb for m in mbsala_powers])
+    p_rf = add_up([m.p_rf for m in mbsala_powers])
+    p_pa = add_up([m.p_pa for m in mbsala_powers])
+    divisor = overhead_divisor(b)
+    total = _each(lambda pa: (p_bb + p_rf + pa) / divisor, p_pa)
     return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
 

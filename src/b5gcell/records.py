@@ -1,5 +1,6 @@
 """Sweep requests and results, ``ConfigError`` and the digests' SHA-256.  Standard library
-only, so ``b5gcell analyze`` and the package root load without numpy or the config table."""
+only, so ``b5gcell analyze`` and the package root load without the engine or the config
+table."""
 
 import math
 from collections import namedtuple

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespace, \
     pathloss_winner_b5a
 from .config import ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
-from .power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
+from .power import (add_up, power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs,
+                    power_mbsala)
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepResult, SweepSpec,
                       VariantSpec, sha256)
 
@@ -40,24 +39,22 @@ class ScenarioModel:
         # geometry: fixed layout, or a draw from the variant's own seeded stream
         if layout.placement == "random":
             rng = _variant_stream(seed, variant.name)
-            distances = np.sort(rng.uniform(layout.distance_min_m,
-                                            layout.distance_max_m,
-                                            cfg.n_buildings))
-            offsets = np.reshape(rng.uniform(-layout.room_halfwidth_m,
-                                             layout.room_halfwidth_m, 2 * cfg.n_iue),
-                                 (cfg.n_iue, 2))
+            distances = sorted(rng.uniform(layout.distance_min_m, layout.distance_max_m,
+                                           cfg.n_buildings))
+            flat = rng.uniform(-layout.room_halfwidth_m, layout.room_halfwidth_m,
+                               2 * cfg.n_iue)
+            offsets = list(zip(flat[::2], flat[1::2]))
         else:
-            distances = np.asarray(layout.building_distances_m, float)
-            offsets = np.asarray(layout.user_offsets_m, float)
+            distances = [float(d) for d in layout.building_distances_m]
+            offsets = [(float(x), float(y)) for x, y in layout.user_offsets_m]
         self.building_distances = distances
         self.user_offsets = offsets
 
         # outdoor large-scale gains per building
-        pl = np.array([pathloss_winner_b5a(d, cfg.carrier_freq_out)
-                       for d in distances])
-        self.beta_backhaul = np.array([db_to_linear(-x) for x in pl])
-        pl_pen = pl + cfg.penetration_loss_db   # the direct link also crosses the wall
-        self.beta_direct = np.array([db_to_linear(-x) for x in pl_pen])
+        pl = [pathloss_winner_b5a(d, cfg.carrier_freq_out) for d in distances]
+        self.beta_backhaul = [db_to_linear(-x) for x in pl]
+        # the direct link also crosses the wall
+        self.beta_direct = [db_to_linear(-(x + cfg.penetration_loss_db)) for x in pl]
 
         # the swept total rate is split equally over every indoor user
         self.n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
@@ -66,26 +63,26 @@ class ScenarioModel:
         self.sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
 
         # indoor geometry shared by every building
-        iap_pos = np.array([0.0, 0.0, layout.iap_height_m])
-        user_pos = np.column_stack([offsets,
-                                    np.full(cfg.n_iue, layout.user_height_m)])
-        self.user_distances = np.linalg.norm(user_pos - iap_pos, axis=1)
+        iap_pos = (0.0, 0.0, layout.iap_height_m)
+        user_pos = [(x, y, layout.user_height_m) for x, y in offsets]
+        dz = layout.user_height_m - layout.iap_height_m
+        self.user_distances = [math.sqrt(x * x + y * y + dz * dz) for x, y in offsets]
 
         # rate-independent device powers: only the amplifiers follow the rate,
-        # so points() applies the device laws that have one
+        # so points() applies the device laws that have one; device sums run
+        # term by term in device order
         n_devices = cfg.n_arrays * cfg.n_buildings
-        self._bmaa_sum = self._iap_sum = 0
+        self._bmaa_sum = self._iap_sum = 0.0
         if variant.kind != "nonsep":
-            self._bmaa_sum = _repeat_sum(power_bmaa(cfg, bundle).p_total, n_devices)
+            self._bmaa_sum = add_up([power_bmaa(cfg, bundle).p_total] * n_devices)
         if variant.kind == "sep-mmwave":
-            self.beta_access = np.array([
-                db_to_linear(-pathloss_freespace(d, cfg.carrier_freq_in))
-                for d in self.user_distances])
+            self.beta_access = [db_to_linear(-pathloss_freespace(d, cfg.carrier_freq_in))
+                                for d in self.user_distances]
             self._init_beam_codebook()
         if variant.kind == "sep-lifi":
             self._init_lifi(iap_pos, user_pos)
-            iap = power_lifi_iap(bundle.lifi_led, float(np.mean(self.lifi_h)))
-            self._iap_sum = _repeat_sum(iap.p_total, n_devices)
+            iap = power_lifi_iap(bundle.lifi_led, add_up(self.lifi_h) / cfg.n_iue)
+            self._iap_sum = add_up([iap.p_total] * n_devices)
 
     # -- indoor access precomputation ------------------------------------
 
@@ -102,20 +99,17 @@ class ScenarioModel:
         below t_star = 1 / lambda_0 (inf for a single user)."""
         n = self.cfg.n_iue
         width = 2.0 / n
-        row = kernel_power_mean(self.cfg.m_t_iap, np.arange(n) * width, width / 2)
-        self.t_star = float(row[0] / np.sum(row[1:])) if n > 1 else math.inf
-        self.access_scale = self.sigma_in * np.sum(1.0 / (self.beta_access * row[0]))
+        row = [kernel_power_mean(self.cfg.m_t_iap, i * width, width / 2) for i in range(n)]
+        self.t_star = row[0] / add_up(row[1:]) if n > 1 else math.inf
+        self.access_scale = self.sigma_in * add_up([1.0 / (beta * row[0])
+                                                    for beta in self.beta_access])
 
     def _init_lifi(self, iap_pos, user_pos):
         lifi = self.bundle.lifi
-        h = []
-        for pos in user_pos:
-            geom = lifi_angles(iap_pos, pos, lifi.n_tx, lifi.n_rx)
-            h.append(lifi_los_gain(geom, lifi))
-        self.lifi_h = np.asarray(h)
-        self.lifi_sinr = np.array([
-            sinr_lifi(lifi.c_f, lifi.p_opt, hu, lifi.n0, self.cfg.bandwidth_in)
-            for hu in self.lifi_h])
+        self.lifi_h = [lifi_los_gain(lifi_angles(iap_pos, pos, lifi.n_tx, lifi.n_rx), lifi)
+                       for pos in user_pos]
+        self.lifi_sinr = [sinr_lifi(lifi.c_f, lifi.p_opt, hu, lifi.n0, self.cfg.bandwidth_in)
+                          for hu in self.lifi_h]
         # each user must fit its TDMA share of the band
         share = self.cfg.bandwidth_in / self.cfg.n_iue
         self._lifi_capacity = min(self.cfg.gamma * share * math.log2(1.0 + sinr)
@@ -123,77 +117,78 @@ class ScenarioModel:
 
     # -- evaluation over a grid ---------------------------------------------
 
-    def _access_power(self, sinr_targets):
+    def _access_power(self, sinr_targets) -> list:
         """Summed indoor transmit power per SINR target, NaN where unmeetable:
         an infinite target or one at or past t_star."""
-        t = np.where((sinr_targets > 0.0) & (sinr_targets < self.t_star), sinr_targets, np.nan)
-        p_out = self.access_scale * t / (1.0 - t / self.t_star)
-        return np.where(sinr_targets == 0.0, 0.0, p_out)
+        scale, t_star = self.access_scale, self.t_star
+        return [0.0 if t == 0.0 else scale * t / (1.0 - t / t_star) if 0.0 < t < t_star
+                else math.nan for t in sinr_targets]
 
     def points(self, xs, x_kind: str = RATE_VARIABLE) -> dict:
-        """Evaluate the cell at every grid value in *xs* at once: total offered
-        rates (bit/s), or for SE_VARIABLE per-link SE targets (bit/s/Hz on the
-        outdoor band).  At a per-link SE every user demands se * bandwidth_out,
-        so with the default layout the relay beams and direct links run at
-        exactly it.
+        """Evaluate the cell at every grid value in *xs*, any sequence of
+        floats: total offered rates (bit/s), or for SE_VARIABLE per-link SE
+        targets (bit/s/Hz on the outdoor band).  At a per-link SE every user
+        demands se * bandwidth_out, so with the default layout the relay beams
+        and direct links run at exactly it.
 
-        Returns the bool array ``feasible`` and one float array per
+        Returns the list of bools ``feasible`` and one list of floats per
         POWER_FIELDS name, NaN where infeasible.  Only the amplifiers depend on
         the rate; the building arrays' and LiFi access points' powers were
         fixed at build.  Sums run term by term in device order, so every entry
-        equals its one-point evaluation exactly.
+        equals its one-point evaluation exactly.  An amplifier past its rating
+        makes its point infeasible, so the laws take the demand unclipped: only
+        NaN comes out of them there.
         """
         if x_kind not in (RATE_VARIABLE, SE_VARIABLE):
             raise ValueError(f"unknown grid kind {x_kind!r}: expected {RATE_VARIABLE} "
                              f"or {SE_VARIABLE}")
-        rates = np.asarray(xs, float)
-        bad = ~(np.isfinite(rates) & (rates >= 0))
-        if np.any(bad):
+        rates = [float(x) for x in xs]
+        bad = [x for x in rates if not 0.0 <= x < math.inf]   # NaN fails both
+        if bad:
             what = "SE target" if x_kind == SE_VARIABLE else "total rate"
-            raise ValueError(f"{what} must be finite and >= 0, got {float(rates[bad][0])!r}")
-        if x_kind == SE_VARIABLE:
-            rates = rates * self.cfg.bandwidth_out * self.n_users
+            raise ValueError(f"{what} must be finite and >= 0, got {bad[0]!r}")
         cfg, b, variant = self.cfg, self.bundle, self.variant
-        rate_user = rates / self.n_users
-        feasible = np.ones(rates.shape, bool)
-        iap_sum = self._iap_sum
-        with np.errstate(over="ignore", invalid="ignore"):
-            if variant.kind == "sep-mmwave":
-                p_out = self._access_power(
-                    required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma))
-                feasible &= p_out <= b.iap.pa_max   # False where NaN (unmeetable)
-                iap = power_iap_mmwave(cfg, b, np.minimum(p_out, b.iap.pa_max))
-                iap_sum = _repeat_sum(iap.p_total, cfg.n_arrays * cfg.n_buildings)
-            elif variant.kind == "sep-lifi":   # fixed optical drive
-                feasible &= rate_user <= self._lifi_capacity
-            if variant.kind != "nonsep":   # relay beams share a building's users
-                rate_link = rate_user * cfg.n_iue / cfg.n_beams
-                betas, streams, rx = self.beta_backhaul, cfg.n_beams, cfg.m_r
-            else:
-                rate_link = rate_user
-                betas, streams, rx = self.beta_direct, cfg.n_iue, cfg.ue_antennas
-            target = required_sinr(rate_link / cfg.bandwidth_out, cfg.gamma)
-            p_beams = []
-            for beta in betas:   # building-major, one amplifier per stream
-                p = target * self.sigma_out / (beta * cfg.m_t * rx)
-                feasible &= p <= b.mbsala.pa_max
-                p_beams += [np.minimum(p, b.mbsala.pa_max)] * streams
-            mbsala = power_mbsala(cfg, b, p_beams)
-            p_mbs = power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total
-            total = p_mbs + self._bmaa_sum + iap_sum
-            ee = rates / cfg.bandwidth_out / total
-        values = (total, ee, p_mbs, self._bmaa_sum, iap_sum)
-        return {"feasible": feasible, **{name: np.where(feasible, value, np.nan)
-                                         for name, value in zip(POWER_FIELDS, values)}}
-
-
-def _repeat_sum(value, times: int):
-    """value + value + ... (*times* terms), added one at a time as the device
-    sums are, so that totals stay bit-identical to a point-wise sum."""
-    total = 0
-    for _ in range(times):
-        total = total + value
-    return total
+        if x_kind == SE_VARIABLE:
+            rates = [x * cfg.bandwidth_out * self.n_users for x in rates]
+        rate_user = [x / self.n_users for x in rates]
+        feasible = [True] * len(rates)
+        iap_sum = [self._iap_sum] * len(rates)
+        n_devices = cfg.n_arrays * cfg.n_buildings
+        if variant.kind == "sep-mmwave":
+            p_out = self._access_power(
+                required_sinr([x / cfg.bandwidth_in for x in rate_user], cfg.gamma))
+            pa_max = b.iap.pa_max
+            feasible = [p <= pa_max for p in p_out]   # False where NaN (unmeetable)
+            iap = power_iap_mmwave(cfg, b, p_out)
+            iap_sum = add_up([iap.p_total] * n_devices)
+        elif variant.kind == "sep-lifi":   # fixed optical drive
+            feasible = [x <= self._lifi_capacity for x in rate_user]
+        if variant.kind != "nonsep":   # relay beams share a building's users
+            se_link = [x * cfg.n_iue / cfg.n_beams / cfg.bandwidth_out for x in rate_user]
+            betas, streams, rx = self.beta_backhaul, cfg.n_beams, cfg.m_r
+        else:
+            se_link = [x / cfg.bandwidth_out for x in rate_user]
+            betas, streams, rx = self.beta_direct, cfg.n_iue, cfg.ue_antennas
+        target = required_sinr(se_link, cfg.gamma)
+        p_beams = []
+        for beta in betas:   # building-major, one amplifier per stream
+            gain = beta * cfg.m_t * rx
+            p_beams += [[t * self.sigma_out / gain for t in target]] * streams
+        # rounded division is monotone, so at every point the building of least
+        # gain asks the most of its amplifiers: its rating alone bounds the backhaul
+        weakest, pa_max = p_beams[streams * betas.index(min(betas))], b.mbsala.pa_max
+        feasible = [ok and x <= pa_max for ok, x in zip(feasible, weakest)]
+        mbsala = power_mbsala(cfg, b, p_beams)
+        p_mbs = power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total
+        bmaa_sum = self._bmaa_sum
+        total = [p + bmaa_sum + iap for p, iap in zip(p_mbs, iap_sum)]
+        ee = [x / cfg.bandwidth_out / t for x, t in zip(rates, total)]
+        values = (total, ee, p_mbs, [bmaa_sum] * len(rates), iap_sum)   # each a new list
+        for i, ok in enumerate(feasible):
+            if not ok:
+                for column in values:
+                    column[i] = math.nan
+        return {"feasible": feasible, **dict(zip(POWER_FIELDS, values))}
 
 
 def build_scenario(bundle: ConfigBundle, variant: VariantSpec, seed: int = 0) -> ScenarioModel:
@@ -215,8 +210,8 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     Under random placement each variant draws from a stream keyed on its
     name, so evaluation order cannot change random placements.
     """
-    columns, grid = {}, np.asarray(spec.grid, float)
+    columns = {}
     for variant in spec.variants:
         model = build_scenario(bundle, variant, seed)
-        columns[variant.name] = model.points(grid, spec.variable)
+        columns[variant.name] = model.points(spec.grid, spec.variable)
     return SweepResult(spec=spec, seed=seed, columns=columns)

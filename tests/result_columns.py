@@ -11,9 +11,9 @@ def columns(xs, engine_columns: dict) -> dict:
     point is infeasible (what ``cli._read_results`` returns)."""
     out = {}
     for name, column in engine_columns.items():
-        feasible = column["feasible"].tolist()
+        feasible = column["feasible"]
         out[name] = ([float(x) for x in xs],
-                     *([v if ok else None for v, ok in zip(column[field].tolist(), feasible)]
+                     *([v if ok else None for v, ok in zip(column[field], feasible)]
                        for field in ("total_power_w", "ee")))
     return out
 
@@ -21,5 +21,5 @@ def columns(xs, engine_columns: dict) -> dict:
 def point_at(model, x: float, x_kind: str = RATE_VARIABLE) -> SimpleNamespace:
     """``model.points([x], x_kind)`` as one point of Python scalars: the bool
     ``feasible`` and the power fields, NaN where infeasible."""
-    return SimpleNamespace(**{name: column.item()
+    return SimpleNamespace(**{name: column[0]
                               for name, column in model.points([x], x_kind).items()})

@@ -14,8 +14,10 @@ must reproduce its rows bit for bit, except that the summed access power of a
 differ from this solve in the last bits.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -43,11 +45,17 @@ class PointResult:
     p_iap_w: float | None
 
 
+def plain_sum(terms) -> float:
+    """0 + t0 + t1 + ..., one term at a time: the sum on every Python (the
+    built-in ``sum`` compensates a float sum from Python 3.12 on)."""
+    return functools.reduce(add, terms, 0)
+
+
 def power_cell(mbs, bmaa_powers=(), iap_powers=()) -> float:
     """Cell total: macro site plus every building array and access point."""
     return (mbs.p_total
-            + sum(p.p_total for p in bmaa_powers)
-            + sum(p.p_total for p in iap_powers))
+            + plain_sum(p.p_total for p in bmaa_powers)
+            + plain_sum(p.p_total for p in iap_powers))
 
 
 def required_sinr(se_target: float, gamma: float) -> float:
@@ -62,16 +70,20 @@ def beam_centers(n: int):
     return -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
 
 
+@functools.lru_cache(maxsize=None)   # every point of a sweep solves on the same matrix
 def beam_expectations(n: int, m_t_iap: int):
     """The n x n matrix E_ij: the mean power of beam j over user i's codebook
-    cell, one kernel mean per (i, j) pair."""
-    centers = beam_centers(n)
-    return kernel_power_mean(m_t_iap, centers[:, None] - centers[None, :], 1.0 / n)
+    cell, one kernel mean per (i, j) pair; read-only, as it is shared."""
+    centers = beam_centers(n).tolist()
+    matrix = np.array([[kernel_power_mean(m_t_iap, ci - cj, 1.0 / n) for cj in centers]
+                       for ci in centers])
+    matrix.flags.writeable = False
+    return matrix
 
 
 def access_matrix(model):
     """beta_i E_ij: each row of beam_expectations times its user's gain."""
-    return model.beta_access[:, None] * beam_expectations(model.cfg.n_iue,
+    return np.asarray(model.beta_access)[:, None] * beam_expectations(model.cfg.n_iue,
                                                           model.cfg.m_t_iap)
 
 
@@ -135,7 +147,7 @@ def _separate_point(model, rate_user: float):
             capacity = cfg.gamma * share * math.log2(1.0 + sinr)
             if rate_user > capacity:
                 return None
-        iap = power_lifi_iap(model.bundle.lifi_led, float(np.mean(model.lifi_h)))
+        iap = power_lifi_iap(model.bundle.lifi_led, plain_sum(model.lifi_h) / len(model.lifi_h))
     mbs = _outdoor_devices(model, _backhaul_beam_powers(model, rate_user))
     bmaa = power_bmaa(cfg, b)
     return mbs, [bmaa] * n_devices, [iap] * n_devices
@@ -176,8 +188,8 @@ def rate_point(model, total_rate: float, x_value=None,
         variant=model.variant.name, x_value=x, x_kind=x_kind, feasible=True,
         total_power_w=total, ee=total_rate / cfg.bandwidth_out / total,
         p_mbs_w=mbs.p_total,
-        p_bmaa_w=sum(p.p_total for p in bmaa_list),
-        p_iap_w=sum(p.p_total for p in iap_list),
+        p_bmaa_w=plain_sum(p.p_total for p in bmaa_list),
+        p_iap_w=plain_sum(p.p_total for p in iap_list),
     )
 
 

@@ -226,7 +226,7 @@ def test_figure_shape_reproduction():
             peaks[(sep_kind, m_t)] = peak_ee
             if m_t in (128, 256):
                 # one rise: no ascent after a descent, flat steps aside
-                ee = column["ee"][column["feasible"]].tolist()
+                ee = [e for e, ok in zip(column["ee"], column["feasible"]) if ok]
                 steps = [b - a for a, b in zip(ee, ee[1:]) if b != a]
                 rises = sum(1 for i, d in enumerate(steps)
                             if d > 0 and (i == 0 or steps[i - 1] < 0))
@@ -268,8 +268,10 @@ def test_calibration_targets():
                       VariantSpec("lifi", "sep-lifi", 64)))
     result = run_sweep(bundle, spec, seed=0)
     lifi, mmwave = result.columns["lifi"], result.columns["mmwave"]
-    both = lifi["feasible"] & mmwave["feasible"]
-    savings = (1.0 - lifi["total_power_w"][both] / mmwave["total_power_w"][both]).tolist()
+    savings = [1.0 - a / b for a, b, ok_a, ok_b in zip(lifi["total_power_w"],
+                                                       mmwave["total_power_w"],
+                                                       lifi["feasible"], mmwave["feasible"])
+               if ok_a and ok_b]
     mean = float(np.mean(savings))
     ok = all(s > 0 for s in savings) and 0.05 <= mean <= 0.20
     _check(lines, "LiFi beats mmWave access at every point, mean saving in [5%,20%]",

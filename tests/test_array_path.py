@@ -55,16 +55,17 @@ def _assert_rows_equal(got, want, rel=ACCESS_REL_TOL):
 
 
 def _rows(name, xs, x_kind, columns):
-    """One variant's columns as reference rows.  Each power column must be a
-    float array over *xs* that holds NaN exactly where a point is infeasible;
-    the row carries None there."""
+    """One variant's columns as reference rows.  ``feasible`` must be a list of
+    bools and each power column a list of plain floats over *xs* that holds NaN
+    exactly where a point is infeasible; the row carries None there."""
     feasible = columns["feasible"]
-    assert feasible.dtype == bool and feasible.shape == (len(xs),)
+    assert type(feasible) is list and len(feasible) == len(xs)
+    assert all(type(ok) is bool for ok in feasible)
     for field in POWER_FIELDS:
-        assert columns[field].dtype == np.float64 and columns[field].shape == (len(xs),)
+        assert type(columns[field]) is list and len(columns[field]) == len(xs)
+        assert all(type(v) is float for v in columns[field]), field
     rows = []
-    for x, ok, *values in zip(xs, feasible.tolist(),
-                              *(columns[field].tolist() for field in POWER_FIELDS)):
+    for x, ok, *values in zip(xs, feasible, *(columns[field] for field in POWER_FIELDS)):
         if not ok:
             assert all(map(math.isnan, values)), (name, x, values)
             values = [None] * len(values)
@@ -177,7 +178,7 @@ def _two_users(bundle):
 def test_access_power_is_finite_below_t_star_and_nan_from_it_on(bundle):
     model = _two_users(bundle)
     targets = model.t_star * np.array([0.25, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0])
-    powers = model._access_power(targets)
+    powers = np.asarray(model._access_power(targets))
     assert np.all(np.isfinite(powers[:3])) and np.all(powers[:3] > 0)
     assert np.all(np.isnan(powers[3:]))
     for t, power in zip(targets[:3], powers[:3]):
@@ -209,9 +210,24 @@ def test_points_columns_hold_the_row_values_and_nan_where_infeasible(bundle):
     rates = parse_grid("0:2e11:50")
     columns = model.points(rates)
     assert list(columns) == ["feasible", *POWER_FIELDS]
-    assert 0 < columns["feasible"].sum() < len(rates)
+    assert 0 < sum(columns["feasible"]) < len(rates)
     _assert_rows_equal(_rows(model.variant.name, rates, RATE_VARIABLE, columns),
                        [scalar_oracle.rate_point(model, r) for r in rates])
+
+
+@pytest.mark.parametrize("kind", PAPER_VARIANTS)
+def test_points_takes_any_float_sequence_and_returns_plain_floats(bundle, kind):
+    # a numpy float64 must not reach the columns: its numpy-2 repr,
+    # np.float64(...), would corrupt results.csv
+    model = build_scenario(bundle, parse_variants(kind, 64)[0])
+    grid = np.linspace(0.0, 2e11, 50)
+    by_array, by_tuple, by_list = (model.points(xs) for xs in (grid, tuple(grid),
+                                                                 grid.tolist()))
+    assert 0 < sum(by_list["feasible"]) < len(grid)
+    for field in ("feasible", *POWER_FIELDS):
+        texts = [repr(v) for v in by_list[field]]
+        assert [repr(v) for v in by_array[field]] == texts == [repr(v) for v in by_tuple[field]]
+    _rows(kind, grid, RATE_VARIABLE, by_array)   # lists of bools and plain floats, NaN where infeasible
 
 
 def test_negative_values_in_a_grid_are_rejected(bundle):

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import numpy as np
@@ -102,12 +103,12 @@ def test_penetration_adds_in_db(bundle):
     relay = VariantSpec("relay", "sep-mmwave", 64)
     model = build_scenario(bundle, relay)
     pen = bundle.scenario.penetration_loss_db
-    np.testing.assert_allclose(model.beta_direct / model.beta_backhaul,
-                               10.0 ** (-pen / 10.0), rtol=1e-12)
+    direct, backhaul = np.asarray(model.beta_direct), np.asarray(model.beta_backhaul)
+    np.testing.assert_allclose(direct / backhaul, 10.0 ** (-pen / 10.0), rtol=1e-12)
     thicker = bundle._replace(scenario=bundle.scenario._replace(penetration_loss_db=pen + 10))
     walled = build_scenario(thicker, relay)
-    np.testing.assert_allclose(walled.beta_direct, model.beta_direct / 10.0, rtol=1e-12)
-    assert walled.beta_backhaul.tobytes() == model.beta_backhaul.tobytes()
+    np.testing.assert_allclose(walled.beta_direct, direct / 10.0, rtol=1e-12)
+    assert walled.beta_backhaul == model.beta_backhaul
 
 
 @given(x=st.floats(-120.0, 60.0))
@@ -167,6 +168,20 @@ def test_lifi_angles_offset_geometry():
     assert geom.distance == pytest.approx(3.020347662107791, rel=1e-12)
     assert geom.phi == pytest.approx(0.7786837933324094, rel=1e-12)
     assert geom.psi == pytest.approx(0.7786837933324094, rel=1e-12)
+
+
+def test_lifi_distance_is_the_plain_sum_bit_for_bit():
+    # a BLAS dot product rounds as the CPU's kernel does (3.0203476621077914 here
+    # on some); the plain sum in coordinate order rounds the same on every machine
+    geom = lifi_angles((0.0, 0.0, 3.0), (1.5, 1.5, 0.85), (0, 0, -1), (0, 0, 1))
+    assert geom.distance == 3.020347662107791
+    rng = random.Random(11)
+    for _ in range(2000):
+        tx = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(2, 4))
+        rx = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 1))
+        dx, dy, dz = (r - t for r, t in zip(rx, tx))
+        assert lifi_angles(tx, rx, (0, 0, -1), (0, 0, 1)).distance == \
+            math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 def test_lifi_angles_rejects_coincident_points():

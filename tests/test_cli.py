@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import b5gcell
 from b5gcell import ConfigError, default_bundle, write_config
@@ -32,6 +34,23 @@ def test_parse_grid_linspace():
     assert len(grid) == 25
     assert grid[0] == 0.0 and grid[-1] == 6e9
     assert grid == tuple(float(x) for x in np.linspace(0, 6e9, 25))
+
+
+@st.composite
+def _grid_bounds(draw):
+    lo = draw(st.floats(0.0, 1e300))
+    return lo, draw(st.floats(lo, 1.7e308, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_bounds(), st.integers(2, 3000))
+@example((0.0, 6e9), 25).via("the default rate grid")
+@example((0.5, 24.0), 48).via("the default SE grid")
+@example((0.0, 3e-323), 13).via("a step that rounds to zero")
+@example((1e-310, 1.1e-310), 1000).via("subnormal bounds")
+def test_parse_grid_is_numpy_linspace(bounds, n):
+    lo, hi = bounds
+    assert parse_grid(f"{lo!r}:{hi!r}:{n}") == tuple(np.linspace(lo, hi, n).tolist())
 
 
 @pytest.mark.parametrize("bad", ["1:2", "a:b:c", "0:1:1", "2:1:5", "-1:1:5"])
@@ -152,8 +171,10 @@ def test_analyze_summary_matches_pinned_digest(tmp_path, capsys, case):
 
 
 def test_reprs_formats_each_value_as_repr():
-    values = [0.0, -0.0, math.nan, 5e-324, 1.7976931348623157e308] * 3
-    assert _reprs(np.array(values)) == [repr(v) for v in values]
+    # zeros of both signs, and NaNs that are distinct objects, in one column
+    values = [0.0, -0.0, math.nan, float("nan"), 5e-324, 1.7976931348623157e308] * 3
+    assert _reprs(values) == [repr(v) for v in values]
+    assert _reprs([-0.0, 0.0, -0.0]) == ["-0.0", "0.0", "-0.0"]
 
 
 def test_sweep_reads_config_file(tmp_path):
@@ -650,6 +671,10 @@ except SystemExit as exc:
 """
 
 
+def _numpy_modules(loaded):
+    return {name for name in loaded if name == "numpy" or name.startswith("numpy.")}
+
+
 def _probe(*args):
     """Exit code and the set of modules loaded by ``b5gcell <args>`` in a fresh process."""
     src = str(Path(b5gcell.__file__).parents[1])
@@ -677,14 +702,15 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
         {"numpy", "dataclasses", "datetime", "hashlib", "_hashlib", "_sha2", "_sha256",
          "b5gcell.config", "b5gcell.svgplot"}
     assert loaded & unused == set()
+    assert _numpy_modules(loaded) == set()
 
 
 def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path):
     out = tmp_path / "run"
     code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
     assert code == "exit=0"
-    assert "numpy" in loaded
-    assert loaded & {"dataclasses", "numpy.random", "_hashlib", "b5gcell.stream"} == set()
+    assert _numpy_modules(loaded) == set()
+    assert loaded & {"dataclasses", "_hashlib", "b5gcell.stream"} == set()
     assert (out / "results.csv").is_file()
 
 
@@ -696,7 +722,8 @@ def test_random_layout_sweep_loads_neither_numpy_random_nor_hashlib(tmp_path, mo
     # the layout comes from the standard-library stream and the digests from the
     # built-in SHA-256, so OpenSSL is never mapped
     assert "b5gcell.stream" in loaded and loaded & {"_sha2", "_sha256"}
-    assert loaded & {"numpy.random", "secrets", "hashlib", "_hashlib"} == set()
+    assert loaded & {"secrets", "hashlib", "_hashlib"} == set()
+    assert _numpy_modules(loaded) == set()
     assert (out / "results.csv").is_file()
 
 
@@ -704,5 +731,5 @@ def test_sweep_without_charts_does_not_load_the_chart_code(tmp_path):
     out = tmp_path / "run"
     code, loaded, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
     assert code == "exit=0"
-    assert "numpy" in loaded and "b5gcell.svgplot" not in loaded
+    assert _numpy_modules(loaded) == set() and "b5gcell.svgplot" not in loaded
     assert (out / "results.csv").is_file() and not list(out.glob("*.svg"))

@@ -195,6 +195,16 @@ def test_required_sinr_zero_rate_needs_no_power():
 def test_required_sinr_beyond_float_range_is_inf():
     # 2^3125 overflows a double; the demand is still well defined (unmeetable)
     assert math.isinf(required_sinr(3125.0))
+    # inf from exactly where Python's ** overflows, one target or a column of them
+    edge = [1023.0, math.nextafter(1024.0, 0.0), 1024.0, math.nextafter(1024.0, 2e3), 3125.0]
+    want = []
+    for x in edge:
+        try:
+            want.append(2.0 ** x - 1.0)
+        except OverflowError:
+            want.append(math.inf)
+    assert want[1] < math.inf == want[2]
+    assert [required_sinr(x) for x in edge] == required_sinr(edge) == want
 
 
 @given(se=st.floats(1e-6, 40.0), gamma=st.floats(0.05, 1.0))

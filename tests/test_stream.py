@@ -52,6 +52,5 @@ def test_random_layout_is_the_numpy_layout(bundle, seed):
                                           bundle.scenario.n_buildings))
     offsets = reference.uniform(-layout.room_halfwidth_m, layout.room_halfwidth_m,
                                 size=(bundle.scenario.n_iue, 2))
-    assert model.building_distances.tobytes() == distances.tobytes()
-    assert model.user_offsets.shape == offsets.shape
-    assert model.user_offsets.tobytes() == offsets.tobytes()
+    assert model.building_distances == distances.tolist()
+    assert model.user_offsets == [tuple(row) for row in offsets.tolist()]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from b5gcell.svgplot import _fmt_column, line_chart
+from b5gcell.svgplot import line_chart
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -149,14 +149,3 @@ def test_polyline_points_are_the_closed_form_pixels(case):
                      "t", "x", "y")
     drawn = [p.get("points").split() for p in ET.fromstring(svg).findall(f"{NS}polyline")]
     assert drawn == _pixel_texts(xs, columns)
-
-
-def test_column_text_is_fixed_point_text_at_and_beside_ties():
-    # v * 100 rounds onto n + 0.5 for these, while the exact product may lie on
-    # either side; multiples of 1/8 are exact ties, which go to the even digit
-    halves = (np.arange(0, 72_000, 7) + 0.5) / 100
-    values = np.concatenate([halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1e3),
-                             np.arange(0, 5_760) / 8, [0.0, 0.004, 0.005, 0.015, 9.995, 99.995]])
-    text, used = _fmt_column(values, ord(" "))
-    got = text[used].tobytes().decode().split()
-    assert got == [f"{v:.2f}" for v in values.tolist()]
