@@ -29,9 +29,8 @@ VARIABLES = {"rate": (RATE_VARIABLE, "0:6e9:25", "total rate (bit/s)"),
              "se": (SE_VARIABLE, "0.5:24:48", "per-link SE (bit/s/Hz)")}
 
 
-def parse_grid(text: str) -> tuple:
-    """``min:max:points`` -> inclusive, evenly spaced grid: the floats of
-    ``np.linspace(min, max, points)``, ``i * step + min`` with both ends exact."""
+def _grid_bounds(text: str) -> tuple:
+    """``min:max:points`` -> its checked (min, max, points)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid must be min:max:points, got {text!r}")
@@ -48,6 +47,13 @@ def parse_grid(text: str) -> tuple:
         raise ConfigError(f"grid max must exceed min, got {text!r}")
     if lo < 0:
         raise ConfigError(f"grid min must be >= 0, got {text!r}")
+    return lo, hi, n
+
+
+def parse_grid(text: str) -> tuple:
+    """``min:max:points`` -> inclusive, evenly spaced grid: the floats of
+    ``np.linspace(min, max, points)``, ``i * step + min`` with both ends exact."""
+    lo, hi, n = _grid_bounds(text)
     step = (hi - lo) / (n - 1)
     if step == 0:   # linspace's form for a span of a few subnormals
         return tuple([i / (n - 1) * (hi - lo) + lo for i in range(n - 1)] + [hi])
@@ -209,50 +215,45 @@ def _read_lines(path: Path) -> list:
                           ) from None
 
 
-def _read_results(path: Path, x_kind: str) -> dict:
-    """Per variant, in file order, the (x, total power, EE) columns of a results.csv,
-    None where infeasible.  A row has the x_kind *x_kind* and is ``true`` with six
-    finite numbers or ``false`` with a finite x alone; each variant's rows are
-    contiguous with increasing x.  Any other row is a ConfigError that names it."""
+def _read_results(path: Path, spec: SweepSpec, manifest: Path) -> dict:
+    """Per variant of *spec*, in its order, the (x, total power, EE) columns of a
+    results.csv, None where infeasible; each x column is the grid itself.  With n grid
+    points, row i is variant ``i // n`` at ``grid[i % n]``, x_kind ``spec.variable``,
+    and ``true`` with six finite numbers or ``false`` with none.  Any other row, or
+    another row count than *manifest* records, is a ConfigError that names it."""
     lines = _read_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a sweep results file")
+    grid, n, variable = spec.grid, len(spec.grid), spec.variable
+    names = [v.name for v in spec.variants for _ in grid]
     isfinite = math.isfinite
-    columns, current = {}, None
-    for ln in lines[1:]:
+    powers, ees = [], []
+    for ln, name, at in zip(lines[1:], names, grid * len(spec.variants)):
         try:
             variant, x, kind, power, ee, flag, p_mbs, p_bmaa, p_iap = ln.split(",")
-            if kind != x_kind:
-                raise ValueError(f"x_kind must be the manifest's variable {x_kind}")
-            x = float(x)
+            if variant != name or float(x) != at or kind != variable:
+                raise ValueError(f"line {len(powers) + 2} must be {name} at x_value {at!r} "
+                                 f"with x_kind {variable}")
             if flag == "true":
                 power, ee = float(power), float(ee)
                 p_mbs, p_bmaa, p_iap = float(p_mbs), float(p_bmaa), float(p_iap)
-                finite = (isfinite(x) and isfinite(power) and isfinite(ee)
-                          and isfinite(p_mbs) and isfinite(p_bmaa) and isfinite(p_iap))
+                if not (isfinite(power) and isfinite(ee) and isfinite(p_mbs)
+                        and isfinite(p_bmaa) and isfinite(p_iap)):
+                    raise ValueError("non-finite number")
             elif flag == "false" and not (power or ee or p_mbs or p_bmaa or p_iap):
                 power = ee = None
-                finite = isfinite(x)
             else:
                 raise ValueError("feasible must be true or false, and an "
                                  "infeasible row carries no numbers")
-            if not finite:
-                raise ValueError("non-finite number")
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
-        if variant != current:
-            if variant in columns:
-                raise ConfigError(f"{path}: out-of-order row {ln!r}: variant {variant} "
-                                  f"reappears after another variant's rows")
-            xs, powers, ees = columns[variant] = ([], [], [])
-            current = variant
-        elif x <= xs[-1]:
-            raise ConfigError(f"{path}: out-of-order row {ln!r}: x_value must exceed "
-                              f"the variant's previous {xs[-1]!r}")
-        xs.append(x)
         powers.append(power)
         ees.append(ee)
-    return columns
+    if len(lines) - 1 != len(names):
+        raise ConfigError(f"{path}: {len(lines) - 1} rows, but {manifest} records "
+                          f"n_rows={len(names)}")
+    return {v.name: (grid, powers[b * n:(b + 1) * n], ees[b * n:(b + 1) * n])
+            for b, v in enumerate(spec.variants)}
 
 
 def _interp_crossing(xs, pa, pb):
@@ -326,40 +327,33 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"{manifest}: not a b5gcell-sweep-v2 manifest with variable, "
                           f"grid and n_rows lines")
     try:
-        lo, hi, n = recorded["grid"].split(":")
-        grid = float(lo), float(hi), int(n)
-    except ValueError as exc:
+        n = _grid_bounds(recorded["grid"])[2]
+    except ConfigError as exc:
         raise ConfigError(f"{manifest}: bad grid line: {exc}") from None
-    # VariantSpec per name, in order, from the variant.<i>=<name>,<kind>,<m_t> lines
+    # the variant.<i>=<name>,<kind>,<m_t> lines, in order
     fields = [v.rsplit(",", 2) for k, v in recorded.items() if k.startswith("variant.")]
     try:
-        specs = {name: VariantSpec(name, kind, int(m_t)) for name, kind, m_t in fields}
+        variants = tuple(VariantSpec(name, kind, int(m_t)) for name, kind, m_t in fields)
     except ValueError as exc:
         raise ConfigError(f"{manifest}: bad variant line: {exc}") from None
+    # before the grid is built, so that a wrong point count costs no memory
+    if recorded["n_rows"] != str(n * len(variants)):
+        raise ConfigError(f"{manifest}: n_rows={recorded['n_rows']}, but grid={recorded['grid']} "
+                          f"and {len(variants)} variants make {n * len(variants)} rows")
+    try:
+        spec = SweepSpec(recorded["variable"], parse_grid(recorded["grid"]), variants)
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest}: {exc}") from None
     if args.config is not None:
         for key, digest in _config_digests(load_config(args.config), args.config).items():
             if recorded.get(key) != digest:
                 raise ConfigError(f"config does not match the sweep manifest "
                                   f"({key} {recorded.get(key)} != {digest})")
-    columns = _read_results(results, recorded["variable"])
-    if list(columns) != list(specs):
-        raise ConfigError(f"{results}: variant blocks {list(columns)}, but {manifest} "
-                          f"records {list(specs)}")
-    n_rows = str(sum(len(xs) for xs, _, _ in columns.values()))
-    if n_rows != recorded["n_rows"]:
-        raise ConfigError(f"{results}: {n_rows} rows, but {manifest} records "
-                          f"n_rows={recorded['n_rows']}")
-    grids = [xs for xs, _, _ in columns.values()]
-    if grids[1:] != grids[:-1]:
-        raise ConfigError(f"{results}: the variant blocks differ in their x_value column")
-    # linspace gives both ends exactly; the interior would need its rounding
-    if grids and (grids[0][0], grids[0][-1], len(grids[0])) != grid:
-        raise ConfigError(f"{manifest}: grid={recorded['grid']} does not match {results}'s "
-                          f"{len(grids[0])} x_values from {grids[0][0]!r} to {grids[0][-1]!r}")
+    columns = _read_results(results, spec, manifest)
     if all(p.count(None) == len(p) for _, p, _ in columns.values()):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2
-    text = "\n".join(_summarize(columns, specs)) + "\n"
+    text = "\n".join(_summarize(columns, {v.name: v for v in variants})) + "\n"
     _write(src / "summary.txt", [text], "--in")
     sys.stdout.write(text)
     return 0

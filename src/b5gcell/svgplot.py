@@ -42,6 +42,8 @@ def _ticks(lo: float, hi: float, n: int = 5):
     t = first
     while t <= hi + 1e-9 * step:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:   # step is below half an ulp of t: an axis a few ulps wide
+            break
         t += step
     return out
 

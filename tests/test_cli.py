@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -274,32 +277,38 @@ DIRECTORY_BREAKS = {
     "no-variable-line": (lambda m, r: ([ln for ln in m if not ln.startswith("variable=")], r),
                          "manifest.txt", "not a b5gcell-sweep-v2 manifest"),
     "no-variant-lines": (lambda m, r: ([ln for ln in m if not ln.startswith("variant.")], r),
-                         "results.csv", "variant blocks"),
+                         "manifest.txt", "n_rows=15, but grid=0:2e9:5 and 0 variants make 0 rows"),
+    # the manifest's grid= and variant.<i> lines fix each row's variant and x_value
     "renamed-block": (lambda m, r: (m, [ln.replace("sep-lifi,", "sep-lifX,") for ln in r]),
-                      "results.csv", "variant blocks"),
+                      "results.csv", "line 7 must be sep-lifi at x_value 0.0"),
     "reordered-blocks": (lambda m, r: (m, [r[0], *r[6:11], *r[1:6], *r[11:]]),
-                         "results.csv", "variant blocks"),
-    # the crossing of two variants needs one grid
+                         "results.csv", "line 2 must be sep-mmwave at x_value 0.0"),
     "shifted-grid": (lambda m, r: (m, [_shift_x(ln, "nonsep") for ln in r]),
-                     "results.csv", "x_value column"),
+                     "results.csv", "line 12 must be nonsep at x_value 0.0"),
     "other-x_kind": (lambda m, r: (m, [r[0], r[1].replace(",total_rate_bps,", ",se_bits_per_hz,"),
                                        *r[2:]]),
-                     "results.csv", "x_kind must be the manifest's variable total_rate_bps"),
-    # the manifest's grid=lo:hi:n must give the x_value column's count and end points
+                     "results.csv", "line 2 must be sep-mmwave at x_value 0.0 with x_kind "
+                                    "total_rate_bps"),
     "no-grid-line": (lambda m, r: ([ln for ln in m if not ln.startswith("grid=")], r),
                      "manifest.txt", "not a b5gcell-sweep-v2 manifest"),
     "other-grid": (lambda m, r: (_regrid(m, "0:9e9:7"), r),
-                   "manifest.txt", "grid=0:9e9:7 does not match"),
+                   "manifest.txt", "n_rows=15, but grid=0:9e9:7 and 3 variants make 21 rows"),
     "grid-more-points": (lambda m, r: (_regrid(m, "0:2e9:6"), r),
-                         "manifest.txt", "grid=0:2e9:6 does not match"),
+                         "manifest.txt", "n_rows=15, but grid=0:2e9:6 and 3 variants make 18"),
     "grid-other-min": (lambda m, r: (_regrid(m, "1e-300:2e9:5"), r),
-                       "manifest.txt", "grid=1e-300:2e9:5 does not match"),
+                       "results.csv", "line 2 must be sep-mmwave at x_value 1e-300 "),
     "grid-other-max": (lambda m, r: (_regrid(m, "0:2000000000.0000002:5"), r),
-                       "manifest.txt", "grid=0:2000000000.0000002:5 does not match"),
+                       "results.csv", "line 3 must be sep-mmwave at x_value 500000000.00000006 "),
     "malformed-grid": (lambda m, r: (_regrid(m, "0:2e9"), r),
                        "manifest.txt", "bad grid line"),
     "grid-of-floats": (lambda m, r: (_regrid(m, "0:2e9:5.0"), r),
                        "manifest.txt", "bad grid line"),
+    # an interior x_value of every block moved off the manifest's grid
+    "interior-x": (lambda m, r: (m, [ln.replace(",500000000.0,", ",500000001.0,") for ln in r]),
+                   "results.csv", "line 3 must be sep-mmwave at x_value 500000000.0 "),
+    "unknown-variable": (lambda m, r: ([ln.replace("=total_rate_bps", "=foo") for ln in m],
+                                       [ln.replace(",total_rate_bps,", ",foo,") for ln in r]),
+                         "manifest.txt", "sweep variable must be"),
 }
 
 
@@ -326,6 +335,45 @@ def test_analyze_rejects_a_directory_unlike_its_manifest(tmp_path, capsys, edit,
     assert captured.err.startswith(f"error: {out / name}: ")
     assert cause in captured.err and captured.out == ""
     assert not (out / "summary.txt").exists()
+
+
+def test_analyze_checks_the_grid_point_count_before_building_the_grid(tmp_path, capsys):
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), "--plot", "off", *FAST])
+    manifest = out / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace("grid=0:2e9:5", "grid=0:2e9:2000000"))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--in", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (f"error: {manifest}: n_rows=15, but grid=0:2e9:2000000 "
+                                       f"and 3 variants make 6000000 rows\n")
+    assert peak < 4_000_000   # the grid's 2,000,000 floats alone take 48 MB
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_analyze_rejects_any_row_off_the_grid_by_one_ulp(tmp_path_factory, n, data):
+    out = tmp_path_factory.mktemp("run")
+    main(["sweep", "--out", str(out), "--plot", "off", "--grid", f"0:2e9:{n}"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--in", str(out)]) == 0
+    (out / "summary.txt").unlink()
+    results = out / "results.csv"
+    header, *rows = results.read_text().splitlines()
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    fields = rows[i].split(",")
+    fields[1] = repr(math.nextafter(float(fields[1]), math.inf))
+    rows[i] = ",".join(fields)
+    results.write_text("\n".join([header, *rows]) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(err):
+        assert main(["analyze", "--in", str(out)]) == 1
+    assert err.getvalue().startswith(f"error: {results}: malformed row {rows[i]!r}: ")
+    assert stdout.getvalue() == "" and not (out / "summary.txt").exists()
 
 
 # a variant line whose antenna count is no integer, whose kind is unknown
@@ -506,8 +554,8 @@ def test_analyze_rejects_rows_missing_from_the_manifest_count(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err == {
         "last-row": f"error: {results}: 14 rows, but {manifest} records n_rows=15\n",
-        "variant-block": (f"error: {results}: variant blocks ['sep-mmwave', 'nonsep'], but "
-                          f"{manifest} records ['sep-mmwave', 'sep-lifi', 'nonsep']\n"),
+        "variant-block": (f"error: {results}: malformed row {kept[5]!r}: line 7 must be "
+                          f"sep-lifi at x_value 0.0 with x_kind total_rate_bps\n"),
     }[cut]
     assert not (out / "summary.txt").exists()
 
@@ -563,15 +611,15 @@ def test_analyze_rejects_row_outside_the_contract(tmp_path, capsys, edits):
     assert not (out / "summary.txt").exists()
 
 
-# rows of a results.csv (header first) -> the same rows out of order, and the row to blame
+# rows of a results.csv (header first) -> the same rows out of order, and the row to
+# blame: the first one away from its place in the manifest's order
 ROW_ORDER_BREAKS = {
-    # the first nonsep row moved to the end: its x_value falls back to 0
+    # the first nonsep row moved to the end: the second takes its place
     "last-variant-row-moved-to-end": lambda rows: (
         [r for r in rows if r != _first(rows, "nonsep")] + [_first(rows, "nonsep")],
-        _first(rows, "nonsep")),
-    # the first sep-mmwave row moved to the end: the variant reappears after nonsep
-    "first-row-moved-to-end": lambda rows: ([rows[0], *rows[2:], rows[1]], rows[1]),
-    "swapped-rows": lambda rows: ([rows[0], rows[2], rows[1], *rows[3:]], rows[1]),
+        rows[rows.index(_first(rows, "nonsep")) + 1]),
+    "first-row-moved-to-end": lambda rows: ([rows[0], *rows[2:], rows[1]], rows[2]),
+    "swapped-rows": lambda rows: ([rows[0], rows[2], rows[1], *rows[3:]], rows[2]),
     "repeated-row": lambda rows: ([rows[0], rows[1], rows[1], *rows[2:]], rows[1]),
 }
 
@@ -590,7 +638,7 @@ def test_analyze_rejects_rows_out_of_order(tmp_path, capsys, reorder):
     capsys.readouterr()
     assert main(["analyze", "--in", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {results}: out-of-order row {blamed!r}")
+    assert err.startswith(f"error: {results}: malformed row {blamed!r}: line ")
     assert not (out / "summary.txt").exists()
 
 
@@ -725,6 +773,17 @@ def test_random_layout_sweep_loads_neither_numpy_random_nor_hashlib(tmp_path, mo
     assert loaded & {"secrets", "hashlib", "_hashlib"} == set()
     assert _numpy_modules(loaded) == set()
     assert (out / "results.csv").is_file()
+
+
+def test_sweep_over_a_grid_a_few_ulps_wide_draws_its_charts(tmp_path):
+    # the x axis spans two ulps of 1e9, so a tick step is below half an ulp of the
+    # tick; in a child process, so that a tick loop which never ends fails by the
+    # probe's timeout
+    out = tmp_path / "run"
+    code, _, _ = _probe("sweep", "--variants", "nonsep", "--grid", "1e9:1000000000.0000002:2",
+                        "--out", str(out))
+    assert code == "exit=0"
+    assert (out / "power_vs_rate.svg").is_file() and (out / "ee_vs_rate.svg").is_file()
 
 
 def test_sweep_without_charts_does_not_load_the_chart_code(tmp_path):
