@@ -14,6 +14,7 @@ import argparse
 import itertools
 import math
 import sys
+import time
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -92,11 +93,13 @@ def _config_digests(bundle, path: str | None) -> dict:
 
 def _reprs(values) -> list:
     """``[repr(v) for v in values]`` for floats, formatting each distinct value
-    once.  ``0.0 == -0.0`` share a key, so zeros are formatted again where they
-    stand; a NaN is found only as the same object, which has the same text."""
-    texts = dict.fromkeys(values)
-    if len(texts) == len(values):   # no value repeats: nothing to share
+    once where a strided sample of about 64 values is mostly repeats.  ``0.0 ==
+    -0.0`` share a key, so zeros are formatted again where they stand; a NaN is
+    found only as the same object, which has the same text."""
+    sample = values[::len(values) // 64 + 1]
+    if 2 * len(set(sample)) > len(sample):   # mostly distinct: little to share
         return list(map(repr, values))
+    texts = dict.fromkeys(values)
     for v in texts:
         texts[v] = repr(v)
     out = list(map(texts.__getitem__, values))
@@ -106,11 +109,18 @@ def _reprs(values) -> list:
 
 
 def _csv_chunks(result, xs: list):
-    """results.csv text: the header, then one chunk per variant."""
-    kind, x_texts = result.spec.variable, _reprs(xs)
+    """results.csv text: the header, then one chunk per variant.  A column equal to
+    one formatted before takes its texts, zeros formatted again (``0.0 == -0.0``)."""
+    kind, x_texts, done = result.spec.variable, _reprs(xs), []
+    def texts(values):
+        for other, other_texts in done:
+            if other == values:
+                return [text if v else repr(v) for v, text in zip(values, other_texts)]
+        done.append((values, _reprs(values)))
+        return done[-1][1]
     yield CSV_HEADER + "\n"
     for name, column in result.columns.items():
-        total, ee, p_mbs, p_bmaa, p_iap = (_reprs(column[field]) for field in POWER_FIELDS)
+        total, ee, p_mbs, p_bmaa, p_iap = (texts(column[field]) for field in POWER_FIELDS)
         rows = list(map(",".join, zip(itertools.repeat(name), x_texts, itertools.repeat(kind),
                                       total, ee, itertools.repeat("true"),
                                       p_mbs, p_bmaa, p_iap)))
@@ -137,7 +147,6 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory "
                           f"({exc.strerror})") from None
-    from datetime import datetime, timezone
     xs = [float(x) for x in result.spec.grid]   # for the x texts and both charts
     _write(out_dir / "results.csv", _csv_chunks(result, xs))
 
@@ -151,19 +160,19 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
         *(f"variant.{i}={v.name},{v.kind},{v.m_t}"
           for i, v in enumerate(result.spec.variants)),
         f"n_rows={len(xs) * len(result.columns)}",
-        f"timestamp={datetime.now(timezone.utc).isoformat(timespec='seconds')}",
+        f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S+00:00', time.gmtime())}",
     ]
     _write(out_dir / "manifest.txt", ["\n".join(manifest) + "\n"])
 
     n_feasible = sum(sum(column["feasible"]) for column in result.columns.values())
     if axis and n_feasible:
-        stem, x_label = axis
+        stem, x_label, shared = *axis, {}   # both charts format the x pixels once
         for prefix, field, title, y_label in (
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
             series = [(name, column[field]) for name, column in result.columns.items()]
             _write(out_dir / f"{prefix}_vs_{stem}.svg", [
-                line_chart(xs, series, f"{title} vs {stem}", x_label, y_label)])
+                line_chart(xs, series, f"{title} vs {stem}", x_label, y_label, shared)])
     return 0 if n_feasible else 2
 
 
@@ -182,9 +191,9 @@ def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # loads the engine on f
     return run_sweep(bundle, spec, seed)
 
 
-def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
+def line_chart(xs, series, title: str, x_label: str, y_label: str, shared=None) -> str:
     from .svgplot import line_chart   # loaded only where charts are drawn
-    return line_chart(xs, series, title, x_label, y_label)
+    return line_chart(xs, series, title, x_label, y_label, shared)
 
 
 def cmd_sweep(args) -> int:
@@ -215,20 +224,17 @@ def _read_lines(path: Path) -> list:
                           ) from None
 
 
-def _read_results(path: Path, spec: SweepSpec, manifest: Path) -> dict:
-    """Per variant of *spec*, in its order, the (x, total power, EE) columns of a
-    results.csv, None where infeasible; each x column is the grid itself.  With n grid
-    points, row i is variant ``i // n`` at ``grid[i % n]``, x_kind ``spec.variable``,
-    and ``true`` with six finite numbers or ``false`` with none.  Any other row, or
-    another row count than *manifest* records, is a ConfigError that names it."""
-    lines = _read_lines(path)
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: not a sweep results file")
+def _read_results(path: Path, rows: list, spec: SweepSpec) -> dict:
+    """Per variant of *spec*, in its order, the (x, total power, EE) columns of the
+    data *rows* of the results.csv at *path*, None where infeasible; each x column is
+    the grid itself.  With n grid points, row i is variant ``i // n`` at
+    ``grid[i % n]``, x_kind ``spec.variable``, and ``true`` with six finite numbers or
+    ``false`` with none.  Any other row is a ConfigError that names it."""
     grid, n, variable = spec.grid, len(spec.grid), spec.variable
     names = [v.name for v in spec.variants for _ in grid]
     isfinite = math.isfinite
     powers, ees = [], []
-    for ln, name, at in zip(lines[1:], names, grid * len(spec.variants)):
+    for ln, name, at in zip(rows, names, grid * len(spec.variants)):
         try:
             variant, x, kind, power, ee, flag, p_mbs, p_bmaa, p_iap = ln.split(",")
             if variant != name or float(x) != at or kind != variable:
@@ -249,9 +255,6 @@ def _read_results(path: Path, spec: SweepSpec, manifest: Path) -> dict:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
         powers.append(power)
         ees.append(ee)
-    if len(lines) - 1 != len(names):
-        raise ConfigError(f"{path}: {len(lines) - 1} rows, but {manifest} records "
-                          f"n_rows={len(names)}")
     return {v.name: (grid, powers[b * n:(b + 1) * n], ees[b * n:(b + 1) * n])
             for b, v in enumerate(spec.variants)}
 
@@ -340,6 +343,12 @@ def cmd_analyze(args) -> int:
     if recorded["n_rows"] != str(n * len(variants)):
         raise ConfigError(f"{manifest}: n_rows={recorded['n_rows']}, but grid={recorded['grid']} "
                           f"and {len(variants)} variants make {n * len(variants)} rows")
+    lines = _read_lines(results)   # its row count too, before the grid is built
+    if not lines or lines[0] != CSV_HEADER:
+        raise ConfigError(f"{results}: not a sweep results file")
+    if len(lines) - 1 != n * len(variants):
+        raise ConfigError(f"{results}: {len(lines) - 1} rows, but {manifest} records "
+                          f"n_rows={recorded['n_rows']}")
     try:
         spec = SweepSpec(recorded["variable"], parse_grid(recorded["grid"]), variants)
     except ConfigError as exc:
@@ -349,7 +358,7 @@ def cmd_analyze(args) -> int:
             if recorded.get(key) != digest:
                 raise ConfigError(f"config does not match the sweep manifest "
                                   f"({key} {recorded.get(key)} != {digest})")
-    columns = _read_results(results, spec, manifest)
+    columns = _read_results(results, lines[1:], spec)
     if all(p.count(None) == len(p) for _, p, _ in columns.values()):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2

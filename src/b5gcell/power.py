@@ -60,11 +60,6 @@ def _gops_precoding(cfg, gops, antennas: int) -> float:
     return items * weight * gops.frame_rate / 1e9
 
 
-def _each(law, x):
-    """``law(x)`` of one float, or ``[law(v) for v in x]`` of a column."""
-    return law(x) if isinstance(x, (int, float)) else list(map(law, x))
-
-
 def add_up(terms):
     """0 + t0 + t1 + ..., one term at a time in order: of floats, or of
     equal-length columns point by point.  The built-in ``sum`` compensates a
@@ -126,8 +121,9 @@ def power_mbsala(cfg, b: ConfigBundle, p_out_per_beam) -> DevicePower:
         if id(p) not in drawn:
             drawn[id(p)] = pa_power_classb(p, rf.pa_max)
     p_pa = add_up([drawn[id(p)] for p in p_out_per_beam])
-    return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
-                       p_total=_each(lambda pa: p_bb + p_rf + pa, p_pa))
+    base = p_bb + p_rf
+    total = base + p_pa if isinstance(p_pa, (int, float)) else [base + pa for pa in p_pa]
+    return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
 
 
 def power_bmaa(cfg, b: ConfigBundle) -> DevicePower:
@@ -153,8 +149,9 @@ def power_iap_mmwave(cfg, b: ConfigBundle, p_out) -> DevicePower:
     p_rf = (cfg.m_t_iap * (rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs)
             + math.sqrt(cfg.m_t_iap) * rf.p_clc)
     p_pa = pa_power_doherty(p_out, rf.pa_max)
-    divisor = overhead_divisor(b)
-    total = _each(lambda pa: (p_bb + p_rf + pa) / divisor, p_pa)
+    base, divisor = p_bb + p_rf, overhead_divisor(b)
+    total = ((base + p_pa) / divisor if isinstance(p_pa, (int, float))
+             else [(base + pa) / divisor for pa in p_pa])
     return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
 
 
@@ -184,7 +181,8 @@ def power_mbs(cfg, b: ConfigBundle, mbsala_powers) -> DevicePower:
     p_bb = site_gops / b.devices.rho + add_up([m.p_bb for m in mbsala_powers])
     p_rf = add_up([m.p_rf for m in mbsala_powers])
     p_pa = add_up([m.p_pa for m in mbsala_powers])
-    divisor = overhead_divisor(b)
-    total = _each(lambda pa: (p_bb + p_rf + pa) / divisor, p_pa)
+    base, divisor = p_bb + p_rf, overhead_divisor(b)
+    total = ((base + p_pa) / divisor if isinstance(p_pa, (int, float))
+             else [(base + pa) / divisor for pa in p_pa])
     return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
 

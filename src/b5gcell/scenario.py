@@ -55,6 +55,8 @@ class ScenarioModel:
         self.beta_backhaul = [db_to_linear(-x) for x in pl]
         # the direct link also crosses the wall
         self.beta_direct = [db_to_linear(-(x + cfg.penetration_loss_db)) for x in pl]
+        relay = variant.kind != "nonsep"   # _link: all the outdoor link reads in one bundle
+        self._link = (relay, cfg.m_t, tuple(self.beta_backhaul if relay else self.beta_direct))
 
         # the swept total rate is split equally over every indoor user
         self.n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
@@ -124,7 +126,7 @@ class ScenarioModel:
         return [0.0 if t == 0.0 else scale * t / (1.0 - t / t_star) if 0.0 < t < t_star
                 else math.nan for t in sinr_targets]
 
-    def points(self, xs, x_kind: str = RATE_VARIABLE) -> dict:
+    def points(self, xs, x_kind: str = RATE_VARIABLE, links: dict | None = None) -> dict:
         """Evaluate the cell at every grid value in *xs*, any sequence of
         floats: total offered rates (bit/s), or for SE_VARIABLE per-link SE
         targets (bit/s/Hz on the outdoor band).  At a per-link SE every user
@@ -138,6 +140,9 @@ class ScenarioModel:
         equals its one-point evaluation exactly.  An amplifier past its rating
         makes its point infeasible, so the laws take the demand unclipped: only
         NaN comes out of them there.
+
+        *links*, a dict that run_sweep shares between the models of one bundle over
+        one *xs* and *x_kind*, holds each distinct outdoor link, evaluated once.
         """
         if x_kind not in (RATE_VARIABLE, SE_VARIABLE):
             raise ValueError(f"unknown grid kind {x_kind!r}: expected {RATE_VARIABLE} "
@@ -163,27 +168,32 @@ class ScenarioModel:
             iap_sum = add_up([iap.p_total] * n_devices)
         elif variant.kind == "sep-lifi":   # fixed optical drive
             feasible = [x <= self._lifi_capacity for x in rate_user]
-        if variant.kind != "nonsep":   # relay beams share a building's users
-            se_link = [x * cfg.n_iue / cfg.n_beams / cfg.bandwidth_out for x in rate_user]
-            betas, streams, rx = self.beta_backhaul, cfg.n_beams, cfg.m_r
-        else:
-            se_link = [x / cfg.bandwidth_out for x in rate_user]
-            betas, streams, rx = self.beta_direct, cfg.n_iue, cfg.ue_antennas
-        target = required_sinr(se_link, cfg.gamma)
-        p_beams = []
-        for beta in betas:   # building-major, one amplifier per stream
-            gain = beta * cfg.m_t * rx
-            p_beams += [[t * self.sigma_out / gain for t in target]] * streams
-        # rounded division is monotone, so at every point the building of least
-        # gain asks the most of its amplifiers: its rating alone bounds the backhaul
-        weakest, pa_max = p_beams[streams * betas.index(min(betas))], b.mbsala.pa_max
-        feasible = [ok and x <= pa_max for ok, x in zip(feasible, weakest)]
-        mbsala = power_mbsala(cfg, b, p_beams)
-        p_mbs = power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total
+        links = {} if links is None else links
+        if self._link not in links:   # the outdoor link alone
+            relay, _, betas = self._link
+            if relay:   # relay beams share a building's users
+                se_link = [x * cfg.n_iue / cfg.n_beams / cfg.bandwidth_out for x in rate_user]
+                streams, rx = cfg.n_beams, cfg.m_r
+            else:
+                se_link = [x / cfg.bandwidth_out for x in rate_user]
+                streams, rx = cfg.n_iue, cfg.ue_antennas
+            target = required_sinr(se_link, cfg.gamma)
+            p_beams = []
+            for beta in betas:   # building-major, one amplifier per stream
+                gain = beta * cfg.m_t * rx
+                p_beams += [[t * self.sigma_out / gain for t in target]] * streams
+            # rounded division is monotone, so at every point the building of least
+            # gain asks the most of its amplifiers: its rating alone bounds the backhaul
+            weakest, pa_max = p_beams[streams * betas.index(min(betas))], b.mbsala.pa_max
+            mbsala = power_mbsala(cfg, b, p_beams)
+            links[self._link] = (power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total,
+                                 [x <= pa_max for x in weakest])
+        p_mbs, link_ok = links[self._link]
+        feasible = [ok and link for ok, link in zip(feasible, link_ok)]
         bmaa_sum = self._bmaa_sum
         total = [p + bmaa_sum + iap for p, iap in zip(p_mbs, iap_sum)]
         ee = [x / cfg.bandwidth_out / t for x, t in zip(rates, total)]
-        values = (total, ee, p_mbs, [bmaa_sum] * len(rates), iap_sum)   # each a new list
+        values = (total, ee, p_mbs[:], [bmaa_sum] * len(rates), iap_sum)   # each a new list
         for i, ok in enumerate(feasible):
             if not ok:
                 for column in values:
@@ -210,8 +220,8 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     Under random placement each variant draws from a stream keyed on its
     name, so evaluation order cannot change random placements.
     """
-    columns = {}
+    columns, links = {}, {}
     for variant in spec.variants:
         model = build_scenario(bundle, variant, seed)
-        columns[variant.name] = model.points(spec.grid, spec.variable)
+        columns[variant.name] = model.points(spec.grid, spec.variable, links)
     return SweepResult(spec=spec, seed=seed, columns=columns)

@@ -37,21 +37,22 @@ def _ticks(lo: float, hi: float, n: int = 5):
         step = mult * mag
         if step >= raw:
             break
-    first = math.ceil(lo / step) * step
+    first = max(math.ceil(lo / step) * step, lo)   # the product can round below lo
     out = []
     t = first
     while t <= hi + 1e-9 * step:
-        out.append(0.0 if abs(t) < 1e-12 * step else t)
+        out.append(0.0 if abs(t) < 1e-12 * step and lo <= 0.0 else t)   # never below lo
         if t + step == t:   # step is below half an ulp of t: an axis a few ulps wide
             break
         t += step
     return out
 
 
-def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
+def line_chart(xs, series, title: str, x_label: str, y_label: str, shared=None) -> str:
     """Render ``series`` = [(name, ys), ...], each ys over the one grid ``xs``,
     to an SVG document string.  ``xs`` and each ``ys`` are equal-length
-    sequences of floats.
+    sequences of floats.  Charts over one ``xs`` that pass the same dict as
+    *shared* format its pixel texts once.
 
     NaN y-values break the line (gaps for infeasible points).
     """
@@ -113,8 +114,10 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
                  f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{y_label}</text>')
 
     # one polyline per NaN-free run of each series: "x,y" points joined by " "
-    x_texts = ["%.2f," % sx(x) for x in xs]
-    height = py1 - py0
+    shared = {} if shared is None else shared
+    if "x_texts" not in shared:   # sx(x) written out, as sy(y) below
+        shared["x_texts"] = ["%.2f," % (px0 + (x - x_lo) / x_span * (px1 - px0)) for x in xs]
+    x_texts, height = shared["x_texts"], py1 - py0
     for idx, (name, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         # sy(y) written out: a call per point adds about a tenth to a chart's time

@@ -3,8 +3,10 @@ import hashlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 
 import b5gcell
 from b5gcell import ConfigError, default_bundle, write_config
-from b5gcell.cli import CSV_HEADER, _reprs, main, parse_grid, parse_variants
+from b5gcell.cli import CSV_HEADER, _csv_chunks, _reprs, main, parse_grid, parse_variants
 from b5gcell.config import DEFAULTS
+from b5gcell.records import SweepResult, SweepSpec, VariantSpec
 
 FAST = ["--grid", "0:2e9:5"]
 DEFAULT_CONFIG_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
@@ -178,6 +181,24 @@ def test_reprs_formats_each_value_as_repr():
     values = [0.0, -0.0, math.nan, float("nan"), 5e-324, 1.7976931348623157e308] * 3
     assert _reprs(values) == [repr(v) for v in values]
     assert _reprs([-0.0, 0.0, -0.0]) == ["-0.0", "0.0", "-0.0"]
+    # mostly distinct values, formatted one by one, with a repeated signed zero
+    values = [0.0, *(i / 7 for i in range(1, 200)), -0.0, 0.0]
+    assert _reprs(values) == [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_csv_equal_columns_keep_their_own_signed_zeros(zero):
+    # nonsep's p_mbs_w equals its total_power_w as floats, so it takes its texts,
+    # except at a zero, whose sign the two columns need not share
+    columns = {"feasible": [True] * 3, "total_power_w": [0.0, 2.5, 0.0],
+               "ee": [0.0, 1.0, 2.0], "p_mbs_w": [zero, 2.5, -zero],
+               "p_bmaa_w": [0.0] * 3, "p_iap_w": [-0.0] * 3}
+    spec = SweepSpec("total_rate_bps", (0.0, 1.0, 2.0), (VariantSpec("nonsep", "nonsep", 64),))
+    result = SweepResult(spec=spec, seed=0, columns={"nonsep": columns})
+    rows = "".join(_csv_chunks(result, list(spec.grid))).splitlines()[1:]
+    assert [row.split(",")[6:] for row in rows] == [
+        [repr(p_mbs), "0.0", "-0.0"] for p_mbs in columns["p_mbs_w"]]
+    assert [row.split(",")[3] for row in rows] == ["0.0", "2.5", "0.0"]
 
 
 def test_sweep_reads_config_file(tmp_path):
@@ -352,6 +373,25 @@ def test_analyze_checks_the_grid_point_count_before_building_the_grid(tmp_path, 
     assert capsys.readouterr().err == (f"error: {manifest}: n_rows=15, but grid=0:2e9:2000000 "
                                        f"and 3 variants make 6000000 rows\n")
     assert peak < 4_000_000   # the grid's 2,000,000 floats alone take 48 MB
+
+
+def test_analyze_checks_the_row_count_before_building_the_grid(tmp_path, capsys):
+    # grid= and n_rows= raised to agree with each other, over the 75 rows of a default sweep
+    out = tmp_path / "run"
+    main(["sweep", "--out", str(out), "--plot", "off"])
+    manifest, results = out / "manifest.txt", out / "results.csv"
+    manifest.write_text(manifest.read_text().replace("grid=0:6e9:25", "grid=0:6e9:1000000")
+                        .replace("n_rows=75", "n_rows=3000000"))
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--in", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (f"error: {results}: 75 rows, but {manifest} records "
+                                       f"n_rows=3000000\n")
+    assert peak < 4_000_000   # the grid's 1,000,000 floats alone take 32 MB
 
 
 @settings(max_examples=25, deadline=None)
@@ -541,22 +581,21 @@ def test_analyze_config_without_manifest_exits_1(tmp_path, capsys):
     assert not (out / "summary.txt").exists()
 
 
-@pytest.mark.parametrize("cut", ["last-row", "variant-block"])
+@pytest.mark.parametrize("cut", ["last-row", "variant-block", "extra-row"])
 def test_analyze_rejects_rows_missing_from_the_manifest_count(tmp_path, capsys, cut):
     out = tmp_path / "run"
     main(["sweep", "--out", str(out), *FAST])
     results, manifest = out / "results.csv", out / "manifest.txt"
     header, *rows = results.read_text().splitlines()
-    kept = rows[:-1] if cut == "last-row" else [r for r in rows if not r.startswith("sep-lifi,")]
+    kept = {"last-row": rows[:-1],
+            "variant-block": [r for r in rows if not r.startswith("sep-lifi,")],
+            "extra-row": [rows[0], *rows]}[cut]
     results.write_text("\n".join([header, *kept]) + "\n")
     capsys.readouterr()
     assert main(["analyze", "--in", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == {
-        "last-row": f"error: {results}: 14 rows, but {manifest} records n_rows=15\n",
-        "variant-block": (f"error: {results}: malformed row {kept[5]!r}: line 7 must be "
-                          f"sep-lifi at x_value 0.0 with x_kind total_rate_bps\n"),
-    }[cut]
+    # the row count is checked before any row is read
+    assert capsys.readouterr().err == (f"error: {results}: {len(kept)} rows, but {manifest} "
+                                       f"records n_rows=15\n")
     assert not (out / "summary.txt").exists()
 
 
@@ -620,7 +659,8 @@ ROW_ORDER_BREAKS = {
         rows[rows.index(_first(rows, "nonsep")) + 1]),
     "first-row-moved-to-end": lambda rows: ([rows[0], *rows[2:], rows[1]], rows[2]),
     "swapped-rows": lambda rows: ([rows[0], rows[2], rows[1], *rows[3:]], rows[2]),
-    "repeated-row": lambda rows: ([rows[0], rows[1], rows[1], *rows[2:]], rows[1]),
+    # in place of the next row, so that the row count holds
+    "repeated-row": lambda rows: ([rows[0], rows[1], rows[1], *rows[3:]], rows[1]),
 }
 
 
@@ -755,11 +795,17 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
 
 def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path):
     out = tmp_path / "run"
+    before = time.time()
     code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
     assert code == "exit=0"
     assert _numpy_modules(loaded) == set()
-    assert loaded & {"dataclasses", "_hashlib", "b5gcell.stream"} == set()
+    assert loaded & {"dataclasses", "datetime", "_hashlib", "b5gcell.stream"} == set()
     assert (out / "results.csv").is_file()
+    # the manifest's UTC timestamp, to the second, in ISO 8601 with its offset
+    stamp = _manifest(out)["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    from datetime import datetime
+    assert int(before) <= datetime.fromisoformat(stamp).timestamp() <= time.time()
 
 
 def test_random_layout_sweep_loads_neither_numpy_random_nor_hashlib(tmp_path, monkeypatch):

@@ -15,6 +15,8 @@ from b5gcell import (
     run_sweep,
 )
 from b5gcell.cli import _summarize
+from b5gcell import scenario
+from b5gcell.power import power_mbs
 from b5gcell.scenario import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
 from result_columns import columns, point_at
@@ -307,6 +309,73 @@ def test_library_and_sweep_build_one_random_cell(bundle, variant, seed):
     swept = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (SEP, LIFI, NON)), seed=seed)
     built = build_scenario(shuffled, variant, seed=seed).points(grid)
     assert _same(built, swept.columns[variant.name])
+
+
+@st.composite
+def _sweeps(draw):
+    """(bundle, seed, SweepSpec): the three kinds at one M_T, sep-mmwave and sep-lifi
+    able to share a relay link, among further variants of any kind and M_T, in any
+    order.  Without a wall loss the direct and relay links see the same gains."""
+    m_t = draw(st.sampled_from([16, 128]))
+    extra = draw(st.lists(st.tuples(st.sampled_from(["sep-mmwave", "sep-lifi", "nonsep"]),
+                                    st.sampled_from([16, 64, 128])), max_size=3))
+    kinds = draw(st.permutations([("sep-mmwave", m_t), ("sep-lifi", m_t), ("nonsep", m_t),
+                                  *extra]))
+    variants = tuple(VariantSpec(f"{kind}:mt={mt}#{i}", kind, mt)
+                     for i, (kind, mt) in enumerate(kinds))
+    variable, top = draw(st.sampled_from([(RATE_VARIABLE, 3e10), (SE_VARIABLE, 60.0)]))
+    grid = draw(st.sets(st.floats(0.0, top), min_size=2, max_size=12))
+    bundle, wall_db = default_bundle(), draw(st.sampled_from([20.0, 0.0]))
+    bundle = bundle._replace(
+        scenario=bundle.scenario._replace(penetration_loss_db=wall_db),
+        layout=bundle.layout._replace(placement=draw(st.sampled_from(["fixed", "random"]))))
+    return bundle, draw(st.integers(0, 5)), SweepSpec(variable, tuple(sorted(grid)), variants)
+
+
+def _bits(column):
+    """A column set as exact texts: the feasible flags, and each float's hex form."""
+    return {"feasible": list(column["feasible"]),
+            **{field: [float.hex(x) for x in column[field]] for field in POWER_FIELDS}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sweeps())
+def test_sweep_columns_equal_each_variant_evaluated_alone(case):
+    # variants that share an outdoor link in run_sweep get what they get alone, bit
+    # for bit, NaN included
+    bundle, seed, spec = case
+    swept = run_sweep(bundle, spec, seed=seed)
+    for variant in spec.variants:
+        alone = build_scenario(bundle, variant, seed=seed).points(spec.grid, spec.variable)
+        assert _bits(swept.columns[variant.name]) == _bits(alone)
+
+
+@pytest.mark.parametrize("placement, evaluations", [("fixed", 3), ("random", 5)])
+def test_run_sweep_evaluates_each_distinct_outdoor_link_once(bundle, monkeypatch,
+                                                             placement, evaluations):
+    # fixed placement: one relay link at each M_T and one direct link; under random
+    # placement every variant has its own buildings, so nothing is shared
+    calls = []
+    monkeypatch.setattr(scenario, "power_mbs",
+                        lambda *args: calls.append(args) or power_mbs(*args))
+    bundle = bundle._replace(layout=bundle.layout._replace(placement=placement))
+    variants = (SEP, LIFI, NON, SEP._replace(name="sep-mmwave:mt=128", m_t=128),
+                LIFI._replace(name="sep-lifi:mt=128", m_t=128))
+    run_sweep(bundle, SweepSpec(RATE_VARIABLE, (0.0, 1e9), variants))
+    assert len(calls) == evaluations
+
+
+@settings(max_examples=30, deadline=None)
+@given(_sweeps(), st.data())
+def test_changing_one_variants_columns_leaves_the_others_unchanged(case, data):
+    bundle, seed, spec = case
+    columns = run_sweep(bundle, spec, seed=seed).columns
+    before = {name: _bits(column) for name, column in columns.items()}
+    changed = data.draw(st.sampled_from([v.name for v in spec.variants]))
+    for field, values in columns[changed].items():
+        values[:] = [not x for x in values] if field == "feasible" else [-1.0] * len(values)
+    assert {name: _bits(column) for name, column in columns.items() if name != changed} == \
+        {name: bits for name, bits in before.items() if name != changed}
 
 
 def test_random_placement_respects_bounds(bundle):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from b5gcell.svgplot import line_chart
+from b5gcell.svgplot import _ticks, line_chart
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -149,3 +149,26 @@ def test_polyline_points_are_the_closed_form_pixels(case):
                      "t", "x", "y")
     drawn = [p.get("points").split() for p in ET.fromstring(svg).findall(f"{NS}polyline")]
     assert drawn == _pixel_texts(xs, columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e12, 1e12), st.integers(1, 2**40))
+@example(1.0, 1)   # an axis one ulp wide: ceil(lo / step) * step rounds below lo
+def test_ticks_stay_within_the_axis(lo, ulps):
+    # a few ulps wide, or ulps thousandths
+    hi = lo
+    for _ in range(min(ulps, 64)):
+        hi = math.nextafter(hi, math.inf)
+    hi = max(hi, lo + ulps * 1e-3)
+    ticks = _ticks(lo, hi)
+    assert ticks and all(lo <= t for t in ticks)
+    assert ticks == sorted(set(ticks))
+
+
+def test_charts_sharing_a_grid_render_as_each_alone():
+    xs = [0.0, 1.5, 2.0, 7.25]
+    charts = [[("a", [1.0, 2.0, math.nan, 3.0])], [("b", [0.5, 0.25, 0.125, 0.0])]]
+    shared = {}
+    together = [line_chart(xs, series, "t", "x", "y", shared) for series in charts]
+    assert together == [line_chart(xs, series, "t", "x", "y") for series in charts]
+    assert len(shared["x_texts"]) == len(xs)
