@@ -35,13 +35,11 @@ def sinr_lifi(c_f: float, p_tx: float, h_los: float, n0: float,
     return (c_f * p_tx * h_los) ** 2 / (n0 * bandwidth)
 
 
-def required_sinr(se_target, gamma: float = 1.0):
+def required_sinr(se_targets, gamma: float = 1.0) -> list:
     """Exact inverse of the approximate SE law: 2^(se/gamma) - 1 through
-    Python's ``**``, of one target (a float back) or of each target in a
-    sequence (a list back).  From se/gamma = 1024 on, 2^(se/gamma) is beyond
-    float range (``**`` would raise): inf, the correctly rounded value, which
-    propagates into an infinite power demand downstream."""
-    if isinstance(se_target, (int, float)):
-        return required_sinr([se_target], gamma)[0]
+    Python's ``**``, of each target in a column (a list back).  From
+    se/gamma = 1024 on, 2^(se/gamma) is beyond float range (``**`` would
+    raise): inf, the correctly rounded value, which propagates into an
+    infinite power demand downstream."""
     inf = math.inf
-    return [inf if (x := se / gamma) >= 1024.0 else 2.0 ** x - 1.0 for se in se_target]
+    return [inf if (x := se / gamma) >= 1024.0 else 2.0 ** x - 1.0 for se in se_targets]

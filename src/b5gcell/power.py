@@ -11,9 +11,9 @@ Conventions fixed here once:
   A relay array is fed by the macro site's supply, so its own total carries
   no divisor.
 * The laws check nothing; the gate is validate_bundle, SweepSpec and points().
-* An amplifier's output power is one float or a column of them, one per grid
-  point (a list); a law maps over a column in the order it evaluates one float,
-  so every entry of its result equals that point's own evaluation.
+* An amplifier's output power is a column, one float per grid point (a list),
+  and so is every rate-dependent result; a law maps over a column point by
+  point, so every entry of its result equals that point's own evaluation.
 
 Each device has one law, baseband GOPS / rho plus its RF front end plus its
 amplifier, over the supply divisor where it owns one, and each law sums its own
@@ -79,8 +79,6 @@ def add_up(terms):
 def pa_power_classb(p_out, p_max: float):
     """Class-B consumption (2/pi) sqrt(p_out p_max); zero draws zero."""
     scale, sqrt = 2.0 / math.pi, math.sqrt
-    if isinstance(p_out, (int, float)):
-        return scale * sqrt(p_out * p_max)
     return [scale * sqrt(p * p_max) for p in p_out]
 
 
@@ -92,8 +90,6 @@ def pa_power_doherty(p_out, p_max: float):
     modelled.
     """
     low, high, quarter, sqrt = 2.0 / math.pi, 6.0 / math.pi, 0.25 * p_max, math.sqrt
-    if isinstance(p_out, (int, float)):
-        return (low if p_out < quarter else high) * sqrt(p_out * p_max)
     return [(low if p < quarter else high) * sqrt(p * p_max) for p in p_out]
 
 
@@ -106,24 +102,22 @@ def overhead_divisor(b: ConfigBundle) -> float:
     return (1.0 - d.eta_c) * (1.0 - d.eta_acdc) * (1.0 - d.eta_dcdc)
 
 
-def power_mbsala(cfg, b: ConfigBundle, p_out_per_beam) -> DevicePower:
+def power_mbsala(cfg, b: ConfigBundle, p_out_per_building, streams: int) -> DevicePower:
     """One relay array: baseband (filtering, FFT, channel estimation, precoding,
-    mapping, control, network) + RF over m_t antennas + class-B amplifier per
-    stream.  No overhead divisor here; the macro-site supply carries it."""
+    mapping, control, network) + RF over m_t antennas + a class-B amplifier per
+    stream, a building's *streams* streams sharing its output-power column in
+    *p_out_per_building*, drawn once.  No divisor: the macro site's supply has it."""
     g, rf = b.gops, b.mbsala
     blocks_per_s = g.n_symbols * g.frame_rate / cfg.coherence_block
     gops = (g.fltr + _gops_fft(g) + cfg.pilot_len * cfg.m_t * cfg.n_ue * blocks_per_s / 1e9
             + _gops_precoding(cfg, g, cfg.m_t) + g.map + g.ctrl + g.nw)
     p_bb = gops / b.devices.rho
     p_rf = cfg.m_t * (rf.p_mod + rf.p_mix + rf.p_dac) + math.sqrt(cfg.m_t) * rf.p_clk
-    drawn = {}   # streams that share one column object draw their amplifier once
-    for p in p_out_per_beam:
-        if id(p) not in drawn:
-            drawn[id(p)] = pa_power_classb(p, rf.pa_max)
-    p_pa = add_up([drawn[id(p)] for p in p_out_per_beam])
+    p_pa = add_up([pa for p in p_out_per_building
+                   for pa in [pa_power_classb(p, rf.pa_max)] * streams])
     base = p_bb + p_rf
-    total = base + p_pa if isinstance(p_pa, (int, float)) else [base + pa for pa in p_pa]
-    return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
+    return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
+                       p_total=[base + pa for pa in p_pa])
 
 
 def power_bmaa(cfg, b: ConfigBundle) -> DevicePower:
@@ -150,9 +144,8 @@ def power_iap_mmwave(cfg, b: ConfigBundle, p_out) -> DevicePower:
             + math.sqrt(cfg.m_t_iap) * rf.p_clc)
     p_pa = pa_power_doherty(p_out, rf.pa_max)
     base, divisor = p_bb + p_rf, overhead_divisor(b)
-    total = ((base + p_pa) / divisor if isinstance(p_pa, (int, float))
-             else [(base + pa) / divisor for pa in p_pa])
-    return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
+    return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
+                       p_total=[(base + pa) / divisor for pa in p_pa])
 
 
 def power_lifi_iap(led, h_los: float) -> DevicePower:
@@ -182,7 +175,6 @@ def power_mbs(cfg, b: ConfigBundle, mbsala_powers) -> DevicePower:
     p_rf = add_up([m.p_rf for m in mbsala_powers])
     p_pa = add_up([m.p_pa for m in mbsala_powers])
     base, divisor = p_bb + p_rf, overhead_divisor(b)
-    total = ((base + p_pa) / divisor if isinstance(p_pa, (int, float))
-             else [(base + pa) / divisor for pa in p_pa])
-    return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=total)
+    return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
+                       p_total=[(base + pa) / divisor for pa in p_pa])
 

@@ -137,12 +137,12 @@ class ScenarioModel:
         POWER_FIELDS name, NaN where infeasible.  Only the amplifiers depend on
         the rate; the building arrays' and LiFi access points' powers were
         fixed at build.  Sums run term by term in device order, so every entry
-        equals its one-point evaluation exactly.  An amplifier past its rating
-        makes its point infeasible, so the laws take the demand unclipped: only
-        NaN comes out of them there.
+        equals its one-point evaluation exactly.  An amplifier past its rating,
+        or a total power past float range, makes its point infeasible, so the
+        laws take the demand unclipped: only NaN comes out of them there.
 
-        *links*, a dict that run_sweep shares between the models of one bundle over
-        one *xs* and *x_kind*, holds each distinct outdoor link, evaluated once.
+        *links*, a dict that run_sweep shares between the models of one bundle,
+        holds each distinct outdoor link at each grid of rates, evaluated once.
         """
         if x_kind not in (RATE_VARIABLE, SE_VARIABLE):
             raise ValueError(f"unknown grid kind {x_kind!r}: expected {RATE_VARIABLE} "
@@ -168,8 +168,8 @@ class ScenarioModel:
             iap_sum = add_up([iap.p_total] * n_devices)
         elif variant.kind == "sep-lifi":   # fixed optical drive
             feasible = [x <= self._lifi_capacity for x in rate_user]
-        links = {} if links is None else links
-        if self._link not in links:   # the outdoor link alone
+        links, key = {} if links is None else links, (self._link, tuple(rates))
+        if (link := links.get(key)) is None:   # the outdoor link alone
             relay, _, betas = self._link
             if relay:   # relay beams share a building's users
                 se_link = [x * cfg.n_iue / cfg.n_beams / cfg.bandwidth_out for x in rate_user]
@@ -178,20 +178,20 @@ class ScenarioModel:
                 se_link = [x / cfg.bandwidth_out for x in rate_user]
                 streams, rx = cfg.n_iue, cfg.ue_antennas
             target = required_sinr(se_link, cfg.gamma)
-            p_beams = []
-            for beta in betas:   # building-major, one amplifier per stream
+            p_out = []
+            for beta in betas:   # one amplifier column per building, drawn by its streams
                 gain = beta * cfg.m_t * rx
-                p_beams += [[t * self.sigma_out / gain for t in target]] * streams
+                p_out.append([t * self.sigma_out / gain for t in target])
             # rounded division is monotone, so at every point the building of least
             # gain asks the most of its amplifiers: its rating alone bounds the backhaul
-            weakest, pa_max = p_beams[streams * betas.index(min(betas))], b.mbsala.pa_max
-            mbsala = power_mbsala(cfg, b, p_beams)
-            links[self._link] = (power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total,
+            weakest, pa_max = p_out[betas.index(min(betas))], b.mbsala.pa_max
+            mbsala = power_mbsala(cfg, b, p_out, streams)
+            link = links[key] = (power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total,
                                  [x <= pa_max for x in weakest])
-        p_mbs, link_ok = links[self._link]
-        feasible = [ok and link for ok, link in zip(feasible, link_ok)]
+        p_mbs, link_ok = link
         bmaa_sum = self._bmaa_sum
         total = [p + bmaa_sum + iap for p, iap in zip(p_mbs, iap_sum)]
+        feasible = [ok and link and t < math.inf for ok, link, t in zip(feasible, link_ok, total)]
         ee = [x / cfg.bandwidth_out / t for x, t in zip(rates, total)]
         values = (total, ee, p_mbs[:], [bmaa_sum] * len(rates), iap_sum)   # each a new list
         for i, ok in enumerate(feasible):

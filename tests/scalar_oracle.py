@@ -3,10 +3,10 @@
 This is the evaluation the scenario engine once ran for every grid point, one
 point at a time: the required SINR through Python's ``**``, the indoor access
 system built as a full n x n matrix of beam expectations and solved once per
-point, and every device built through the scalar laws of ``b5gcell.power`` and
-summed by ``power_cell`` below.  It reads the model's geometry and gains but
-neither its closed-form access power nor its precomputed device powers: every
-device law runs again at every point.  The laws themselves are shared, so the
+point, and every device built through the laws of ``b5gcell.power``, each
+called on one-point columns, and summed by ``power_cell`` below.  It reads the
+model's geometry and gains but neither its closed-form access power nor its
+precomputed device powers: every device law runs again at every point.  The laws themselves are shared, so the
 hand-transcribed device powers in ``tests/test_power.py`` check them.
 ``ScenarioModel.points``
 must reproduce its rows bit for bit, except that the summed access power of a
@@ -56,6 +56,11 @@ def power_cell(mbs, bmaa_powers=(), iap_powers=()) -> float:
     return (mbs.p_total
             + plain_sum(p.p_total for p in bmaa_powers)
             + plain_sum(p.p_total for p in iap_powers))
+
+
+def at_point(device):
+    """The breakdown of a law called on one-point columns, at that point."""
+    return device._replace(p_pa=device.p_pa[0], p_total=device.p_total[0])
 
 
 def required_sinr(se_target: float, gamma: float) -> float:
@@ -110,7 +115,8 @@ def solve_mmwave_powers(model, sinr_target: float):
     return np.clip(powers, 0.0, None)
 
 
-def _backhaul_beam_powers(model, rate_user: float):
+def _backhaul_powers(model, rate_user: float):
+    """One amplifier output power per building, each shared by its n_beams streams."""
     cfg = model.cfg
     rate_beam = rate_user * cfg.n_iue / cfg.n_beams
     target = required_sinr(rate_beam / cfg.bandwidth_out, cfg.gamma)
@@ -119,14 +125,14 @@ def _backhaul_beam_powers(model, rate_user: float):
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.m_r)
         if p > model.bundle.mbsala.pa_max:
             raise SaturationError(f"backhaul pa: {p!r} W > {model.bundle.mbsala.pa_max!r} W")
-        powers.extend([p] * cfg.n_beams)
+        powers.append(p)
     return powers
 
 
-def _outdoor_devices(model, beams):
+def _outdoor_devices(model, powers, streams: int):
     cfg, b = model.cfg, model.bundle
-    mbsala = power_mbsala(cfg, b, beams)
-    return power_mbs(cfg, b, [mbsala] * cfg.n_arrays)
+    mbsala = power_mbsala(cfg, b, [[p] for p in powers], streams)
+    return at_point(power_mbs(cfg, b, [mbsala] * cfg.n_arrays))
 
 
 def _separate_point(model, rate_user: float):
@@ -140,7 +146,7 @@ def _separate_point(model, rate_user: float):
         p_out = float(np.sum(powers))
         if p_out > b.iap.pa_max:
             return None
-        iap = power_iap_mmwave(cfg, b, p_out)
+        iap = at_point(power_iap_mmwave(cfg, b, [p_out]))
     else:
         share = cfg.bandwidth_in / cfg.n_iue
         for sinr in model.lifi_sinr:
@@ -148,7 +154,7 @@ def _separate_point(model, rate_user: float):
             if rate_user > capacity:
                 return None
         iap = power_lifi_iap(model.bundle.lifi_led, plain_sum(model.lifi_h) / len(model.lifi_h))
-    mbs = _outdoor_devices(model, _backhaul_beam_powers(model, rate_user))
+    mbs = _outdoor_devices(model, _backhaul_powers(model, rate_user), cfg.n_beams)
     bmaa = power_bmaa(cfg, b)
     return mbs, [bmaa] * n_devices, [iap] * n_devices
 
@@ -156,13 +162,13 @@ def _separate_point(model, rate_user: float):
 def _direct_point(model, rate_user: float):
     cfg, b = model.cfg, model.bundle
     target = required_sinr(rate_user / cfg.bandwidth_out, cfg.gamma)
-    beams = []
+    powers = []   # one per building, shared by its n_iue streams
     for beta in model.beta_direct:
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.ue_antennas)
         if p > b.mbsala.pa_max:
             raise SaturationError(f"direct pa: {p!r} W > {b.mbsala.pa_max!r} W")
-        beams.extend([p] * cfg.n_iue)
-    return _outdoor_devices(model, beams), [], []
+        powers.append(p)
+    return _outdoor_devices(model, powers, cfg.n_iue), [], []
 
 
 def rate_point(model, total_rate: float, x_value=None,

@@ -35,6 +35,7 @@ from kernel_oracles import (
 )
 from link_oracles import macro_snr_draws, snr_macro, spectral_efficiency
 from result_columns import columns, point_at
+from scalar_oracle import at_point
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 RATE_GRID = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
@@ -87,12 +88,13 @@ def test_exact_formula_checks():
            f"worst broadside dev {worst:.2e}")
 
     below = math.nextafter(0.25, 0.0)
-    ok = (_rel(pa_power_doherty(1.0, 1.0), 6 / math.pi) <= 1e-9
-          and _rel(pa_power_doherty(0.01, 1.0), 2 / (10 * math.pi)) <= 1e-9
-          and _rel(pa_power_doherty(below, 1.0), (2 / math.pi) * 0.5) <= 1e-9
-          and _rel(pa_power_doherty(0.25, 1.0), (6 / math.pi) * 0.5) <= 1e-9)
+    one, low, below_q, at_q = (pa_power_doherty([p], 1.0)[0] for p in (1.0, 0.01, below, 0.25))
+    ok = (_rel(one, 6 / math.pi) <= 1e-9
+          and _rel(low, 2 / (10 * math.pi)) <= 1e-9
+          and _rel(below_q, (2 / math.pi) * 0.5) <= 1e-9
+          and _rel(at_q, (6 / math.pi) * 0.5) <= 1e-9)
     _check(lines, "doherty values incl. both branch values at quarter rating", ok,
-           f"jump {pa_power_doherty(0.25, 1.0) / pa_power_doherty(below, 1.0):.6f}x")
+           f"jump {at_q / below_q:.6f}x")
 
     divisor = overhead_divisor(default_bundle())
     ok = _rel(1.0 / divisor, 1.2778736182991504) <= 1e-9
@@ -157,7 +159,7 @@ def test_oracle_equivalence():
     for _ in range(1000):
         se = rng.uniform(0.01, 30.0)
         gamma = rng.uniform(0.3, 1.0)
-        back = spectral_efficiency(required_sinr(se, gamma), gamma=gamma)
+        back = spectral_efficiency(required_sinr([se], gamma)[0], gamma=gamma)
         worst = max(worst, _rel(back, se))
     _check(lines, "required-SINR / SE round trip within 1e-12 (1000 values)",
            worst <= 1e-12, f"worst {worst:.2e}")
@@ -297,9 +299,9 @@ def test_determinism_and_schema(tmp_path):
 
     bundle = default_bundle()
     cfg = bundle.scenario
-    mbsala = power_mbsala(cfg, bundle, [1.0] * 4)
+    mbsala = at_point(power_mbsala(cfg, bundle, [[1.0]], 4))
     bmaa = power_bmaa(cfg, bundle)
-    iap = power_iap_mmwave(cfg, bundle, 0.1)
+    iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     current = {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,

@@ -230,6 +230,20 @@ def test_sweep_without_feasible_points_exits_2(tmp_path):
     assert (out / "results.csv").exists()  # rows are still written
 
 
+def test_sweep_whose_power_overflows_exits_2_and_analyze_exits_2(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the loader accepts this rating, and the amplifiers' sum then overflows to inf:
+    # every point is infeasible, so no chart is drawn and analyze reads the file
+    monkeypatch.setenv("B5GCELL_MBSALA__PA_MAX", "1e308")
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out), "--variants", "nonsep", "--variable", "se",
+                 "--grid", "900:1020:4"]) == 2
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",", 3)[3] for row in rows] == [",,false,,,"] * 4
+    assert main(["analyze", "--in", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("error: no feasible rows to analyze\n")
+
+
 def test_se_sweep_variable(tmp_path):
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out), "--variable", "se",

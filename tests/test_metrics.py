@@ -185,17 +185,17 @@ def test_macro_snr_draws_statistics():
 
 def test_required_sinr_frozen_value():
     # frozen from an out-of-band evaluation of 2^(5.5/0.9) - 1
-    assert required_sinr(5.5, 0.9) == pytest.approx(68.12382328910758, rel=1e-12)
+    assert required_sinr([5.5], 0.9)[0] == pytest.approx(68.12382328910758, rel=1e-12)
 
 
 def test_required_sinr_zero_rate_needs_no_power():
-    assert required_sinr(0.0) == 0.0
+    assert required_sinr([0.0]) == [0.0]
 
 
 def test_required_sinr_beyond_float_range_is_inf():
     # 2^3125 overflows a double; the demand is still well defined (unmeetable)
-    assert math.isinf(required_sinr(3125.0))
-    # inf from exactly where Python's ** overflows, one target or a column of them
+    assert math.isinf(required_sinr([3125.0])[0])
+    # inf from exactly where Python's ** overflows, in one-point columns or in one
     edge = [1023.0, math.nextafter(1024.0, 0.0), 1024.0, math.nextafter(1024.0, 2e3), 3125.0]
     want = []
     for x in edge:
@@ -204,12 +204,12 @@ def test_required_sinr_beyond_float_range_is_inf():
         except OverflowError:
             want.append(math.inf)
     assert want[1] < math.inf == want[2]
-    assert [required_sinr(x) for x in edge] == required_sinr(edge) == want
+    assert [required_sinr([x])[0] for x in edge] == required_sinr(edge) == want
 
 
 @given(se=st.floats(1e-6, 40.0), gamma=st.floats(0.05, 1.0))
 @settings(max_examples=200)
 def test_required_sinr_inverts_se(se, gamma):
-    back = spectral_efficiency(required_sinr(se, gamma), gamma=gamma)
+    back = spectral_efficiency(required_sinr([se], gamma)[0], gamma=gamma)
     assert back == pytest.approx(se, rel=1e-12)
 

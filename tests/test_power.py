@@ -19,7 +19,7 @@ from b5gcell.power import (
     power_mbs,
     power_mbsala,
 )
-from scalar_oracle import power_cell
+from scalar_oracle import at_point, power_cell
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 
@@ -61,7 +61,7 @@ def test_gops_fft_timescale(bundle):
     assert _gops_fft(bundle.gops) == pytest.approx(0.315392, rel=1e-12)
     # the access point's baseband is the FFT alone once the fixed stages are idle
     idle = _idle(bundle, frame_rate=1000.0)
-    assert _gops_at_rho_1(power_iap_mmwave, bundle.scenario, idle, 0.0) == _gops_fft(idle.gops)
+    assert _gops_at_rho_1(power_iap_mmwave, bundle.scenario, idle, [0.0]) == _gops_fft(idle.gops)
 
 
 def test_estimation_ops_default_pilot_equals_users(bundle):
@@ -72,7 +72,7 @@ def test_estimation_ops_default_pilot_equals_users(bundle):
     for pilot_len, ops in ((16, 64 * 16 * 16), (8, 64 * 16 * 8)):
         pilots_only = cfg._replace(pilot_len=pilot_len, coherence_block=pilot_len)
         b = _idle(bundle, frame_rate=1000.0)
-        est = _gops_at_rho_1(power_mbsala, pilots_only, b, []) - _gops_fft(b.gops)
+        est = _gops_at_rho_1(power_mbsala, pilots_only, b, [[0.0]], 1) - _gops_fft(b.gops)
         assert est == pytest.approx(ops * (14 * 1000.0 / pilot_len) / 1e9, rel=1e-9)
 
 
@@ -89,7 +89,8 @@ def test_complexity_total_is_sum_of_parts(bundle):
                                                 / cfg.coherence_block) / 1e9
     parts = (g.fltr + _gops_fft(g) + est + _gops_precoding(cfg, g, cfg.m_t) + g.map
              + g.ctrl + g.nw)
-    assert _gops_at_rho_1(power_mbsala, cfg, bundle, []) == pytest.approx(parts, rel=1e-15)
+    assert _gops_at_rho_1(power_mbsala, cfg, bundle, [[0.0]], 1) == pytest.approx(parts,
+                                                                       rel=1e-15)
 
 
 def test_bmaa_load_scales_with_beam_count(bundle):
@@ -108,7 +109,8 @@ def test_bmaa_load_scales_with_beam_count(bundle):
 def test_bb_power_is_load_over_rho(bundle):
     # one array's site workload of 320 GOPS at 160 GOPS per watt
     b = _idle(bundle, enc=320.0)._replace(devices=bundle.devices._replace(rho=160.0))
-    assert power_mbs(bundle.scenario._replace(n_arrays=1), b, []).p_bb == 2.0
+    cfg = bundle.scenario._replace(n_arrays=1)
+    assert power_mbs(cfg, b, [power_mbsala(cfg, b, [[0.0]], 1)]).p_bb == 2.0
 
 
 def test_device_laws_read_their_own_antenna_counts(bundle):
@@ -118,7 +120,7 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
     assert (cfg.m_r, cfg.m_t_iap) == (64, 16)
     fft = 14 * 2048 * 11 * 1000 / 1e9
     items = (16 + 4 * 4) * (1 - 16 / 196)
-    mbsala = power_mbsala(cfg, bundle, [])
+    mbsala = power_mbsala(cfg, bundle, [[0.0]], 1)
     est = 16 * 128 * 16 * (14 * 1000 / 196) / 1e9
     assert mbsala.p_bb == pytest.approx(
         (10 + fft + est + items * 128 * 2048 * 1000 / 1e9 + 5 + 10 + 10) / 160, rel=1e-12)
@@ -128,7 +130,7 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
         4 * (10 + fft + items * 64 * 2048 * 1000 / 1e9 + 5 + 15 + 10 + 10 + 5) / 160,
         rel=1e-12)
     assert bmaa.p_rf == pytest.approx(64 * 0.015 + 8 * 0.04, rel=1e-12)
-    iap = power_iap_mmwave(cfg, bundle, 0.0)
+    iap = power_iap_mmwave(cfg, bundle, [0.0])
     assert iap.p_bb == pytest.approx((10 + fft + 5 + 10 + 10) / 160, rel=1e-12)
     assert iap.p_rf == pytest.approx(16 * 0.090 + 4 * 0.08, rel=1e-12)
     mbs = power_mbs(cfg, bundle, [mbsala] * 4)
@@ -140,14 +142,14 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
 
 def test_rf_mbsala_hand_sum(bundle):
     # defaults: per-antenna 10 mW, clock 50 mW
-    assert power_mbsala(bundle.scenario, bundle, []).p_rf == pytest.approx(
+    assert power_mbsala(bundle.scenario, bundle, [[0.0]], 1).p_rf == pytest.approx(
         64 * 0.01 + 8 * 0.05, rel=1e-12)
 
 
 def test_rf_affine_plus_root_shape(bundle):
     b = bundle._replace(mbsala=bundle.mbsala._replace(
         p_mod=0.01, p_mix=0.01, p_dac=0.01, p_clk=0.01))
-    p_rf = power_mbsala(b.scenario, b, []).p_rf
+    p_rf = power_mbsala(b.scenario, b, [[0.0]], 1).p_rf
     assert p_rf == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
     assert p_rf == pytest.approx(2.0, rel=1e-12)
 
@@ -164,34 +166,41 @@ def test_rf_increment_approaches_per_antenna_share(bundle):
 def test_rf_single_antenna(bundle):
     rf = bundle.iap
     per = rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs
-    device = power_iap_mmwave(bundle.scenario._replace(m_t_iap=1), bundle, 0.0)
+    device = power_iap_mmwave(bundle.scenario._replace(m_t_iap=1), bundle, [0.0])
     assert device.p_rf == pytest.approx(per + rf.p_clc, rel=1e-12)
 
 
 # --- amplifiers ------------------------------------------------------------------
 
+def _classb(p_out, p_max):
+    """The class-B law at one point, through a one-point column."""
+    return pa_power_classb([p_out], p_max)[0]
+
+
+def _doherty(p_out, p_max):
+    """The Doherty law at one point, through a one-point column."""
+    return pa_power_doherty([p_out], p_max)[0]
+
+
 def test_classb_frozen_values():
-    assert pa_power_classb(1.0, 1.0) == pytest.approx(2 / math.pi, rel=1e-12)
-    assert pa_power_classb(0.25, 1.0) == pytest.approx(0.3183098861837907, rel=1e-12)
-    assert pa_power_classb(0.0, 1.0) == 0.0
+    assert _classb(1.0, 1.0) == pytest.approx(2 / math.pi, rel=1e-12)
+    assert _classb(0.25, 1.0) == pytest.approx(0.3183098861837907, rel=1e-12)
+    assert _classb(0.0, 1.0) == 0.0
 
 
 def test_doherty_frozen_values():
-    assert pa_power_doherty(1.0, 1.0) == pytest.approx(6 / math.pi, rel=1e-12)
-    assert pa_power_doherty(1.0, 1.0) == pytest.approx(1.909859317102744, rel=1e-12)
-    assert pa_power_doherty(0.01, 1.0) == pytest.approx(2 / (math.pi * 10), rel=1e-12)
-    assert pa_power_doherty(0.0, 1.0) == 0.0
+    assert _doherty(1.0, 1.0) == pytest.approx(6 / math.pi, rel=1e-12)
+    assert _doherty(1.0, 1.0) == pytest.approx(1.909859317102744, rel=1e-12)
+    assert _doherty(0.01, 1.0) == pytest.approx(2 / (math.pi * 10), rel=1e-12)
+    assert _doherty(0.0, 1.0) == 0.0
 
 
 def test_doherty_branch_values_at_quarter_rating():
     below = math.nextafter(0.25, 0.0)
-    assert pa_power_doherty(below, 1.0) == pytest.approx((2 / math.pi) * 0.5,
-                                                         rel=1e-9)
-    assert pa_power_doherty(0.25, 1.0) == pytest.approx((6 / math.pi) * 0.5,
-                                                        rel=1e-12)
+    assert _doherty(below, 1.0) == pytest.approx((2 / math.pi) * 0.5, rel=1e-9)
+    assert _doherty(0.25, 1.0) == pytest.approx((6 / math.pi) * 0.5, rel=1e-12)
     # the printed jump is a factor of three
-    assert pa_power_doherty(0.25, 1.0) / pa_power_doherty(below, 1.0) == \
-        pytest.approx(3.0, rel=1e-9)
+    assert _doherty(0.25, 1.0) / _doherty(below, 1.0) == pytest.approx(3.0, rel=1e-9)
 
 
 @given(p_max=st.floats(0.1, 100.0),
@@ -199,12 +208,12 @@ def test_doherty_branch_values_at_quarter_rating():
 @settings(max_examples=100)
 def test_amplifiers_monotone_and_zero_at_zero(p_max, a, b):
     lo, hi = sorted((a * p_max, b * p_max))
-    assert pa_power_classb(lo, p_max) <= pa_power_classb(hi, p_max) + 1e-15
+    assert _classb(lo, p_max) <= _classb(hi, p_max) + 1e-15
     # the doherty curve is monotone within each branch
     if not (lo < 0.25 * p_max <= hi):
-        assert pa_power_doherty(lo, p_max) <= pa_power_doherty(hi, p_max) + 1e-15
-    assert pa_power_classb(0.0, p_max) == 0.0
-    assert pa_power_doherty(0.0, p_max) == 0.0
+        assert _doherty(lo, p_max) <= _doherty(hi, p_max) + 1e-15
+    assert _classb(0.0, p_max) == 0.0
+    assert _doherty(0.0, p_max) == 0.0
 
 
 # --- device aggregates -------------------------------------------------------------
@@ -230,21 +239,21 @@ def test_overhead_exactness_invariant(ec, ea, ed, bb, rf):
 
 
 def test_mbsala_has_no_divisor(bundle):
-    device = power_mbsala(bundle.scenario, bundle, [1.0] * 4)
-    assert device.p_total == pytest.approx(device.p_bb + device.p_rf + device.p_pa,
-                                           rel=1e-12)
+    device = power_mbsala(bundle.scenario, bundle, [[1.0]], 4)
+    assert device.p_total[0] == pytest.approx(device.p_bb + device.p_rf + device.p_pa[0],
+                                              rel=1e-12)
 
 
 def test_mbsala_zero_load_zero_output_is_rf_only(bundle):
-    device = power_mbsala(bundle.scenario, _idle(bundle), [])
-    assert device.p_bb == 0.0 and device.p_pa == 0.0
-    assert device.p_total == device.p_rf
+    device = power_mbsala(bundle.scenario, _idle(bundle), [[0.0]], 1)
+    assert device.p_bb == 0.0 and device.p_pa == [0.0]
+    assert device.p_total == [device.p_rf]
 
 
 def test_mbsala_pa_additive_over_beams(bundle):
-    four = power_mbsala(bundle.scenario, bundle, [0.5] * 4)
-    eight = power_mbsala(bundle.scenario, bundle, [0.5] * 8)
-    assert eight.p_pa == pytest.approx(2 * four.p_pa, rel=1e-12)
+    four = power_mbsala(bundle.scenario, bundle, [[0.5]], 4)
+    eight = power_mbsala(bundle.scenario, bundle, [[0.5]], 8)
+    assert eight.p_pa[0] == pytest.approx(2 * four.p_pa[0], rel=1e-12)
 
 
 def test_bmaa_without_overhead_is_bare_sum(bundle):
@@ -254,8 +263,8 @@ def test_bmaa_without_overhead_is_bare_sum(bundle):
 
 
 def test_iap_floor_is_rf_only_through_divisor(bundle):
-    device = power_iap_mmwave(bundle.scenario, _idle(bundle), 0.0)
-    assert device.p_total == pytest.approx(device.p_rf / 0.78255, rel=1e-9)
+    device = power_iap_mmwave(bundle.scenario, _idle(bundle), [0.0])
+    assert device.p_total[0] == pytest.approx(device.p_rf / 0.78255, rel=1e-9)
 
 
 def test_lifi_illumination_ignores_channel(bundle):
@@ -280,26 +289,26 @@ def test_lifi_dark_led_draws_nothing(bundle):
 
 def test_mbs_overhead_identity_with_arrays(bundle):
     cfg, d = bundle.scenario, bundle.devices
-    array = power_mbsala(cfg, bundle, [1.0] * 4)
+    array = power_mbsala(cfg, bundle, [[1.0]], 4)
     mbs = power_mbs(cfg, bundle, [array] * 4)
-    numerator = mbs.p_total * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
-    assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa, rel=1e-12)
-    assert mbs.p_pa == pytest.approx(4 * array.p_pa, rel=1e-12)
+    numerator = mbs.p_total[0] * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
+    assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa[0], rel=1e-12)
+    assert mbs.p_pa[0] == pytest.approx(4 * array.p_pa[0], rel=1e-12)
 
 
 def test_mbs_without_overhead_passes_arrays_through(bundle):
     b0 = _idle(bundle)._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0,
                                                                  eta_dcdc=0.0))
-    array = power_mbsala(b0.scenario, b0, [25.0, 25.0])
+    array = power_mbsala(b0.scenario, b0, [[25.0]], 2)
     mbs = power_mbs(b0.scenario, b0, [array])
-    assert mbs.p_total == pytest.approx(array.p_total, rel=1e-12)
+    assert mbs.p_total[0] == pytest.approx(array.p_total[0], rel=1e-12)
 
 
 def test_power_cell_sums_components(bundle):
     cfg = bundle.scenario
-    mbs = power_mbs(cfg, bundle, [power_mbsala(cfg, bundle, [1.0])])
+    mbs = at_point(power_mbs(cfg, bundle, [power_mbsala(cfg, bundle, [[1.0]], 1)]))
     bmaa = power_bmaa(cfg, bundle)
-    iap = power_iap_mmwave(cfg, bundle, 0.1)
+    iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
     total = power_cell(mbs, [bmaa, bmaa], [iap])
     assert total == pytest.approx(mbs.p_total + 2 * bmaa.p_total + iap.p_total,
                                   rel=1e-12)
@@ -310,9 +319,9 @@ def test_power_cell_sums_components(bundle):
 @settings(max_examples=60)
 def test_all_powers_nonnegative(m_t, p):
     bundle = default_bundle()
-    device = power_mbsala(bundle.scenario._replace(m_t=m_t), bundle, [p])
-    assert device.p_bb >= 0 and device.p_rf >= 0 and device.p_pa >= 0
-    assert device.p_total >= 0
+    device = power_mbsala(bundle.scenario._replace(m_t=m_t), bundle, [[p]], 1)
+    assert device.p_bb >= 0 and device.p_rf >= 0 and device.p_pa[0] >= 0
+    assert device.p_total[0] >= 0
 
 
 # --- golden snapshot ------------------------------------------------------------
@@ -331,9 +340,9 @@ def _golden_values():
 def _current_device_powers():
     bundle = default_bundle()
     cfg = bundle.scenario
-    mbsala = power_mbsala(cfg, bundle, [1.0] * 4)
+    mbsala = at_point(power_mbsala(cfg, bundle, [[1.0]], 4))
     bmaa = power_bmaa(cfg, bundle)
-    iap = power_iap_mmwave(cfg, bundle, 0.1)
+    iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     return {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,

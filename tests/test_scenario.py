@@ -15,8 +15,8 @@ from b5gcell import (
     run_sweep,
 )
 from b5gcell.cli import _summarize
-from b5gcell import scenario
-from b5gcell.power import power_mbs
+from b5gcell import power, scenario
+from b5gcell.power import pa_power_classb, power_mbs
 from b5gcell.scenario import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
 from result_columns import columns, point_at
@@ -363,6 +363,73 @@ def test_run_sweep_evaluates_each_distinct_outdoor_link_once(bundle, monkeypatch
                 LIFI._replace(name="sep-lifi:mt=128", m_t=128))
     run_sweep(bundle, SweepSpec(RATE_VARIABLE, (0.0, 1e9), variants))
     assert len(calls) == evaluations
+
+
+def test_each_buildings_amplifier_column_is_drawn_once(bundle, monkeypatch):
+    # the default sweep has two distinct outdoor links (the relay both sep variants
+    # share, and the direct one) over 4 buildings: 8 class-B columns, not one per
+    # stream (32)
+    calls = []
+    monkeypatch.setattr(power, "pa_power_classb",
+                        lambda *args: calls.append(args) or pa_power_classb(*args))
+    grid = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
+    run_sweep(bundle, SweepSpec(RATE_VARIABLE, grid, (SEP, LIFI, NON)))
+    assert len(calls) == 8
+
+
+def test_a_shared_link_dict_keys_on_the_evaluated_rates(bundle):
+    # a dict reused over another grid or grid kind evaluates that grid's link, not the
+    # first grid's columns cut to length
+    links = {}
+    build_scenario(bundle, SEP).points([0.0, 1e9], links=links)
+    lifi = build_scenario(bundle, LIFI)
+    for xs, x_kind in (([0.0, 1e9, 2e9, 3e9], RATE_VARIABLE), ([0.0, 1.0], SE_VARIABLE)):
+        assert _bits(lifi.points(xs, x_kind, links)) == _bits(lifi.points(xs, x_kind))
+
+
+def test_an_overflowed_total_power_is_infeasible(bundle):
+    # a rating the loader accepts lets the amplifiers' sum overflow: inf is no answer
+    huge = bundle._replace(mbsala=bundle.mbsala._replace(pa_max=1e308))
+    column = build_scenario(huge, NON).points([0.0, 900.0, 1020.0], SE_VARIABLE)
+    assert column["feasible"] == [True, False, False]
+    assert all(math.isnan(column[field][i]) for field in POWER_FIELDS for i in (1, 2))
+
+
+@st.composite
+def _cells(draw):
+    """(bundle, seed, SweepSpec): the three kinds at one M_T in 1-1024, 1-64 users per
+    access point with n_ue, pilot_len and coherence_block derived as the crowded
+    benchmark derives them, fixed or random placement and a 0, 20 or 40 dB wall."""
+    bundle, n_iue = default_bundle(), draw(st.integers(1, 64))
+    s, room = bundle.scenario, bundle.layout.room_halfwidth_m
+    n_ue = s.n_buildings * n_iue
+    offsets = draw(st.lists(st.tuples(st.floats(-room, room), st.floats(-room, room)),
+                            min_size=n_iue, max_size=n_iue))
+    bundle = bundle._replace(
+        scenario=s._replace(n_iue=n_iue, n_ue=n_ue, pilot_len=n_ue,
+                            coherence_block=n_ue + s.coherence_block - s.pilot_len,
+                            penetration_loss_db=draw(st.sampled_from([0.0, 20.0, 40.0]))),
+        layout=bundle.layout._replace(placement=draw(st.sampled_from(["fixed", "random"])),
+                                      user_offsets_m=tuple(offsets)))
+    m_t = draw(st.integers(1, 1024))
+    variants = tuple(VariantSpec(kind, kind, m_t) for kind in ("sep-mmwave", "sep-lifi",
+                                                              "nonsep"))
+    variable, top = draw(st.sampled_from([(RATE_VARIABLE, 3e10), (SE_VARIABLE, 60.0)]))
+    # uniform values, and values spread over nine decades below the top
+    value = st.floats(0.0, top) | st.floats(0.0, 9.0).map(lambda e: top * 10.0 ** -e)
+    grid = draw(st.sets(value, min_size=2, max_size=12))
+    return bundle, draw(st.integers(0, 5)), SweepSpec(variable, tuple(sorted(grid)), variants)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cells())
+def test_feasible_points_are_a_prefix_of_the_grid_with_nondecreasing_power(case):
+    bundle, seed, spec = case
+    for name, column in run_sweep(bundle, spec, seed=seed).columns.items():
+        n = column["feasible"].count(True)
+        assert column["feasible"] == [True] * n + [False] * (len(spec.grid) - n), name
+        total = column["total_power_w"][:n]
+        assert all(a <= b for a, b in zip(total, total[1:])), name
 
 
 @settings(max_examples=30, deadline=None)
