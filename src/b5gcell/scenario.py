@@ -4,7 +4,9 @@ per-cell operating points and rate/SE sweeps.
 Traffic model: the swept total rate is split equally across every indoor user
 of the cell.  In separate mode each building's aggregate then rides over its
 relay beams (building rate / beam count per beam), so the backhaul always
-carries exactly the indoor traffic it serves.  A point is infeasible when any
+carries exactly the indoor traffic it serves.  A point is the outdoor link (the
+macro site, relaying to the building arrays or beaming through the wall) plus
+the indoor access (the mmWave or LiFi access points).  It is infeasible when any
 amplifier would exceed its rating or an indoor link cannot reach the demanded
 rate: the LiFi hop's capacity is exceeded, or the mmWave access SINR target
 reaches t_star, past which no nonnegative power allocation exists.  The
@@ -75,6 +77,7 @@ class ScenarioModel:
         # term by term in device order
         n_devices = cfg.n_arrays * cfg.n_buildings
         self._bmaa_sum = self._iap_sum = 0.0
+        self._lifi_capacity = math.inf   # nonsep: the outdoor link serves every rate
         if variant.kind != "nonsep":
             self._bmaa_sum = add_up([power_bmaa(cfg, bundle).p_total] * n_devices)
         if variant.kind == "sep-mmwave":
@@ -126,24 +129,8 @@ class ScenarioModel:
         return [0.0 if t == 0.0 else scale * t / (1.0 - t / t_star) if 0.0 < t < t_star
                 else math.nan for t in sinr_targets]
 
-    def points(self, xs, x_kind: str = RATE_VARIABLE, links: dict | None = None) -> dict:
-        """Evaluate the cell at every grid value in *xs*, any sequence of
-        floats: total offered rates (bit/s), or for SE_VARIABLE per-link SE
-        targets (bit/s/Hz on the outdoor band).  At a per-link SE every user
-        demands se * bandwidth_out, so with the default layout the relay beams
-        and direct links run at exactly it.
-
-        Returns the list of bools ``feasible`` and one list of floats per
-        POWER_FIELDS name, NaN where infeasible.  Only the amplifiers depend on
-        the rate; the building arrays' and LiFi access points' powers were
-        fixed at build.  Sums run term by term in device order, so every entry
-        equals its one-point evaluation exactly.  An amplifier past its rating,
-        or a total power past float range, makes its point infeasible, so the
-        laws take the demand unclipped: only NaN comes out of them there.
-
-        *links*, a dict that run_sweep shares between the models of one bundle,
-        holds each distinct outdoor link at each grid of rates, evaluated once.
-        """
+    def _rates(self, xs, x_kind: str) -> list:
+        """The grid *xs* of kind *x_kind*, checked, as total rates (bit/s)."""
         if x_kind not in (RATE_VARIABLE, SE_VARIABLE):
             raise ValueError(f"unknown grid kind {x_kind!r}: expected {RATE_VARIABLE} "
                              f"or {SE_VARIABLE}")
@@ -152,47 +139,64 @@ class ScenarioModel:
         if bad:
             what = "SE target" if x_kind == SE_VARIABLE else "total rate"
             raise ValueError(f"{what} must be finite and >= 0, got {bad[0]!r}")
-        cfg, b, variant = self.cfg, self.bundle, self.variant
         if x_kind == SE_VARIABLE:
-            rates = [x * cfg.bandwidth_out * self.n_users for x in rates]
-        rate_user = [x / self.n_users for x in rates]
-        feasible = [True] * len(rates)
-        iap_sum = [self._iap_sum] * len(rates)
-        n_devices = cfg.n_arrays * cfg.n_buildings
-        if variant.kind == "sep-mmwave":
-            p_out = self._access_power(
-                required_sinr([x / cfg.bandwidth_in for x in rate_user], cfg.gamma))
-            pa_max = b.iap.pa_max
-            feasible = [p <= pa_max for p in p_out]   # False where NaN (unmeetable)
-            iap = power_iap_mmwave(cfg, b, p_out)
-            iap_sum = add_up([iap.p_total] * n_devices)
-        elif variant.kind == "sep-lifi":   # fixed optical drive
-            feasible = [x <= self._lifi_capacity for x in rate_user]
-        links, key = {} if links is None else links, (self._link, tuple(rates))
-        if (link := links.get(key)) is None:   # the outdoor link alone
-            relay, _, betas = self._link
-            if relay:   # relay beams share a building's users
-                se_link = [x * cfg.n_iue / cfg.n_beams / cfg.bandwidth_out for x in rate_user]
-                streams, rx = cfg.n_beams, cfg.m_r
-            else:
-                se_link = [x / cfg.bandwidth_out for x in rate_user]
-                streams, rx = cfg.n_iue, cfg.ue_antennas
-            target = required_sinr(se_link, cfg.gamma)
-            p_out = []
-            for beta in betas:   # one amplifier column per building, drawn by its streams
-                gain = beta * cfg.m_t * rx
-                p_out.append([t * self.sigma_out / gain for t in target])
-            # rounded division is monotone, so at every point the building of least
-            # gain asks the most of its amplifiers: its rating alone bounds the backhaul
-            weakest, pa_max = p_out[betas.index(min(betas))], b.mbsala.pa_max
-            mbsala = power_mbsala(cfg, b, p_out, streams)
-            link = links[key] = (power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total,
-                                 [x <= pa_max for x in weakest])
-        p_mbs, link_ok = link
+            rates = [x * self.cfg.bandwidth_out * self.n_users for x in rates]
+        return rates
+
+    def _outdoor(self, rates) -> tuple:
+        """The outdoor link's (macro site power, every amplifier within its rating)."""
+        cfg, b = self.cfg, self.bundle
+        relay, _, betas = self._link   # a relay beam carries n_iue / n_beams users
+        users, beams, streams, rx = ((cfg.n_iue, cfg.n_beams, cfg.n_beams, cfg.m_r) if relay
+                                     else (1, 1, cfg.n_iue, cfg.ue_antennas))
+        target = required_sinr([x / self.n_users * users / beams / cfg.bandwidth_out
+                                for x in rates], cfg.gamma)
+        gains = [beta * cfg.m_t * rx for beta in betas]   # one amplifier column per building
+        p_out = [[t * self.sigma_out / gain for t in target] for gain in gains]
+        # rounded division is monotone, so at every point the building of least
+        # gain asks the most of its amplifiers: its rating alone bounds the backhaul
+        weakest, pa_max = p_out[betas.index(min(betas))], b.mbsala.pa_max
+        mbsala = power_mbsala(cfg, b, p_out, streams)
+        return power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total, [x <= pa_max for x in weakest]
+
+    def _indoor(self, rates) -> tuple:
+        """The indoor access's (access points' summed power, every user served)."""
+        if self.variant.kind != "sep-mmwave":   # fixed drive, and the LiFi capacity
+            capacity = self._lifi_capacity
+            return [self._iap_sum] * len(rates), [x / self.n_users <= capacity for x in rates]
+        cfg = self.cfg
+        p_out = self._access_power(required_sinr(
+            [x / self.n_users / cfg.bandwidth_in for x in rates], cfg.gamma))
+        iap, pa_max = power_iap_mmwave(cfg, self.bundle, p_out), self.bundle.iap.pa_max
+        return (add_up([iap.p_total] * (cfg.n_arrays * cfg.n_buildings)),
+                [p <= pa_max for p in p_out])   # False where NaN (unmeetable)
+
+    def points(self, xs, x_kind: str = RATE_VARIABLE) -> dict:
+        """Evaluate the cell at every grid value in *xs*, any sequence of
+        floats: total offered rates (bit/s), or for SE_VARIABLE per-link SE
+        targets (bit/s/Hz on the outdoor band).  At a per-link SE every user
+        demands se * bandwidth_out, so with the default layout the relay beams
+        and direct links run at exactly it.
+
+        A point is the outdoor link plus the indoor access.  Returns the list
+        of bools ``feasible`` and one list of floats per POWER_FIELDS name, NaN
+        where infeasible.  Only the amplifiers depend on the rate; the building
+        arrays' and LiFi access points' powers were fixed at build.  Sums run
+        term by term in device order, so every entry equals its one-point
+        evaluation exactly.  An amplifier past its rating, or a total power past
+        float range, makes its point infeasible, so the laws take the demand
+        unclipped: only NaN comes out of them there.
+        """
+        rates = self._rates(xs, x_kind)
+        return self._add(rates, self._outdoor(rates))
+
+    def _add(self, rates, outdoor) -> dict:
+        """The outdoor link's columns *outdoor* plus the building arrays and the access."""
+        (p_mbs, link_ok), (iap_sum, served) = outdoor, self._indoor(rates)
         bmaa_sum = self._bmaa_sum
         total = [p + bmaa_sum + iap for p, iap in zip(p_mbs, iap_sum)]
-        feasible = [ok and link and t < math.inf for ok, link, t in zip(feasible, link_ok, total)]
-        ee = [x / cfg.bandwidth_out / t for x, t in zip(rates, total)]
+        feasible = [ok and link and t < math.inf for ok, link, t in zip(served, link_ok, total)]
+        ee = [x / self.cfg.bandwidth_out / t for x, t in zip(rates, total)]
         values = (total, ee, p_mbs[:], [bmaa_sum] * len(rates), iap_sum)   # each a new list
         for i, ok in enumerate(feasible):
             if not ok:
@@ -220,8 +224,11 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     Under random placement each variant draws from a stream keyed on its
     name, so evaluation order cannot change random placements.
     """
-    columns, links = {}, {}
+    columns, links = {}, {}   # links: each distinct outdoor link of the sweep, evaluated once
     for variant in spec.variants:
         model = build_scenario(bundle, variant, seed)
-        columns[variant.name] = model.points(spec.grid, spec.variable, links)
+        rates = model._rates(spec.grid, spec.variable)   # the same for every variant
+        if (link := links.get(model._link)) is None:
+            link = links[model._link] = model._outdoor(rates)
+        columns[variant.name] = model._add(rates, link)
     return SweepResult(spec=spec, seed=seed, columns=columns)

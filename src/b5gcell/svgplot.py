@@ -40,7 +40,7 @@ def _ticks(lo: float, hi: float, n: int = 5):
     first = max(math.ceil(lo / step) * step, lo)   # the product can round below lo
     out = []
     t = first
-    while t <= hi + 1e-9 * step:
+    while t <= hi + 1e-9 * step and t < math.inf:   # the bound is inf near the float max
         out.append(0.0 if abs(t) < 1e-12 * step and lo <= 0.0 else t)   # never below lo
         if t + step == t:   # step is below half an ulp of t: an axis a few ulps wide
             break
@@ -69,6 +69,8 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str, shared=None) 
         y_hi = y_lo + (abs(y_lo) if y_lo else 1.0)
     pad = 0.05 * (y_hi - y_lo)
     y_lo_t, y_hi_t = y_lo - pad, y_hi + pad
+    if not math.isfinite(y_hi_t - y_lo_t):   # no room to widen or pad: span the data and 0
+        y_lo_t, y_hi_t = min(y_lo, 0.0), max(max(drawn), 0.0)
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi_t - y_lo_t)):
         raise ValueError("cannot plot: a value is infinite or an axis range overflows")
 

@@ -1,3 +1,4 @@
+import inspect
 import re
 import types
 from pathlib import Path
@@ -27,6 +28,13 @@ def test_package_exports_only_the_entry_points():
     assert names == PUBLIC
     assert b5gcell.run_sweep is b5gcell.scenario.run_sweep
     assert b5gcell.build_scenario is b5gcell.scenario.build_scenario
+
+
+def test_points_takes_a_grid_and_its_kind_only():
+    # a point is the outdoor link plus the indoor access; any sharing of a link
+    # between variants happens inside run_sweep, so points takes no cache
+    params = inspect.signature(b5gcell.scenario.ScenarioModel.points).parameters
+    assert list(params) == ["self", "xs", "x_kind"]
 
 
 def test_readme_python_blocks_run():

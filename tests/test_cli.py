@@ -244,6 +244,18 @@ def test_sweep_whose_power_overflows_exits_2_and_analyze_exits_2(tmp_path, capsy
     assert capsys.readouterr().err.endswith("error: no feasible rows to analyze\n")
 
 
+def test_sweep_whose_feasible_power_nears_the_float_maximum_draws_its_charts(
+        tmp_path, monkeypatch):
+    # finite totals of about 1.5e308 W: the chart's padded axis must not overflow
+    monkeypatch.setenv("B5GCELL_GOPS__ENC", "3e307")
+    monkeypatch.setenv("B5GCELL_DEVICES__RHO", "1.0")
+    out = tmp_path / "run"
+    assert main(["sweep", "--variants", "nonsep", "--out", str(out)]) == 0
+    assert (out / "power_vs_rate.svg").exists()
+    assert (out / "ee_vs_rate.svg").exists()
+    assert main(["analyze", "--in", str(out)]) == 0
+
+
 def test_se_sweep_variable(tmp_path):
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out), "--variable", "se",

@@ -377,16 +377,6 @@ def test_each_buildings_amplifier_column_is_drawn_once(bundle, monkeypatch):
     assert len(calls) == 8
 
 
-def test_a_shared_link_dict_keys_on_the_evaluated_rates(bundle):
-    # a dict reused over another grid or grid kind evaluates that grid's link, not the
-    # first grid's columns cut to length
-    links = {}
-    build_scenario(bundle, SEP).points([0.0, 1e9], links=links)
-    lifi = build_scenario(bundle, LIFI)
-    for xs, x_kind in (([0.0, 1e9, 2e9, 3e9], RATE_VARIABLE), ([0.0, 1.0], SE_VARIABLE)):
-        assert _bits(lifi.points(xs, x_kind, links)) == _bits(lifi.points(xs, x_kind))
-
-
 def test_an_overflowed_total_power_is_infeasible(bundle):
     # a rating the loader accepts lets the amplifiers' sum overflow: inf is no answer
     huge = bundle._replace(mbsala=bundle.mbsala._replace(pa_max=1e308))

@@ -1,4 +1,5 @@
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -98,6 +99,20 @@ def test_lists_and_float64_columns_render_the_same_bytes(xs, columns):
 def test_non_finite_pixels_rejected(xs, ys):
     with pytest.raises(ValueError, match="cannot plot"):
         line_chart(xs, [("a", ys)], "t", "x", "y")
+
+
+@pytest.mark.parametrize("ys", [[1.5334483419589803e308] * 3,   # widening overflows
+                                [0.0, 1e308, 1.7e308],              # padding overflows
+                                [0.0, 1.0, sys.float_info.max],     # so does the last tick
+                                [-sys.float_info.max] * 3],         # padding overflows
+                         ids=["flat", "wide", "float-max", "flat-negative"])
+def test_finite_values_near_the_float_maximum_render(ys):
+    # every point drawn inside the plot area, and no tick at inf
+    svg, root = _render([0, 1, 2], [("a", ys)])
+    assert "inf" not in svg and "nan" not in svg
+    (polyline,) = root.findall(f"{NS}polyline")
+    pixels = [float(p.split(",")[1]) for p in polyline.get("points").split()]
+    assert len(pixels) == 3 and all(28.0 <= y <= 394.0 for y in pixels)
 
 
 def _pixel_texts(xs, columns):
