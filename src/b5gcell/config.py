@@ -6,21 +6,21 @@ provenance.  ``ConfigBundle`` has one field per section, in table order, and
 each section is a named tuple generated from its rows; the loader,
 ``default_bundle``, ``validate_bundle`` and the canonical writer all walk the
 table; they raise ``records.ConfigError``, which imports without the table.
-A key's type is the type of its default: ints parse with ``int(text, 0)``,
-floats with ``float``, strings are lower-cased, a flat tuple is a comma vector
-and a tuple of tuples a ``;`` list of such vectors.
 
-Units are fixed internally: watts, hertz, metres, radians, linear gains.
-Carrier frequencies are carried in GHz because the outdoor path-loss law is
-written against a 5 GHz reference.  Three alias keys are converted on load:
-``lifi.half_angle_deg`` and ``lifi.fov_deg`` (degrees) and
-``scenario.noise_variance_dbm`` (dBm); giving a key and its alias in the same
-source is an error.  Wall penetration is a dB quantity by definition and keeps
-its ``_db`` suffix everywhere.  Section and key names are case-insensitive, and
-a key given twice in one source, in any case, is rejected.
+The file and the environment are each read as one stream of ``(where,
+section, key, text)`` entries.  ``_overlay`` alone rejects a key given twice
+in one source (in any case, or as a key and its alias), and converts its text
+to the type of the key's default: a flat tuple is a comma vector and a tuple
+of tuples a ``;`` list of them.  ``validate_bundle`` alone checks each value's
+type, shape and rule, so a loaded bundle and one built in code meet one gate.
 
-Override precedence: environment > file > defaults.  Environment keys use the
-``B5GCELL_<SECTION>__<KEY>`` form, e.g. ``B5GCELL_SCENARIO__M_T=128``.
+Units are fixed internally: watts, hertz, metres, radians, linear gains, and
+carrier frequencies in GHz, as the outdoor path-loss law is written against a
+5 GHz reference; wall penetration is a dB quantity and keeps its ``_db``
+suffix.  The aliases ``lifi.half_angle_deg`` and ``lifi.fov_deg`` (degrees) and
+``scenario.noise_variance_dbm`` (dBm) are converted on load.  Names are
+case-insensitive.  Precedence: environment > file > defaults, environment keys
+in the ``B5GCELL_<SECTION>__<KEY>`` form, e.g. ``B5GCELL_SCENARIO__M_T=128``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,11 @@ _RULES = {
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in (0, pi/2) rad": lambda v: 0 < v < math.pi / 2,
     "in (0, pi/2] rad": lambda v: 0 < v <= math.pi / 2,
-    "unit length": lambda v: abs(math.sqrt(sum(x * x for x in v)) - 1.0) < 1e-6,
+    "a unit 3-vector": lambda v: len(v) == 3 and abs(math.sqrt(sum(x * x for x in v)) - 1) < 1e-6,
     "a power of two >= 2": lambda v: v >= 2 and (v & (v - 1)) == 0,
     "one of fixed|random": lambda v: v in ("fixed", "random"),
     "every distance >= 1 m": lambda v: v >= 1.0,
+    "every offset (x, y)": lambda v: len(v) == 2,
 }
 
 DEFAULTS: dict[str, Default] = {
@@ -127,10 +128,10 @@ DEFAULTS: dict[str, Default] = {
     "lifi.refr_index": Default(1.5, "> 0", "typical concentrator refractive index"),
     "lifi.fov": Default(math.radians(80.0), "in (0, pi/2] rad", "engineering choice: wide "
                                                                 "receiver field of view"),
-    "lifi.n_tx": Default((0.0, 0.0, -1.0), "unit length", "unit normal of the LED, facing "
-                                                          "straight down"),
-    "lifi.n_rx": Default((0.0, 0.0, 1.0), "unit length", "unit normal of the photodiode, facing "
-                                                         "straight up"),
+    "lifi.n_tx": Default((0.0, 0.0, -1.0), "a unit 3-vector", "unit normal of the LED, facing "
+                                                              "straight down"),
+    "lifi.n_rx": Default((0.0, 0.0, 1.0), "a unit 3-vector", "unit normal of the photodiode, "
+                                                             "facing straight up"),
     "lifi.c_f": Default(1.0, "> 0", "neutral serving-LED coefficient in the SINR law"),
     "lifi.p_opt": Default(3.0, "> 0", "engineering choice: luminaire optical output, W"),
     "lifi.n0": Default(1e-21, "> 0", "engineering choice: receiver noise density per Hz of "
@@ -170,7 +171,8 @@ DEFAULTS: dict[str, Default] = {
                                            "building, spanning 100-400 m"),
     "layout.iap_height_m": Default(3.0, None, "ceiling-mounted indoor access point height"),
     "layout.user_height_m": Default(0.85, None, "desk-height receiver plane"),
-    "layout.user_offsets_m": Default(((1.5, 1.5), (-1.5, 1.5), (-1.5, -1.5), (1.5, -1.5)), None,
+    "layout.user_offsets_m": Default(((1.5, 1.5), (-1.5, 1.5), (-1.5, -1.5), (1.5, -1.5)),
+                                     "every offset (x, y)",
                                      "fixed placement: horizontal (x, y) user offsets"),
     "layout.room_halfwidth_m": Default(2.5, "> 0", "random placement: user offsets in +-this"),
     "layout.distance_min_m": Default(100.0, None, "random placement: nearest building distance"),
@@ -216,9 +218,10 @@ def default_bundle() -> ConfigBundle:
 # file grammar
 # ---------------------------------------------------------------------------
 
-def _parse_text(text: str, origin: str) -> dict[str, dict[str, str]]:
-    """Parse the flat key=value grammar into {section: {key: raw string}}."""
-    sections: dict[str, dict[str, str]] = {}
+def _parse_text(text: str, origin: str) -> list:
+    """Parse the flat key=value grammar into ``(origin:line, section, key, text)``
+    entries; a header is an entry of its section alone, so an empty one is checked."""
+    entries = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -228,38 +231,32 @@ def _parse_text(text: str, origin: str) -> dict[str, dict[str, str]]:
             current = line[1:-1].strip().lower()
             if not current:
                 raise ConfigError(f"{origin}:{lineno}: empty section name")
-            sections.setdefault(current, {})
+            entries.append((None, current, None, None))
             continue
         if "=" not in line:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
         if current is None:
             raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.lower()
         if not key:
             raise ConfigError(f"{origin}:{lineno}: empty key")
-        if key in sections[current]:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key {current}.{key}")
-        sections[current][key] = value
-    return sections
+        entries.append((f"{origin}:{lineno}", current, key.lower(), value))
+    return entries
 
 
-def _env_overrides(environ) -> dict[str, dict[str, str]]:
-    out: dict[str, dict[str, str]] = {}
+def _env_overrides(environ) -> list:
+    """The environment's overrides as ``(environment override NAME, section, key, text)``."""
+    entries = []
     for name, value in sorted(environ.items()):
         if not name.startswith(ENV_PREFIX):
             continue
         body = name[len(ENV_PREFIX):]
+        where = f"environment override {name}"
         if "__" not in body:
-            raise ConfigError(
-                f"environment override {name} must look like {ENV_PREFIX}SECTION__KEY"
-            )
+            raise ConfigError(f"{where} must look like {ENV_PREFIX}SECTION__KEY")
         section, key = (part.lower() for part in body.split("__", 1))
-        keys = out.setdefault(section, {})
-        if key in keys:
-            raise ConfigError(f"environment override {name}: duplicate key {section}.{key}")
-        keys[key] = value
-    return out
+        entries.append((where, section, key, value))
+    return entries
 
 
 # alternative spellings: alias -> (key it sets, converter from the text)
@@ -282,58 +279,44 @@ def _split(text: str, sep: str) -> list:
     return parts
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(p) for p in _split(text, ","))
-
-
-def _parse(key: str, text: str):
-    """Convert *text* to the type of the key's default value."""
-    default = DEFAULTS[key].value
+def _parse(default, text: str):
+    """Convert *text* to the type of *default*, a key's default value: a vector of
+    floats from a comma list, and a list of such vectors from a ``;`` list."""
     if isinstance(default, str):
         return text.lower()
     if isinstance(default, int):
         return int(text, 0)
     if isinstance(default, float):
         return float(text)
-    if isinstance(default[0], tuple):
-        dim = len(default[0])
-        vecs = tuple(_floats(part) for part in _split(text, ";"))
-        for vec in vecs:
-            if len(vec) != dim:
-                raise ValueError(f"expected {dim} components per ';'-separated entry, "
-                                 f"got {len(vec)}")
-        return vecs
-    vec = _floats(text)
-    # a unit normal has as many components as its default
-    if DEFAULTS[key].rule == "unit length" and len(vec) != len(default):
-        raise ValueError(f"expected {len(default)} components, got {len(vec)}")
-    return vec
+    sep = ";" if isinstance(default[0], tuple) else ","
+    return tuple(_parse(default[0], part) for part in _split(text, sep))
 
 
-def _overlay(values: dict[str, object], raw: dict[str, dict[str, str]]) -> None:
-    """Convert one source's raw strings and write them over *values*.
-
-    A key and its alias given in the same source is an error; across sources
-    the later one simply wins.
-    """
+def _overlay(values: dict[str, object], entries) -> None:
+    """Convert one source's entries and write them over *values*.  A key given twice
+    in the source, in any case or as a key and its alias, is an error; across
+    sources the later one simply wins."""
     spelling: dict[str, str] = {}
-    for section, keys in raw.items():
+    for where, section, key, text in entries:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] "
                               f"(known: {', '.join(_SECTIONS)})")
-        for key, text in keys.items():
-            name = f"{section}.{key}"
-            target, conv = _ALIASES.get(name, (name, None))
-            if target not in DEFAULTS:
-                raise ConfigError(f"unknown key {name}")
-            if target in spelling:
-                raise ConfigError(f"{target}: give either {spelling[target]} or {key}, "
-                                  f"not both")
-            spelling[target] = key
-            try:
-                values[target] = conv(text) if conv else _parse(target, text)
-            except (ValueError, ArithmeticError) as exc:
-                raise ConfigError(f"{name}: {exc}") from None
+        if key is None:   # a section header
+            continue
+        name = f"{section}.{key}"
+        target, conv = _ALIASES.get(name, (name, None))
+        if target not in DEFAULTS:
+            raise ConfigError(f"unknown key {name}")
+        if spelling.get(target) == key:
+            raise ConfigError(f"{where}: duplicate key {name}")
+        if target in spelling:
+            raise ConfigError(f"{target}: give either {spelling[target]} or {key}, "
+                              f"not both")
+        spelling[target] = key
+        try:
+            values[target] = conv(text) if conv else _parse(DEFAULTS[target].value, text)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"{name}: {exc}") from None
 
 
 def load_config(path: str | None = None, use_env: bool = True,

@@ -17,6 +17,7 @@ with no linear solve.  Infeasible points carry NaN in every power field.
 from __future__ import annotations
 
 import math
+import sys
 
 from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespace, \
     pathloss_winner_b5a
@@ -24,8 +25,8 @@ from .config import ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
 from .power import (add_up, power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs,
                     power_mbsala)
-from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, SweepResult, SweepSpec,
-                      VariantSpec, sha256)
+from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepResult,
+                      SweepSpec, VariantSpec, sha256)
 
 class ScenarioModel:
     """Everything static about one variant; operating points are queried from it."""
@@ -46,19 +47,21 @@ class ScenarioModel:
             flat = rng.uniform(-layout.room_halfwidth_m, layout.room_halfwidth_m,
                                2 * cfg.n_iue)
             offsets = list(zip(flat[::2], flat[1::2]))
+            placed_by = "layout.distance_min_m, layout.distance_max_m", "layout.room_halfwidth_m"
         else:
             distances = [float(d) for d in layout.building_distances_m]
             offsets = [(float(x), float(y)) for x, y in layout.user_offsets_m]
+            placed_by = "layout.building_distances_m", "layout.user_offsets_m"
         self.building_distances = distances
         self.user_offsets = offsets
 
-        # outdoor large-scale gains per building
-        pl = [pathloss_winner_b5a(d, cfg.carrier_freq_out) for d in distances]
-        self.beta_backhaul = [db_to_linear(-x) for x in pl]
-        # the direct link also crosses the wall
-        self.beta_direct = [db_to_linear(-(x + cfg.penetration_loss_db)) for x in pl]
+        # outdoor gain per building: the relay's backhaul, or the direct link through the wall
         relay = variant.kind != "nonsep"   # _link: all the outdoor link reads in one bundle
-        self._link = (relay, cfg.m_t, tuple(self.beta_backhaul if relay else self.beta_direct))
+        wall, walled = (0.0, "") if relay else (cfg.penetration_loss_db,
+                                                "scenario.penetration_loss_db, ")
+        self.beta_out = _gains(f"scenario.carrier_freq_out, {walled}{placed_by[0]}",
+                               pathloss_winner_b5a, distances, cfg.carrier_freq_out, wall)
+        self._link = (relay, cfg.m_t, tuple(self.beta_out))
 
         # the swept total rate is split equally over every indoor user
         self.n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
@@ -81,8 +84,9 @@ class ScenarioModel:
         if variant.kind != "nonsep":
             self._bmaa_sum = add_up([power_bmaa(cfg, bundle).p_total] * n_devices)
         if variant.kind == "sep-mmwave":
-            self.beta_access = [db_to_linear(-pathloss_freespace(d, cfg.carrier_freq_in))
-                                for d in self.user_distances]
+            self.beta_access = _gains("scenario.carrier_freq_in, layout.iap_height_m, "
+                                      f"layout.user_height_m, {placed_by[1]}",
+                                      pathloss_freespace, self.user_distances, cfg.carrier_freq_in)
             self._init_beam_codebook()
         if variant.kind == "sep-lifi":
             self._init_lifi(iap_pos, user_pos)
@@ -203,6 +207,18 @@ class ScenarioModel:
                 for column in values:
                     column[i] = math.nan
         return {"feasible": feasible, **dict(zip(POWER_FIELDS, values))}
+
+
+def _gains(keys: str, law, distances, carrier_ghz: float, wall_db: float = 0.0) -> list:
+    """Linear gains of the path loss *law* plus *wall_db* at *distances*, each finite and
+    normal (a subnormal one may round a product to 0), else ConfigError naming *keys*."""
+    try:
+        gains = [db_to_linear(-(law(d, carrier_ghz) + wall_db)) for d in distances]
+    except (ValueError, ArithmeticError):   # a loss of log10(0), or a gain past float range
+        gains = [0.0]
+    if not all(sys.float_info.min <= g < math.inf for g in gains):
+        raise ConfigError(f"{keys}: must give large-scale gains that are finite and normal")
+    return gains
 
 
 def build_scenario(bundle: ConfigBundle, variant: VariantSpec, seed: int = 0) -> ScenarioModel:

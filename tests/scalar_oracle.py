@@ -121,7 +121,7 @@ def _backhaul_powers(model, rate_user: float):
     rate_beam = rate_user * cfg.n_iue / cfg.n_beams
     target = required_sinr(rate_beam / cfg.bandwidth_out, cfg.gamma)
     powers = []
-    for beta in model.beta_backhaul:
+    for beta in model.beta_out:
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.m_r)
         if p > model.bundle.mbsala.pa_max:
             raise SaturationError(f"backhaul pa: {p!r} W > {model.bundle.mbsala.pa_max!r} W")
@@ -163,7 +163,7 @@ def _direct_point(model, rate_user: float):
     cfg, b = model.cfg, model.bundle
     target = required_sinr(rate_user / cfg.bandwidth_out, cfg.gamma)
     powers = []   # one per building, shared by its n_iue streams
-    for beta in model.beta_direct:
+    for beta in model.beta_out:
         p = target * model.sigma_out / (beta * cfg.m_t * cfg.ue_antennas)
         if p > b.mbsala.pa_max:
             raise SaturationError(f"direct pa: {p!r} W > {b.mbsala.pa_max!r} W")

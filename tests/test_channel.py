@@ -100,15 +100,15 @@ def test_freespace_distance_doubling_adds_6db():
 
 def test_penetration_adds_in_db(bundle):
     """The direct link pays the wall on top of the backhaul's path loss."""
-    relay = VariantSpec("relay", "sep-mmwave", 64)
-    model = build_scenario(bundle, relay)
+    relay, nonsep = VariantSpec("relay", "sep-mmwave", 64), VariantSpec("direct", "nonsep", 64)
     pen = bundle.scenario.penetration_loss_db
-    direct, backhaul = np.asarray(model.beta_direct), np.asarray(model.beta_backhaul)
+    backhaul = np.asarray(build_scenario(bundle, relay).beta_out)
+    direct = np.asarray(build_scenario(bundle, nonsep).beta_out)
     np.testing.assert_allclose(direct / backhaul, 10.0 ** (-pen / 10.0), rtol=1e-12)
     thicker = bundle._replace(scenario=bundle.scenario._replace(penetration_loss_db=pen + 10))
-    walled = build_scenario(thicker, relay)
-    np.testing.assert_allclose(walled.beta_direct, direct / 10.0, rtol=1e-12)
-    assert walled.beta_backhaul == model.beta_backhaul
+    np.testing.assert_allclose(build_scenario(thicker, nonsep).beta_out, direct / 10.0,
+                               rtol=1e-12)
+    assert build_scenario(thicker, relay).beta_out == backhaul.tolist()
 
 
 @given(x=st.floats(-120.0, 60.0))

@@ -222,6 +222,35 @@ def test_sweep_bad_config_exits_1(tmp_path):
                  *FAST]) == 1
 
 
+# accepted values whose large-scale gain has no finite normal value: the path loss is
+# undefined, or its gain overflows, underflows to 0 or is subnormal; each case is the
+# overrides and the key the error must name
+GAIN_CASES = [({key: value}, key)
+              for key in ("scenario.carrier_freq_out", "scenario.carrier_freq_in")
+              for value in ("5e-324", "1e-300", "1e300", "1.7e308")] + [
+    ({key: value}, key) for key in ("scenario.penetration_loss_db", "layout.iap_height_m")
+    for value in ("1e300", "1.7e308")] + [
+    # a subnormal access gain, whose product with the beam's mean power rounds to 0
+    ({"scenario.carrier_freq_in": "2.2612711930598628e+159"}, "scenario.carrier_freq_in"),
+    ({"layout.building_distances_m": "1e300, 200, 300, 400"}, "layout.building_distances_m"),
+    ({"layout.user_offsets_m": "1e300, 1; 1, 1; 1, 1; 1, 1"}, "layout.user_offsets_m"),
+    ({"layout.placement": "random", "layout.distance_max_m": "1e300"}, "layout.distance_max_m"),
+    ({"layout.placement": "random", "layout.room_halfwidth_m": "1e300"},
+     "layout.room_halfwidth_m")]
+
+
+@pytest.mark.parametrize("overrides, key", GAIN_CASES,
+                         ids=[",".join(f"{k}={v}" for k, v in o.items()) for o, _ in GAIN_CASES])
+def test_sweep_whose_gain_is_not_finite_and_normal_exits_1_naming_the_key(
+        tmp_path, capsys, monkeypatch, overrides, key):
+    for name, value in overrides.items():
+        monkeypatch.setenv(_env_name(name), value)
+    assert main(["sweep", "--out", str(tmp_path / "run"), *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_without_feasible_points_exits_2(tmp_path):
     out = tmp_path / "run"
     code = main(["sweep", "--out", str(out), "--variants", "nonsep",

@@ -68,6 +68,13 @@ def test_unknown_section_named_in_error(tmp_path):
         load_config(str(path), use_env=False)
 
 
+def test_unknown_section_without_keys_rejected(tmp_path):
+    path = tmp_path / "cell.cfg"
+    path.write_text("[scenario]\nm_t = 64\n[scnario]\n")
+    with pytest.raises(ConfigError, match=r"^unknown section \[scnario\]"):
+        load_config(str(path), use_env=False)
+
+
 def test_unknown_key_named_in_error(tmp_path):
     path = tmp_path / "cell.cfg"
     path.write_text("[scenario]\nm_tt = 1\n")
@@ -78,7 +85,8 @@ def test_unknown_key_named_in_error(tmp_path):
 def test_duplicate_key_rejected(tmp_path):
     path = tmp_path / "cell.cfg"
     path.write_text("[scenario]\nm_t = 1\nm_t = 2\n")
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: duplicate key "
+                                          f"scenario.m_t$"):
         load_config(str(path), use_env=False)
 
 
@@ -109,7 +117,8 @@ def test_angle_degree_alternative(tmp_path):
 def test_angle_given_both_ways_rejected(tmp_path):
     path = tmp_path / "cell.cfg"
     path.write_text("[lifi]\nhalf_angle = 0.7\nhalf_angle_deg = 45\n")
-    with pytest.raises(ConfigError, match="not both"):
+    with pytest.raises(ConfigError, match="^lifi.half_angle: give either half_angle or "
+                                          "half_angle_deg, not both$"):
         load_config(str(path), use_env=False)
 
 
@@ -243,9 +252,10 @@ def _env(key, text):
 # a value that breaks each rule of the table
 RULE_BREAKS = {
     ">= 1": "0", ">= 0": "-1", "> 0": "0", "0 < gamma <= 1": "1.5", "in [0, 1)": "1",
-    "in (0, pi/2) rad": "1.6", "in (0, pi/2] rad": "0", "unit length": "0, 0, 2",
+    "in (0, pi/2) rad": "1.6", "in (0, pi/2] rad": "0", "a unit 3-vector": "0, 0, 2",
     "a power of two >= 2": "3", "one of fixed|random": "grid",
     "every distance >= 1 m": "100, 0.5, 300, 400",
+    "every offset (x, y)": "1.5, 1.5; -1.5, 1.5, 0; -1.5, -1.5; 1.5, -1.5",
 }
 
 
@@ -308,13 +318,15 @@ def test_removed_lifi_keys_rejected(tmp_path, key, value):
 def test_duplicate_key_in_other_case_rejected(tmp_path):
     path = tmp_path / "cell.cfg"
     path.write_text("[scenario]\nm_t = 128\nM_T = 256\n")
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: duplicate key "
+                                          f"scenario.m_t$"):
         load_config(str(path), use_env=False)
 
 
 def test_duplicate_env_key_in_other_case_rejected():
     env = {"B5GCELL_SCENARIO__M_T": "128", "B5GCELL_scenario__m_t": "256"}
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ConfigError, match="^environment override B5GCELL_scenario__m_t: "
+                                          "duplicate key scenario.m_t$"):
         load_config(None, environ=env)
 
 
@@ -334,7 +346,7 @@ def test_env_alias_beats_file_key(tmp_path):
 
 def test_env_key_and_alias_together_rejected():
     env = {"B5GCELL_LIFI__FOV": "1.0", "B5GCELL_LIFI__FOV_DEG": "60"}
-    with pytest.raises(ConfigError, match="not both"):
+    with pytest.raises(ConfigError, match="^lifi.fov: give either fov or fov_deg, not both$"):
         load_config(None, environ=env)
 
 
@@ -348,12 +360,14 @@ def test_bad_vector_list_component_names_key(tmp_path):
 def test_vector_list_wrong_dimension_names_key(tmp_path):
     path = tmp_path / "cell.cfg"
     path.write_text("[layout]\nuser_offsets_m = 1.5, 1.5, 0; 2, 2\n")
-    with pytest.raises(ConfigError, match="layout.user_offsets_m: expected 2 components"):
+    with pytest.raises(ConfigError, match=r"^layout.user_offsets_m: must satisfy every offset "
+                                          r"\(x, y\) \(got \(1.5, 1.5, 0.0\)\)$"):
         load_config(str(path), use_env=False)
 
 
 def test_vec3_key_wrong_length_names_key():
-    with pytest.raises(ConfigError, match="lifi.n_tx: expected 3 components"):
+    with pytest.raises(ConfigError, match=r"^lifi.n_tx: must satisfy a unit 3-vector "
+                                          r"\(got \(0.0, -1.0\)\)$"):
         load_config(None, environ={"B5GCELL_LIFI__N_TX": "0, -1"})
 
 

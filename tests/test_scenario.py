@@ -153,8 +153,11 @@ def test_negative_rate_rejected(bundle):
     ("scenario", "m_t_iap", 16.5, "scenario.m_t_iap"),
     ("scenario", "n_iue", 4.0, "scenario.n_iue"),
     ("scenario", "n_beams", True, "scenario.n_beams"),
+    # a vector has the dimension of its default's: 3 for a unit normal, 2 per offset
+    ("lifi", "n_tx", (0.0, -1.0), "lifi.n_tx"),
+    ("layout", "user_offsets_m", ((1.5, 1.5, 0.0),) * 4, "layout.user_offsets_m"),
 ], ids=["gamma", "half_angle", "heights", "float_n_fft", "float_m_t_iap", "float_n_iue",
-        "bool_n_beams"])
+        "bool_n_beams", "2d_n_tx", "3d_user_offsets"])
 def test_build_validates_a_bundle_built_in_code(bundle, section, field, value, key):
     broken = bundle._replace(**{section: getattr(bundle, section)._replace(**{field: value})})
     with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must satisfy"):
