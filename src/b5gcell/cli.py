@@ -15,13 +15,11 @@ import itertools
 import math
 import sys
 import time
-from functools import reduce
-from operator import add
 from pathlib import Path
 
 from . import __version__
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepSpec,
-                      VariantSpec, sha256)
+                      VariantSpec, add_up, sha256)
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
 DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
@@ -93,29 +91,26 @@ def _config_digests(bundle, path: str | None) -> dict:
 
 def _reprs(values) -> list:
     """``[repr(v) for v in values]`` for floats, formatting each distinct value
-    once where a strided sample of about 64 values is mostly repeats.  ``0.0 ==
-    -0.0`` share a key, so zeros are formatted again where they stand; a NaN is
-    found only as the same object, which has the same text."""
+    once where a strided sample of about 64 values is mostly repeats.  A NaN is
+    found only as the same object, which has the same text; ``0.0 == -0.0`` share
+    a key, and no sweep writes -0.0."""
     sample = values[::len(values) // 64 + 1]
     if 2 * len(set(sample)) > len(sample):   # mostly distinct: little to share
         return list(map(repr, values))
     texts = dict.fromkeys(values)
     for v in texts:
         texts[v] = repr(v)
-    out = list(map(texts.__getitem__, values))
-    if 0.0 in texts:
-        out = [text if v else repr(v) for v, text in zip(values, out)]
-    return out
+    return list(map(texts.__getitem__, values))
 
 
 def _csv_chunks(result, xs: list):
     """results.csv text: the header, then one chunk per variant.  A column equal to
-    one formatted before takes its texts, zeros formatted again (``0.0 == -0.0``)."""
+    one formatted before takes its texts."""
     kind, x_texts, done = result.spec.variable, _reprs(xs), []
     def texts(values):
         for other, other_texts in done:
             if other == values:
-                return [text if v else repr(v) for v, text in zip(values, other_texts)]
+                return other_texts
         done.append((values, _reprs(values)))
         return done[-1][1]
     yield CSV_HEADER + "\n"
@@ -166,13 +161,13 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
 
     n_feasible = sum(sum(column["feasible"]) for column in result.columns.values())
     if axis and n_feasible:
-        stem, x_label, shared = *axis, {}   # both charts format the x pixels once
+        stem, x_label = axis
         for prefix, field, title, y_label in (
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
             series = [(name, column[field]) for name, column in result.columns.items()]
             _write(out_dir / f"{prefix}_vs_{stem}.svg", [
-                line_chart(xs, series, f"{title} vs {stem}", x_label, y_label, shared)])
+                line_chart(xs, series, f"{title} vs {stem}", x_label, y_label)])
     return 0 if n_feasible else 2
 
 
@@ -191,9 +186,9 @@ def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # loads the engine on f
     return run_sweep(bundle, spec, seed)
 
 
-def line_chart(xs, series, title: str, x_label: str, y_label: str, shared=None) -> str:
+def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
     from .svgplot import line_chart   # loaded only where charts are drawn
-    return line_chart(xs, series, title, x_label, y_label, shared)
+    return line_chart(xs, series, title, x_label, y_label)
 
 
 def cmd_sweep(args) -> int:
@@ -315,9 +310,9 @@ def _summarize(columns: dict, specs: dict) -> list:
         savings = [1.0 - power_a / power_b
                    for power_a, power_b in zip(columns[a][1], columns[b][1])
                    if power_a is not None and power_b is not None]
-        if savings:   # added in row order: sum() compensates from Python 3.12 on
+        if savings:
             out.append(f"saving.{a}.vs.{b}.mean_percent="
-                       f"{100.0 * reduce(add, savings, 0) / len(savings)!r}")
+                       f"{100.0 * add_up(savings) / len(savings)!r}")
     return out
 
 

@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import reduce
-from itertools import repeat
-from operator import add
 
 from .config import ConfigBundle
+from .records import add_up
 
 
 class DevicePower(namedtuple("DevicePower", "kind p_bb p_rf p_pa p_total p_illum p_comm",
@@ -58,18 +56,6 @@ def _gops_precoding(cfg, gops, antennas: int) -> float:
                                                           / cfg.coherence_block)
     weight = gops.pre_weight if gops.pre_weight > 0 else antennas * gops.n_fft
     return items * weight * gops.frame_rate / 1e9
-
-
-def add_up(terms):
-    """0 + t0 + t1 + ..., one term at a time in order: of floats, or of
-    equal-length columns point by point.  The built-in ``sum`` compensates a
-    float sum from Python 3.12 on, which would move results with the version."""
-    if terms and not isinstance(terms[0], (int, float)):
-        total = repeat(0)
-        for column in terms:   # chained lazily: one pass, no list per term
-            total = map(add, total, column)
-        return list(total)
-    return reduce(add, terms, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Sweep requests and results, ``ConfigError`` and the digests' SHA-256.  Standard library
-only, so ``b5gcell analyze`` and the package root load without the engine or the config
-table."""
+"""Sweep requests and results, ``ConfigError``, the digests' SHA-256 and the one in-order
+sum.  Standard library only, so ``b5gcell analyze`` and the package root load without the
+engine or the config table."""
 
 import math
 from collections import namedtuple
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 RATE_VARIABLE = "total_rate_bps"
 SE_VARIABLE = "se_bits_per_hz"
@@ -26,6 +29,18 @@ def sha256(data: bytes = b""):
             return __import__(name).sha256(data)
         except ImportError:
             continue
+
+
+def add_up(terms):
+    """0 + t0 + t1 + ..., one term at a time in order: of floats, or of
+    equal-length columns point by point.  The built-in ``sum`` compensates a
+    float sum from Python 3.12 on, which would move results with the version."""
+    if terms and not isinstance(terms[0], (int, float)):
+        total = repeat(0)
+        for column in terms:   # chained lazily: one pass, no list per term
+            total = map(add, total, column)
+        return list(total)
+    return reduce(add, terms, 0)
 
 
 class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):

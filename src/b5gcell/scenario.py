@@ -21,12 +21,11 @@ import sys
 
 from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespace, \
     pathloss_winner_b5a
-from .config import ConfigBundle, validate_bundle
+from .config import DEFAULTS, ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
-from .power import (add_up, power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs,
-                    power_mbsala)
+from .power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepResult,
-                      SweepSpec, VariantSpec, sha256)
+                      SweepSpec, VariantSpec, add_up, sha256)
 
 class ScenarioModel:
     """Everything static about one variant; operating points are queried from it."""
@@ -89,8 +88,14 @@ class ScenarioModel:
                                       pathloss_freespace, self.user_distances, cfg.carrier_freq_in)
             self._init_beam_codebook()
         if variant.kind == "sep-lifi":
-            self._init_lifi(iap_pos, user_pos)
-            iap = power_lifi_iap(bundle.lifi_led, add_up(self.lifi_h) / cfg.n_iue)
+            try:   # a gain past float range, or a divisor that rounds to 0
+                self._init_lifi(iap_pos, user_pos)
+                iap = power_lifi_iap(bundle.lifi_led, add_up(self.lifi_h) / cfg.n_iue)
+            except (ArithmeticError, ValueError):
+                keys = [key for key in DEFAULTS if key.startswith("lifi")] + [
+                    "scenario.bandwidth_in", "layout.iap_height_m", "layout.user_height_m"]
+                raise ConfigError(f"{', '.join(keys)}, {placed_by[1]}: must give a LiFi link "
+                                  "and LED drive in float range") from None
             self._iap_sum = add_up([iap.p_total] * n_devices)
 
     # -- indoor access precomputation ------------------------------------
@@ -187,9 +192,9 @@ class ScenarioModel:
         where infeasible.  Only the amplifiers depend on the rate; the building
         arrays' and LiFi access points' powers were fixed at build.  Sums run
         term by term in device order, so every entry equals its one-point
-        evaluation exactly.  An amplifier past its rating, or a total power past
-        float range, makes its point infeasible, so the laws take the demand
-        unclipped: only NaN comes out of them there.
+        evaluation exactly.  An amplifier past its rating, or a total power of 0
+        or past float range, makes its point infeasible, so the laws take the
+        demand unclipped: only NaN comes out of them there.
         """
         rates = self._rates(xs, x_kind)
         return self._add(rates, self._outdoor(rates))
@@ -199,8 +204,10 @@ class ScenarioModel:
         (p_mbs, link_ok), (iap_sum, served) = outdoor, self._indoor(rates)
         bmaa_sum = self._bmaa_sum
         total = [p + bmaa_sum + iap for p, iap in zip(p_mbs, iap_sum)]
-        feasible = [ok and link and t < math.inf for ok, link, t in zip(served, link_ok, total)]
-        ee = [x / self.cfg.bandwidth_out / t for x, t in zip(rates, total)]
+        feasible = [ok and link and 0.0 < t < math.inf
+                    for ok, link, t in zip(served, link_ok, total)]
+        bandwidth = self.cfg.bandwidth_out   # EE is defined only at a feasible point
+        ee = [x / bandwidth / t if ok else math.nan for x, t, ok in zip(rates, total, feasible)]
         values = (total, ee, p_mbs[:], [bmaa_sum] * len(rates), iap_sum)   # each a new list
         for i, ok in enumerate(feasible):
             if not ok:

@@ -48,11 +48,10 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
-def line_chart(xs, series, title: str, x_label: str, y_label: str, shared=None) -> str:
+def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
     """Render ``series`` = [(name, ys), ...], each ys over the one grid ``xs``,
     to an SVG document string.  ``xs`` and each ``ys`` are equal-length
-    sequences of floats.  Charts over one ``xs`` that pass the same dict as
-    *shared* format its pixel texts once.
+    sequences of floats.
 
     NaN y-values break the line (gaps for infeasible points).
     """
@@ -116,10 +115,8 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str, shared=None) 
                  f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{y_label}</text>')
 
     # one polyline per NaN-free run of each series: "x,y" points joined by " "
-    shared = {} if shared is None else shared
-    if "x_texts" not in shared:   # sx(x) written out, as sy(y) below
-        shared["x_texts"] = ["%.2f," % (px0 + (x - x_lo) / x_span * (px1 - px0)) for x in xs]
-    x_texts, height = shared["x_texts"], py1 - py0
+    x_texts = ["%.2f," % (px0 + (x - x_lo) / x_span * (px1 - px0)) for x in xs]   # sx(x)
+    height = py1 - py0
     for idx, (name, ys) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
         # sy(y) written out: a call per point adds about a tenth to a chart's time

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 import b5gcell
 from b5gcell import ConfigError, default_bundle, write_config
-from b5gcell.cli import CSV_HEADER, _csv_chunks, _reprs, main, parse_grid, parse_variants
+from b5gcell.cli import CSV_HEADER, _reprs, main, parse_grid, parse_variants
 from b5gcell.config import DEFAULTS
-from b5gcell.records import SweepResult, SweepSpec, VariantSpec
 
 FAST = ["--grid", "0:2e9:5"]
 DEFAULT_CONFIG_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
@@ -54,9 +53,14 @@ def _grid_bounds(draw):
 @example((0.5, 24.0), 48).via("the default SE grid")
 @example((0.0, 3e-323), 13).via("a step that rounds to zero")
 @example((1e-310, 1.1e-310), 1000).via("subnormal bounds")
+@example((-0.0, 6e9), 25).via("a negative zero minimum")
+@example((-0.0, 3e-323), 13).via("a negative zero minimum and a step that rounds to zero")
 def test_parse_grid_is_numpy_linspace(bounds, n):
     lo, hi = bounds
-    assert parse_grid(f"{lo!r}:{hi!r}:{n}") == tuple(np.linspace(lo, hi, n).tolist())
+    grid = parse_grid(f"{lo!r}:{hi!r}:{n}")
+    assert grid == tuple(np.linspace(lo, hi, n).tolist())
+    # 0 * step + lo is +0.0 even for lo = -0.0: no sweep writes a negative zero
+    assert all(math.copysign(1.0, x) == 1.0 for x in grid)
 
 
 @pytest.mark.parametrize("bad", ["1:2", "a:b:c", "0:1:1", "2:1:5", "-1:1:5"])
@@ -177,28 +181,12 @@ def test_analyze_summary_matches_pinned_digest(tmp_path, capsys, case):
 
 
 def test_reprs_formats_each_value_as_repr():
-    # zeros of both signs, and NaNs that are distinct objects, in one column
-    values = [0.0, -0.0, math.nan, float("nan"), 5e-324, 1.7976931348623157e308] * 3
+    # NaNs that are distinct objects, a subnormal and the float maximum in one column
+    values = [0.0, math.nan, float("nan"), 5e-324, 1.7976931348623157e308] * 3
     assert _reprs(values) == [repr(v) for v in values]
-    assert _reprs([-0.0, 0.0, -0.0]) == ["-0.0", "0.0", "-0.0"]
-    # mostly distinct values, formatted one by one, with a repeated signed zero
-    values = [0.0, *(i / 7 for i in range(1, 200)), -0.0, 0.0]
+    # mostly distinct values, formatted one by one
+    values = [0.0, *(i / 7 for i in range(1, 200)), 0.0]
     assert _reprs(values) == [repr(v) for v in values]
-
-
-@pytest.mark.parametrize("zero", [0.0, -0.0])
-def test_csv_equal_columns_keep_their_own_signed_zeros(zero):
-    # nonsep's p_mbs_w equals its total_power_w as floats, so it takes its texts,
-    # except at a zero, whose sign the two columns need not share
-    columns = {"feasible": [True] * 3, "total_power_w": [0.0, 2.5, 0.0],
-               "ee": [0.0, 1.0, 2.0], "p_mbs_w": [zero, 2.5, -zero],
-               "p_bmaa_w": [0.0] * 3, "p_iap_w": [-0.0] * 3}
-    spec = SweepSpec("total_rate_bps", (0.0, 1.0, 2.0), (VariantSpec("nonsep", "nonsep", 64),))
-    result = SweepResult(spec=spec, seed=0, columns={"nonsep": columns})
-    rows = "".join(_csv_chunks(result, list(spec.grid))).splitlines()[1:]
-    assert [row.split(",")[6:] for row in rows] == [
-        [repr(p_mbs), "0.0", "-0.0"] for p_mbs in columns["p_mbs_w"]]
-    assert [row.split(",")[3] for row in rows] == ["0.0", "2.5", "0.0"]
 
 
 def test_sweep_reads_config_file(tmp_path):
@@ -249,6 +237,47 @@ def test_sweep_whose_gain_is_not_finite_and_normal_exits_1_naming_the_key(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+# accepted LiFi optics, LED and indoor-band values past what the LiFi link or the LED
+# law can evaluate: a cosine that rounds to 1, a gain past float range, a subnormal
+# divisor
+LIFI_CASES = [("scenario.bandwidth_in", "5e-324"), ("lifi.area_pd", "1e300"),
+              ("lifi.g_filter", "1e300"), ("lifi.g_filter", "1.7e308"), ("lifi.c_f", "1e300"),
+              ("lifi.p_opt", "1e300"), ("lifi.p_opt", "1.7e308"),
+              ("lifi.half_angle", "5e-324"), ("lifi.half_angle", "1e-300"),
+              ("lifi.refr_index", "1e300"), ("lifi.refr_index", "1.7e308"),
+              ("lifi_led.p_f", "5e-324"), ("lifi_led.p_f", "1e-300"),
+              ("lifi_led.eps", "5e-324"), ("lifi_led.eps", "1e-300"),
+              ("lifi_led.i_s", "5e-324")]
+
+
+@pytest.mark.parametrize("key, value", LIFI_CASES, ids=[f"{k}={v}" for k, v in LIFI_CASES])
+def test_sweep_whose_lifi_link_or_led_cannot_be_evaluated_exits_1_naming_the_key(
+        tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setenv(_env_name(key), value)
+    assert main(["sweep", "--variants", "sep-lifi", "--out", str(tmp_path / "run"),
+                 *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_whose_cell_draws_0_w_marks_those_points_infeasible(tmp_path, capsys,
+                                                                   monkeypatch):
+    # no baseband work, RF or amplifier draw at a zero demand: EE is undefined there
+    for key in ("gops.fltr", "gops.map", "gops.ctrl", "gops.nw", "gops.enc", "mbsala.p_mod",
+                "mbsala.p_mix", "mbsala.p_dac", "mbsala.p_clk"):
+        monkeypatch.setenv(_env_name(key), "0")
+    monkeypatch.setenv(_env_name("gops.frame_rate"), "5e-324")
+    out = tmp_path / "run"
+    assert main(["sweep", "--variants", "nonsep", "--out", str(out)]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert rows[0] == "nonsep,0.0,total_rate_bps,,,false,,,"
+    # so the feasible points are not a prefix of the grid: x = 0 fails, 0.25-4.25e9 pass
+    assert [",true," in row for row in rows] == [False] + [True] * 17 + [False] * 7
+    assert main(["analyze", "--in", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sweep_without_feasible_points_exits_2(tmp_path):

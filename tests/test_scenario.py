@@ -423,6 +423,9 @@ def test_feasible_points_are_a_prefix_of_the_grid_with_nondecreasing_power(case)
         assert column["feasible"] == [True] * n + [False] * (len(spec.grid) - n), name
         total = column["total_power_w"][:n]
         assert all(a <= b for a, b in zip(total, total[1:])), name
+        # no value is -0.0, so results.csv need not tell the zeros apart
+        assert all(math.copysign(1.0, v) == 1.0 for field in POWER_FIELDS
+                   for v in column[field] if v == v), name
 
 
 @settings(max_examples=30, deadline=None)

@@ -178,12 +178,3 @@ def test_ticks_stay_within_the_axis(lo, ulps):
     ticks = _ticks(lo, hi)
     assert ticks and all(lo <= t for t in ticks)
     assert ticks == sorted(set(ticks))
-
-
-def test_charts_sharing_a_grid_render_as_each_alone():
-    xs = [0.0, 1.5, 2.0, 7.25]
-    charts = [[("a", [1.0, 2.0, math.nan, 3.0])], [("b", [0.5, 0.25, 0.125, 0.0])]]
-    shared = {}
-    together = [line_chart(xs, series, "t", "x", "y", shared) for series in charts]
-    assert together == [line_chart(xs, series, "t", "x", "y") for series in charts]
-    assert len(shared["x_texts"]) == len(xs)
