@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 import time
+from operator import eq, sub, truediv
 from pathlib import Path
 
 from . import __version__
@@ -220,14 +221,14 @@ def _read_lines(path: Path) -> list:
 
 
 def _read_results(path: Path, rows: list, spec: SweepSpec) -> dict:
-    """Per variant of *spec*, in its order, the (x, total power, EE) columns of the
-    data *rows* of the results.csv at *path*, None where infeasible; each x column is
-    the grid itself.  With n grid points, row i is variant ``i // n`` at
-    ``grid[i % n]``, x_kind ``spec.variable``, and ``true`` with six finite numbers or
+    """Per variant of *spec*, in its order, the ``total_power_w`` and ``ee`` columns of
+    the data *rows* of the results.csv at *path*, NaN where infeasible, as
+    ``ScenarioModel.points`` gives them.  With n grid points, row i is variant ``i // n``
+    at ``grid[i % n]``, x_kind ``spec.variable``, and ``true`` with six finite numbers or
     ``false`` with none.  Any other row is a ConfigError that names it."""
     grid, n, variable = spec.grid, len(spec.grid), spec.variable
     names = [v.name for v in spec.variants for _ in grid]
-    isfinite = math.isfinite
+    isfinite, nan = math.isfinite, math.nan
     powers, ees = [], []
     for ln, name, at in zip(rows, names, grid * len(spec.variants)):
         try:
@@ -242,7 +243,7 @@ def _read_results(path: Path, rows: list, spec: SweepSpec) -> dict:
                         and isfinite(p_bmaa) and isfinite(p_iap)):
                     raise ValueError("non-finite number")
             elif flag == "false" and not (power or ee or p_mbs or p_bmaa or p_iap):
-                power = ee = None
+                power = ee = nan
             else:
                 raise ValueError("feasible must be true or false, and an "
                                  "infeasible row carries no numbers")
@@ -250,69 +251,64 @@ def _read_results(path: Path, rows: list, spec: SweepSpec) -> dict:
             raise ConfigError(f"{path}: malformed row {ln!r}: {exc}") from None
         powers.append(power)
         ees.append(ee)
-    return {v.name: (grid, powers[b * n:(b + 1) * n], ees[b * n:(b + 1) * n])
+    return {v.name: {"total_power_w": powers[b * n:(b + 1) * n], "ee": ees[b * n:(b + 1) * n]}
             for b, v in enumerate(spec.variants)}
 
 
 def _interp_crossing(xs, pa, pb):
-    """First sign flip of pa - pb with linear interpolation, or the first x of
-    the exact zeros it flips across; None without one.
-
-    Only intervals with both endpoints feasible (not None) in both series count.
-    """
+    """First sign flip of pa - pb over *xs* with linear interpolation, or the first x of
+    the exact zeros it flips across; None without one.  Only intervals with both
+    endpoints feasible (not NaN) in both series count."""
     prev = zero_x = None   # last nonzero (x, diff); first zero since then
-    for i in range(len(xs)):
-        if pa[i] is None or pb[i] is None:
+    for x, diff in zip(xs, map(sub, pa, pb)):
+        if diff != diff:   # NaN: infeasible in either series
             prev = zero_x = None
-            continue
-        diff = pa[i] - pb[i]
-        if diff == 0:
+        elif diff == 0:
             if prev is not None and zero_x is None:
-                zero_x = xs[i]
-            continue
-        if prev is not None and (prev[1] < 0) != (diff < 0):
+                zero_x = x
+        elif prev is not None and (prev[1] < 0) != (diff < 0):
             if zero_x is not None:
                 return zero_x
             x0, d0 = prev
-            return x0 + (xs[i] - x0) * abs(d0) / (abs(d0) + abs(diff))
-        prev, zero_x = (xs[i], diff), None
+            return x0 + (x - x0) * abs(d0) / (abs(d0) + abs(diff))
+        else:
+            prev, zero_x = (x, diff), None
     return None
 
 
-def _summarize(columns: dict, specs: dict) -> list:
-    """Summary lines of _read_results' columns on one x grid; *specs*: VariantSpec per name."""
-    out = [f"variants={','.join(columns)}",
-           f"n_rows={sum(len(xs) for xs, _, _ in columns.values())}",
-           f"n_feasible={sum(len(p) - p.count(None) for _, p, _ in columns.values())}"]
-    for name, (xs, powers, ees) in columns.items():
-        feas = [i for i, p in enumerate(powers) if p is not None]
+def _summarize(grid, variants, columns: dict) -> list:
+    """Summary lines of the NaN-marked *columns* over *grid*; *variants*: their VariantSpecs."""
+    powers = {name: column["total_power_w"] for name, column in columns.items()}
+    out = [f"variants={','.join(powers)}",
+           f"n_rows={len(grid) * len(powers)}",
+           f"n_feasible={sum(len(p) - sum(map(math.isnan, p)) for p in powers.values())}"]
+    for name, power in powers.items():
+        feas = list(itertools.compress(range(len(power)), map(eq, power, power)))   # not NaN
         if not feas:
             out.append(f"{name}.feasible=none")
             continue
+        ees = columns[name]["ee"]
         best = max(feas, key=ees.__getitem__)
-        out.append(f"{name}.floor_power_w={powers[feas[0]]!r}")
-        out.append(f"{name}.max_feasible_x={xs[feas[-1]]!r}")
+        out.append(f"{name}.floor_power_w={power[feas[0]]!r}")
+        out.append(f"{name}.max_feasible_x={grid[feas[-1]]!r}")
         out.append(f"{name}.peak_ee={ees[best]!r}")
-        out.append(f"{name}.peak_ee_x={xs[best]!r}")
+        out.append(f"{name}.peak_ee_x={grid[best]!r}")
         # interior: the first EE maximum lies strictly inside the feasible range
         interior = feas[0] < best < feas[-1]
         out.append(f"{name}.peak_ee_interior={'true' if interior else 'false'}")
-    for a, b in itertools.combinations(columns, 2):
-        (xs, pa, _), (_, pb, _) = columns[a], columns[b]
-        cross = _interp_crossing(xs, pa, pb)
+    for a, b in itertools.combinations(powers, 2):
+        cross = _interp_crossing(grid, powers[a], powers[b])
         if cross is not None:
             out.append(f"crossing.{a}.vs.{b}={cross!r}")
     # mean lifi / mmwave saving over the shared feasible points, for each
     # sep-lifi and sep-mmwave pair of equal M_T
-    pairs = [(a, b) for a in specs for b in specs if specs[a].kind == "sep-lifi"
-             and specs[b].kind == "sep-mmwave" and specs[a].m_t == specs[b].m_t]
-    for a, b in pairs:
-        savings = [1.0 - power_a / power_b
-                   for power_a, power_b in zip(columns[a][1], columns[b][1])
-                   if power_a is not None and power_b is not None]
-        if savings:
-            out.append(f"saving.{a}.vs.{b}.mean_percent="
-                       f"{100.0 * add_up(savings) / len(savings)!r}")
+    for a, b in itertools.product(variants, variants):
+        if a.kind == "sep-lifi" and b.kind == "sep-mmwave" and a.m_t == b.m_t:
+            savings = [1.0 - r for r in map(truediv, powers[a.name], powers[b.name])
+                       if r == r]   # not NaN: feasible in both
+            if savings:
+                out.append(f"saving.{a.name}.vs.{b.name}.mean_percent="
+                           f"{100.0 * add_up(savings) / len(savings)!r}")
     return out
 
 
@@ -354,10 +350,10 @@ def cmd_analyze(args) -> int:
                 raise ConfigError(f"config does not match the sweep manifest "
                                   f"({key} {recorded.get(key)} != {digest})")
     columns = _read_results(results, lines[1:], spec)
-    if all(p.count(None) == len(p) for _, p, _ in columns.values()):
+    if all(all(map(math.isnan, c["total_power_w"])) for c in columns.values()):
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2
-    text = "\n".join(_summarize(columns, {v.name: v for v in variants})) + "\n"
+    text = "\n".join(_summarize(spec.grid, spec.variants, columns)) + "\n"
     _write(src / "summary.txt", [text], "--in")
     sys.stdout.write(text)
     return 0

@@ -65,7 +65,8 @@ DEFAULTS: dict[str, Default] = {
     "scenario.n_beams": Default(4, ">= 1", "reference configuration: four beamforming links per "
                                            "array-building pair"),
     "scenario.m_t": Default(64, ">= 1", "reference configuration: outdoor transmit antennas per "
-                                        "array, evaluated at {64, 128, 256}"),
+                                        "array of a --variants entry without :mt=; the "
+                                        "library takes M_T from each VariantSpec"),
     "scenario.m_r": Default(64, ">= 1", "reference configuration: 64 receive antennas per "
                                         "building-mounted array"),
     "scenario.m_t_iap": Default(16, ">= 1", "engineering choice: transmit antennas of a compact "

@@ -62,21 +62,24 @@ def _gops_precoding(cfg, gops, antennas: int) -> float:
 # amplifiers
 # ---------------------------------------------------------------------------
 
+def _roots(p_out, p_max: float) -> list:
+    """sqrt(p * p_max) per p, as sqrt(p) sqrt(p_max) only where the product overflows."""
+    sqrt, root, inf = math.sqrt, math.sqrt(p_max), math.inf
+    return [sqrt(q) if (q := p * p_max) < inf else sqrt(p) * root for p in p_out]
+
+
 def pa_power_classb(p_out, p_max: float):
     """Class-B consumption (2/pi) sqrt(p_out p_max); zero draws zero."""
-    scale, sqrt = 2.0 / math.pi, math.sqrt
-    return [scale * sqrt(p * p_max) for p in p_out]
+    scale = 2.0 / math.pi
+    return [scale * r for r in _roots(p_out, p_max)]
 
 
 def pa_power_doherty(p_out, p_max: float):
-    """Two-branch Doherty consumption.
-
-    (2/pi) sqrt(p_out p_max) below a quarter of the rating and
-    (6/pi) sqrt(p_out p_max) from the quarter point up, kept discontinuous as
-    modelled.
-    """
-    low, high, quarter, sqrt = 2.0 / math.pi, 6.0 / math.pi, 0.25 * p_max, math.sqrt
-    return [(low if p < quarter else high) * sqrt(p * p_max) for p in p_out]
+    """Two-branch Doherty consumption: (2/pi) sqrt(p_out p_max) below a quarter of the
+    rating and (6/pi) sqrt(p_out p_max) from the quarter point up, kept discontinuous
+    as modelled."""
+    low, high, quarter = 2.0 / math.pi, 6.0 / math.pi, 0.25 * p_max
+    return [(low if p < quarter else high) * r for p, r in zip(p_out, _roots(p_out, p_max))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,8 @@
-"""Engine results in the forms the tests read them in."""
+"""One engine point in the form the tests read it in."""
 
 from types import SimpleNamespace
 
 from b5gcell.records import RATE_VARIABLE
-
-
-def columns(xs, engine_columns: dict) -> dict:
-    """Per variant name, ``ScenarioModel.points`` columns over *xs* as the
-    reader's columns: x values, total powers and EEs, the last two None where a
-    point is infeasible (what ``cli._read_results`` returns)."""
-    out = {}
-    for name, column in engine_columns.items():
-        feasible = column["feasible"]
-        out[name] = ([float(x) for x in xs],
-                     *([v if ok else None for v, ok in zip(column[field], feasible)]
-                       for field in ("total_power_w", "ee")))
-    return out
 
 
 def point_at(model, x: float, x_kind: str = RATE_VARIABLE) -> SimpleNamespace:

@@ -34,7 +34,7 @@ from kernel_oracles import (
     mc_kernel_power,
 )
 from link_oracles import macro_snr_draws, snr_macro, spectral_efficiency
-from result_columns import columns, point_at
+from result_columns import point_at
 from scalar_oracle import at_point
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
@@ -59,9 +59,9 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
-def _summary(xs, engine_columns):
-    """analyze's summary of per-variant engine columns over *xs* as {key: value}."""
-    return dict(line.rsplit("=", 1) for line in _summarize(columns(xs, engine_columns), {}))
+def _summary(grid, variants, columns):
+    """analyze's summary of the *variants*' engine columns over *grid* as {key: value}."""
+    return dict(line.rsplit("=", 1) for line in _summarize(grid, variants, columns))
 
 
 # --- 1. exact formula checks ---------------------------------------------------
@@ -180,21 +180,20 @@ def test_figure_shape_reproduction():
                          (VariantSpec("sep", "sep-mmwave", m_t),
                           VariantSpec("non", "nonsep", m_t)))
         result = run_sweep(bundle, spec, seed=0)
-        read = columns(RATE_GRID, result.columns)
-        _, sep, _ = read["sep"]   # total power per grid value, None where infeasible
-        _, non, _ = read["non"]
+        # total power per grid value, NaN where infeasible
+        sep, non = (result.columns[name]["total_power_w"] for name in ("sep", "non"))
 
         flips = 0
         prev = None
         for a, b in zip(sep, non):
-            if a is None or b is None:
+            if math.isnan(a) or math.isnan(b):
                 prev = None
                 continue
             diff = b - a
             if prev is not None and prev * diff < 0:
                 flips += 1
             prev = diff
-        cross = _summary(RATE_GRID, result.columns).get("crossing.sep.vs.non")
+        cross = _summary(RATE_GRID, spec.variants, result.columns).get("crossing.sep.vs.non")
         cross = None if cross is None else float(cross)
         crossings[m_t] = cross
         _check(lines, f"M_T={m_t}: exactly one separate/non-separate crossing",
@@ -204,7 +203,7 @@ def test_figure_shape_reproduction():
 
         sides_ok = True
         for x, a, b in zip(RATE_GRID, sep, non):
-            if a is None or b is None or cross is None:
+            if math.isnan(a) or math.isnan(b) or cross is None:
                 continue
             if x < cross:
                 sides_ok &= b < a
@@ -214,7 +213,7 @@ def test_figure_shape_reproduction():
                sides_ok)
 
         for name, powers in (("separate", sep), ("non-separate", non)):
-            feas = [p for p in powers if p is not None]
+            feas = [p for p in powers if not math.isnan(p)]
             mono = all(x <= y + 1e-9 for x, y in zip(feas, feas[1:]))
             _check(lines, f"M_T={m_t}: {name} power nondecreasing in rate", mono)
 
@@ -223,7 +222,7 @@ def test_figure_shape_reproduction():
         for m_t in (64, 128, 256):
             model = build_scenario(bundle, VariantSpec("v", sep_kind, m_t))
             column = model.points(SE_GRID, SE_VARIABLE)
-            summary = _summary(SE_GRID, {"v": column})
+            summary = _summary(SE_GRID, (model.variant,), {"v": column})
             peak_ee, peak_se = float(summary["v.peak_ee"]), float(summary["v.peak_ee_x"])
             peaks[(sep_kind, m_t)] = peak_ee
             if m_t in (128, 256):

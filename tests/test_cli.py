@@ -16,9 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import b5gcell
-from b5gcell import ConfigError, default_bundle, write_config
-from b5gcell.cli import CSV_HEADER, _reprs, main, parse_grid, parse_variants
+from b5gcell import ConfigError, SweepSpec, default_bundle, load_config, run_sweep, write_config
+from b5gcell.cli import (CSV_HEADER, DEFAULT_VARIANTS, VARIABLES, _read_results, _reprs,
+                         _summarize, main, parse_grid, parse_variants)
 from b5gcell.config import DEFAULTS
+from b5gcell.records import VARIANT_KINDS
 
 FAST = ["--grid", "0:2e9:5"]
 DEFAULT_CONFIG_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
@@ -76,10 +78,21 @@ def test_parse_variants_defaults_and_overrides():
     assert [v.kind for v in specs] == ["sep-mmwave", "sep-lifi", "nonsep"]
 
 
-@pytest.mark.parametrize("bad", ["indoor", "sep-mmwave:mt=", "sep-mmwave:x=3", ""])
-def test_parse_variants_rejects(bad):
-    with pytest.raises(ConfigError):
-        parse_variants(bad, default_m_t=64)
+# a --variants text that parse_variants rejects -> the error after "error: "
+BAD_VARIANTS = {"indoor": "variant indoor: unknown kind 'indoor'",
+                "sep-mmwave:mt=": "bad variant option 'mt=' in 'sep-mmwave:mt='",
+                "sep-mmwave:x=3": "bad variant option 'x=3' in 'sep-mmwave:x=3'",
+                "": "variant 1 of '' is empty",
+                "nonsep:mt=abc": "bad antenna count in 'nonsep:mt=abc'"}
+
+
+@pytest.mark.parametrize("bad, message", BAD_VARIANTS.items(), ids=list(map(repr, BAD_VARIANTS)))
+def test_parse_variants_rejects(tmp_path, capsys, bad, message):
+    out = tmp_path / "x"
+    assert main(["sweep", "--out", str(out), "--variants", bad, *FAST]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, entry", [("sep-mmwave,,nonsep", 2), ("sep-mmwave,nonsep,", 3),
@@ -166,6 +179,9 @@ PINNED_SUMMARIES = {
     "rate": ([], "6ff77d4a8019a20dbe2c36e6d1acb1a8d6b8788d101cc9cdee6febba97fec286"),
     "se": (["--variable", "se"],
            "c24af5792ad39ddb46d2c6618ddce7dc6bcc5d4dffc2b972271e62a31b3b2fd1"),
+    # nonsep.feasible=none and n_feasible=6, with both sep-* variants summarized
+    "nonsep-infeasible": (["--grid", "5e9:6e9:3"],
+                          "8a71472e5987520ae2ae67c753ed7647a9a37b1187327e790924464d45ef367b"),
 }
 
 
@@ -290,12 +306,12 @@ def test_sweep_without_feasible_points_exits_2(tmp_path):
 
 def test_sweep_whose_power_overflows_exits_2_and_analyze_exits_2(tmp_path, capsys,
                                                                   monkeypatch):
-    # the loader accepts this rating, and the amplifiers' sum then overflows to inf:
-    # every point is infeasible, so no chart is drawn and analyze reads the file
+    # the loader accepts this rating, and the amplifiers' sum then overflows to inf
+    # within it: every point is infeasible, so no chart is drawn and analyze reads the file
     monkeypatch.setenv("B5GCELL_MBSALA__PA_MAX", "1e308")
     out = tmp_path / "run"
     assert main(["sweep", "--out", str(out), "--variants", "nonsep", "--variable", "se",
-                 "--grid", "900:1020:4"]) == 2
+                 "--grid", "1023.5:1023.8:4"]) == 2
     rows = (out / "results.csv").read_text().splitlines()[1:]
     assert [row.split(",", 3)[3] for row in rows] == [",,false,,,"] * 4
     assert main(["analyze", "--in", str(out)]) == 2
@@ -321,6 +337,52 @@ def test_se_sweep_variable(tmp_path):
     body = (out / "results.csv").read_text()
     assert "se_bits_per_hz" in body
     assert (out / "ee_vs_se.svg").exists()
+
+
+@st.composite
+def _sweeps(draw):
+    """(--variable, --grid, --variants, placement, seed) of a sweep: 1-3 variants of any
+    kind at M_T 1-256, over a rate or SE grid that may run past their feasibility edges."""
+    variants = draw(st.lists(st.tuples(st.sampled_from(VARIANT_KINDS), st.integers(1, 256)),
+                             min_size=1, max_size=3, unique=True))
+    variable = draw(st.sampled_from(sorted(VARIABLES)))
+    top = 12e9 if variable == "rate" else 30.0
+    lo = draw(st.floats(0.0, top / 2))
+    hi = draw(st.floats(lo + top / 100, top))
+    return (variable, f"{lo!r}:{hi!r}:{draw(st.integers(2, 40))}",
+            ",".join(f"{kind}:mt={m_t}" for kind, m_t in variants),
+            draw(st.sampled_from(["fixed", "random"])), draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sweeps())
+@example(("rate", "5e9:6e9:3", DEFAULT_VARIANTS, "fixed", 0)).via("nonsep.feasible=none")
+def test_analyze_reads_back_the_engine_columns_and_summarizes_them_as_the_engine_would(
+        tmp_path_factory, sweep):
+    variable, grid, variants, placement, seed = sweep
+    out, cfg = tmp_path_factory.mktemp("run"), tmp_path_factory.mktemp("cfg") / "cell.cfg"
+    cfg.write_text(f"[layout]\nplacement = {placement}\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["sweep", "--config", str(cfg), "--variable", variable, "--grid", grid,
+                     "--variants", variants, "--seed", str(seed), "--out", str(out),
+                     "--plot", "off"])
+        analyzed = main(["analyze", "--in", str(out)])
+    bundle = load_config(str(cfg))
+    spec = SweepSpec(VARIABLES[variable][0], parse_grid(grid),
+                     parse_variants(variants, bundle.scenario.m_t))
+    engine = run_sweep(bundle, spec, seed).columns
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    read = _read_results(out / "results.csv", rows, spec)
+    assert list(read) == list(engine)
+    for name, column in engine.items():   # bit for bit, NaN on the same rows
+        for field in ("total_power_w", "ee"):
+            assert list(map(float.hex, read[name][field])) == list(map(float.hex, column[field]))
+    if code == 2:   # no feasible point anywhere: nothing to summarize
+        assert analyzed == 2 and not (out / "summary.txt").exists()
+    else:
+        assert analyzed == 0
+        assert ((out / "summary.txt").read_text().splitlines()
+                == _summarize(spec.grid, spec.variants, engine))
 
 
 def test_analyze_round_trip(tmp_path, capsys):
@@ -414,6 +476,12 @@ DIRECTORY_BREAKS = {
     "unknown-variable": (lambda m, r: ([ln.replace("=total_rate_bps", "=foo") for ln in m],
                                        [ln.replace(",total_rate_bps,", ",foo,") for ln in r]),
                          "manifest.txt", "sweep variable must be"),
+    "other-header": (lambda m, r: (m, [r[0].replace(",ee,", ",EE,"), *r[1:]]),
+                     "results.csv", "not a sweep results file"),
+    # a manifest and a results.csv that agree on no rows at all
+    "no-variants": (lambda m, r: (["n_rows=0" if ln.startswith("n_rows=") else ln for ln in m
+                                   if not ln.startswith("variant.")], r[:1]),
+                    "manifest.txt", "sweep needs at least one variant"),
 }
 
 
@@ -779,17 +847,33 @@ def test_analyze_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, name):
     assert not (out / "summary.txt").exists()
 
 
+# the bytes of a --config file (None: no file) -> the error after "error: ", {cfg} its path
+CONFIG_FILE_BREAKS = {
+    "non-utf8": (b"[scenario]\nm_t = 64 # \xff\n", "config file {cfg}: not UTF-8 text"),
+    "missing": (None, "cannot read config file {cfg}: "),
+    "empty-section-name": (b"[scenario]\nm_t = 64\n[ ]\n", "{cfg}:3: empty section name"),
+    "no-equals-sign": (b"[scenario]\nm_t 64\n",
+                       "{cfg}:2: expected 'key = value', got 'm_t 64'"),
+    "key-before-any-section": (b"m_t = 64\n", "{cfg}:1: key outside any [section]"),
+    "empty-key": (b"[scenario]\n = 64\n", "{cfg}:2: empty key"),
+}
+
+
 @pytest.mark.parametrize("command", ["sweep", "analyze"])
-def test_non_utf8_config_file_exits_1_naming_the_file(tmp_path, capsys, command):
+@pytest.mark.parametrize("text, message", CONFIG_FILE_BREAKS.values(), ids=CONFIG_FILE_BREAKS)
+def test_config_file_that_cannot_be_loaded_exits_1_naming_it(tmp_path, capsys, text,
+                                                              message, command):
     out = tmp_path / "run"
     main(["sweep", "--out", str(out), *FAST])
     cfg = tmp_path / "bad.cfg"
-    cfg.write_bytes(b"[scenario]\nm_t = 64 # \xff\n")
+    if text is not None:
+        cfg.write_bytes(text)
     args = {"sweep": ["sweep", "--out", str(tmp_path / "x"), *FAST],
             "analyze": ["analyze", "--in", str(out)]}[command]
     capsys.readouterr()
     assert main([*args, "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: config file {cfg}: not UTF-8 text")
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(cfg=cfg)) and err.count("\n") == 1
     assert not (tmp_path / "x").exists() and not (out / "summary.txt").exists()
 
 

@@ -186,6 +186,8 @@ def test_classb_frozen_values():
     assert _classb(1.0, 1.0) == pytest.approx(2 / math.pi, rel=1e-12)
     assert _classb(0.25, 1.0) == pytest.approx(0.3183098861837907, rel=1e-12)
     assert _classb(0.0, 1.0) == 0.0
+    # p_out * p_max overflows; the draw does not
+    assert _classb(10.0, 1e308) == pytest.approx(2 / math.pi * 10 ** 0.5 * 1e154, rel=1e-15)
 
 
 def test_doherty_frozen_values():
@@ -193,6 +195,7 @@ def test_doherty_frozen_values():
     assert _doherty(1.0, 1.0) == pytest.approx(1.909859317102744, rel=1e-12)
     assert _doherty(0.01, 1.0) == pytest.approx(2 / (math.pi * 10), rel=1e-12)
     assert _doherty(0.0, 1.0) == 0.0
+    assert _doherty(10.0, 1e308) == pytest.approx(2 / math.pi * 10 ** 0.5 * 1e154, rel=1e-15)
 
 
 def test_doherty_branch_values_at_quarter_rating():
@@ -214,6 +217,19 @@ def test_amplifiers_monotone_and_zero_at_zero(p_max, a, b):
         assert _doherty(lo, p_max) <= _doherty(hi, p_max) + 1e-15
     assert _classb(0.0, p_max) == 0.0
     assert _doherty(0.0, p_max) == 0.0
+
+
+@given(p_max=st.floats(1e-300, 1.7976931348623157e308), share=st.floats(0.0, 1.0))
+@settings(max_examples=200)
+def test_amplifier_draw_is_the_root_of_the_product_or_where_it_overflows_of_each_factor(
+        p_max, share):
+    p_out = share * p_max
+    doherty = (2.0 if p_out < 0.25 * p_max else 6.0) / math.pi
+    for draw, scale in ((_classb(p_out, p_max), 2.0 / math.pi), (_doherty(p_out, p_max), doherty)):
+        if p_out * p_max < math.inf:   # the root of the product itself, bit for bit
+            assert draw == scale * math.sqrt(p_out * p_max)
+        else:
+            assert draw == pytest.approx(scale * math.sqrt(p_out) * math.sqrt(p_max), rel=1e-15)
 
 
 # --- device aggregates -------------------------------------------------------------

@@ -19,11 +19,12 @@ from b5gcell import power, scenario
 from b5gcell.power import pa_power_classb, power_mbs
 from b5gcell.scenario import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
-from result_columns import columns, point_at
+from result_columns import point_at
 
 SEP = VariantSpec("sep-mmwave", "sep-mmwave", 64)
 LIFI = VariantSpec("sep-lifi", "sep-lifi", 64)
 NON = VariantSpec("nonsep", "nonsep", 64)
+NAN = math.nan
 
 
 def test_variant_validation():
@@ -381,11 +382,23 @@ def test_each_buildings_amplifier_column_is_drawn_once(bundle, monkeypatch):
 
 
 def test_an_overflowed_total_power_is_infeasible(bundle):
-    # a rating the loader accepts lets the amplifiers' sum overflow: inf is no answer
+    # a rating the loader accepts lets the amplifiers' sum overflow within the rating
+    # (from SE 1023.45 on, where the total would pass 1.8e308 W): inf is no answer
     huge = bundle._replace(mbsala=bundle.mbsala._replace(pa_max=1e308))
-    column = build_scenario(huge, NON).points([0.0, 900.0, 1020.0], SE_VARIABLE)
-    assert column["feasible"] == [True, False, False]
-    assert all(math.isnan(column[field][i]) for field in POWER_FIELDS for i in (1, 2))
+    column = build_scenario(huge, NON).points([0.0, 1023.0, 1023.5], SE_VARIABLE)
+    assert column["feasible"] == [True, True, False]
+    assert all(math.isnan(column[field][2]) for field in POWER_FIELDS)
+
+
+def test_an_amplifier_whose_output_times_rating_overflows_keeps_its_point(bundle):
+    # from SE 9.319 on p_out * pa_max passes the float maximum, while the draw
+    # sqrt(p_out * pa_max) is about 4e155 W
+    huge = bundle._replace(mbsala=bundle.mbsala._replace(pa_max=1e308))
+    column = build_scenario(huge, NON).points([9.318, 9.319, 9.4], SE_VARIABLE)
+    assert column["feasible"] == [True, True, True]
+    assert all(math.isfinite(p) for p in column["total_power_w"])
+    # where the product fits, the draw is the root of the product itself
+    assert column["total_power_w"][0] == 4.104391448023326e+155
 
 
 @st.composite
@@ -450,32 +463,34 @@ def test_random_placement_respects_bounds(bundle):
     assert np.all(np.abs(offsets) <= bundle.layout.room_halfwidth_m)
 
 
-def _summary(columns):
-    """analyze's summary of the reader's *columns* as {key: value}."""
-    return dict(line.rsplit("=", 1) for line in _summarize(columns, {}))
+def _summary(xs, columns):
+    """analyze's summary of the engine-form *columns* over *xs* as {key: value}, each
+    variant a nonsep one (no saving lines)."""
+    variants = tuple(VariantSpec(name, "nonsep", 64) for name in columns)
+    return dict(line.rsplit("=", 1) for line in _summarize(xs, variants, columns))
 
 
-def _columns(name, xs, powers, ees=None):
-    """Synthetic reader columns of one variant; a None power (or EE) marks an
+def _columns(name, powers, ees=None):
+    """Synthetic engine columns of one variant; a NaN power (or EE) marks an
     infeasible point, which carries neither."""
-    ees = ees or [None if p is None else 1.0 for p in powers]
-    feasible = [p is not None and e is not None for p, e in zip(powers, ees)]
-    return {name: ([float(x) for x in xs],
-                   [p if ok else None for p, ok in zip(powers, feasible)],
-                   [e if ok else None for e, ok in zip(ees, feasible)])}
+    ees = ees or [1.0] * len(powers)
+    feasible = [not (math.isnan(p) or math.isnan(e)) for p, e in zip(powers, ees)]
+    return {name: {"total_power_w": [p if ok else NAN for p, ok in zip(powers, feasible)],
+                   "ee": [e if ok else NAN for e, ok in zip(ees, feasible)]}}
 
 
-def _fake_columns(xs, pa, pb):
-    return {**_columns("a", xs, pa), **_columns("b", xs, pb)}
+def _pair_summary(xs, pa, pb):
+    """The summary of variants a and b, whose total powers over *xs* are *pa* and *pb*."""
+    return _summary(xs, {**_columns("a", pa), **_columns("b", pb)})
 
 
 def test_crossing_linear_interpolation():
-    summary = _summary(_fake_columns([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [2.0, 2.0, 2.0]))
+    summary = _pair_summary([0.0, 1.0, 2.0], [0.0, 1.0, 4.0], [2.0, 2.0, 2.0])
     assert float(summary["crossing.a.vs.b"]) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 def test_crossing_none_without_sign_change():
-    summary = _summary(_fake_columns([0.0, 1.0], [0.0, 1.0], [2.0, 3.0]))
+    summary = _pair_summary([0.0, 1.0], [0.0, 1.0], [2.0, 3.0])
     assert "crossing.a.vs.b" not in summary
 
 
@@ -483,24 +498,24 @@ def test_crossing_none_without_sign_change():
                          ids=["one-zero", "run-of-zeros"])
 def test_crossing_through_an_exact_zero_is_reported_at_its_first_x(pa):
     xs = [0.0, 1.0, 2.0, 3.0][:len(pa)]
-    summary = _summary(_fake_columns(xs, pa, [2.0] * len(pa)))
+    summary = _pair_summary(xs, pa, [2.0] * len(pa))
     assert float(summary["crossing.a.vs.b"]) == 1.0
 
 
 @pytest.mark.parametrize("pa", [[3.0, 2.0, 3.0], [1.0, 2.0, 2.0, 1.0], [3.0, 2.0]],
                          ids=["touch-above", "touch-below", "zero-at-end"])
 def test_a_touch_gives_no_crossing(pa):
-    summary = _summary(_fake_columns([0.0, 1.0, 2.0, 3.0][:len(pa)], pa, [2.0] * len(pa)))
+    summary = _pair_summary([0.0, 1.0, 2.0, 3.0][:len(pa)], pa, [2.0] * len(pa))
     assert "crossing.a.vs.b" not in summary
 
 
 def test_a_zero_at_the_start_is_no_crossing_but_a_later_flip_is():
-    summary = _summary(_fake_columns([0.0, 1.0, 2.0], [2.0, 3.0, 1.0], [2.0, 2.0, 2.0]))
+    summary = _pair_summary([0.0, 1.0, 2.0], [2.0, 3.0, 1.0], [2.0, 2.0, 2.0])
     assert float(summary["crossing.a.vs.b"]) == 1.5
 
 
 def test_crossing_ignores_intervals_with_gaps():
-    summary = _summary(_fake_columns([0.0, 1.0, 2.0], [0.0, None, 4.0], [2.0, None, 2.0]))
+    summary = _pair_summary([0.0, 1.0, 2.0], [0.0, NAN, 4.0], [2.0, NAN, 2.0])
     assert "crossing.a.vs.b" not in summary
 
 
@@ -508,10 +523,9 @@ def test_mean_saving_adds_in_row_order_on_every_python():
     # ten savings of 0.3: in row order they add to 3.0, where the built-in sum
     # of Python 3.12 on (compensated) gives 3.0000000000000004
     xs = [float(i) for i in range(10)]
-    columns = {**_columns("lifi", xs, [0.7] * 10), **_columns("mm", xs, [1.0] * 10)}
-    specs = {"lifi": VariantSpec("lifi", "sep-lifi", 64),
-             "mm": VariantSpec("mm", "sep-mmwave", 64)}
-    lines = _summarize(columns, specs)
+    columns = {**_columns("lifi", [0.7] * 10), **_columns("mm", [1.0] * 10)}
+    variants = (VariantSpec("lifi", "sep-lifi", 64), VariantSpec("mm", "sep-mmwave", 64))
+    lines = _summarize(xs, variants, columns)
     assert "saving.lifi.vs.mm.mean_percent=30.0" in lines
 
 
@@ -523,9 +537,9 @@ def test_unknown_variant_name_raises(bundle):
 
 
 def _ee_summary(shape, grid):
-    """Summary of one synthetic SE sweep whose EE is shape(s), None = infeasible."""
+    """Summary of one synthetic SE sweep whose EE is shape(s), NaN = infeasible."""
     ees = [shape(s) for s in grid]
-    return _summary(_columns("stub", grid, [1.0] * len(grid), ees))
+    return _summary(grid, _columns("stub", [1.0] * len(grid), ees))
 
 
 def test_ee_curve_finds_the_analytic_peak():
@@ -543,7 +557,7 @@ def test_ee_curve_boundary_peak_not_interior():
 
 
 def test_ee_curve_skips_infeasible_tail():
-    summary = _ee_summary(lambda s: s * 2.0 ** (-s) if s < 3 else None,
+    summary = _ee_summary(lambda s: s * 2.0 ** (-s) if s < 3 else NAN,
                           [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
     assert summary["stub.max_feasible_x"] == "2.5"
     assert summary["stub.peak_ee_interior"] == "true"
@@ -551,8 +565,8 @@ def test_ee_curve_skips_infeasible_tail():
 
 def test_ee_curve_on_the_real_model(bundle):
     model = build_scenario(bundle, NON)
-    grid = np.linspace(0.5, 12.0, 24)
-    summary = _summary(columns(grid, {"nonsep": model.points(grid, SE_VARIABLE)}))
+    grid = tuple(np.linspace(0.5, 12.0, 24).tolist())
+    summary = _summary(grid, {"nonsep": model.points(grid, SE_VARIABLE)})
     assert summary["variants"] == "nonsep"
     assert float(summary["nonsep.peak_ee"]) > 0
     assert summary["nonsep.peak_ee_interior"] == "true"
