@@ -5,18 +5,19 @@ writes results.csv, manifest.txt and SVG charts into an output directory.
 ``b5gcell analyze`` reads such a directory back and summarizes floors,
 crossings and peaks.
 
-Exit codes: 0 ok, 1 bad configuration or input, 2 sweep had no feasible point.
+Exit codes: 0 ok (``--help``, ``--version`` too); 1 a usage error or bad configuration or input,
+with one ``error:`` line that names the option or key; 2 sweep or analysis found no feasible point.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import math
 import sys
 import time
 from operator import eq, sub, truediv
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepSpec,
@@ -27,6 +28,12 @@ DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
 # --variable choice -> (x_kind, default grid, chart x label)
 VARIABLES = {"rate": (RATE_VARIABLE, "0:6e9:25", "total rate (bit/s)"),
              "se": (SE_VARIABLE, "0.5:24:48", "per-link SE (bit/s/Hz)")}
+# command -> option -> (default, or ... if required; the tuple of choices, or a placeholder)
+OPTIONS = {"sweep": {"--out": (..., "DIR"), "--config": (None, "FILE"),
+                     "--variable": ("rate", tuple(VARIABLES)), "--grid": (None, "MIN:MAX:POINTS"),
+                     "--variants": (DEFAULT_VARIANTS, "KIND[:mt=N],..."), "--seed": (0, "N"),
+                     "--plot": ("on", ("on", "off"))},
+           "analyze": {"--in": (..., "DIR"), "--config": (None, "FILE")}}
 
 
 def _grid_bounds(text: str) -> tuple:
@@ -359,39 +366,52 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="b5gcell",
-        description="cell power / spectral / energy efficiency sweeps")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage() -> str:
+    text = "usage: b5gcell COMMAND [--option value | --option=value ...] | --help | --version"
+    for command, options in OPTIONS.items():
+        text += f"\n\n{command}:" + "".join(
+            f"\n  {name} {'|'.join(values) if isinstance(values, tuple) else values}"
+            + {None: "", ...: "  (required)"}.get(default, f"  (default {default})")
+            for name, (default, values) in options.items())
+    return text + "\n\n--grid default: " + ", ".join(k + " " + v[1] for k, v in VARIABLES.items())
 
-    sweep = sub.add_parser("sweep", help="evaluate variants over a grid")
-    sweep.add_argument("--config", default=None, help="config file (defaults used when omitted)")
-    sweep.add_argument("--variable", choices=tuple(VARIABLES), default="rate")
-    sweep.add_argument("--grid", default=None, help="min:max:points (default %s)" % ", ".join(
-        f"{key} {grid}" for key, (_, grid, _) in VARIABLES.items()))
-    sweep.add_argument("--variants", default=DEFAULT_VARIANTS,
-                       help="comma list of sep-mmwave|sep-lifi|nonsep, each "
-                            "optionally :mt=N (default %(default)s)")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--out", required=True, help="output directory")
-    sweep.add_argument("--plot", choices=("on", "off"), default="on")
-    sweep.set_defaults(func=cmd_sweep)
 
-    analyze = sub.add_parser("analyze", help="summarize a sweep directory")
-    analyze.add_argument("--in", required=True, help="directory with results.csv")
-    analyze.add_argument("--config", default=None,
-                         help="verify this config matches the sweep manifest")
-    analyze.set_defaults(func=cmd_analyze)
-    return parser
+def parse_args(argv: list) -> tuple:
+    """*argv*'s command and a namespace of its OPTIONS' values; a ConfigError names the fault."""
+    if not argv or argv[0] not in OPTIONS:
+        raise ConfigError((f"unknown command {argv[0]!r}" if argv else "no command")
+                          + f": use {' or '.join(OPTIONS)}")
+    command, options, given, tokens = argv[0], OPTIONS[argv[0]], {}, iter(argv[1:])
+    for token in tokens:
+        name, assigned, value = token.partition("=")
+        if name not in options or name in given:
+            raise ConfigError(f"{name} given twice" if name in given
+                              else f"{command}: unrecognized argument {token!r}")
+        value = given[name] = value if assigned else next(tokens, "--")
+        if not assigned and value.startswith("--"):
+            raise ConfigError(f"{name} needs a value")
+    args = {}
+    for name, (default, values) in options.items():
+        value = given.get(name, default)
+        if value is ... or isinstance(values, tuple) and value not in values:
+            raise ConfigError(f"{command} needs {name}" if value is ... else
+                              f"{name} must be one of {', '.join(values)}, got {value!r}")
+        try:
+            args[name[2:]] = int(value) if type(default) is int else value
+        except ValueError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    return command, SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--version"] or "-h" in argv or "--help" in argv:
+        print(__version__ if argv[:1] == ["--version"] else _usage())
+        return 0
     try:
-        return args.func(args)
+        command, args = parse_args(argv)
+        # looked up at each call, so that a function put in their place is the one called
+        return (cmd_sweep if command == "sweep" else cmd_analyze)(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import b5gcell
 from b5gcell import ConfigError, SweepSpec, default_bundle, load_config, run_sweep, write_config
-from b5gcell.cli import (CSV_HEADER, DEFAULT_VARIANTS, VARIABLES, _read_results, _reprs,
+from b5gcell import cli
+from b5gcell.cli import (CSV_HEADER, DEFAULT_VARIANTS, OPTIONS, VARIABLES, _read_results, _reprs,
                          _summarize, main, parse_grid, parse_variants)
 from b5gcell.config import DEFAULTS
 from b5gcell.records import VARIANT_KINDS
@@ -620,9 +621,138 @@ def test_analyze_matching_config_passes(tmp_path):
 
 
 def test_version_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_prints_the_readme_usage_block(capsys, flag):
+    assert main(["sweep", flag]) == 0
+    usage = capsys.readouterr().out
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"```text\n$ b5gcell --help\n{usage}```\n" in readme
+    for command, options in OPTIONS.items():
+        assert f"\n{command}:\n" in usage and all(f"\n  {name} " in usage for name in options)
+
+
+def test_options_take_their_value_after_a_space_or_an_equals_sign(tmp_path):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(["sweep", "--out", str(spaced), "--seed", "3", "--plot", "off", *FAST]) == 0
+    assert main(["sweep", f"--out={joined}", "--seed=3", "--plot=off", "--grid=0:2e9:5"]) == 0
+    assert (spaced / "results.csv").read_bytes() == (joined / "results.csv").read_bytes()
+    assert _manifest(spaced)["seed"] == _manifest(joined)["seed"] == "3"
+
+
+# usage errors, each with the option or argument its message names; "OUT" is the
+# output directory, which none of them may make
+USAGE_ERRORS = {
+    "bad-choice": (["sweep", "--plot", "maybe", "--out", "OUT"], "--plot"),
+    "bad-variable": (["sweep", "--variable", "foo", "--out", "OUT"], "--variable"),
+    "bad-seed": (["sweep", "--seed", "x", "--out", "OUT"], "--seed"),
+    "sweep-without-out": (["sweep", *FAST], "--out"),
+    "analyze-without-in": (["analyze"], "--in"),
+    "unknown-option": (["sweep", "--out", "OUT", "--bogus", "1"], "--bogus"),
+    "unknown-option-with-value": (["sweep", "--out", "OUT", "--bogus=1"], "--bogus"),
+    "abbreviated-option": (["sweep", "--vari", "se", "--out", "OUT"], "--vari"),
+    "option-of-the-other-command": (["analyze", "--in", "OUT", "--plot", "off"], "--plot"),
+    "stray-argument": (["sweep", "--out", "OUT", "stray"], "stray"),
+    "unknown-command": (["frobnicate", "--out", "OUT"], "frobnicate"),
+    "missing-command": ([], "sweep or analyze"),
+    "option-before-command": (["--out", "OUT", "sweep"], "--out"),
+    "repeated-option": (["sweep", "--out", "OUT", "--seed", "1", "--seed=2"], "--seed"),
+    "trailing-option": (["sweep", "--out", "OUT", "--seed"], "--seed"),
+    "option-as-value": (["sweep", "--out", "--plot", "off"], "--out"),
+}
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_1_with_one_line_naming_the_option(tmp_path, capsys, argv, named):
+    out = tmp_path / "run"
+    assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and named in line and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_main_calls_the_command_functions_bound_at_call_time(monkeypatch):
+    # perfbench's tracer times the commands by rebinding these module attributes
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: calls.append(args) or 0)
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: calls.append(args) or 2)
+    assert main(["sweep", "--out", "x", "--seed", "7"]) == 0
+    assert main(["analyze", "--in=y"]) == 2
+    assert [vars(args) for args in calls] == [
+        {"out": "x", "config": None, "variable": "rate", "grid": None,
+         "variants": DEFAULT_VARIANTS, "seed": 7, "plot": "on"},
+        {"in": "y", "config": None}]
+
+
+# an option's values: ones the command takes and junk; "DONE" and "EDGE" are sweep
+# directories with and without a feasible point
+ARGV_VALUES = {
+    "--out": ["run", "DIR/out", "DIR/cell.cfg"],
+    "--in": ["run", "DONE", "EDGE", "missing"],
+    "--config": ["DIR/cell.cfg", "missing.cfg", ""],
+    "--variable": ["rate", "se", "foo", ""],
+    "--grid": ["0:2e9:5", "0.5:24:7", "5e11:6e11:3", "1:0:5", "0:1:1", "x", ""],
+    "--variants": [DEFAULT_VARIANTS, "nonsep", "sep-lifi:mt=8", "bogus", ","],
+    "--seed": ["0", "3", "+2", "-1", "x", ""],
+    "--plot": ["on", "off", "maybe"],
+}
+NO_FEASIBLE_POINT = ("warning: no feasible point in the sweep",
+                     "error: no feasible rows to analyze")
+
+
+@st.composite
+def _argvs(draw):
+    """A command line from the table's names, their values and junk.  Most name a
+    command and give its required option first; a few repeat an option, or hold a
+    stray token or an option without its value."""
+    command = draw(st.sampled_from(["sweep"] * 3 + ["analyze"] * 3 + ["frobnicate", "--version",
+                                                                      None]))
+    argv = [] if command is None else [command]
+    names = [*OPTIONS.get(command, ARGV_VALUES)]
+    if command in OPTIONS and draw(st.integers(0, 3)) < 3:
+        names.remove(required := "--out" if command == "sweep" else "--in")
+        argv += [required, draw(st.sampled_from(ARGV_VALUES[required]))]
+    names = draw(st.lists(st.sampled_from(names), unique=True, max_size=4))
+    if names and draw(st.integers(0, 7)) == 7:
+        names.append(names[0])
+    for name in names:
+        value = draw(st.sampled_from(ARGV_VALUES.get(name, ["1"])))
+        argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    if draw(st.integers(0, 3)) == 3:
+        junk = draw(st.sampled_from(["stray", "--", "=", "-h", "--bogus", "--vari", *ARGV_VALUES]))
+        argv.insert(len(argv) - draw(st.integers(0, len(argv))), junk)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_every_command_line_exits_0_1_or_2(tmp_path_factory, argv):
+    done = tmp_path_factory.getbasetemp() / "argv-runs"
+    if not done.exists():   # the two sweep directories that --in reads, made once
+        main(["sweep", "--out", str(done / "done"), "--plot", "off", *FAST])
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["sweep", "--out", str(done / "edge"), "--plot", "off", "--grid", "5e11:6e11:3"])
+    base = tmp_path_factory.mktemp("argv")
+    write_config(default_bundle(), str(base / "cell.cfg"))
+    argv = [arg.replace("DIR", str(base)).replace("DONE", str(done / "done"))
+            .replace("EDGE", str(done / "edge")) for arg in argv]
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(base)   # relative paths land in the example's own directory
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    event(f"exit {code}")   # seen with --hypothesis-show-statistics
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+    if code == 2:
+        assert argv[0] in OPTIONS and err.getvalue().rstrip("\n") in NO_FEASIBLE_POINT
 
 
 def test_sweep_bad_vector_component_exits_1_naming_key(tmp_path, capsys):
@@ -927,6 +1057,10 @@ except SystemExit as exc:
 """
 
 
+# argparse and what it loads: the command line is read from the OPTIONS table instead
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
 def _numpy_modules(loaded):
     return {name for name in loaded if name == "numpy" or name.startswith("numpy.")}
 
@@ -956,9 +1090,15 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
     # digests come from the built-in SHA-256, so no command maps OpenSSL's _hashlib
     unused = {"numpy", "dataclasses", "_hashlib", "b5gcell.svgplot"} if with_config else \
         {"numpy", "dataclasses", "datetime", "hashlib", "_hashlib", "_sha2", "_sha256",
-         "b5gcell.config", "b5gcell.svgplot"}
+         "b5gcell.config", "b5gcell.svgplot", *PARSER_MODULES}
     assert loaded & unused == set()
     assert _numpy_modules(loaded) == set()
+
+
+def test_version_loads_no_argument_parser():
+    code, loaded, stdout = _probe("--version")
+    assert (code, stdout) == ("exit=0", "0.1.0\n")
+    assert loaded & PARSER_MODULES == set()
 
 
 def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path):
@@ -967,7 +1107,8 @@ def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path)
     code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
     assert code == "exit=0"
     assert _numpy_modules(loaded) == set()
-    assert loaded & {"dataclasses", "datetime", "_hashlib", "b5gcell.stream"} == set()
+    assert loaded & {"dataclasses", "datetime", "_hashlib", "b5gcell.stream", *PARSER_MODULES} \
+        == set()
     assert (out / "results.csv").is_file()
     # the manifest's UTC timestamp, to the second, in ISO 8601 with its offset
     stamp = _manifest(out)["timestamp"]
