@@ -388,7 +388,7 @@ def parse_args(argv: list) -> tuple:
             raise ConfigError(f"{name} given twice" if name in given
                               else f"{command}: unrecognized argument {token!r}")
         value = given[name] = value if assigned else next(tokens, "--")
-        if not assigned and value.startswith("--"):
+        if not assigned and value.startswith("--") or not value and options[name][0] is ...:
             raise ConfigError(f"{name} needs a value")
     args = {}
     for name, (default, values) in options.items():

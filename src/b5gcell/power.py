@@ -14,6 +14,8 @@ Conventions fixed here once:
 * An amplifier's output power is a column, one float per grid point (a list),
   and so is every rate-dependent result; a law maps over a column point by
   point, so every entry of its result equals that point's own evaluation.
+* Identical devices scale by their count, one rounding; ``records.add_up``
+  sums only distinct terms, in order.
 
 Each device has one law, baseband GOPS / rho plus its RF front end plus its
 amplifier, over the supply divisor where it owns one, and each law sums its own
@@ -33,11 +35,9 @@ from .config import ConfigBundle
 from .records import add_up
 
 
-class DevicePower(namedtuple("DevicePower", "kind p_bb p_rf p_pa p_total p_illum p_comm",
-                             defaults=(0.0, 0.0))):
-    """Power breakdown of one device (W)."""
-
-    __slots__ = ()
+DevicePower = namedtuple("DevicePower", "kind p_bb p_rf p_pa p_total p_illum p_comm",
+                         defaults=(0.0, 0.0))
+DevicePower.__doc__ = "Power breakdown of one device (W)."
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +93,17 @@ def overhead_divisor(b: ConfigBundle) -> float:
 
 def power_mbsala(cfg, b: ConfigBundle, p_out_per_building, streams: int) -> DevicePower:
     """One relay array: baseband (filtering, FFT, channel estimation, precoding,
-    mapping, control, network) + RF over m_t antennas + a class-B amplifier per
-    stream, a building's *streams* streams sharing its output-power column in
-    *p_out_per_building*, drawn once.  No divisor: the macro site's supply has it."""
+    mapping, control, network) + RF over m_t antennas + *streams* class-B amplifiers
+    per building, sharing its column in *p_out_per_building*: *streams* times the
+    in-order sum of the buildings' draws.  No divisor: the macro site's supply has it."""
     g, rf = b.gops, b.mbsala
     blocks_per_s = g.n_symbols * g.frame_rate / cfg.coherence_block
     gops = (g.fltr + _gops_fft(g) + cfg.pilot_len * cfg.m_t * cfg.n_ue * blocks_per_s / 1e9
             + _gops_precoding(cfg, g, cfg.m_t) + g.map + g.ctrl + g.nw)
     p_bb = gops / b.devices.rho
     p_rf = cfg.m_t * (rf.p_mod + rf.p_mix + rf.p_dac) + math.sqrt(cfg.m_t) * rf.p_clk
-    p_pa = add_up([pa for p in p_out_per_building
-                   for pa in [pa_power_classb(p, rf.pa_max)] * streams])
+    p_pa = [streams * pa for pa in add_up([pa_power_classb(p, rf.pa_max)
+                                           for p in p_out_per_building])]
     base = p_bb + p_rf
     return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
                        p_total=[base + pa for pa in p_pa])
@@ -151,19 +151,17 @@ def power_lifi_iap(led, h_los: float) -> DevicePower:
                        p_total=p_illum + p_comm, p_illum=p_illum, p_comm=p_comm)
 
 
-def power_mbs(cfg, b: ConfigBundle, mbsala_powers) -> DevicePower:
+def power_mbs(cfg, b: ConfigBundle, mbsala: DevicePower) -> DevicePower:
     """Macro site: its own baseband (encoding, control and network per attached
-    array) plus its relay arrays, all over the supply divisor.
+    array) plus n_arrays copies of the relay array *mbsala*, over the supply divisor.
 
     The reported breakdown aggregates the arrays' stages so that
     p_total * divisor == p_bb + p_rf + p_pa holds exactly.
     """
     g, arrays = b.gops, cfg.n_arrays
     site_gops = arrays * g.enc + arrays * g.ctrl + arrays * g.nw
-    p_bb = site_gops / b.devices.rho + add_up([m.p_bb for m in mbsala_powers])
-    p_rf = add_up([m.p_rf for m in mbsala_powers])
-    p_pa = add_up([m.p_pa for m in mbsala_powers])
+    p_bb = site_gops / b.devices.rho + arrays * mbsala.p_bb
+    p_rf, p_pa = arrays * mbsala.p_rf, [arrays * pa for pa in mbsala.p_pa]
     base, divisor = p_bb + p_rf, overhead_divisor(b)
     return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
                        p_total=[(base + pa) / divisor for pa in p_pa])
-

@@ -4,7 +4,7 @@ engine or the config table."""
 
 import math
 from collections import namedtuple
-from functools import reduce
+from functools import cache, reduce
 from itertools import repeat
 from operator import add
 
@@ -21,14 +21,19 @@ class ConfigError(ValueError):
     """Raised when a config file, env override, or bundle violates an invariant."""
 
 
+@cache   # looked up once: a failed import is not cached
+def _sha256_type():
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            continue
+
+
 def sha256(data: bytes = b""):
     """``hashlib.sha256(data)`` from CPython's built-in ``_sha2`` (``_sha256`` before 3.12),
     so a digest does not load OpenSSL; ``hashlib`` only on a build without either."""
-    for name in ("_sha2", "_sha256", "hashlib"):
-        try:
-            return __import__(name).sha256(data)
-        except ImportError:
-            continue
+    return _sha256_type()(data)
 
 
 def add_up(terms):
@@ -94,8 +99,6 @@ class SweepSpec(namedtuple("SweepSpec", "variable grid variants")):
         return cls(*iterable)
 
 
-class SweepResult(namedtuple("SweepResult", "spec seed columns")):
-    """Per variant name, in ``spec.variants`` order, the columns that
-    ``ScenarioModel.points`` returns over ``spec.grid``."""
-
-    __slots__ = ()
+SweepResult = namedtuple("SweepResult", "spec seed columns")
+SweepResult.__doc__ = """Per variant name, in ``spec.variants`` order, the columns that
+``ScenarioModel.points`` returns over ``spec.grid``."""

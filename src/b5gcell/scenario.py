@@ -63,7 +63,8 @@ class ScenarioModel:
         self._link = (relay, cfg.m_t, tuple(self.beta_out))
 
         # the swept total rate is split equally over every indoor user
-        self.n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
+        self.n_devices = cfg.n_arrays * cfg.n_buildings   # building arrays, access points
+        self.n_users = self.n_devices * cfg.n_iue
         self.sigma_out = cfg.noise_variance
         # indoor noise: identical density and noise figure, wider band
         self.sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
@@ -74,14 +75,10 @@ class ScenarioModel:
         dz = layout.user_height_m - layout.iap_height_m
         self.user_distances = [math.sqrt(x * x + y * y + dz * dz) for x, y in offsets]
 
-        # rate-independent device powers: only the amplifiers follow the rate,
-        # so points() applies the device laws that have one; device sums run
-        # term by term in device order
-        n_devices = cfg.n_arrays * cfg.n_buildings
-        self._bmaa_sum = self._iap_sum = 0.0
-        self._lifi_capacity = math.inf   # nonsep: the outdoor link serves every rate
-        if variant.kind != "nonsep":
-            self._bmaa_sum = add_up([power_bmaa(cfg, bundle).p_total] * n_devices)
+        # rate-independent device powers, n_devices times one device's: only the
+        # amplifiers follow the rate, so points() applies the device laws that have one
+        self._bmaa_sum = self.n_devices * power_bmaa(cfg, bundle).p_total if relay else 0.0
+        self._iap_sum, self._lifi_capacity = 0.0, math.inf   # nonsep: no access limit
         if variant.kind == "sep-mmwave":
             self.beta_access = _gains("scenario.carrier_freq_in, layout.iap_height_m, "
                                       f"layout.user_height_m, {placed_by[1]}",
@@ -96,7 +93,7 @@ class ScenarioModel:
                     "scenario.bandwidth_in", "layout.iap_height_m", "layout.user_height_m"]
                 raise ConfigError(f"{', '.join(keys)}, {placed_by[1]}: must give a LiFi link "
                                   "and LED drive in float range") from None
-            self._iap_sum = add_up([iap.p_total] * n_devices)
+            self._iap_sum = self.n_devices * iap.p_total
 
     # -- indoor access precomputation ------------------------------------
 
@@ -166,7 +163,7 @@ class ScenarioModel:
         # gain asks the most of its amplifiers: its rating alone bounds the backhaul
         weakest, pa_max = p_out[betas.index(min(betas))], b.mbsala.pa_max
         mbsala = power_mbsala(cfg, b, p_out, streams)
-        return power_mbs(cfg, b, [mbsala] * cfg.n_arrays).p_total, [x <= pa_max for x in weakest]
+        return power_mbs(cfg, b, mbsala).p_total, [x <= pa_max for x in weakest]
 
     def _indoor(self, rates) -> tuple:
         """The indoor access's (access points' summed power, every user served)."""
@@ -177,7 +174,7 @@ class ScenarioModel:
         p_out = self._access_power(required_sinr(
             [x / self.n_users / cfg.bandwidth_in for x in rates], cfg.gamma))
         iap, pa_max = power_iap_mmwave(cfg, self.bundle, p_out), self.bundle.iap.pa_max
-        return (add_up([iap.p_total] * (cfg.n_arrays * cfg.n_buildings)),
+        return ([self.n_devices * p for p in iap.p_total],
                 [p <= pa_max for p in p_out])   # False where NaN (unmeetable)
 
     def points(self, xs, x_kind: str = RATE_VARIABLE) -> dict:
@@ -190,11 +187,12 @@ class ScenarioModel:
         A point is the outdoor link plus the indoor access.  Returns the list
         of bools ``feasible`` and one list of floats per POWER_FIELDS name, NaN
         where infeasible.  Only the amplifiers depend on the rate; the building
-        arrays' and LiFi access points' powers were fixed at build.  Sums run
-        term by term in device order, so every entry equals its one-point
-        evaluation exactly.  An amplifier past its rating, or a total power of 0
-        or past float range, makes its point infeasible, so the laws take the
-        demand unclipped: only NaN comes out of them there.
+        arrays' and LiFi access points' powers were fixed at build.  Identical
+        devices scale by their count and distinct terms add in order, so every
+        entry equals its one-point evaluation exactly.  An amplifier past its
+        rating, or a total power of 0 or past float range, makes its point
+        infeasible, so the laws take the demand unclipped: only NaN comes out
+        of them there.
         """
         rates = self._rates(xs, x_kind)
         return self._add(rates, self._outdoor(rates))

@@ -4,10 +4,12 @@ This is the evaluation the scenario engine once ran for every grid point, one
 point at a time: the required SINR through Python's ``**``, the indoor access
 system built as a full n x n matrix of beam expectations and solved once per
 point, and every device built through the laws of ``b5gcell.power``, each
-called on one-point columns, and summed by ``power_cell`` below.  It reads the
-model's geometry and gains but neither its closed-form access power nor its
-precomputed device powers: every device law runs again at every point.  The laws themselves are shared, so the
-hand-transcribed device powers in ``tests/test_power.py`` check them.
+called on one-point columns, and summed by ``power_cell`` below: identical
+devices scale by their count, one rounding, and distinct terms add in order.
+It reads the model's geometry and gains but neither its closed-form access
+power nor its precomputed device powers: every device law runs again at every
+point.  The laws themselves are shared, so the hand-transcribed device powers
+in ``tests/test_power.py`` check them.
 ``ScenarioModel.points``
 must reproduce its rows bit for bit, except that the summed access power of a
 ``sep-mmwave`` row (and so its total power, EE and access point power) may
@@ -51,11 +53,13 @@ def plain_sum(terms) -> float:
     return functools.reduce(add, terms, 0)
 
 
-def power_cell(mbs, bmaa_powers=(), iap_powers=()) -> float:
-    """Cell total: macro site plus every building array and access point."""
-    return (mbs.p_total
-            + plain_sum(p.p_total for p in bmaa_powers)
-            + plain_sum(p.p_total for p in iap_powers))
+def power_cell(mbs, count: int = 0, *devices) -> float:
+    """Cell total: macro site plus *count* of each of *devices*, in order (a
+    building array, then an access point)."""
+    total = mbs.p_total
+    for device in devices:
+        total += count * device.p_total
+    return total
 
 
 def at_point(device):
@@ -132,12 +136,11 @@ def _backhaul_powers(model, rate_user: float):
 def _outdoor_devices(model, powers, streams: int):
     cfg, b = model.cfg, model.bundle
     mbsala = power_mbsala(cfg, b, [[p] for p in powers], streams)
-    return at_point(power_mbs(cfg, b, [mbsala] * cfg.n_arrays))
+    return at_point(power_mbs(cfg, b, mbsala))
 
 
 def _separate_point(model, rate_user: float):
     cfg, b = model.cfg, model.bundle
-    n_devices = cfg.n_arrays * cfg.n_buildings
     if model.variant.kind == "sep-mmwave":
         target = required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma)
         powers = solve_mmwave_powers(model, target)
@@ -155,8 +158,7 @@ def _separate_point(model, rate_user: float):
                 return None
         iap = power_lifi_iap(model.bundle.lifi_led, plain_sum(model.lifi_h) / len(model.lifi_h))
     mbs = _outdoor_devices(model, _backhaul_powers(model, rate_user), cfg.n_beams)
-    bmaa = power_bmaa(cfg, b)
-    return mbs, [bmaa] * n_devices, [iap] * n_devices
+    return mbs, (power_bmaa(cfg, b), iap)
 
 
 def _direct_point(model, rate_user: float):
@@ -168,7 +170,7 @@ def _direct_point(model, rate_user: float):
         if p > b.mbsala.pa_max:
             raise SaturationError(f"direct pa: {p!r} W > {b.mbsala.pa_max!r} W")
         powers.append(p)
-    return _outdoor_devices(model, powers, cfg.n_iue), [], []
+    return _outdoor_devices(model, powers, cfg.n_iue), ()
 
 
 def rate_point(model, total_rate: float, x_value=None,
@@ -188,14 +190,16 @@ def rate_point(model, total_rate: float, x_value=None,
         return infeasible
     if result is None:
         return infeasible
-    mbs, bmaa_list, iap_list = result
-    total = power_cell(mbs, bmaa_list, iap_list)
+    mbs, devices = result   # the building array and access point, or none
+    n_devices = cfg.n_arrays * cfg.n_buildings
+    total = power_cell(mbs, n_devices, *devices)
+    p_bmaa, p_iap = [n_devices * d.p_total for d in devices] or [0.0, 0.0]
     return PointResult(
         variant=model.variant.name, x_value=x, x_kind=x_kind, feasible=True,
         total_power_w=total, ee=total_rate / cfg.bandwidth_out / total,
         p_mbs_w=mbs.p_total,
-        p_bmaa_w=plain_sum(p.p_total for p in bmaa_list),
-        p_iap_w=plain_sum(p.p_total for p in iap_list),
+        p_bmaa_w=p_bmaa,
+        p_iap_w=p_iap,
     )
 
 

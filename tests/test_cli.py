@@ -140,24 +140,24 @@ def test_sweep_byte_identical_for_same_seed(tmp_path):
 # SHA-256 of the files a default sweep writes; each run has infeasible points
 PINNED_OUTPUTS = {
     "rate": ([], {}, {
-        "results.csv": "1038309d87df5674d8887590f00480e28f0a4bd811f069664dfc08ca76cd14ca",
+        "results.csv": "7d5a7cbab468a97218aded5b6e4ed6f5bee990d3b18ef0e770a129098bd12008",
         "power_vs_rate.svg": "167a6cd26a73a56179d25d211ee0d769fb87ec3a08cc7809d208da1ba9ce048c",
         "ee_vs_rate.svg": "6ad8be438eb9f3bf2d96bd0af91493992174b13b58209e80c5d9ea37ee5c0f1a",
     }),
     "se": (["--variable", "se"], {}, {
-        "results.csv": "801377624c2cd64ea53113e1e4919d29952f10889437ba3bacf709a0fa5578b4",
+        "results.csv": "bd4c57ece9cc50ae0c5e42129732f39ff81891bce09aa90eb4622b2f383fcad8",
         "power_vs_se.svg": "f83e307673d1d40f761114a4053bceedcb190ffa67d51dfc078b4b86e78c04a8",
         "ee_vs_se.svg": "eed37449db1b55545fa6c5b9dcdffc04361c798bc654723ceabd4a9f87b95885",
     }),
     "random-rate": ([], {"B5GCELL_LAYOUT__PLACEMENT": "random"}, {
-        "results.csv": "511af879ddc6e8f8c4bf27e0893265494ad5bf748c82901fd296d485fba46a1f",
+        "results.csv": "a00d6c1b0e51c46f16f8f30e6d36a5655585f0b96b0e2061e3a87343f4f9fdce",
         "power_vs_rate.svg": "a6aad39a331d2d33f109b65f37e90d6bc5bb43f23f316587bb9b532b6fda998c",
         "ee_vs_rate.svg": "0d4ecf7eec036c302a900353f0d72485be265f8dc5848de6658b770ae1c24549",
     }),
     # 6,000 rows, 422 of them infeasible; values repeat within and across the variants
     "dense-mt128": (["--grid", "0:6e9:2000", "--variants",
                      "sep-mmwave:mt=128,sep-lifi:mt=128,nonsep:mt=128"], {}, {
-        "results.csv": "8d9c275dbaf32a3ab8100d61f9c0ade7985628ec54629103042e305729be1948",
+        "results.csv": "5dabbd8a2b63d7c9c49c31e164efd2592e4858072ce620b4b71990464db31e5a",
         "power_vs_rate.svg": "290fa6c731e18d86ba424ae45bb3f5c7a9bf82e1ba403ff0da13ffcc5cba48bc",
         "ee_vs_rate.svg": "c35e486cdf4b44febc666cef4cfa775769340e7f663246abb8aba192dc82c9a3",
     }),
@@ -177,12 +177,12 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, monkeypatch, case):
 
 # SHA-256 of the summary.txt that analyze writes for the default rate and SE sweeps
 PINNED_SUMMARIES = {
-    "rate": ([], "6ff77d4a8019a20dbe2c36e6d1acb1a8d6b8788d101cc9cdee6febba97fec286"),
+    "rate": ([], "0d8b23f96641a9fb343f7fcd145651a3246640af224e409cd4e55dd7bd530366"),
     "se": (["--variable", "se"],
-           "c24af5792ad39ddb46d2c6618ddce7dc6bcc5d4dffc2b972271e62a31b3b2fd1"),
+           "7b81f3d914f9b0908fa20f61678f800e36b3710d2ea74f0c90eb30e1949927ec"),
     # nonsep.feasible=none and n_feasible=6, with both sep-* variants summarized
     "nonsep-infeasible": (["--grid", "5e9:6e9:3"],
-                          "8a71472e5987520ae2ae67c753ed7647a9a37b1187327e790924464d45ef367b"),
+                          "67a299fc2738d98522422efc9a6a450cde74e5ea89122e1553fe1b276b2ce00a"),
 }
 
 
@@ -662,17 +662,23 @@ USAGE_ERRORS = {
     "repeated-option": (["sweep", "--out", "OUT", "--seed", "1", "--seed=2"], "--seed"),
     "trailing-option": (["sweep", "--out", "OUT", "--seed"], "--seed"),
     "option-as-value": (["sweep", "--out", "--plot", "off"], "--out"),
+    # an empty directory would be the working directory
+    "empty-out": (["sweep", "--out=", "--plot", "off", *FAST], "--out"),
+    "empty-out-spaced": (["sweep", "--out", "", "--plot", "off", *FAST], "--out"),
+    "empty-in": (["analyze", "--in="], "--in"),
 }
 
 
 @pytest.mark.parametrize("argv, named", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
-def test_usage_error_exits_1_with_one_line_naming_the_option(tmp_path, capsys, argv, named):
+def test_usage_error_exits_1_with_one_line_naming_the_option(tmp_path, capsys, monkeypatch,
+                                                            argv, named):
     out = tmp_path / "run"
+    monkeypatch.chdir(tmp_path)
     assert main([str(out) if arg == "OUT" else arg for arg in argv]) == 1
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and named in line and "Traceback" not in captured.err
-    assert captured.out == "" and not out.exists()
+    assert captured.out == "" and not out.exists() and not any(tmp_path.iterdir())
 
 
 def test_main_calls_the_command_functions_bound_at_call_time(monkeypatch):
@@ -753,6 +759,51 @@ def test_every_command_line_exits_0_1_or_2(tmp_path_factory, argv):
         assert err.getvalue().startswith("error: ")
     if code == 2:
         assert argv[0] in OPTIONS and err.getvalue().rstrip("\n") in NO_FEASIBLE_POINT
+
+
+# log10 of the top of each float rule's accepted range; the others reach the float maximum
+TOP_EXPONENT = {"in [0, 1)": 0.0, "0 < gamma <= 1": 0.0,
+                "in (0, pi/2) rad": math.log10(math.pi / 2),
+                "in (0, pi/2] rad": math.log10(math.pi / 2)}
+FLOAT_KEYS = [key for key, d in DEFAULTS.items() if isinstance(d.value, float)]
+
+
+@st.composite
+def _float_overrides(draw):
+    """One or two float keys, each log-uniform from the least subnormal up to the top
+    of its rule's range (a range that ends open yields its end too); ">= 0" keys also 0."""
+    overrides = {}
+    for key in draw(st.lists(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=2, unique=True)):
+        rule = DEFAULTS[key].rule
+        value = 10.0 ** draw(st.floats(-323.5, TOP_EXPONENT.get(rule, 308.25)))
+        overrides[key] = 0.0 if rule == ">= 0" and draw(st.integers(0, 7)) == 0 else value
+    return overrides
+
+
+@settings(max_examples=100, deadline=None)
+@given(_float_overrides(), st.sampled_from(list(VARIABLES)))
+@example({"gops.enc": 1.7e308}, "rate").via("a site workload at the float maximum")
+@example({"devices.rho": 5e-324}, "rate").via("every baseband past the float maximum")
+@example({"mbsala.pa_max": 1.7e308}, "se").via("relay amplifiers that reach the float maximum")
+@example({"gops.enc": 3e307, "devices.rho": 1.0}, "rate").via("totals near the float maximum")
+def test_every_accepted_float_value_ends_in_exit_0_1_or_2(tmp_path_factory, overrides,
+                                                         variable):
+    base = tmp_path_factory.mktemp("keys")
+    cfg, out = base / "cell.cfg", base / "run"
+    cfg.write_text("".join("[{}]\n{} = {!r}\n".format(*key.split("."), value)
+                           for key, value in overrides.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", str(cfg), "--variable", variable, "--out", str(out)])
+        event(f"sweep exit {code}")
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:
+            return
+        rows = [ln.split(",") for ln in (out / "results.csv").read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(v)) for row in rows if row[5] == "true"
+                   for v in row[3:5] + row[6:])
+        # analyze reads every directory sweep writes, and finds what it found
+        assert main(["analyze", "--in", str(out)]) == code
 
 
 def test_sweep_bad_vector_component_exits_1_naming_key(tmp_path, capsys):

@@ -110,7 +110,7 @@ def test_bb_power_is_load_over_rho(bundle):
     # one array's site workload of 320 GOPS at 160 GOPS per watt
     b = _idle(bundle, enc=320.0)._replace(devices=bundle.devices._replace(rho=160.0))
     cfg = bundle.scenario._replace(n_arrays=1)
-    assert power_mbs(cfg, b, [power_mbsala(cfg, b, [[0.0]], 1)]).p_bb == 2.0
+    assert power_mbs(cfg, b, power_mbsala(cfg, b, [[0.0]], 1)).p_bb == 2.0
 
 
 def test_device_laws_read_their_own_antenna_counts(bundle):
@@ -133,7 +133,7 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
     iap = power_iap_mmwave(cfg, bundle, [0.0])
     assert iap.p_bb == pytest.approx((10 + fft + 5 + 10 + 10) / 160, rel=1e-12)
     assert iap.p_rf == pytest.approx(16 * 0.090 + 4 * 0.08, rel=1e-12)
-    mbs = power_mbs(cfg, bundle, [mbsala] * 4)
+    mbs = power_mbs(cfg, bundle, mbsala)
     assert mbs.p_bb == pytest.approx(4 * (20 + 10 + 10) / 160 + 4 * mbsala.p_bb, rel=1e-12)
     assert mbs.p_rf == pytest.approx(4 * mbsala.p_rf, rel=1e-12)
 
@@ -306,7 +306,7 @@ def test_lifi_dark_led_draws_nothing(bundle):
 def test_mbs_overhead_identity_with_arrays(bundle):
     cfg, d = bundle.scenario, bundle.devices
     array = power_mbsala(cfg, bundle, [[1.0]], 4)
-    mbs = power_mbs(cfg, bundle, [array] * 4)
+    mbs = power_mbs(cfg, bundle, array)
     numerator = mbs.p_total[0] * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
     assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa[0], rel=1e-12)
     assert mbs.p_pa[0] == pytest.approx(4 * array.p_pa[0], rel=1e-12)
@@ -315,18 +315,19 @@ def test_mbs_overhead_identity_with_arrays(bundle):
 def test_mbs_without_overhead_passes_arrays_through(bundle):
     b0 = _idle(bundle)._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0,
                                                                  eta_dcdc=0.0))
-    array = power_mbsala(b0.scenario, b0, [[25.0]], 2)
-    mbs = power_mbs(b0.scenario, b0, [array])
+    cfg = b0.scenario._replace(n_arrays=1)
+    array = power_mbsala(cfg, b0, [[25.0]], 2)
+    mbs = power_mbs(cfg, b0, array)
     assert mbs.p_total[0] == pytest.approx(array.p_total[0], rel=1e-12)
 
 
 def test_power_cell_sums_components(bundle):
     cfg = bundle.scenario
-    mbs = at_point(power_mbs(cfg, bundle, [power_mbsala(cfg, bundle, [[1.0]], 1)]))
+    mbs = at_point(power_mbs(cfg, bundle, power_mbsala(cfg, bundle, [[1.0]], 1)))
     bmaa = power_bmaa(cfg, bundle)
     iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
-    total = power_cell(mbs, [bmaa, bmaa], [iap])
-    assert total == pytest.approx(mbs.p_total + 2 * bmaa.p_total + iap.p_total,
+    total = power_cell(mbs, 2, bmaa, iap)
+    assert total == pytest.approx(mbs.p_total + 2 * bmaa.p_total + 2 * iap.p_total,
                                   rel=1e-12)
     assert power_cell(mbs) == mbs.p_total
 

@@ -1,5 +1,7 @@
 import math
 import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,9 @@ from b5gcell import (
 )
 from b5gcell.cli import _summarize
 from b5gcell import power, scenario
-from b5gcell.power import pa_power_classb, power_mbs
+from b5gcell.power import (pa_power_classb, power_bmaa, power_iap_mmwave, power_lifi_iap,
+                           power_mbs, power_mbsala)
+from b5gcell.records import add_up
 from b5gcell.scenario import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
 from result_columns import point_at
@@ -381,6 +385,55 @@ def test_each_buildings_amplifier_column_is_drawn_once(bundle, monkeypatch):
     assert len(calls) == 8
 
 
+def _near_n_fold_sum(total, n, term) -> bool:
+    """*total* lies within n ulps of ``add_up([term] * n)``, the n-fold in-order sum."""
+    return abs(total - add_up([term] * n)) <= n * math.ulp(total)
+
+
+def _returned(law, seen):
+    """*law*, recording each device it returns in *seen*."""
+    return lambda *args: seen.append(law(*args)) or seen[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_arrays=st.integers(1, 64), n_buildings=st.integers(1, 64),
+       n_beams=st.integers(1, 64), n_iue=st.integers(1, 64))
+def test_identical_devices_scale_by_their_count(n_arrays, n_buildings, n_beams, n_iue):
+    # count x one device's power, one rounding: exact against the law, and within
+    # count ulps of the count-fold in-order sum
+    b = default_bundle()
+    b = b._replace(scenario=b.scenario._replace(n_arrays=n_arrays, n_buildings=n_buildings,
+                                                n_beams=n_beams, n_iue=n_iue),
+                   layout=b.layout._replace(placement="random"))
+    n, rates = n_arrays * n_buildings, [0.0, 1e6, 1e8]
+    for variant, law in ((SEP, "power_iap_mmwave"), (LIFI, "power_lifi_iap")):
+        seen = []
+        with mock.patch.object(scenario, law, _returned(getattr(scenario, law), seen)):
+            model = build_scenario(b, variant)
+            column = model.points(rates)
+        [iap], bmaa = seen, power_bmaa(model.cfg, b).p_total
+        iaps = iap.p_total if variant is SEP else [iap.p_total] * len(rates)
+        assert column["feasible"][0]
+        for ok, p_bmaa, p_iap, one in zip(column["feasible"], column["p_bmaa_w"],
+                                          column["p_iap_w"], iaps):
+            if ok:
+                assert p_bmaa == n * bmaa and _near_n_fold_sum(p_bmaa, n, bmaa)
+                assert p_iap == n * one and _near_n_fold_sum(p_iap, n, one)
+    # a building's streams share its amplifier column; the site scales one relay array
+    cfg = model.cfg
+    p_out = [0.0, 1e-3, 1.0, 30.0]
+    pa = pa_power_classb(p_out, b.mbsala.pa_max)
+    for streams in (n_beams, n_iue):
+        mbsala = power_mbsala(cfg, b, [p_out], streams)
+        assert mbsala.p_pa == [streams * p for p in pa]
+        assert all(map(_near_n_fold_sum, mbsala.p_pa, [streams] * len(pa), pa))
+        mbs = power_mbs(cfg, b, mbsala)
+        assert mbs.p_pa == [n_arrays * p for p in mbsala.p_pa]
+        assert all(map(_near_n_fold_sum, mbs.p_pa, [n_arrays] * len(pa), mbsala.p_pa))
+        assert mbs.p_rf == n_arrays * mbsala.p_rf
+        assert _near_n_fold_sum(mbs.p_rf, n_arrays, mbsala.p_rf)
+
+
 def test_an_overflowed_total_power_is_infeasible(bundle):
     # a rating the loader accepts lets the amplifiers' sum overflow within the rating
     # (from SE 1023.45 on, where the total would pass 1.8e308 W): inf is no answer
@@ -398,7 +451,7 @@ def test_an_amplifier_whose_output_times_rating_overflows_keeps_its_point(bundle
     assert column["feasible"] == [True, True, True]
     assert all(math.isfinite(p) for p in column["total_power_w"])
     # where the product fits, the draw is the root of the product itself
-    assert column["total_power_w"][0] == 4.104391448023326e+155
+    assert column["total_power_w"][0] == 4.104391448023327e+155
 
 
 @st.composite
