@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import namedtuple
 
 from .records import ConfigError
@@ -355,11 +356,12 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
 
 
 def _finite(value) -> bool:
-    """A float, or every component of a (nested) float tuple, is finite; inf
-    would otherwise pass every "> 0" rule."""
+    """A number, or every component of a (nested) tuple of them, lies in float range:
+    inf would otherwise pass every "> 0" rule, and a larger int overflows where the
+    engine takes it as a float."""
     if isinstance(value, tuple):
         return all(_finite(x) for x in value)
-    return math.isfinite(value)
+    return abs(value) <= sys.float_info.max
 
 
 def _typed(default, value) -> bool:
@@ -378,8 +380,9 @@ def validate_bundle(bundle: ConfigBundle) -> None:
     for key, default in DEFAULTS.items():
         value = values[key]
         _require(_typed(default.value, value), key, f"type {type(default.value).__name__}", value)
-        if isinstance(default.value, (float, tuple)):
-            _require(_finite(value), key, "finite", value)
+        if not isinstance(default.value, str):
+            _require(_finite(value), key, "<= the float maximum" if isinstance(default.value, int)
+                     else "finite", value)
         if default.rule is not None:
             check = _RULES[default.rule]
             for item in value if default.rule.startswith("every ") else (value,):

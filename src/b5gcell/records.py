@@ -3,6 +3,7 @@ sum.  Standard library only, so ``b5gcell analyze`` and the package root load wi
 engine or the config table."""
 
 import math
+import sys
 from collections import namedtuple
 from functools import cache, reduce
 from itertools import repeat
@@ -60,6 +61,8 @@ class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):
                               f"(expected sep-mmwave, sep-lifi or nonsep)")
         if isinstance(m_t, bool) or not isinstance(m_t, int) or m_t < 1:
             raise ConfigError(f"variant {name}: m_t must be >= 1 and an int, not {m_t!r}")
+        if m_t > sys.float_info.max:   # the engine takes it as a float
+            raise ConfigError(f"variant {name}: m_t must be <= the float maximum, not {m_t}")
         return super().__new__(cls, name, kind, m_t)
 
     @classmethod

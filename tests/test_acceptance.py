@@ -15,7 +15,8 @@ import pytest
 
 from b5gcell import default_bundle
 from b5gcell.channel import lambertian_order, pathloss_winner_b5a
-from b5gcell.cli import _summarize, main as cli_main
+from b5gcell.analyze import _summarize
+from b5gcell.cli import main as cli_main
 from b5gcell.metrics import required_sinr
 from b5gcell.power import (
     overhead_divisor,

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import scalar_oracle
 from b5gcell import default_bundle, load_config
-from b5gcell.cli import parse_grid, parse_variants
+from b5gcell.cli import parse_grid
 from b5gcell.scenario import (
     POWER_FIELDS,
     RATE_VARIABLE,
@@ -27,6 +27,7 @@ from b5gcell.scenario import (
     build_scenario,
     run_sweep,
 )
+from b5gcell.sweep import parse_variants
 
 PAPER_VARIANTS = ("sep-mmwave", "sep-lifi", "nonsep")
 # the fields of a sep-mmwave row that follow its summed access power

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 import b5gcell
 from b5gcell import ConfigError, SweepSpec, default_bundle, load_config, run_sweep, write_config
 from b5gcell import cli
-from b5gcell.cli import (CSV_HEADER, DEFAULT_VARIANTS, OPTIONS, VARIABLES, _read_results, _reprs,
-                         _summarize, main, parse_grid, parse_variants)
+from b5gcell.analyze import _read_results, _summarize
+from b5gcell.cli import CSV_HEADER, DEFAULT_VARIANTS, OPTIONS, VARIABLES, main, parse_grid
 from b5gcell.config import DEFAULTS
 from b5gcell.records import VARIANT_KINDS
+from b5gcell.sweep import _reprs, parse_variants
 
 FAST = ["--grid", "0:2e9:5"]
 DEFAULT_CONFIG_SHA256 = "f42b344e056aefae23027acf1ffdb2c97d8825507b9e80b0cf4e4f7828121f93"
@@ -83,7 +84,7 @@ def test_parse_variants_defaults_and_overrides():
 BAD_VARIANTS = {"indoor": "variant indoor: unknown kind 'indoor'",
                 "sep-mmwave:mt=": "bad variant option 'mt=' in 'sep-mmwave:mt='",
                 "sep-mmwave:x=3": "bad variant option 'x=3' in 'sep-mmwave:x=3'",
-                "": "variant 1 of '' is empty",
+                " ": "variant 1 of ' ' is empty",
                 "nonsep:mt=abc": "bad antenna count in 'nonsep:mt=abc'"}
 
 
@@ -666,6 +667,11 @@ USAGE_ERRORS = {
     "empty-out": (["sweep", "--out=", "--plot", "off", *FAST], "--out"),
     "empty-out-spaced": (["sweep", "--out", "", "--plot", "off", *FAST], "--out"),
     "empty-in": (["analyze", "--in="], "--in"),
+    # an empty value is a usage error for every option, not a fault of its reader
+    "empty-config": (["sweep", "--config=", "--out", "OUT"], "--config"),
+    "empty-config-analyze": (["analyze", "--in", "OUT", "--config="], "--config"),
+    "empty-variants": (["sweep", "--variants=", "--out", "OUT"], "--variants"),
+    "empty-grid": (["sweep", "--grid=", "--out", "OUT"], "--grid"),
 }
 
 
@@ -837,6 +843,26 @@ def test_sweep_infinite_float_key_exits_1_naming_key(tmp_path, capsys, monkeypat
     assert main(["sweep", "--out", str(tmp_path / "x"), "--variants", "nonsep",
                  *FAST]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+# an integer past the float maximum, and a power of two, so that only its size is wrong
+HUGE_INT = str(2 ** 1400)
+
+
+@pytest.mark.parametrize("key, variants", [
+    *((key, "nonsep") for key, d in DEFAULTS.items() if isinstance(d.value, int)),
+    pytest.param("variant nonsep:mt=", f"nonsep:mt={HUGE_INT}", id="variant-mt")])
+def test_sweep_integer_past_float_range_exits_1_naming_it(tmp_path, capsys, monkeypatch, key,
+                                                           variants):
+    # the engine takes every count as a float, where such an int overflows
+    if key in DEFAULTS:
+        monkeypatch.setenv(_env_name(key), HUGE_INT)
+    out = tmp_path / "x"
+    assert main(["sweep", "--out", str(out), "--variants", variants, *FAST]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert re.match(rf"error: {re.escape(key)}\d*: .*<= the float maximum", line)
+    assert "Traceback" not in captured.err and not out.exists()
 
 
 @pytest.mark.parametrize("key, text", [
@@ -1116,6 +1142,10 @@ def _numpy_modules(loaded):
     return {name for name in loaded if name == "numpy" or name.startswith("numpy.")}
 
 
+def _package_modules(loaded):
+    return {name for name in loaded if name.partition(".")[0] == "b5gcell"}
+
+
 def _probe(*args):
     """Exit code and the set of modules loaded by ``b5gcell <args>`` in a fresh process."""
     src = str(Path(b5gcell.__file__).parents[1])
@@ -1144,12 +1174,22 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
          "b5gcell.config", "b5gcell.svgplot", *PARSER_MODULES}
     assert loaded & unused == set()
     assert _numpy_modules(loaded) == set()
+    # the front end and the analyze command's own code, and no other command's
+    expected = {"b5gcell", "b5gcell.records", "b5gcell.cli", "b5gcell.analyze"}
+    assert _package_modules(loaded) == expected | ({"b5gcell.config"} if with_config else set())
 
 
 def test_version_loads_no_argument_parser():
     code, loaded, stdout = _probe("--version")
     assert (code, stdout) == ("exit=0", "0.1.0\n")
     assert loaded & PARSER_MODULES == set()
+    assert _package_modules(loaded) == {"b5gcell", "b5gcell.records", "b5gcell.cli"}
+
+
+def test_help_loads_no_command_module():
+    code, loaded, stdout = _probe("--help")
+    assert code == "exit=0" and stdout.startswith("usage: b5gcell ")
+    assert _package_modules(loaded) == {"b5gcell", "b5gcell.records", "b5gcell.cli"}
 
 
 def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path):
@@ -1158,8 +1198,8 @@ def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path)
     code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
     assert code == "exit=0"
     assert _numpy_modules(loaded) == set()
-    assert loaded & {"dataclasses", "datetime", "_hashlib", "b5gcell.stream", *PARSER_MODULES} \
-        == set()
+    assert loaded & {"dataclasses", "datetime", "_hashlib", "b5gcell.stream", "b5gcell.analyze",
+                     *PARSER_MODULES} == set()
     assert (out / "results.csv").is_file()
     # the manifest's UTC timestamp, to the second, in ISO 8601 with its offset
     stamp = _manifest(out)["timestamp"]

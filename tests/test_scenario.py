@@ -16,7 +16,7 @@ from b5gcell import (
     default_bundle,
     run_sweep,
 )
-from b5gcell.cli import _summarize
+from b5gcell.analyze import _summarize
 from b5gcell import power, scenario
 from b5gcell.power import (pa_power_classb, power_bmaa, power_iap_mmwave, power_lifi_iap,
                            power_mbs, power_mbsala)
