@@ -7,7 +7,8 @@ formatting, so the same data always serializes to the same bytes.
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import compress, count, filterfalse, groupby
+from operator import add, eq, ne, sub
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 720, 440
@@ -48,6 +49,20 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return out
 
 
+def _m4(pxs, ys, starts, n_finite):
+    """M4: the x texts and ys a line at one pixel per viewBox unit shows.  Each column run from
+    *starts*, cut at NaN edges, keeps its first, lowest, highest and last point (first of ties)."""
+    ys = list(ys)
+    if n_finite < len(ys):
+        nan = list(map(math.isnan, ys))
+        starts = sorted({*starts, *compress(count(1), map(ne, nan, nan[1:]))})
+    ends = starts[1:] + [len(ys)]
+    runs = list(map(ys.__getitem__, map(slice, starts, ends)))   # a NaN run keeps its ends
+    lo, hi = (map(add, starts, map(list.index, runs, map(f, runs))) for f in (min, max))
+    keep = sorted({*starts, *map(sub, ends, [1] * len(ends)), *lo, *hi})
+    return map("%.2f,".__mod__, map(pxs.__getitem__, keep)), map(ys.__getitem__, keep)
+
+
 def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
     """Render ``series`` = [(name, ys), ...], each ys over the one grid ``xs``,
     to an SVG document string.  ``xs`` and each ``ys`` are equal-length
@@ -56,12 +71,12 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
     NaN y-values break the line (gaps for infeasible points).
     """
     xs = [float(x) for x in xs]
-    drawn = [y for _, ys in series for y in ys if y == y]   # y != y only for NaN
-    if not xs or not drawn:
+    finite_ys = [list(filterfalse(math.isnan, ys)) for _, ys in series]
+    if not xs or not any(finite_ys):
         raise ValueError("nothing to plot: no finite points in any series")
 
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(drawn), max(drawn)
+    y_lo, y_hi = y_min, y_max = [f(map(f, filter(None, finite_ys))) for f in (min, max)]
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -69,7 +84,7 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
     pad = 0.05 * (y_hi - y_lo)
     y_lo_t, y_hi_t = y_lo - pad, y_hi + pad
     if not math.isfinite(y_hi_t - y_lo_t):   # no room to widen or pad: span the data and 0
-        y_lo_t, y_hi_t = min(y_lo, 0.0), max(max(drawn), 0.0)
+        y_lo_t, y_hi_t = min(y_min, 0.0), max(y_max, 0.0)
     if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi_t - y_lo_t)):
         raise ValueError("cannot plot: a value is infinite or an axis range overflows")
 
@@ -115,13 +130,18 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
                  f'transform="rotate(-90 16 {(py0 + py1) / 2:.0f})">{y_label}</text>')
 
     # one polyline per NaN-free run of each series: "x,y" points joined by " "
-    x_texts = ["%.2f," % (px0 + (x - x_lo) / x_span * (px1 - px0)) for x in xs]   # sx(x)
+    pxs = [px0 + (x - x_lo) / x_span * (px1 - px0) for x in xs]   # sx(x)
+    cols = list(map(math.trunc, pxs))   # a viewBox column is one unit wide
+    # M4 if a column may hold three consecutive points (for sorted xs, exactly then)
+    starts = any(map(eq, cols, cols[2:])) and [0, *compress(count(1), map(ne, cols, cols[1:]))]
+    x_texts = [] if starts else list(map("%.2f,".__mod__, pxs))
     height = py1 - py0
-    for idx, (name, ys) in enumerate(series):
+    for idx, ((name, ys), fin) in enumerate(zip(series, finite_ys)):
         color = _PALETTE[idx % len(_PALETTE)]
+        x_run, ys = _m4(pxs, ys, starts, len(fin)) if starts else (x_texts, ys)
         # sy(y) written out: a call per point adds about a tenth to a chart's time
         points = [x_text + "%.2f" % (py0 + (y - y_lo_t) / y_span * height) if y == y else ""
-                  for x_text, y in zip(x_texts, ys)]
+                  for x_text, y in zip(x_run, ys)]
         parts.extend(f'<polyline points="{" ".join(run)}" fill="none" '
                      f'stroke="{color}" stroke-width="1.8"/>'
                      for finite, run in groupby(points, bool) if finite)

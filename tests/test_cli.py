@@ -155,12 +155,13 @@ PINNED_OUTPUTS = {
         "power_vs_rate.svg": "a6aad39a331d2d33f109b65f37e90d6bc5bb43f23f316587bb9b532b6fda998c",
         "ee_vs_rate.svg": "0d4ecf7eec036c302a900353f0d72485be265f8dc5848de6658b770ae1c24549",
     }),
-    # 6,000 rows, 422 of them infeasible; values repeat within and across the variants
+    # 6,000 rows, 422 of them infeasible; values repeat within and across the variants;
+    # about 3 points per viewBox column, so each chart draws M4's reduction
     "dense-mt128": (["--grid", "0:6e9:2000", "--variants",
                      "sep-mmwave:mt=128,sep-lifi:mt=128,nonsep:mt=128"], {}, {
         "results.csv": "5dabbd8a2b63d7c9c49c31e164efd2592e4858072ce620b4b71990464db31e5a",
-        "power_vs_rate.svg": "290fa6c731e18d86ba424ae45bb3f5c7a9bf82e1ba403ff0da13ffcc5cba48bc",
-        "ee_vs_rate.svg": "c35e486cdf4b44febc666cef4cfa775769340e7f663246abb8aba192dc82c9a3",
+        "power_vs_rate.svg": "0a9bc7531732f985dc42398ba70b6a8040740101566540380e603765d2611cd2",
+        "ee_vs_rate.svg": "d661afd514cc9384d74b49c5f3e266d39b130fc861044850547b045fc1c5f303",
     }),
 }
 
@@ -772,16 +773,42 @@ TOP_EXPONENT = {"in [0, 1)": 0.0, "0 < gamma <= 1": 0.0,
                 "in (0, pi/2) rad": math.log10(math.pi / 2),
                 "in (0, pi/2] rad": math.log10(math.pi / 2)}
 FLOAT_KEYS = [key for key, d in DEFAULTS.items() if isinstance(d.value, float)]
+VECTOR_KEYS = [key for key, d in DEFAULTS.items() if isinstance(d.value, tuple)]
+
+
+def _magnitude(draw, top=308.25):
+    """Log-uniform from the least subnormal up to 10**top."""
+    return 10.0 ** draw(st.floats(-323.5, top))
+
+
+def _vector(draw, key):
+    """A value of the vector key *key* in its config grammar, each component a signed
+    magnitude; a unit normal has two such components and the third that makes it unit."""
+    sign = st.sampled_from([1.0, -1.0])
+    if DEFAULTS[key].rule == "a unit 3-vector":
+        a, b = _magnitude(draw, 0.0), _magnitude(draw, 0.0)
+        vec = [draw(sign) * a, draw(sign) * b, draw(sign) * math.sqrt(max(0.0, 1 - a * a - b * b))]
+        return ", ".join(map(repr, draw(st.permutations(vec))))
+    default = DEFAULTS[key].value
+    if isinstance(default[0], tuple):   # user offsets: one (x, y) pair per indoor user
+        return "; ".join(f"{draw(sign) * _magnitude(draw)!r}, {draw(sign) * _magnitude(draw)!r}"
+                         for _ in default)
+    return ", ".join(repr(_magnitude(draw)) for _ in default)   # building distances
 
 
 @st.composite
 def _float_overrides(draw):
-    """One or two float keys, each log-uniform from the least subnormal up to the top
-    of its rule's range (a range that ends open yields its end too); ">= 0" keys also 0."""
+    """One or two float or vector keys.  A float key is log-uniform from the least
+    subnormal up to the top of its rule's range (a range that ends open yields its end
+    too), and ">= 0" keys also 0; a vector key's components are drawn the same way."""
     overrides = {}
-    for key in draw(st.lists(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=2, unique=True)):
+    for key in draw(st.lists(st.sampled_from(FLOAT_KEYS + VECTOR_KEYS), min_size=1, max_size=2,
+                             unique=True)):
+        if key in VECTOR_KEYS:
+            overrides[key] = _vector(draw, key)
+            continue
         rule = DEFAULTS[key].rule
-        value = 10.0 ** draw(st.floats(-323.5, TOP_EXPONENT.get(rule, 308.25)))
+        value = _magnitude(draw, TOP_EXPONENT.get(rule, 308.25))
         overrides[key] = 0.0 if rule == ">= 0" and draw(st.integers(0, 7)) == 0 else value
     return overrides
 
@@ -792,11 +819,16 @@ def _float_overrides(draw):
 @example({"devices.rho": 5e-324}, "rate").via("every baseband past the float maximum")
 @example({"mbsala.pa_max": 1.7e308}, "se").via("relay amplifiers that reach the float maximum")
 @example({"gops.enc": 3e307, "devices.rho": 1.0}, "rate").via("totals near the float maximum")
+@example({"layout.user_offsets_m": "1e308, 1e154; 1e-320, 1.5; -1.5, -1.5; 1.5, -1.5",
+          "layout.building_distances_m": "100.0, 1e308, 300.0, 400.0"}, "rate").via(
+              "vector components at the float maximum and subnormal")
+@example({"lifi.n_tx": "1e-300, 0.0, -1.0"}, "rate").via("an LED normal a subnormal off axis")
 def test_every_accepted_float_value_ends_in_exit_0_1_or_2(tmp_path_factory, overrides,
                                                          variable):
     base = tmp_path_factory.mktemp("keys")
     cfg, out = base / "cell.cfg", base / "run"
-    cfg.write_text("".join("[{}]\n{} = {!r}\n".format(*key.split("."), value)
+    cfg.write_text("".join("[{}]\n{} = {}\n".format(*key.split("."), value if key in VECTOR_KEYS
+                                                    else repr(value))
                            for key, value in overrides.items()))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

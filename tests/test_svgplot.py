@@ -1,5 +1,6 @@
 import math
 import sys
+from itertools import accumulate
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -115,9 +116,30 @@ def test_finite_values_near_the_float_maximum_render(ys):
     assert len(pixels) == 3 and all(28.0 <= y <= 394.0 for y in pixels)
 
 
+def _m4_reference(run):
+    """The points of one NaN-free run of ``(column, y, text)`` points that M4 keeps: each
+    stretch of consecutive points in one viewBox column keeps its first, its lowest, its
+    highest and its last point, each once and in grid order, the first of tied points."""
+    kept, first = [], 0
+    while first < len(run):
+        last = first
+        while last + 1 < len(run) and run[last + 1][0] == run[first][0]:
+            last += 1
+        lowest = highest = first
+        for k in range(first, last + 1):
+            if run[k][1] < run[lowest][1]:
+                lowest = k
+            if run[k][1] > run[highest][1]:
+                highest = k
+        kept += [run[k][2] for k in sorted({first, lowest, highest, last})]
+        first = last + 1
+    return kept
+
+
 def _pixel_texts(xs, columns):
-    """Per series, per maximal NaN-free run, the ``x,y`` text of each point, from
-    the closed-form pixel map evaluated one Python float at a time."""
+    """Per series, per maximal NaN-free run, the ``x,y`` text of each point that M4 keeps,
+    from the closed-form pixel map evaluated one Python float at a time; a column is
+    one viewBox unit wide, ``int()`` of the unrounded pixel x."""
     finite = [y for c in columns for y in c if not math.isnan(y)]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(finite), max(finite)
@@ -133,21 +155,25 @@ def _pixel_texts(xs, columns):
         for x, y in zip(xs, column):
             if math.isnan(y):
                 if run:
-                    runs.append(run)
+                    runs.append(_m4_reference(run))
                 run = []
                 continue
             px = 72 + (x - x_lo) / (x_hi - x_lo) * (704 - 72)
             py = 394 + (y - y_lo) / (y_hi - y_lo) * (28 - 394)
-            run.append(f"{px:.2f},{py:.2f}")
+            run.append((int(px), y, f"{px:.2f},{py:.2f}"))
         if run:
-            runs.append(run)
+            runs.append(_m4_reference(run))
     return runs
 
 
 @st.composite
 def _grids_and_columns(draw):
-    xs = sorted(draw(st.lists(st.floats(0.0, 1e10), min_size=1, max_size=40, unique=True)))
-    value = st.one_of(st.just(math.nan), st.floats(-1e6, 1e6))
+    if draw(st.booleans()):
+        xs = sorted(draw(st.lists(st.floats(0.0, 1e10), min_size=1, max_size=40, unique=True)))
+    else:   # packed a few viewBox units apart on a 632-unit axis: columns of 3 or more points
+        gaps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, 2.5]), max_size=40))
+        xs = [*accumulate(gaps, initial=0.0), 632.0]
+    value = st.one_of(st.just(math.nan), st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0]))
     columns = draw(st.lists(st.lists(value, min_size=len(xs), max_size=len(xs)),
                             min_size=1, max_size=4))
     assume(any(not math.isnan(y) for c in columns for y in c))
@@ -158,6 +184,14 @@ def _grids_and_columns(draw):
 @given(_grids_and_columns())
 @example(([0.0], [[5e-324]]))   # y and x ranges whose tick step underflows
 @example(([0.0, 2.5e-323], [[1.0, 2.0]]))
+# on a 632-unit axis an x of 0.0-0.9 lies in the first column
+@example(([0.0, 0.1, 0.2, 632.0], [[1.0, 2.0, 3.0, 0.0]]))   # the middle point is dropped
+@example(([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 632.0],
+          [[2.0, 2.0, 9.0, 0.0, 2.0, 2.0, 1.0]]))   # a step: both extremes are kept
+@example(([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 632.0],
+          [[1.0, 3.0, 2.0, 2.5, math.nan, 4.0, 6.0, 5.0, 5.5, 1.0]]))   # a NaN in a column
+@example(([0.0, 0.1, 0.2, 0.3, 632.0], [[1.0, 0.0, 0.0, 1.0, 0.5]]))   # ties keep the first
+@example(([0.2, 632.0, 0.1, 0.0, 0.3, 0.15], [[1.0, 5.0, 4.0, 2.0, 3.0, 2.5]]))   # unsorted xs
 def test_polyline_points_are_the_closed_form_pixels(case):
     xs, columns = case
     svg = line_chart(np.asarray(xs), [(f"s{i}", np.asarray(c)) for i, c in enumerate(columns)],
