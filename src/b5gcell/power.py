@@ -16,6 +16,10 @@ Conventions fixed here once:
   point, so every entry of its result equals that point's own evaluation.
 * Identical devices scale by their count, one rounding; ``records.add_up``
   sums only distinct terms, in order.
+* Class-B draws (2/pi) sqrt(p_out p_max), homogeneous of degree 1/2 in p_out, so a
+  relay array whose buildings' amplifiers run at t sigma / g_b draws sqrt(t) times
+  one constant per link, k_link = streams * sum_b (2/pi) sqrt(sigma / g_b p_max):
+  one square root per point, not one per building.
 
 Each device has one law, baseband GOPS / rho plus its RF front end plus its
 amplifier, over the supply divisor where it owns one, and each law sums its own
@@ -91,19 +95,22 @@ def overhead_divisor(b: ConfigBundle) -> float:
     return (1.0 - d.eta_c) * (1.0 - d.eta_acdc) * (1.0 - d.eta_dcdc)
 
 
-def power_mbsala(cfg, b: ConfigBundle, p_out_per_building, streams: int) -> DevicePower:
+def power_mbsala(cfg, b: ConfigBundle, target, noise_per_gain, streams: int) -> DevicePower:
     """One relay array: baseband (filtering, FFT, channel estimation, precoding,
     mapping, control, network) + RF over m_t antennas + *streams* class-B amplifiers
-    per building, sharing its column in *p_out_per_building*: *streams* times the
-    in-order sum of the buildings' draws.  No divisor: the macro site's supply has it."""
+    per building.  At SINR target t a building of gain g drives its amplifiers at
+    t sigma / g, given as sigma / g per building in *noise_per_gain*.  Class-B is
+    homogeneous of degree 1/2, so over the column *target* they draw sqrt(t) k, with
+    k = *streams* times the in-order sum of the buildings' draws at t = 1; zero draws
+    zero, also where k is inf.  No divisor: the macro site's supply has it."""
     g, rf = b.gops, b.mbsala
     blocks_per_s = g.n_symbols * g.frame_rate / cfg.coherence_block
     gops = (g.fltr + _gops_fft(g) + cfg.pilot_len * cfg.m_t * cfg.n_ue * blocks_per_s / 1e9
             + _gops_precoding(cfg, g, cfg.m_t) + g.map + g.ctrl + g.nw)
     p_bb = gops / b.devices.rho
     p_rf = cfg.m_t * (rf.p_mod + rf.p_mix + rf.p_dac) + math.sqrt(cfg.m_t) * rf.p_clk
-    p_pa = [streams * pa for pa in add_up([pa_power_classb(p, rf.pa_max)
-                                           for p in p_out_per_building])]
+    k, sqrt = streams * add_up(pa_power_classb(noise_per_gain, rf.pa_max)), math.sqrt
+    p_pa = [k * sqrt(t) if t else 0.0 for t in target]
     base = p_bb + p_rf
     return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
                        p_total=[base + pa for pa in p_pa])

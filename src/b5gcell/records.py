@@ -6,7 +6,6 @@ import math
 import sys
 from collections import namedtuple
 from functools import cache, reduce
-from itertools import repeat
 from operator import add
 
 RATE_VARIABLE = "total_rate_bps"
@@ -38,14 +37,9 @@ def sha256(data: bytes = b""):
 
 
 def add_up(terms):
-    """0 + t0 + t1 + ..., one term at a time in order: of floats, or of
-    equal-length columns point by point.  The built-in ``sum`` compensates a
-    float sum from Python 3.12 on, which would move results with the version."""
-    if terms and not isinstance(terms[0], (int, float)):
-        total = repeat(0)
-        for column in terms:   # chained lazily: one pass, no list per term
-            total = map(add, total, column)
-        return list(total)
+    """0 + t0 + t1 + ..., one float at a time in order.  The built-in ``sum``
+    compensates a float sum from Python 3.12 on, which would move results with the
+    version."""
     return reduce(add, terms, 0)
 
 

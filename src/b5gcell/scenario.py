@@ -157,13 +157,14 @@ class ScenarioModel:
                                      else (1, 1, cfg.n_iue, cfg.ue_antennas))
         target = required_sinr([x / self.n_users * users / beams / cfg.bandwidth_out
                                 for x in rates], cfg.gamma)
-        gains = [beta * cfg.m_t * rx for beta in betas]   # one amplifier column per building
-        p_out = [[t * self.sigma_out / gain for t in target] for gain in gains]
+        gains = [beta * cfg.m_t * rx for beta in betas]   # building b's output is t sigma / g_b
+        sigma, pa_max = self.sigma_out, b.mbsala.pa_max
+        mbsala = power_mbsala(cfg, b, target, [sigma / gain for gain in gains], streams)
         # rounded division is monotone, so at every point the building of least
         # gain asks the most of its amplifiers: its rating alone bounds the backhaul
-        weakest, pa_max = p_out[betas.index(min(betas))], b.mbsala.pa_max
-        mbsala = power_mbsala(cfg, b, p_out, streams)
-        return power_mbs(cfg, b, mbsala).p_total, [x <= pa_max for x in weakest]
+        weakest = gains[betas.index(min(betas))]
+        return (power_mbs(cfg, b, mbsala).p_total,
+                [t * sigma / weakest <= pa_max for t in target])
 
     def _indoor(self, rates) -> tuple:
         """The indoor access's (access points' summed power, every user served)."""
@@ -245,10 +246,11 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     Under random placement each variant draws from a stream keyed on its
     name, so evaluation order cannot change random placements.
     """
-    columns, links = {}, {}   # links: each distinct outdoor link of the sweep, evaluated once
+    columns, links, rates = {}, {}, None   # links: each distinct outdoor link, evaluated once
     for variant in spec.variants:
         model = build_scenario(bundle, variant, seed)
-        rates = model._rates(spec.grid, spec.variable)   # the same for every variant
+        if rates is None:   # the same for every variant: checked and converted once
+            rates = model._rates(spec.grid, spec.variable)
         if (link := links.get(model._link)) is None:
             link = links[model._link] = model._outdoor(rates)
         columns[variant.name] = model._add(rates, link)

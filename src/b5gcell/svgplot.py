@@ -74,6 +74,8 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
     finite_ys = [list(filterfalse(math.isnan, ys)) for _, ys in series]
     if not xs or not any(finite_ys):
         raise ValueError("nothing to plot: no finite points in any series")
+    if any(map(math.isnan, xs)):   # min and max would skip it, and no column holds it
+        raise ValueError("cannot plot: an x value is NaN")
 
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = y_min, y_max = [f(map(f, filter(None, finite_ys))) for f in (min, max)]

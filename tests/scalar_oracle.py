@@ -119,23 +119,18 @@ def solve_mmwave_powers(model, sinr_target: float):
     return np.clip(powers, 0.0, None)
 
 
-def _backhaul_powers(model, rate_user: float):
-    """One amplifier output power per building, each shared by its n_beams streams."""
-    cfg = model.cfg
-    rate_beam = rate_user * cfg.n_iue / cfg.n_beams
-    target = required_sinr(rate_beam / cfg.bandwidth_out, cfg.gamma)
-    powers = []
-    for beta in model.beta_out:
-        p = target * model.sigma_out / (beta * cfg.m_t * cfg.m_r)
-        if p > model.bundle.mbsala.pa_max:
-            raise SaturationError(f"backhaul pa: {p!r} W > {model.bundle.mbsala.pa_max!r} W")
-        powers.append(p)
-    return powers
-
-
-def _outdoor_devices(model, powers, streams: int):
+def _outdoor_devices(model, target: float, rx: int, streams: int, link: str):
+    """The macro site at SINR target *target*: each building's amplifier output,
+    shared by its *streams* streams, is checked against the rating one building at a
+    time, and the relay array law draws them from sigma / g per building."""
     cfg, b = model.cfg, model.bundle
-    mbsala = power_mbsala(cfg, b, [[p] for p in powers], streams)
+    gains = [beta * cfg.m_t * rx for beta in model.beta_out]
+    for gain in gains:
+        p = target * model.sigma_out / gain
+        if p > b.mbsala.pa_max:
+            raise SaturationError(f"{link} pa: {p!r} W > {b.mbsala.pa_max!r} W")
+    mbsala = power_mbsala(cfg, b, [target], [model.sigma_out / gain for gain in gains],
+                          streams)
     return at_point(power_mbs(cfg, b, mbsala))
 
 
@@ -157,20 +152,16 @@ def _separate_point(model, rate_user: float):
             if rate_user > capacity:
                 return None
         iap = power_lifi_iap(model.bundle.lifi_led, plain_sum(model.lifi_h) / len(model.lifi_h))
-    mbs = _outdoor_devices(model, _backhaul_powers(model, rate_user), cfg.n_beams)
+    rate_beam = rate_user * cfg.n_iue / cfg.n_beams
+    target = required_sinr(rate_beam / cfg.bandwidth_out, cfg.gamma)
+    mbs = _outdoor_devices(model, target, cfg.m_r, cfg.n_beams, "backhaul")
     return mbs, (power_bmaa(cfg, b), iap)
 
 
 def _direct_point(model, rate_user: float):
-    cfg, b = model.cfg, model.bundle
+    cfg = model.cfg
     target = required_sinr(rate_user / cfg.bandwidth_out, cfg.gamma)
-    powers = []   # one per building, shared by its n_iue streams
-    for beta in model.beta_out:
-        p = target * model.sigma_out / (beta * cfg.m_t * cfg.ue_antennas)
-        if p > b.mbsala.pa_max:
-            raise SaturationError(f"direct pa: {p!r} W > {b.mbsala.pa_max!r} W")
-        powers.append(p)
-    return _outdoor_devices(model, powers, cfg.n_iue), ()
+    return _outdoor_devices(model, target, cfg.ue_antennas, cfg.n_iue, "direct"), ()
 
 
 def rate_point(model, total_rate: float, x_value=None,

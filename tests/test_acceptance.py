@@ -299,7 +299,7 @@ def test_determinism_and_schema(tmp_path):
 
     bundle = default_bundle()
     cfg = bundle.scenario
-    mbsala = at_point(power_mbsala(cfg, bundle, [[1.0]], 4))
+    mbsala = at_point(power_mbsala(cfg, bundle, [1.0], [1.0], 4))
     bmaa = power_bmaa(cfg, bundle)
     iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)

@@ -141,17 +141,17 @@ def test_sweep_byte_identical_for_same_seed(tmp_path):
 # SHA-256 of the files a default sweep writes; each run has infeasible points
 PINNED_OUTPUTS = {
     "rate": ([], {}, {
-        "results.csv": "7d5a7cbab468a97218aded5b6e4ed6f5bee990d3b18ef0e770a129098bd12008",
+        "results.csv": "0f42b0a8a061c5ea73ed578225007da22293c8054fa1dfa87ddc6efc7f8094d4",
         "power_vs_rate.svg": "167a6cd26a73a56179d25d211ee0d769fb87ec3a08cc7809d208da1ba9ce048c",
         "ee_vs_rate.svg": "6ad8be438eb9f3bf2d96bd0af91493992174b13b58209e80c5d9ea37ee5c0f1a",
     }),
     "se": (["--variable", "se"], {}, {
-        "results.csv": "bd4c57ece9cc50ae0c5e42129732f39ff81891bce09aa90eb4622b2f383fcad8",
+        "results.csv": "8d9d487636bfc5097cf85da844a3e1ec88c25126629aa92bf8ddf54f6686ab8e",
         "power_vs_se.svg": "f83e307673d1d40f761114a4053bceedcb190ffa67d51dfc078b4b86e78c04a8",
         "ee_vs_se.svg": "eed37449db1b55545fa6c5b9dcdffc04361c798bc654723ceabd4a9f87b95885",
     }),
     "random-rate": ([], {"B5GCELL_LAYOUT__PLACEMENT": "random"}, {
-        "results.csv": "a00d6c1b0e51c46f16f8f30e6d36a5655585f0b96b0e2061e3a87343f4f9fdce",
+        "results.csv": "042816b3739ffc63663cf3b8e103d6995157b1d705288b8b5c3acf11a9d37058",
         "power_vs_rate.svg": "a6aad39a331d2d33f109b65f37e90d6bc5bb43f23f316587bb9b532b6fda998c",
         "ee_vs_rate.svg": "0d4ecf7eec036c302a900353f0d72485be265f8dc5848de6658b770ae1c24549",
     }),
@@ -159,7 +159,7 @@ PINNED_OUTPUTS = {
     # about 3 points per viewBox column, so each chart draws M4's reduction
     "dense-mt128": (["--grid", "0:6e9:2000", "--variants",
                      "sep-mmwave:mt=128,sep-lifi:mt=128,nonsep:mt=128"], {}, {
-        "results.csv": "5dabbd8a2b63d7c9c49c31e164efd2592e4858072ce620b4b71990464db31e5a",
+        "results.csv": "4f2b00bd44d3a1a293b085bd771851e2b5361d9acbdddf4417221bde49052eb8",
         "power_vs_rate.svg": "0a9bc7531732f985dc42398ba70b6a8040740101566540380e603765d2611cd2",
         "ee_vs_rate.svg": "d661afd514cc9384d74b49c5f3e266d39b130fc861044850547b045fc1c5f303",
     }),
@@ -179,9 +179,9 @@ def test_sweep_outputs_match_pinned_digests(tmp_path, monkeypatch, case):
 
 # SHA-256 of the summary.txt that analyze writes for the default rate and SE sweeps
 PINNED_SUMMARIES = {
-    "rate": ([], "0d8b23f96641a9fb343f7fcd145651a3246640af224e409cd4e55dd7bd530366"),
+    "rate": ([], "6b4b40ff60f7cc5690e37639865dd2d8dca5ee61fc58a8c33073a206138cbde1"),
     "se": (["--variable", "se"],
-           "7b81f3d914f9b0908fa20f61678f800e36b3710d2ea74f0c90eb30e1949927ec"),
+           "e8cbe49e462b424fb76715ec299f004d22402880d4a864e600c9fc7305352226"),
     # nonsep.feasible=none and n_feasible=6, with both sep-* variants summarized
     "nonsep-infeasible": (["--grid", "5e9:6e9:3"],
                           "67a299fc2738d98522422efc9a6a450cde74e5ea89122e1553fe1b276b2ce00a"),

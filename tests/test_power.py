@@ -72,7 +72,8 @@ def test_estimation_ops_default_pilot_equals_users(bundle):
     for pilot_len, ops in ((16, 64 * 16 * 16), (8, 64 * 16 * 8)):
         pilots_only = cfg._replace(pilot_len=pilot_len, coherence_block=pilot_len)
         b = _idle(bundle, frame_rate=1000.0)
-        est = _gops_at_rho_1(power_mbsala, pilots_only, b, [[0.0]], 1) - _gops_fft(b.gops)
+        est = (_gops_at_rho_1(power_mbsala, pilots_only, b, [0.0], [1.0], 1)
+               - _gops_fft(b.gops))
         assert est == pytest.approx(ops * (14 * 1000.0 / pilot_len) / 1e9, rel=1e-9)
 
 
@@ -89,8 +90,8 @@ def test_complexity_total_is_sum_of_parts(bundle):
                                                 / cfg.coherence_block) / 1e9
     parts = (g.fltr + _gops_fft(g) + est + _gops_precoding(cfg, g, cfg.m_t) + g.map
              + g.ctrl + g.nw)
-    assert _gops_at_rho_1(power_mbsala, cfg, bundle, [[0.0]], 1) == pytest.approx(parts,
-                                                                       rel=1e-15)
+    assert _gops_at_rho_1(power_mbsala, cfg, bundle, [0.0], [1.0], 1) == pytest.approx(
+        parts, rel=1e-15)
 
 
 def test_bmaa_load_scales_with_beam_count(bundle):
@@ -110,7 +111,7 @@ def test_bb_power_is_load_over_rho(bundle):
     # one array's site workload of 320 GOPS at 160 GOPS per watt
     b = _idle(bundle, enc=320.0)._replace(devices=bundle.devices._replace(rho=160.0))
     cfg = bundle.scenario._replace(n_arrays=1)
-    assert power_mbs(cfg, b, power_mbsala(cfg, b, [[0.0]], 1)).p_bb == 2.0
+    assert power_mbs(cfg, b, power_mbsala(cfg, b, [0.0], [1.0], 1)).p_bb == 2.0
 
 
 def test_device_laws_read_their_own_antenna_counts(bundle):
@@ -120,7 +121,7 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
     assert (cfg.m_r, cfg.m_t_iap) == (64, 16)
     fft = 14 * 2048 * 11 * 1000 / 1e9
     items = (16 + 4 * 4) * (1 - 16 / 196)
-    mbsala = power_mbsala(cfg, bundle, [[0.0]], 1)
+    mbsala = power_mbsala(cfg, bundle, [0.0], [1.0], 1)
     est = 16 * 128 * 16 * (14 * 1000 / 196) / 1e9
     assert mbsala.p_bb == pytest.approx(
         (10 + fft + est + items * 128 * 2048 * 1000 / 1e9 + 5 + 10 + 10) / 160, rel=1e-12)
@@ -142,14 +143,14 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
 
 def test_rf_mbsala_hand_sum(bundle):
     # defaults: per-antenna 10 mW, clock 50 mW
-    assert power_mbsala(bundle.scenario, bundle, [[0.0]], 1).p_rf == pytest.approx(
+    assert power_mbsala(bundle.scenario, bundle, [0.0], [1.0], 1).p_rf == pytest.approx(
         64 * 0.01 + 8 * 0.05, rel=1e-12)
 
 
 def test_rf_affine_plus_root_shape(bundle):
     b = bundle._replace(mbsala=bundle.mbsala._replace(
         p_mod=0.01, p_mix=0.01, p_dac=0.01, p_clk=0.01))
-    p_rf = power_mbsala(b.scenario, b, [[0.0]], 1).p_rf
+    p_rf = power_mbsala(b.scenario, b, [0.0], [1.0], 1).p_rf
     assert p_rf == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
     assert p_rf == pytest.approx(2.0, rel=1e-12)
 
@@ -255,20 +256,20 @@ def test_overhead_exactness_invariant(ec, ea, ed, bb, rf):
 
 
 def test_mbsala_has_no_divisor(bundle):
-    device = power_mbsala(bundle.scenario, bundle, [[1.0]], 4)
+    device = power_mbsala(bundle.scenario, bundle, [1.0], [1.0], 4)
     assert device.p_total[0] == pytest.approx(device.p_bb + device.p_rf + device.p_pa[0],
                                               rel=1e-12)
 
 
 def test_mbsala_zero_load_zero_output_is_rf_only(bundle):
-    device = power_mbsala(bundle.scenario, _idle(bundle), [[0.0]], 1)
+    device = power_mbsala(bundle.scenario, _idle(bundle), [0.0], [1.0], 1)
     assert device.p_bb == 0.0 and device.p_pa == [0.0]
     assert device.p_total == [device.p_rf]
 
 
 def test_mbsala_pa_additive_over_beams(bundle):
-    four = power_mbsala(bundle.scenario, bundle, [[0.5]], 4)
-    eight = power_mbsala(bundle.scenario, bundle, [[0.5]], 8)
+    four = power_mbsala(bundle.scenario, bundle, [0.5], [1.0], 4)
+    eight = power_mbsala(bundle.scenario, bundle, [0.5], [1.0], 8)
     assert eight.p_pa[0] == pytest.approx(2 * four.p_pa[0], rel=1e-12)
 
 
@@ -305,7 +306,7 @@ def test_lifi_dark_led_draws_nothing(bundle):
 
 def test_mbs_overhead_identity_with_arrays(bundle):
     cfg, d = bundle.scenario, bundle.devices
-    array = power_mbsala(cfg, bundle, [[1.0]], 4)
+    array = power_mbsala(cfg, bundle, [1.0], [1.0], 4)
     mbs = power_mbs(cfg, bundle, array)
     numerator = mbs.p_total[0] * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
     assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa[0], rel=1e-12)
@@ -316,14 +317,14 @@ def test_mbs_without_overhead_passes_arrays_through(bundle):
     b0 = _idle(bundle)._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0,
                                                                  eta_dcdc=0.0))
     cfg = b0.scenario._replace(n_arrays=1)
-    array = power_mbsala(cfg, b0, [[25.0]], 2)
+    array = power_mbsala(cfg, b0, [25.0], [1.0], 2)
     mbs = power_mbs(cfg, b0, array)
     assert mbs.p_total[0] == pytest.approx(array.p_total[0], rel=1e-12)
 
 
 def test_power_cell_sums_components(bundle):
     cfg = bundle.scenario
-    mbs = at_point(power_mbs(cfg, bundle, power_mbsala(cfg, bundle, [[1.0]], 1)))
+    mbs = at_point(power_mbs(cfg, bundle, power_mbsala(cfg, bundle, [1.0], [1.0], 1)))
     bmaa = power_bmaa(cfg, bundle)
     iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
     total = power_cell(mbs, 2, bmaa, iap)
@@ -336,7 +337,7 @@ def test_power_cell_sums_components(bundle):
 @settings(max_examples=60)
 def test_all_powers_nonnegative(m_t, p):
     bundle = default_bundle()
-    device = power_mbsala(bundle.scenario._replace(m_t=m_t), bundle, [[p]], 1)
+    device = power_mbsala(bundle.scenario._replace(m_t=m_t), bundle, [p], [1.0], 1)
     assert device.p_bb >= 0 and device.p_rf >= 0 and device.p_pa[0] >= 0
     assert device.p_total[0] >= 0
 
@@ -357,7 +358,7 @@ def _golden_values():
 def _current_device_powers():
     bundle = default_bundle()
     cfg = bundle.scenario
-    mbsala = at_point(power_mbsala(cfg, bundle, [[1.0]], 4))
+    mbsala = at_point(power_mbsala(cfg, bundle, [1.0], [1.0], 4))
     bmaa = power_bmaa(cfg, bundle)
     iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -18,8 +19,8 @@ from b5gcell import (
 )
 from b5gcell.analyze import _summarize
 from b5gcell import power, scenario
-from b5gcell.power import (pa_power_classb, power_bmaa, power_iap_mmwave, power_lifi_iap,
-                           power_mbs, power_mbsala)
+from b5gcell.power import (overhead_divisor, pa_power_classb, power_bmaa, power_iap_mmwave,
+                           power_lifi_iap, power_mbs, power_mbsala)
 from b5gcell.records import add_up
 from b5gcell.scenario import POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE
 from kernel_oracles import UniformAngles, expected_kernel_power, sinr_mmwave
@@ -375,14 +376,14 @@ def test_run_sweep_evaluates_each_distinct_outdoor_link_once(bundle, monkeypatch
 
 def test_each_buildings_amplifier_column_is_drawn_once(bundle, monkeypatch):
     # the default sweep has two distinct outdoor links (the relay both sep variants
-    # share, and the direct one) over 4 buildings: 8 class-B columns, not one per
-    # stream (32)
+    # share, and the direct one): one class-B call each, over the link's 4 buildings
+    # at t = 1, not one per building (8) or per stream (32)
     calls = []
     monkeypatch.setattr(power, "pa_power_classb",
                         lambda *args: calls.append(args) or pa_power_classb(*args))
     grid = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
     run_sweep(bundle, SweepSpec(RATE_VARIABLE, grid, (SEP, LIFI, NON)))
-    assert len(calls) == 8
+    assert [len(noise_per_gain) for noise_per_gain, _ in calls] == [4, 4]
 
 
 def _near_n_fold_sum(total, n, term) -> bool:
@@ -419,19 +420,109 @@ def test_identical_devices_scale_by_their_count(n_arrays, n_buildings, n_beams, 
             if ok:
                 assert p_bmaa == n * bmaa and _near_n_fold_sum(p_bmaa, n, bmaa)
                 assert p_iap == n * one and _near_n_fold_sum(p_iap, n, one)
-    # a building's streams share its amplifier column; the site scales one relay array
+    # a building's streams share its amplifiers; the site scales one relay array
     cfg = model.cfg
-    p_out = [0.0, 1e-3, 1.0, 30.0]
-    pa = pa_power_classb(p_out, b.mbsala.pa_max)
+    target = [0.0, 1e-3, 1.0, 30.0]
+    pa = pa_power_classb([1.0], b.mbsala.pa_max)[0]   # one building at sigma / g = 1
     for streams in (n_beams, n_iue):
-        mbsala = power_mbsala(cfg, b, [p_out], streams)
-        assert mbsala.p_pa == [streams * p for p in pa]
-        assert all(map(_near_n_fold_sum, mbsala.p_pa, [streams] * len(pa), pa))
+        mbsala = power_mbsala(cfg, b, target, [1.0], streams)
+        assert mbsala.p_pa == [streams * pa * math.sqrt(t) for t in target]
+        assert _near_n_fold_sum(mbsala.p_pa[2], streams, pa)
         mbs = power_mbs(cfg, b, mbsala)
         assert mbs.p_pa == [n_arrays * p for p in mbsala.p_pa]
-        assert all(map(_near_n_fold_sum, mbs.p_pa, [n_arrays] * len(pa), mbsala.p_pa))
+        assert all(map(_near_n_fold_sum, mbs.p_pa, [n_arrays] * len(target), mbsala.p_pa))
         assert mbs.p_rf == n_arrays * mbsala.p_rf
         assert _near_n_fold_sum(mbs.p_rf, n_arrays, mbsala.p_rf)
+
+
+# Largest distance, in ulps of the per-building sum, of the link law's draw from that
+# sum wherever the sum's own steps stay normal: 6 ulps over 2.2 million random feasible
+# points (1-6 buildings, the domains of _links), so the band is 8.
+LINK_LAW_BAND_ULPS = 8
+
+
+def _per_building_draws(target, sigma, gains, pa_max, streams):
+    """The relay array's class-B draw the engine took before the link law: each
+    building's output column t sigma / g_b through the class-B law, the buildings'
+    draws summed in order point by point, times *streams*."""
+    columns = [pa_power_classb([t * sigma / g for t in target], pa_max) for g in gains]
+    return [streams * add_up(draws) for draws in zip(*columns)]
+
+
+def _normal_steps(t, sigma, gains, pa_max) -> bool:
+    """Every product and quotient of the per-building law at *t* is a normal float or
+    inf: no step underflowed and lost digits."""
+    tiny = sys.float_info.min
+    return t * sigma >= tiny and all(t * sigma / g >= tiny and t * sigma / g * pa_max >= tiny
+                                     for g in gains)
+
+
+@st.composite
+def _links(draw):
+    """(variant, bundle, betas, target): a relay or direct link over 1-6 buildings whose
+    large-scale gains are normal floats from 1e-150 to 1e150, sigma and pa_max from 1e-30
+    to 1e30, 1-64 streams, and a target column of 0, subnormals, values up to the rating
+    edge of the weakest building and past it, and inf."""
+    def log_uniform(lo, hi):
+        return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+    variant = draw(st.sampled_from([LIFI, NON]))._replace(m_t=draw(st.integers(1, 1024)))
+    betas = draw(st.lists(log_uniform(-150, 150), min_size=1, max_size=6))
+    sigma, pa_max = draw(log_uniform(-30, 30)), draw(log_uniform(-30, 30))
+    streams = draw(st.integers(1, 64))
+    b = default_bundle()
+    s = b.scenario._replace(n_buildings=len(betas), noise_variance=sigma)
+    relay = variant.kind != "nonsep"
+    s = s._replace(n_beams=streams) if relay else s._replace(n_iue=streams)
+    b = b._replace(scenario=s, mbsala=b.mbsala._replace(pa_max=pa_max),
+                   layout=b.layout._replace(placement="random"))
+    rx = s.m_r if relay else s.ue_antennas
+    edge = pa_max * min(betas) * variant.m_t * rx / sigma
+    target = draw(st.lists(st.one_of(
+        st.just(0.0), st.floats(0.0, sys.float_info.min, exclude_max=True),
+        st.floats(0.0, 1.0).map(lambda f: f * edge), st.floats(1.0, 1e6).map(lambda f: f * edge),
+        st.floats(0.0, 1e300), st.just(math.inf)), min_size=1, max_size=12))
+    return variant, b, betas, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(link=_links())
+def test_an_outdoor_link_draws_sqrt_target_times_its_constant(link):
+    # the macro site's flags are the per-building rating check, its feasible draws lie
+    # within the band of the per-building sum, draws never fall as the target grows,
+    # and a zero target draws exactly the static power
+    variant, b, betas, target = link
+    devices = []
+    with mock.patch.object(scenario, "_gains", lambda *args: list(betas)):
+        model = build_scenario(b, variant)
+    with mock.patch.object(scenario, "required_sinr", lambda rates, gamma: list(target)), \
+            mock.patch.object(scenario, "power_mbsala", _returned(power_mbsala, devices)), \
+            mock.patch.object(scenario, "power_mbs", _returned(power_mbs, devices)):
+        p_mbs, flags = model._outdoor([0.0] * len(target))
+    (mbsala, mbs), cfg = devices, model.cfg
+    relay = variant.kind != "nonsep"
+    rx, streams = (cfg.m_r, cfg.n_beams) if relay else (cfg.ue_antennas, cfg.n_iue)
+    gains = [beta * cfg.m_t * rx for beta in betas]
+    sigma, pa_max = cfg.noise_variance, b.mbsala.pa_max
+    assert flags == [all(t * sigma / g <= pa_max for g in gains) for t in target]
+    today = _per_building_draws(target, sigma, gains, pa_max, streams)
+    for t, ok, draw, old in zip(target, flags, mbsala.p_pa, today):
+        if ok and _normal_steps(t, sigma, gains, pa_max):
+            assert abs(draw - old) <= LINK_LAW_BAND_ULPS * math.ulp(old), (t, draw, old)
+    ordered = sorted(zip(target, mbsala.p_pa))
+    assert all(lo[1] <= hi[1] for lo, hi in zip(ordered, ordered[1:]))
+    static = (mbs.p_bb + mbs.p_rf) / overhead_divisor(b)
+    assert all(draw == 0.0 and p == static
+               for t, draw, p in zip(target, mbsala.p_pa, p_mbs) if t == 0.0)
+
+
+def test_a_link_constant_past_float_range_keeps_a_zero_demand_static(bundle):
+    # sigma / g passes the float maximum, so k_link is inf: x = 0 still draws exactly
+    # the static power, and every other point is past the rating
+    b = bundle._replace(scenario=bundle.scenario._replace(noise_variance=1e300),
+                        mbsala=bundle.mbsala._replace(pa_max=1e300))
+    column = build_scenario(b, NON).points([0.0, 5e8, 1e9])
+    assert column["feasible"] == [True, False, False]
+    assert column["total_power_w"][0] == 7.845136864176379
 
 
 def test_an_overflowed_total_power_is_infeasible(bundle):
@@ -450,8 +541,9 @@ def test_an_amplifier_whose_output_times_rating_overflows_keeps_its_point(bundle
     column = build_scenario(huge, NON).points([9.318, 9.319, 9.4], SE_VARIABLE)
     assert column["feasible"] == [True, True, True]
     assert all(math.isfinite(p) for p in column["total_power_w"])
-    # where the product fits, the draw is the root of the product itself
-    assert column["total_power_w"][0] == 4.104391448023327e+155
+    # the draw is sqrt(t) k_link: 1 ulp above the root of the product itself,
+    # 4.104391448023327e+155 W, where the product fits
+    assert column["total_power_w"][0] == 4.1043914480233275e+155
 
 
 @st.composite

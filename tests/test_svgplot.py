@@ -102,6 +102,14 @@ def test_non_finite_pixels_rejected(xs, ys):
         line_chart(xs, [("a", ys)], "t", "x", "y")
 
 
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_nan_x_is_rejected_by_name(at):
+    xs = [0.0, 1.0, 2.0]
+    xs[at] = math.nan
+    with pytest.raises(ValueError, match="cannot plot: an x value is NaN"):
+        line_chart(xs, [("a", [1.0, 2.0, 3.0])], "t", "x", "y")
+
+
 @pytest.mark.parametrize("ys", [[1.5334483419589803e308] * 3,   # widening overflows
                                 [0.0, 1e308, 1.7e308],              # padding overflows
                                 [0.0, 1.0, sys.float_info.max],     # so does the last tick
