@@ -11,15 +11,10 @@ Conventions fixed here once:
   A relay array is fed by the macro site's supply, so its own total carries
   no divisor.
 * The laws check nothing; the gate is validate_bundle, SweepSpec and points().
-* An amplifier's output power is a column, one float per grid point (a list),
-  and so is every rate-dependent result; a law maps over a column point by
-  point, so every entry of its result equals that point's own evaluation.
+* Device laws return floats; only the amplifier laws map over a column (a list),
+  each entry that point's own evaluation.
 * Identical devices scale by their count, one rounding; ``records.add_up``
   sums only distinct terms, in order.
-* Class-B draws (2/pi) sqrt(p_out p_max), homogeneous of degree 1/2 in p_out, so a
-  relay array whose buildings' amplifiers run at t sigma / g_b draws sqrt(t) times
-  one constant per link, k_link = streams * sum_b (2/pi) sqrt(sigma / g_b p_max):
-  one square root per point, not one per building.
 
 Each device has one law, baseband GOPS / rho plus its RF front end plus its
 amplifier, over the supply divisor where it owns one, and each law sums its own
@@ -33,6 +28,7 @@ the whole bundle, from which a law reads ``gops`` (the stage workloads),
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 from .config import ConfigBundle
@@ -67,9 +63,10 @@ def _gops_precoding(cfg, gops, antennas: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _roots(p_out, p_max: float) -> list:
-    """sqrt(p * p_max) per p, as sqrt(p) sqrt(p_max) only where the product overflows."""
-    sqrt, root, inf = math.sqrt, math.sqrt(p_max), math.inf
-    return [sqrt(q) if (q := p * p_max) < inf else sqrt(p) * root for p in p_out]
+    """sqrt(p * p_max) per p, as sqrt(p) sqrt(p_max) only where a product of p > 0
+    leaves the normal range: it overflows, or underflows and loses digits."""
+    sqrt, root, inf, tiny = math.sqrt, math.sqrt(p_max), math.inf, sys.float_info.min
+    return [sqrt(q) if tiny <= (q := p * p_max) < inf or not p else sqrt(p) * root for p in p_out]
 
 
 def pa_power_classb(p_out, p_max: float):
@@ -95,25 +92,20 @@ def overhead_divisor(b: ConfigBundle) -> float:
     return (1.0 - d.eta_c) * (1.0 - d.eta_acdc) * (1.0 - d.eta_dcdc)
 
 
-def power_mbsala(cfg, b: ConfigBundle, target, noise_per_gain, streams: int) -> DevicePower:
+def power_mbsala(cfg, b: ConfigBundle, sigma: float, gains, streams: int) -> DevicePower:
     """One relay array: baseband (filtering, FFT, channel estimation, precoding,
     mapping, control, network) + RF over m_t antennas + *streams* class-B amplifiers
-    per building.  At SINR target t a building of gain g drives its amplifiers at
-    t sigma / g, given as sigma / g per building in *noise_per_gain*.  Class-B is
-    homogeneous of degree 1/2, so over the column *target* they draw sqrt(t) k, with
-    k = *streams* times the in-order sum of the buildings' draws at t = 1; zero draws
-    zero, also where k is inf.  No divisor: the macro site's supply has it."""
+    per building.  At SINR target t the building of gain g in *gains* runs them at
+    t *sigma* / g; class-B is homogeneous of degree 1/2, so they draw sqrt(t) k_link,
+    and p_pa is k_link, their in-order sum at t = 1.  No divisor: the site's supply has it."""
     g, rf = b.gops, b.mbsala
     blocks_per_s = g.n_symbols * g.frame_rate / cfg.coherence_block
     gops = (g.fltr + _gops_fft(g) + cfg.pilot_len * cfg.m_t * cfg.n_ue * blocks_per_s / 1e9
             + _gops_precoding(cfg, g, cfg.m_t) + g.map + g.ctrl + g.nw)
     p_bb = gops / b.devices.rho
     p_rf = cfg.m_t * (rf.p_mod + rf.p_mix + rf.p_dac) + math.sqrt(cfg.m_t) * rf.p_clk
-    k, sqrt = streams * add_up(pa_power_classb(noise_per_gain, rf.pa_max)), math.sqrt
-    p_pa = [k * sqrt(t) if t else 0.0 for t in target]
-    base = p_bb + p_rf
-    return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
-                       p_total=[base + pa for pa in p_pa])
+    p_pa = streams * add_up(pa_power_classb([sigma / gain for gain in gains], rf.pa_max))
+    return DevicePower(kind="mbsala", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa, p_total=p_bb + p_rf + p_pa)
 
 
 def power_bmaa(cfg, b: ConfigBundle) -> DevicePower:
@@ -131,17 +123,15 @@ def power_bmaa(cfg, b: ConfigBundle) -> DevicePower:
     return DevicePower(kind="bmaa", p_bb=p_bb, p_rf=p_rf, p_pa=0.0, p_total=total)
 
 
-def power_iap_mmwave(cfg, b: ConfigBundle, p_out) -> DevicePower:
-    """Indoor mmWave access point: baseband (filtering, FFT, mapping, control,
-    network) + RF over m_t_iap antennas + Doherty amplifier, own supply."""
+def power_iap_mmwave(cfg, b: ConfigBundle) -> DevicePower:
+    """Indoor mmWave access point: baseband (filtering, FFT, mapping, control, network)
+    + RF over m_t_iap antennas, own supply; its Doherty draw adds before the divisor."""
     g, rf = b.gops, b.iap
     p_bb = (g.fltr + _gops_fft(g) + g.map + g.ctrl + g.nw) / b.devices.rho
     p_rf = (cfg.m_t_iap * (rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs)
             + math.sqrt(cfg.m_t_iap) * rf.p_clc)
-    p_pa = pa_power_doherty(p_out, rf.pa_max)
-    base, divisor = p_bb + p_rf, overhead_divisor(b)
-    return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
-                       p_total=[(base + pa) / divisor for pa in p_pa])
+    return DevicePower(kind="iap-mmwave", p_bb=p_bb, p_rf=p_rf, p_pa=0.0,
+                       p_total=(p_bb + p_rf) / overhead_divisor(b))
 
 
 def power_lifi_iap(led, h_los: float) -> DevicePower:
@@ -168,7 +158,6 @@ def power_mbs(cfg, b: ConfigBundle, mbsala: DevicePower) -> DevicePower:
     g, arrays = b.gops, cfg.n_arrays
     site_gops = arrays * g.enc + arrays * g.ctrl + arrays * g.nw
     p_bb = site_gops / b.devices.rho + arrays * mbsala.p_bb
-    p_rf, p_pa = arrays * mbsala.p_rf, [arrays * pa for pa in mbsala.p_pa]
-    base, divisor = p_bb + p_rf, overhead_divisor(b)
+    p_rf, p_pa = arrays * mbsala.p_rf, arrays * mbsala.p_pa
     return DevicePower(kind="mbs", p_bb=p_bb, p_rf=p_rf, p_pa=p_pa,
-                       p_total=[(base + pa) / divisor for pa in p_pa])
+                       p_total=(p_bb + p_rf + p_pa) / overhead_divisor(b))

@@ -9,33 +9,39 @@ macro site, relaying to the building arrays or beaming through the wall) plus
 the indoor access (the mmWave or LiFi access points).  It is infeasible when any
 amplifier would exceed its rating or an indoor link cannot reach the demanded
 rate: the LiFi hop's capacity is exceeded, or the mmWave access SINR target
-reaches t_star, past which no nonnegative power allocation exists.  The
-circulant beam codebook gives the summed mmWave access power in closed form,
-with no linear solve.  Infeasible points carry NaN in every power field.
+reaches t_star, past which no nonnegative power allocation exists.  Each device
+law runs once per model; the model keeps the constants its evaluators read.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 
 from .channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespace, \
     pathloss_winner_b5a
 from .config import DEFAULTS, ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
-from .power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
+from .power import (overhead_divisor, pa_power_doherty, power_bmaa, power_iap_mmwave,
+                    power_lifi_iap, power_mbs, power_mbsala)
 from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepResult,
                       SweepSpec, VariantSpec, add_up, sha256)
+
+# Constants found once per model: the outdoor link's (equal links, equal columns), the access's
+Link = namedtuple("Link", "n_users users beams bandwidth gamma static n_arrays k scale "
+                          "divisor sigma weakest pa_max")
+Access = namedtuple("Access", "bmaa fixed capacity static scale t_star pa_max divisor",
+                    defaults=(None,) * 5)
+
 
 class ScenarioModel:
     """Everything static about one variant; operating points are queried from it."""
 
     def __init__(self, bundle: ConfigBundle, variant: VariantSpec, seed: int = 0):
         validate_bundle(bundle)
-        self.bundle = bundle
-        self.variant = variant
-        cfg = bundle.scenario._replace(m_t=variant.m_t)
-        self.cfg = cfg
+        self.bundle, self.variant = bundle, variant
+        self.cfg = cfg = bundle.scenario._replace(m_t=variant.m_t)
         layout = bundle.layout
 
         # geometry: fixed layout, or a draw from the variant's own seeded stream
@@ -51,23 +57,21 @@ class ScenarioModel:
             distances = [float(d) for d in layout.building_distances_m]
             offsets = [(float(x), float(y)) for x, y in layout.user_offsets_m]
             placed_by = "layout.building_distances_m", "layout.user_offsets_m"
-        self.building_distances = distances
-        self.user_offsets = offsets
+        self.building_distances, self.user_offsets = distances, offsets
 
         # outdoor gain per building: the relay's backhaul, or the direct link through the wall
-        relay = variant.kind != "nonsep"   # _link: all the outdoor link reads in one bundle
+        relay = variant.kind != "nonsep"
         wall, walled = (0.0, "") if relay else (cfg.penetration_loss_db,
                                                 "scenario.penetration_loss_db, ")
         self.beta_out = _gains(f"scenario.carrier_freq_out, {walled}{placed_by[0]}",
                                pathloss_winner_b5a, distances, cfg.carrier_freq_out, wall)
-        self._link = (relay, cfg.m_t, tuple(self.beta_out))
 
         # the swept total rate is split equally over every indoor user
         self.n_devices = cfg.n_arrays * cfg.n_buildings   # building arrays, access points
         self.n_users = self.n_devices * cfg.n_iue
-        self.sigma_out = cfg.noise_variance
         # indoor noise: identical density and noise figure, wider band
         self.sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
+        self.link = self._link(relay)
 
         # indoor geometry shared by every building
         iap_pos = (0.0, 0.0, layout.iap_height_m)
@@ -75,47 +79,68 @@ class ScenarioModel:
         dz = layout.user_height_m - layout.iap_height_m
         self.user_distances = [math.sqrt(x * x + y * y + dz * dz) for x, y in offsets]
 
-        # rate-independent device powers, n_devices times one device's: only the
-        # amplifiers follow the rate, so points() applies the device laws that have one
-        self._bmaa_sum = self.n_devices * power_bmaa(cfg, bundle).p_total if relay else 0.0
-        self._iap_sum, self._lifi_capacity = 0.0, math.inf   # nonsep: no access limit
+        # each device law once: only the amplifiers follow the rate, and identical
+        # devices scale by their count
+        bmaa = self.n_devices * power_bmaa(cfg, bundle).p_total if relay else 0.0
+        self.access = Access(bmaa, 0.0, math.inf)   # nonsep: no access limit
         if variant.kind == "sep-mmwave":
             self.beta_access = _gains("scenario.carrier_freq_in, layout.iap_height_m, "
                                       f"layout.user_height_m, {placed_by[1]}",
                                       pathloss_freespace, self.user_distances, cfg.carrier_freq_in)
-            self._init_beam_codebook()
+            iap = power_iap_mmwave(cfg, bundle)
+            self.access = Access(bmaa, None, None, iap.p_bb + iap.p_rf, *self._beam_codebook(),
+                                 bundle.iap.pa_max, overhead_divisor(bundle))
         if variant.kind == "sep-lifi":
             try:   # a gain past float range, or a divisor that rounds to 0
-                self._init_lifi(iap_pos, user_pos)
+                capacity = self._init_lifi(iap_pos, user_pos)
                 iap = power_lifi_iap(bundle.lifi_led, add_up(self.lifi_h) / cfg.n_iue)
             except (ArithmeticError, ValueError):
                 keys = [key for key in DEFAULTS if key.startswith("lifi")] + [
                     "scenario.bandwidth_in", "layout.iap_height_m", "layout.user_height_m"]
                 raise ConfigError(f"{', '.join(keys)}, {placed_by[1]}: must give a LiFi link "
                                   "and LED drive in float range") from None
-            self._iap_sum = self.n_devices * iap.p_total
+            self.access = Access(bmaa, self.n_devices * iap.p_total, capacity)
+
+    def _link(self, relay: bool) -> Link:
+        """The outdoor link's constants, from the relay array and macro site laws."""
+        cfg, b = self.cfg, self.bundle   # a relay beam carries n_iue / n_beams users
+        users, beams, streams, rx = ((cfg.n_iue, cfg.n_beams, cfg.n_beams, cfg.m_r) if relay
+                                     else (1, 1, cfg.n_iue, cfg.ue_antennas))
+        gains = [beta * cfg.m_t * rx for beta in self.beta_out]   # output t sigma / g_b
+        sigma, pa_max = cfg.noise_variance, b.mbsala.pa_max
+        mbs = power_mbs(cfg, b, mbsala := power_mbsala(cfg, b, sigma, gains, streams))
+        k, scale, tiny = mbsala.p_pa, 1.0, sys.float_info.min
+        if sigma / max(gains) < tiny or not tiny <= k < math.inf:   # past float range:
+            from decimal import Decimal as D   # sum in decimal, scale by 2^-770 or 2^770
+            k = streams * sum(D(2 / math.pi) * (D(sigma) * D(pa_max) / D(g)).sqrt() for g in gains)
+            scale = 2.0 ** (770 * (k > D(sys.float_info.max)) - 770 * (k < D(tiny)))
+            k = float(k / D(scale))
+        # rounded division is monotone: the least gain's rating alone bounds each point
+        weakest = gains[self.beta_out.index(min(self.beta_out))]
+        return Link(self.n_users, users, beams, cfg.bandwidth_out, cfg.gamma,
+                    mbs.p_bb + mbs.p_rf, cfg.n_arrays, k, scale, overhead_divisor(b),
+                    sigma, weakest, pa_max)
 
     # -- indoor access precomputation ------------------------------------
 
-    def _init_beam_codebook(self):
+    def _beam_codebook(self) -> tuple:
         """Evenly spaced sine-space beams, one per indoor user; a user's
         departure angle is uniform over its beam's cell.  E_ij, the mean power
         of beam j over user i's cell, depends only on (i - j) mod n (the beams
         are even in sine space and the kernel has period 2), so the access
         system (I - t A) p = t sigma_in D^-1 1, A_ij = E_ij / E_00 off the
         diagonal and D = diag(beta_i E_00), has the all-ones Perron vector:
-        summing its rows gives the total power in closed form,
-        sigma_in t sum_i 1 / (beta_i E_00) / (1 - t lambda_0), with lambda_0 =
+        summing its rows gives the total power in closed form, scale t / (1 - t
+        lambda_0), with scale = sigma_in sum_i 1 / (beta_i E_00) and lambda_0 =
         sum_{j != 0} E_0j / E_00.  Every power is nonnegative exactly when t is
-        below t_star = 1 / lambda_0 (inf for a single user)."""
+        below t_star = 1 / lambda_0 (inf for a single user).  Returns (scale, t_star)."""
         n = self.cfg.n_iue
         width = 2.0 / n
         row = [kernel_power_mean(self.cfg.m_t_iap, i * width, width / 2) for i in range(n)]
-        self.t_star = row[0] / add_up(row[1:]) if n > 1 else math.inf
-        self.access_scale = self.sigma_in * add_up([1.0 / (beta * row[0])
-                                                    for beta in self.beta_access])
+        return (self.sigma_in * add_up([1.0 / (beta * row[0]) for beta in self.beta_access]),
+                row[0] / add_up(row[1:]) if n > 1 else math.inf)
 
-    def _init_lifi(self, iap_pos, user_pos):
+    def _init_lifi(self, iap_pos, user_pos) -> float:
         lifi = self.bundle.lifi
         self.lifi_h = [lifi_los_gain(lifi_angles(iap_pos, pos, lifi.n_tx, lifi.n_rx), lifi)
                        for pos in user_pos]
@@ -123,15 +148,13 @@ class ScenarioModel:
                           for hu in self.lifi_h]
         # each user must fit its TDMA share of the band
         share = self.cfg.bandwidth_in / self.cfg.n_iue
-        self._lifi_capacity = min(self.cfg.gamma * share * math.log2(1.0 + sinr)
-                                  for sinr in self.lifi_sinr)
+        return min(self.cfg.gamma * share * math.log2(1.0 + sinr) for sinr in self.lifi_sinr)
 
     # -- evaluation over a grid ---------------------------------------------
 
     def _access_power(self, sinr_targets) -> list:
-        """Summed indoor transmit power per SINR target, NaN where unmeetable:
-        an infinite target or one at or past t_star."""
-        scale, t_star = self.access_scale, self.t_star
+        """Summed indoor transmit power per SINR target, NaN at inf or from t_star on."""
+        scale, t_star = self.access.scale, self.access.t_star
         return [0.0 if t == 0.0 else scale * t / (1.0 - t / t_star) if 0.0 < t < t_star
                 else math.nan for t in sinr_targets]
 
@@ -151,32 +174,23 @@ class ScenarioModel:
 
     def _outdoor(self, rates) -> tuple:
         """The outdoor link's (macro site power, every amplifier within its rating)."""
-        cfg, b = self.cfg, self.bundle
-        relay, _, betas = self._link   # a relay beam carries n_iue / n_beams users
-        users, beams, streams, rx = ((cfg.n_iue, cfg.n_beams, cfg.n_beams, cfg.m_r) if relay
-                                     else (1, 1, cfg.n_iue, cfg.ue_antennas))
-        target = required_sinr([x / self.n_users * users / beams / cfg.bandwidth_out
-                                for x in rates], cfg.gamma)
-        gains = [beta * cfg.m_t * rx for beta in betas]   # building b's output is t sigma / g_b
-        sigma, pa_max = self.sigma_out, b.mbsala.pa_max
-        mbsala = power_mbsala(cfg, b, target, [sigma / gain for gain in gains], streams)
-        # rounded division is monotone, so at every point the building of least
-        # gain asks the most of its amplifiers: its rating alone bounds the backhaul
-        weakest = gains[betas.index(min(betas))]
-        return (power_mbs(cfg, b, mbsala).p_total,
+        n_users, users, beams, bandwidth, gamma, static, arrays, k, scale, divisor, sigma, \
+            weakest, pa_max = self.link
+        sqrt, target = math.sqrt, required_sinr([x / n_users * users / beams / bandwidth
+                                                 for x in rates], gamma)
+        return ([(static + arrays * (k * sqrt(t) * scale)) / divisor for t in target],
                 [t * sigma / weakest <= pa_max for t in target])
 
     def _indoor(self, rates) -> tuple:
         """The indoor access's (access points' summed power, every user served)."""
-        if self.variant.kind != "sep-mmwave":   # fixed drive, and the LiFi capacity
-            capacity = self._lifi_capacity
-            return [self._iap_sum] * len(rates), [x / self.n_users <= capacity for x in rates]
-        cfg = self.cfg
+        a, n_users = self.access, self.n_users
+        if a.scale is None:   # fixed drive, and the LiFi capacity
+            return [a.fixed] * len(rates), [x / n_users <= a.capacity for x in rates]
         p_out = self._access_power(required_sinr(
-            [x / self.n_users / cfg.bandwidth_in for x in rates], cfg.gamma))
-        iap, pa_max = power_iap_mmwave(cfg, self.bundle, p_out), self.bundle.iap.pa_max
-        return ([self.n_devices * p for p in iap.p_total],
-                [p <= pa_max for p in p_out])   # False where NaN (unmeetable)
+            [x / n_users / self.cfg.bandwidth_in for x in rates], self.cfg.gamma))
+        n, static, divisor = self.n_devices, a.static, a.divisor
+        return ([n * ((static + pa) / divisor) for pa in pa_power_doherty(p_out, a.pa_max)],
+                [p <= a.pa_max for p in p_out])   # False where NaN (unmeetable)
 
     def points(self, xs, x_kind: str = RATE_VARIABLE) -> dict:
         """Evaluate the cell at every grid value in *xs*, any sequence of
@@ -187,13 +201,10 @@ class ScenarioModel:
 
         A point is the outdoor link plus the indoor access.  Returns the list
         of bools ``feasible`` and one list of floats per POWER_FIELDS name, NaN
-        where infeasible.  Only the amplifiers depend on the rate; the building
-        arrays' and LiFi access points' powers were fixed at build.  Identical
-        devices scale by their count and distinct terms add in order, so every
-        entry equals its one-point evaluation exactly.  An amplifier past its
-        rating, or a total power of 0 or past float range, makes its point
-        infeasible, so the laws take the demand unclipped: only NaN comes out
-        of them there.
+        where infeasible.  Only the amplifiers depend on the rate, and distinct
+        terms add in order, so every entry equals its one-point evaluation
+        exactly.  An amplifier past its rating, or a total power of 0 or past
+        float range, makes its point infeasible.
         """
         rates = self._rates(xs, x_kind)
         return self._add(rates, self._outdoor(rates))
@@ -201,7 +212,7 @@ class ScenarioModel:
     def _add(self, rates, outdoor) -> dict:
         """The outdoor link's columns *outdoor* plus the building arrays and the access."""
         (p_mbs, link_ok), (iap_sum, served) = outdoor, self._indoor(rates)
-        bmaa_sum = self._bmaa_sum
+        bmaa_sum = self.access.bmaa   # the building arrays' summed draw
         total = [p + bmaa_sum + iap for p, iap in zip(p_mbs, iap_sum)]
         feasible = [ok and link and 0.0 < t < math.inf
                     for ok, link, t in zip(served, link_ok, total)]
@@ -246,12 +257,12 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
     Under random placement each variant draws from a stream keyed on its
     name, so evaluation order cannot change random placements.
     """
-    columns, links, rates = {}, {}, None   # links: each distinct outdoor link, evaluated once
+    columns, links, rates = {}, {}, None   # links: each distinct Link, evaluated once
     for variant in spec.variants:
         model = build_scenario(bundle, variant, seed)
         if rates is None:   # the same for every variant: checked and converted once
             rates = model._rates(spec.grid, spec.variable)
-        if (link := links.get(model._link)) is None:
-            link = links[model._link] = model._outdoor(rates)
+        if (link := links.get(model.link)) is None:
+            link = links[model.link] = model._outdoor(rates)
         columns[variant.name] = model._add(rates, link)
     return SweepResult(spec=spec, seed=seed, columns=columns)

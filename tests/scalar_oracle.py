@@ -24,7 +24,8 @@ from operator import add
 import numpy as np
 
 from b5gcell.metrics import kernel_power_mean
-from b5gcell.power import power_bmaa, power_iap_mmwave, power_lifi_iap, power_mbs, power_mbsala
+from b5gcell.power import (overhead_divisor, pa_power_doherty, power_bmaa, power_iap_mmwave,
+                           power_lifi_iap, power_mbs, power_mbsala)
 from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, build_scenario
 
 
@@ -62,9 +63,9 @@ def power_cell(mbs, count: int = 0, *devices) -> float:
     return total
 
 
-def at_point(device):
-    """The breakdown of a law called on one-point columns, at that point."""
-    return device._replace(p_pa=device.p_pa[0], p_total=device.p_total[0])
+def with_amplifier(device, p_pa: float, divisor: float = 1.0):
+    """*device*'s breakdown with its amplifier drawing *p_pa*, over *divisor*."""
+    return device._replace(p_pa=p_pa, p_total=(device.p_bb + device.p_rf + p_pa) / divisor)
 
 
 def required_sinr(se_target: float, gamma: float) -> float:
@@ -122,16 +123,17 @@ def solve_mmwave_powers(model, sinr_target: float):
 def _outdoor_devices(model, target: float, rx: int, streams: int, link: str):
     """The macro site at SINR target *target*: each building's amplifier output,
     shared by its *streams* streams, is checked against the rating one building at a
-    time, and the relay array law draws them from sigma / g per building."""
+    time; the relay array law gives the draw at target 1, which class-B scales by
+    sqrt(target)."""
     cfg, b = model.cfg, model.bundle
+    sigma = cfg.noise_variance
     gains = [beta * cfg.m_t * rx for beta in model.beta_out]
     for gain in gains:
-        p = target * model.sigma_out / gain
+        p = target * sigma / gain
         if p > b.mbsala.pa_max:
             raise SaturationError(f"{link} pa: {p!r} W > {b.mbsala.pa_max!r} W")
-    mbsala = power_mbsala(cfg, b, [target], [model.sigma_out / gain for gain in gains],
-                          streams)
-    return at_point(power_mbs(cfg, b, mbsala))
+    mbsala = power_mbsala(cfg, b, sigma, gains, streams)
+    return power_mbs(cfg, b, with_amplifier(mbsala, mbsala.p_pa * math.sqrt(target)))
 
 
 def _separate_point(model, rate_user: float):
@@ -144,7 +146,8 @@ def _separate_point(model, rate_user: float):
         p_out = float(np.sum(powers))
         if p_out > b.iap.pa_max:
             return None
-        iap = at_point(power_iap_mmwave(cfg, b, [p_out]))
+        iap = with_amplifier(power_iap_mmwave(cfg, b), pa_power_doherty([p_out], b.iap.pa_max)[0],
+                             overhead_divisor(b))
     else:
         share = cfg.bandwidth_in / cfg.n_iue
         for sinr in model.lifi_sinr:

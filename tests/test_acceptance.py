@@ -36,7 +36,7 @@ from kernel_oracles import (
 )
 from link_oracles import macro_snr_draws, snr_macro, spectral_efficiency
 from result_columns import point_at
-from scalar_oracle import at_point
+from scalar_oracle import with_amplifier
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 RATE_GRID = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
@@ -299,9 +299,10 @@ def test_determinism_and_schema(tmp_path):
 
     bundle = default_bundle()
     cfg = bundle.scenario
-    mbsala = at_point(power_mbsala(cfg, bundle, [1.0], [1.0], 4))
+    mbsala = power_mbsala(cfg, bundle, 1.0, [1.0], 4)
     bmaa = power_bmaa(cfg, bundle)
-    iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
+    iap = with_amplifier(power_iap_mmwave(cfg, bundle),
+                         pa_power_doherty([0.1], bundle.iap.pa_max)[0], overhead_divisor(bundle))
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     current = {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,

@@ -178,14 +178,15 @@ def _two_users(bundle):
 
 def test_access_power_is_finite_below_t_star_and_nan_from_it_on(bundle):
     model = _two_users(bundle)
-    targets = model.t_star * np.array([0.25, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0])
+    t_star = model.access.t_star
+    targets = t_star * np.array([0.25, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0])
     powers = np.asarray(model._access_power(targets))
     assert np.all(np.isfinite(powers[:3])) and np.all(powers[:3] > 0)
     assert np.all(np.isnan(powers[3:]))
     for t, power in zip(targets[:3], powers[:3]):
         want = scalar_oracle.solve_mmwave_powers(model, float(t))
         assert want is not None and np.all(want >= 0), t
-        assert power == pytest.approx(np.sum(want), rel=ACCESS_REL_TOL / (1 - t / model.t_star))
+        assert power == pytest.approx(np.sum(want), rel=ACCESS_REL_TOL / (1 - t / t_star))
     # past t* the full solve has a negative power, so the reference fails it too
     assert scalar_oracle.solve_mmwave_powers(model, float(targets[4])) is None
     assert scalar_oracle.solve_mmwave_powers(model, float(targets[5])) is None
@@ -196,8 +197,8 @@ def test_rows_through_t_star_match_reference(bundle):
     cfg = model.cfg
     fractions = [0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]
     # the total rate whose per-user SINR target is the fraction of t*
-    rates = [cfg.gamma * cfg.bandwidth_in * model.n_users * math.log2(1.0 + f * model.t_star)
-             for f in fractions]
+    rates = [cfg.gamma * cfg.bandwidth_in * model.n_users
+             * math.log2(1.0 + f * model.access.t_star) for f in fractions]
     got = _points(model, rates)
     for f, row, rate in zip(fractions, got, rates):
         # the solve's rounding error grows as 1 / (1 - t / t*)

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from b5gcell.power import (
     power_mbs,
     power_mbsala,
 )
-from scalar_oracle import at_point, power_cell
+from scalar_oracle import power_cell, with_amplifier
 
 GOLDEN = Path(__file__).parent / "golden" / "device_powers.txt"
 
@@ -61,7 +62,7 @@ def test_gops_fft_timescale(bundle):
     assert _gops_fft(bundle.gops) == pytest.approx(0.315392, rel=1e-12)
     # the access point's baseband is the FFT alone once the fixed stages are idle
     idle = _idle(bundle, frame_rate=1000.0)
-    assert _gops_at_rho_1(power_iap_mmwave, bundle.scenario, idle, [0.0]) == _gops_fft(idle.gops)
+    assert _gops_at_rho_1(power_iap_mmwave, bundle.scenario, idle) == _gops_fft(idle.gops)
 
 
 def test_estimation_ops_default_pilot_equals_users(bundle):
@@ -72,7 +73,7 @@ def test_estimation_ops_default_pilot_equals_users(bundle):
     for pilot_len, ops in ((16, 64 * 16 * 16), (8, 64 * 16 * 8)):
         pilots_only = cfg._replace(pilot_len=pilot_len, coherence_block=pilot_len)
         b = _idle(bundle, frame_rate=1000.0)
-        est = (_gops_at_rho_1(power_mbsala, pilots_only, b, [0.0], [1.0], 1)
+        est = (_gops_at_rho_1(power_mbsala, pilots_only, b, 1.0, [1.0], 1)
                - _gops_fft(b.gops))
         assert est == pytest.approx(ops * (14 * 1000.0 / pilot_len) / 1e9, rel=1e-9)
 
@@ -90,7 +91,7 @@ def test_complexity_total_is_sum_of_parts(bundle):
                                                 / cfg.coherence_block) / 1e9
     parts = (g.fltr + _gops_fft(g) + est + _gops_precoding(cfg, g, cfg.m_t) + g.map
              + g.ctrl + g.nw)
-    assert _gops_at_rho_1(power_mbsala, cfg, bundle, [0.0], [1.0], 1) == pytest.approx(
+    assert _gops_at_rho_1(power_mbsala, cfg, bundle, 1.0, [1.0], 1) == pytest.approx(
         parts, rel=1e-15)
 
 
@@ -111,7 +112,7 @@ def test_bb_power_is_load_over_rho(bundle):
     # one array's site workload of 320 GOPS at 160 GOPS per watt
     b = _idle(bundle, enc=320.0)._replace(devices=bundle.devices._replace(rho=160.0))
     cfg = bundle.scenario._replace(n_arrays=1)
-    assert power_mbs(cfg, b, power_mbsala(cfg, b, [0.0], [1.0], 1)).p_bb == 2.0
+    assert power_mbs(cfg, b, power_mbsala(cfg, b, 1.0, [1.0], 1)).p_bb == 2.0
 
 
 def test_device_laws_read_their_own_antenna_counts(bundle):
@@ -121,7 +122,7 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
     assert (cfg.m_r, cfg.m_t_iap) == (64, 16)
     fft = 14 * 2048 * 11 * 1000 / 1e9
     items = (16 + 4 * 4) * (1 - 16 / 196)
-    mbsala = power_mbsala(cfg, bundle, [0.0], [1.0], 1)
+    mbsala = power_mbsala(cfg, bundle, 1.0, [1.0], 1)
     est = 16 * 128 * 16 * (14 * 1000 / 196) / 1e9
     assert mbsala.p_bb == pytest.approx(
         (10 + fft + est + items * 128 * 2048 * 1000 / 1e9 + 5 + 10 + 10) / 160, rel=1e-12)
@@ -131,7 +132,7 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
         4 * (10 + fft + items * 64 * 2048 * 1000 / 1e9 + 5 + 15 + 10 + 10 + 5) / 160,
         rel=1e-12)
     assert bmaa.p_rf == pytest.approx(64 * 0.015 + 8 * 0.04, rel=1e-12)
-    iap = power_iap_mmwave(cfg, bundle, [0.0])
+    iap = power_iap_mmwave(cfg, bundle)
     assert iap.p_bb == pytest.approx((10 + fft + 5 + 10 + 10) / 160, rel=1e-12)
     assert iap.p_rf == pytest.approx(16 * 0.090 + 4 * 0.08, rel=1e-12)
     mbs = power_mbs(cfg, bundle, mbsala)
@@ -143,14 +144,14 @@ def test_device_laws_read_their_own_antenna_counts(bundle):
 
 def test_rf_mbsala_hand_sum(bundle):
     # defaults: per-antenna 10 mW, clock 50 mW
-    assert power_mbsala(bundle.scenario, bundle, [0.0], [1.0], 1).p_rf == pytest.approx(
+    assert power_mbsala(bundle.scenario, bundle, 1.0, [1.0], 1).p_rf == pytest.approx(
         64 * 0.01 + 8 * 0.05, rel=1e-12)
 
 
 def test_rf_affine_plus_root_shape(bundle):
     b = bundle._replace(mbsala=bundle.mbsala._replace(
         p_mod=0.01, p_mix=0.01, p_dac=0.01, p_clk=0.01))
-    p_rf = power_mbsala(b.scenario, b, [0.0], [1.0], 1).p_rf
+    p_rf = power_mbsala(b.scenario, b, 1.0, [1.0], 1).p_rf
     assert p_rf == pytest.approx(64 * 0.03 + 8 * 0.01, rel=1e-12)
     assert p_rf == pytest.approx(2.0, rel=1e-12)
 
@@ -167,7 +168,7 @@ def test_rf_increment_approaches_per_antenna_share(bundle):
 def test_rf_single_antenna(bundle):
     rf = bundle.iap
     per = rf.p_mix + rf.p_dac + rf.p_bft + rf.p_fs
-    device = power_iap_mmwave(bundle.scenario._replace(m_t_iap=1), bundle, [0.0])
+    device = power_iap_mmwave(bundle.scenario._replace(m_t_iap=1), bundle)
     assert device.p_rf == pytest.approx(per + rf.p_clc, rel=1e-12)
 
 
@@ -227,10 +228,21 @@ def test_amplifier_draw_is_the_root_of_the_product_or_where_it_overflows_of_each
     p_out = share * p_max
     doherty = (2.0 if p_out < 0.25 * p_max else 6.0) / math.pi
     for draw, scale in ((_classb(p_out, p_max), 2.0 / math.pi), (_doherty(p_out, p_max), doherty)):
-        if p_out * p_max < math.inf:   # the root of the product itself, bit for bit
-            assert draw == scale * math.sqrt(p_out * p_max)
-        else:
-            assert draw == pytest.approx(scale * math.sqrt(p_out) * math.sqrt(p_max), rel=1e-15)
+        if sys.float_info.min <= p_out * p_max < math.inf or not p_out:
+            assert draw == scale * math.sqrt(p_out * p_max)   # the product's root, bit for bit
+        else:   # the product overflows, or underflows and loses digits
+            assert draw == pytest.approx(scale * math.sqrt(p_out) * math.sqrt(p_max), rel=1e-15,
+                                         abs=0.0)
+
+
+def test_an_amplifier_whose_output_times_rating_underflows_keeps_its_digits():
+    # 1e-300 * 1e-30 is below the smallest normal float: its root has lost digits,
+    # and at 1e-330 the product itself rounds to 0
+    for p_out, p_max in ((1e-300, 1e-30), (1e-160, 1e-150), (5e-324, 1.0)):
+        want = 2.0 / math.pi * math.sqrt(p_out) * math.sqrt(p_max)
+        assert _classb(p_out, p_max) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert _doherty(p_out, p_max) == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert _classb(1e-300, 1e-30) == pytest.approx(6.366197723675814e-166, rel=1e-15, abs=0.0)
 
 
 # --- device aggregates -------------------------------------------------------------
@@ -256,21 +268,21 @@ def test_overhead_exactness_invariant(ec, ea, ed, bb, rf):
 
 
 def test_mbsala_has_no_divisor(bundle):
-    device = power_mbsala(bundle.scenario, bundle, [1.0], [1.0], 4)
-    assert device.p_total[0] == pytest.approx(device.p_bb + device.p_rf + device.p_pa[0],
-                                              rel=1e-12)
+    device = power_mbsala(bundle.scenario, bundle, 1.0, [1.0], 4)
+    assert device.p_total == pytest.approx(device.p_bb + device.p_rf + device.p_pa, rel=1e-12)
 
 
 def test_mbsala_zero_load_zero_output_is_rf_only(bundle):
-    device = power_mbsala(bundle.scenario, _idle(bundle), [0.0], [1.0], 1)
-    assert device.p_bb == 0.0 and device.p_pa == [0.0]
-    assert device.p_total == [device.p_rf]
+    # no baseband work and a noiseless link: the amplifiers put out nothing
+    device = power_mbsala(bundle.scenario, _idle(bundle), 0.0, [1.0], 1)
+    assert device.p_bb == 0.0 and device.p_pa == 0.0
+    assert device.p_total == device.p_rf
 
 
 def test_mbsala_pa_additive_over_beams(bundle):
-    four = power_mbsala(bundle.scenario, bundle, [0.5], [1.0], 4)
-    eight = power_mbsala(bundle.scenario, bundle, [0.5], [1.0], 8)
-    assert eight.p_pa[0] == pytest.approx(2 * four.p_pa[0], rel=1e-12)
+    four = power_mbsala(bundle.scenario, bundle, 0.5, [1.0], 4)
+    eight = power_mbsala(bundle.scenario, bundle, 0.5, [1.0], 8)
+    assert eight.p_pa == pytest.approx(2 * four.p_pa, rel=1e-12)
 
 
 def test_bmaa_without_overhead_is_bare_sum(bundle):
@@ -280,8 +292,9 @@ def test_bmaa_without_overhead_is_bare_sum(bundle):
 
 
 def test_iap_floor_is_rf_only_through_divisor(bundle):
-    device = power_iap_mmwave(bundle.scenario, _idle(bundle), [0.0])
-    assert device.p_total[0] == pytest.approx(device.p_rf / 0.78255, rel=1e-9)
+    device = power_iap_mmwave(bundle.scenario, _idle(bundle))
+    assert device.p_pa == 0.0
+    assert device.p_total == pytest.approx(device.p_rf / 0.78255, rel=1e-9)
 
 
 def test_lifi_illumination_ignores_channel(bundle):
@@ -306,27 +319,27 @@ def test_lifi_dark_led_draws_nothing(bundle):
 
 def test_mbs_overhead_identity_with_arrays(bundle):
     cfg, d = bundle.scenario, bundle.devices
-    array = power_mbsala(cfg, bundle, [1.0], [1.0], 4)
+    array = power_mbsala(cfg, bundle, 1.0, [1.0], 4)
     mbs = power_mbs(cfg, bundle, array)
-    numerator = mbs.p_total[0] * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
-    assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa[0], rel=1e-12)
-    assert mbs.p_pa[0] == pytest.approx(4 * array.p_pa[0], rel=1e-12)
+    numerator = mbs.p_total * (1 - d.eta_c) * (1 - d.eta_acdc) * (1 - d.eta_dcdc)
+    assert numerator == pytest.approx(mbs.p_bb + mbs.p_rf + mbs.p_pa, rel=1e-12)
+    assert mbs.p_pa == pytest.approx(4 * array.p_pa, rel=1e-12)
 
 
 def test_mbs_without_overhead_passes_arrays_through(bundle):
     b0 = _idle(bundle)._replace(devices=bundle.devices._replace(eta_c=0.0, eta_acdc=0.0,
                                                                  eta_dcdc=0.0))
     cfg = b0.scenario._replace(n_arrays=1)
-    array = power_mbsala(cfg, b0, [25.0], [1.0], 2)
+    array = power_mbsala(cfg, b0, 25.0, [1.0], 2)
     mbs = power_mbs(cfg, b0, array)
-    assert mbs.p_total[0] == pytest.approx(array.p_total[0], rel=1e-12)
+    assert mbs.p_total == pytest.approx(array.p_total, rel=1e-12)
 
 
 def test_power_cell_sums_components(bundle):
     cfg = bundle.scenario
-    mbs = at_point(power_mbs(cfg, bundle, power_mbsala(cfg, bundle, [1.0], [1.0], 1)))
+    mbs = power_mbs(cfg, bundle, power_mbsala(cfg, bundle, 1.0, [1.0], 1))
     bmaa = power_bmaa(cfg, bundle)
-    iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
+    iap = _iap_at(bundle, 0.1)
     total = power_cell(mbs, 2, bmaa, iap)
     assert total == pytest.approx(mbs.p_total + 2 * bmaa.p_total + 2 * iap.p_total,
                                   rel=1e-12)
@@ -337,9 +350,16 @@ def test_power_cell_sums_components(bundle):
 @settings(max_examples=60)
 def test_all_powers_nonnegative(m_t, p):
     bundle = default_bundle()
-    device = power_mbsala(bundle.scenario._replace(m_t=m_t), bundle, [p], [1.0], 1)
-    assert device.p_bb >= 0 and device.p_rf >= 0 and device.p_pa[0] >= 0
-    assert device.p_total[0] >= 0
+    device = power_mbsala(bundle.scenario._replace(m_t=m_t), bundle, p, [1.0], 1)
+    assert device.p_bb >= 0 and device.p_rf >= 0 and device.p_pa >= 0
+    assert device.p_total >= 0
+
+
+def _iap_at(bundle, p_out):
+    """The mmWave access point's breakdown with its Doherty amplifier at output *p_out*."""
+    draw = pa_power_doherty([p_out], bundle.iap.pa_max)[0]
+    return with_amplifier(power_iap_mmwave(bundle.scenario, bundle), draw,
+                          overhead_divisor(bundle))
 
 
 # --- golden snapshot ------------------------------------------------------------
@@ -358,9 +378,9 @@ def _golden_values():
 def _current_device_powers():
     bundle = default_bundle()
     cfg = bundle.scenario
-    mbsala = at_point(power_mbsala(cfg, bundle, [1.0], [1.0], 4))
+    mbsala = power_mbsala(cfg, bundle, 1.0, [1.0], 4)
     bmaa = power_bmaa(cfg, bundle)
-    iap = at_point(power_iap_mmwave(cfg, bundle, [0.1]))
+    iap = _iap_at(bundle, 0.1)
     lifi = power_lifi_iap(bundle.lifi_led, 1e-5)
     return {
         "mbsala.p_bb": mbsala.p_bb, "mbsala.p_rf": mbsala.p_rf,

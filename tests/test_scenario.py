@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -238,13 +239,13 @@ def test_beam_expectations_are_circulant(m_t_iap):
 
 
 def test_t_star_at_the_defaults_and_at_64_users(bundle):
-    assert build_scenario(bundle, SEP).t_star == pytest.approx(20.0835, abs=1e-4)
+    assert build_scenario(bundle, SEP).access.t_star == pytest.approx(20.0835, abs=1e-4)
     crowded = _crowded(bundle)
-    (t_star,) = {build_scenario(crowded, SEP, seed=s).t_star for s in range(3)}
+    (t_star,) = {build_scenario(crowded, SEP, seed=s).access.t_star for s in range(3)}
     assert t_star == pytest.approx(0.325882, abs=1e-6)
     single = bundle._replace(scenario=bundle.scenario._replace(n_iue=1),
                              layout=bundle.layout._replace(user_offsets_m=((1.5, 1.5),)))
-    assert build_scenario(single, SEP).t_star == math.inf
+    assert build_scenario(single, SEP).access.t_star == math.inf
 
 
 @settings(max_examples=40, deadline=None)
@@ -255,17 +256,17 @@ def test_closed_form_access_power_equals_the_full_solve(n_iue, m_t_iap, seed, fr
     bundle = _crowded(default_bundle(), n_iue=n_iue, m_t_iap=m_t_iap)
     model = build_scenario(bundle, SEP, seed=seed)
     # a single user has no interference, so no t*; its targets are free
-    scale = model.t_star if math.isfinite(model.t_star) else 1e3
+    scale = model.access.t_star if math.isfinite(model.access.t_star) else 1e3
     targets = scale * np.array(fractions)
     for t, got in zip(targets, model._access_power(targets)):
         want = scalar_oracle.solve_mmwave_powers(model, float(t))
         assert want is not None and np.all(want >= 0), t
-        assert got == pytest.approx(np.sum(want), rel=1e-12 / (1.0 - t / model.t_star)), t
-    if math.isfinite(model.t_star):
-        past = model.t_star * np.array([1.0, 1.0 + 1e-9, 2.0])
+        assert got == pytest.approx(np.sum(want), rel=1e-12 / (1.0 - t / model.access.t_star)), t
+    if math.isfinite(model.access.t_star):
+        past = model.access.t_star * np.array([1.0, 1.0 + 1e-9, 2.0])
         assert np.all(np.isnan(model._access_power(past)))
     # t* follows from the codebook alone, whatever the placement
-    assert build_scenario(bundle, SEP, seed=seed + 1).t_star == model.t_star
+    assert build_scenario(bundle, SEP, seed=seed + 1).access.t_star == model.access.t_star
 
 
 def _same(a, b):
@@ -364,26 +365,50 @@ def test_run_sweep_evaluates_each_distinct_outdoor_link_once(bundle, monkeypatch
                                                              placement, evaluations):
     # fixed placement: one relay link at each M_T and one direct link; under random
     # placement every variant has its own buildings, so nothing is shared
-    calls = []
-    monkeypatch.setattr(scenario, "power_mbs",
-                        lambda *args: calls.append(args) or power_mbs(*args))
+    calls, outdoor = [], scenario.ScenarioModel._outdoor
+    monkeypatch.setattr(scenario.ScenarioModel, "_outdoor",
+                        lambda model, rates: calls.append(model.link) or outdoor(model, rates))
     bundle = bundle._replace(layout=bundle.layout._replace(placement=placement))
     variants = (SEP, LIFI, NON, SEP._replace(name="sep-mmwave:mt=128", m_t=128),
                 LIFI._replace(name="sep-lifi:mt=128", m_t=128))
     run_sweep(bundle, SweepSpec(RATE_VARIABLE, (0.0, 1e9), variants))
-    assert len(calls) == evaluations
+    assert len(calls) == len(set(calls)) == evaluations
 
 
 def test_each_buildings_amplifier_column_is_drawn_once(bundle, monkeypatch):
-    # the default sweep has two distinct outdoor links (the relay both sep variants
-    # share, and the direct one): one class-B call each, over the link's 4 buildings
-    # at t = 1, not one per building (8) or per stream (32)
+    # each model's link takes one class-B call, over its 4 buildings at t = 1, when
+    # the model is built: none per grid point, building (8) or stream (32)
     calls = []
     monkeypatch.setattr(power, "pa_power_classb",
                         lambda *args: calls.append(args) or pa_power_classb(*args))
     grid = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
     run_sweep(bundle, SweepSpec(RATE_VARIABLE, grid, (SEP, LIFI, NON)))
-    assert [len(noise_per_gain) for noise_per_gain, _ in calls] == [4, 4]
+    assert [len(loads) for loads, _ in calls] == [4, 4, 4]
+
+
+@pytest.mark.parametrize("placement", ["fixed", "random"])
+def test_each_device_law_runs_once_per_model_build(bundle, monkeypatch, placement):
+    # the laws give constants: building a model calls each of its laws once, and
+    # evaluating any grid calls none
+    calls = []
+    for law in ("power_mbsala", "power_mbs", "power_bmaa", "power_iap_mmwave",
+                "power_lifi_iap"):
+        monkeypatch.setattr(scenario, law, lambda *args, law=getattr(scenario, law), name=law:
+                            calls.append(name) or law(*args))
+    bundle = bundle._replace(layout=bundle.layout._replace(placement=placement))
+    grid = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
+    laws = {SEP: ["power_mbsala", "power_mbs", "power_bmaa", "power_iap_mmwave"],
+            LIFI: ["power_mbsala", "power_mbs", "power_bmaa", "power_lifi_iap"],
+            NON: ["power_mbsala", "power_mbs"]}
+    for variant, want in laws.items():
+        model = build_scenario(bundle, variant)
+        assert sorted(calls) == sorted(want), variant.name
+        calls.clear()
+        model.points(grid)
+        model.points(grid, SE_VARIABLE)
+        assert calls == [], variant.name
+    run_sweep(bundle, SweepSpec(RATE_VARIABLE, grid, tuple(laws)))
+    assert sorted(calls) == sorted(name for want in laws.values() for name in want)
 
 
 def _near_n_fold_sum(total, n, term) -> bool:
@@ -408,12 +433,16 @@ def test_identical_devices_scale_by_their_count(n_arrays, n_buildings, n_beams, 
                    layout=b.layout._replace(placement="random"))
     n, rates = n_arrays * n_buildings, [0.0, 1e6, 1e8]
     for variant, law in ((SEP, "power_iap_mmwave"), (LIFI, "power_lifi_iap")):
-        seen = []
-        with mock.patch.object(scenario, law, _returned(getattr(scenario, law), seen)):
+        seen, drawn = [], []
+        with mock.patch.object(scenario, law, _returned(getattr(scenario, law), seen)), \
+                mock.patch.object(scenario, "pa_power_doherty",
+                                  _returned(scenario.pa_power_doherty, drawn)):
             model = build_scenario(b, variant)
             column = model.points(rates)
         [iap], bmaa = seen, power_bmaa(model.cfg, b).p_total
-        iaps = iap.p_total if variant is SEP else [iap.p_total] * len(rates)
+        # one access point's draw at each point: its static part plus its amplifier's
+        iaps = ([(iap.p_bb + iap.p_rf + pa) / overhead_divisor(b) for pa in drawn[0]]
+                if variant is SEP else [iap.p_total] * len(rates))
         assert column["feasible"][0]
         for ok, p_bmaa, p_iap, one in zip(column["feasible"], column["p_bmaa_w"],
                                           column["p_iap_w"], iaps):
@@ -422,22 +451,28 @@ def test_identical_devices_scale_by_their_count(n_arrays, n_buildings, n_beams, 
                 assert p_iap == n * one and _near_n_fold_sum(p_iap, n, one)
     # a building's streams share its amplifiers; the site scales one relay array
     cfg = model.cfg
-    target = [0.0, 1e-3, 1.0, 30.0]
     pa = pa_power_classb([1.0], b.mbsala.pa_max)[0]   # one building at sigma / g = 1
     for streams in (n_beams, n_iue):
-        mbsala = power_mbsala(cfg, b, target, [1.0], streams)
-        assert mbsala.p_pa == [streams * pa * math.sqrt(t) for t in target]
-        assert _near_n_fold_sum(mbsala.p_pa[2], streams, pa)
+        mbsala = power_mbsala(cfg, b, 1.0, [1.0], streams)
+        assert mbsala.p_pa == streams * pa and _near_n_fold_sum(mbsala.p_pa, streams, pa)
         mbs = power_mbs(cfg, b, mbsala)
-        assert mbs.p_pa == [n_arrays * p for p in mbsala.p_pa]
-        assert all(map(_near_n_fold_sum, mbs.p_pa, [n_arrays] * len(target), mbsala.p_pa))
+        assert mbs.p_pa == n_arrays * mbsala.p_pa
+        assert _near_n_fold_sum(mbs.p_pa, n_arrays, mbsala.p_pa)
         assert mbs.p_rf == n_arrays * mbsala.p_rf
         assert _near_n_fold_sum(mbs.p_rf, n_arrays, mbsala.p_rf)
+    # and the outdoor link draws n_arrays relay arrays' amplifiers at sqrt(t) k_link
+    target = [0.0, 1e-3, 1.0, 30.0]
+    link = model.link
+    with mock.patch.object(scenario, "required_sinr", lambda rates, gamma: list(target)):
+        p_mbs, _ = model._outdoor([0.0] * len(target))
+    assert p_mbs == [(link.static + n_arrays * (link.k * math.sqrt(t))) / link.divisor
+                     for t in target]
 
 
 # Largest distance, in ulps of the per-building sum, of the link law's draw from that
 # sum wherever the sum's own steps stay normal: 6 ulps over 2.2 million random feasible
-# points (1-6 buildings, the domains of _links), so the band is 8.
+# points (1-6 buildings, the domains of _links), so the band is 8.  The same band holds
+# against the exact draw over the whole domain of _links.
 LINK_LAW_BAND_ULPS = 8
 
 
@@ -457,17 +492,33 @@ def _normal_steps(t, sigma, gains, pa_max) -> bool:
                                      for g in gains)
 
 
+def _root(q: Fraction) -> Fraction:
+    """sqrt(q) to at least 200 significant bits, rounded down."""
+    n, d = q.numerator, q.denominator
+    shift = max(0, (400 - (n.bit_length() - d.bit_length())) // 2 + 1)
+    return Fraction(math.isqrt(n * 4 ** shift // d), 2 ** shift)
+
+
+def _exact_draw(t, sigma, gains, pa_max, streams) -> Fraction:
+    """streams * sum_b (2/pi) sqrt(t sigma / g_b * pa_max) in exact arithmetic, with
+    the law's float 2/pi: the draw with no rounding and no float range."""
+    load = Fraction(t) * Fraction(sigma) * Fraction(pa_max)
+    return streams * Fraction(2.0 / math.pi) * sum(_root(load / Fraction(g)) for g in gains)
+
+
 @st.composite
 def _links(draw):
     """(variant, bundle, betas, target): a relay or direct link over 1-6 buildings whose
-    large-scale gains are normal floats from 1e-150 to 1e150, sigma and pa_max from 1e-30
-    to 1e30, 1-64 streams, and a target column of 0, subnormals, values up to the rating
-    edge of the weakest building and past it, and inf."""
+    large-scale gains are normal floats from 1e-300 to 1e300, sigma and pa_max from 1e-300
+    to 1e300 (so sigma / g_b passes the float maximum, and products fall below the
+    smallest normal), 1-64 streams, and a target column of 0, subnormals, values up to
+    the rating edge of the weakest building and past it, and inf."""
     def log_uniform(lo, hi):
         return st.floats(lo, hi).map(lambda e: 10.0 ** e)
     variant = draw(st.sampled_from([LIFI, NON]))._replace(m_t=draw(st.integers(1, 1024)))
-    betas = draw(st.lists(log_uniform(-150, 150), min_size=1, max_size=6))
-    sigma, pa_max = draw(log_uniform(-30, 30)), draw(log_uniform(-30, 30))
+    betas = draw(st.lists(log_uniform(-150, 150) | log_uniform(-300, 300), min_size=1,
+                          max_size=6))
+    sigma, pa_max = (draw(log_uniform(-30, 30) | log_uniform(-300, 300)) for _ in "sp")
     streams = draw(st.integers(1, 64))
     b = default_bundle()
     s = b.scenario._replace(n_buildings=len(betas), noise_variance=sigma)
@@ -476,53 +527,90 @@ def _links(draw):
     b = b._replace(scenario=s, mbsala=b.mbsala._replace(pa_max=pa_max),
                    layout=b.layout._replace(placement="random"))
     rx = s.m_r if relay else s.ue_antennas
-    edge = pa_max * min(betas) * variant.m_t * rx / sigma
+    weakest = min(beta * variant.m_t * rx for beta in betas)
+    edge = float(min(Fraction(pa_max) * Fraction(weakest) / Fraction(sigma),
+                     Fraction(sys.float_info.max)))
     target = draw(st.lists(st.one_of(
         st.just(0.0), st.floats(0.0, sys.float_info.min, exclude_max=True),
         st.floats(0.0, 1.0).map(lambda f: f * edge), st.floats(1.0, 1e6).map(lambda f: f * edge),
+        st.floats(-300.0, 0.0).map(lambda e: edge * 10.0 ** e),
         st.floats(0.0, 1e300), st.just(math.inf)), min_size=1, max_size=12))
     return variant, b, betas, target
+
+
+def _bare(b):
+    """*b* with no baseband work, no relay RF draw, one relay array and no supply
+    overhead: the macro site then draws exactly its amplifiers' draw."""
+    zero = dict.fromkeys("frame_rate fltr map demap smpl dec enc ctrl nw".split(), 0.0)
+    return b._replace(gops=b.gops._replace(**zero),
+                      mbsala=b.mbsala._replace(p_mod=0.0, p_mix=0.0, p_dac=0.0, p_clk=0.0),
+                      devices=b.devices._replace(eta_c=0.0, eta_acdc=0.0, eta_dcdc=0.0),
+                      scenario=b.scenario._replace(n_arrays=1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(link=_links())
 def test_an_outdoor_link_draws_sqrt_target_times_its_constant(link):
-    # the macro site's flags are the per-building rating check, its feasible draws lie
-    # within the band of the per-building sum, draws never fall as the target grows,
-    # and a zero target draws exactly the static power
+    # the macro site's flags are the per-building rating check; its draws lie within
+    # the band of the per-building sum where that sum's steps are normal, and of the
+    # exact draw wherever the rating holds and the exact draw is finite; draws never
+    # fall as the target grows, and a zero target draws exactly the static power
     variant, b, betas, target = link
     devices = []
     with mock.patch.object(scenario, "_gains", lambda *args: list(betas)):
-        model = build_scenario(b, variant)
-    with mock.patch.object(scenario, "required_sinr", lambda rates, gamma: list(target)), \
-            mock.patch.object(scenario, "power_mbsala", _returned(power_mbsala, devices)), \
-            mock.patch.object(scenario, "power_mbs", _returned(power_mbs, devices)):
+        with mock.patch.object(scenario, "power_mbs", _returned(power_mbs, devices)):
+            model = build_scenario(b, variant)
+        with mock.patch.object(scenario, "validate_bundle", lambda bundle: None):
+            bare = build_scenario(_bare(b), variant)   # the laws check nothing
+    with mock.patch.object(scenario, "required_sinr", lambda rates, gamma: list(target)):
         p_mbs, flags = model._outdoor([0.0] * len(target))
-    (mbsala, mbs), cfg = devices, model.cfg
+        draws, bare_flags = bare._outdoor([0.0] * len(target))
+    [mbs], cfg = devices, model.cfg
     relay = variant.kind != "nonsep"
     rx, streams = (cfg.m_r, cfg.n_beams) if relay else (cfg.ue_antennas, cfg.n_iue)
     gains = [beta * cfg.m_t * rx for beta in betas]
     sigma, pa_max = cfg.noise_variance, b.mbsala.pa_max
-    assert flags == [all(t * sigma / g <= pa_max for g in gains) for t in target]
+    assert flags == bare_flags == [all(t * sigma / g <= pa_max for g in gains) for t in target]
     today = _per_building_draws(target, sigma, gains, pa_max, streams)
-    for t, ok, draw, old in zip(target, flags, mbsala.p_pa, today):
+    for t, ok, draw, old in zip(target, flags, draws, today):
         if ok and _normal_steps(t, sigma, gains, pa_max):
             assert abs(draw - old) <= LINK_LAW_BAND_ULPS * math.ulp(old), (t, draw, old)
-    ordered = sorted(zip(target, mbsala.p_pa))
+        if ok and (exact := _exact_draw(t, sigma, gains, pa_max, streams)) < Fraction(
+                sys.float_info.max):
+            assert abs(draw - float(exact)) <= LINK_LAW_BAND_ULPS * math.ulp(float(exact)), (
+                t, draw, float(exact))
+    ordered = sorted(zip(target, draws))
     assert all(lo[1] <= hi[1] for lo, hi in zip(ordered, ordered[1:]))
-    static = (mbs.p_bb + mbs.p_rf) / overhead_divisor(b)
-    assert all(draw == 0.0 and p == static
-               for t, draw, p in zip(target, mbsala.p_pa, p_mbs) if t == 0.0)
+    divisor = overhead_divisor(b)   # the site adds n_arrays such draws to its static power
+    assert p_mbs == [(mbs.p_bb + mbs.p_rf + cfg.n_arrays * draw) / divisor for draw in draws]
+    assert all(p == (mbs.p_bb + mbs.p_rf) / divisor for t, p in zip(target, p_mbs) if t == 0.0)
 
 
 def test_a_link_constant_past_float_range_keeps_a_zero_demand_static(bundle):
-    # sigma / g passes the float maximum, so k_link is inf: x = 0 still draws exactly
-    # the static power, and every other point is past the rating
+    # sigma / g passes the float maximum: x = 0 still draws exactly the static power,
+    # and every point past the rating stays infeasible
     b = bundle._replace(scenario=bundle.scenario._replace(noise_variance=1e300),
                         mbsala=bundle.mbsala._replace(pa_max=1e300))
     column = build_scenario(b, NON).points([0.0, 5e8, 1e9])
     assert column["feasible"] == [True, False, False]
     assert column["total_power_w"][0] == 7.845136864176379
+
+
+# nonsep's totals at 1e-6, 1e-4, 1e-3 and 0.01 bit/s under a noise and a rating of
+# 1e300 each, from one class-B draw per building and point, as the engine took them
+# before the link law
+PER_BUILDING_TOTALS = [1.9213746623052705e+299, 1.898178141987185e+300,
+                       6.001028593850764e+300, 1.897711319467033e+301]
+
+
+def test_a_link_constant_past_float_range_keeps_every_point_within_the_rating(bundle):
+    # each sigma / g_b passes the float maximum, while every t sigma / g_b stays within
+    # the rating: every point is feasible, as it was with one draw per building
+    b = bundle._replace(scenario=bundle.scenario._replace(noise_variance=1e300),
+                        mbsala=bundle.mbsala._replace(pa_max=1e300))
+    column = build_scenario(b, NON).points([0.0, 1e-6, 1e-4, 1e-3, 0.01])
+    assert column["feasible"] == [True] * 5
+    assert column["total_power_w"][1:] == pytest.approx(PER_BUILDING_TOTALS, rel=1e-14)
 
 
 def test_an_overflowed_total_power_is_infeasible(bundle):
@@ -715,3 +803,64 @@ def test_ee_curve_on_the_real_model(bundle):
     assert summary["variants"] == "nonsep"
     assert float(summary["nonsep.peak_ee"]) > 0
     assert summary["nonsep.peak_ee_interior"] == "true"
+
+
+@pytest.mark.parametrize("placement", ["fixed", "random"])
+@pytest.mark.parametrize("m_t", [1, 64, 1024])
+@pytest.mark.parametrize("variant", [SEP, LIFI, NON], ids=lambda v: v.kind)
+def test_the_total_at_zero_rate_is_the_static_sum(bundle, variant, m_t, placement):
+    # no amplifier draws at x = 0: the macro site's static draw over its divisor, plus
+    # the building arrays' and access points' laws, each scaled by its count, in order
+    b = bundle._replace(layout=bundle.layout._replace(placement=placement))
+    model = build_scenario(b, variant._replace(m_t=m_t), seed=2)
+    cfg, n = model.cfg, model.n_devices
+    relay = variant.kind != "nonsep"
+    streams, rx = (cfg.n_beams, cfg.m_r) if relay else (cfg.n_iue, cfg.ue_antennas)
+    gains = [beta * cfg.m_t * rx for beta in model.beta_out]
+    mbs = power_mbs(cfg, b, power_mbsala(cfg, b, cfg.noise_variance, gains, streams))
+    access, bmaa = 0.0, n * power_bmaa(cfg, b).p_total if relay else 0.0
+    if variant.kind == "sep-mmwave":
+        access = n * power_iap_mmwave(cfg, b).p_total
+    if variant.kind == "sep-lifi":
+        access = n * power_lifi_iap(b.lifi_led, add_up(model.lifi_h) / cfg.n_iue).p_total
+    static = (mbs.p_bb + mbs.p_rf) / overhead_divisor(b) + bmaa + access
+    assert model.points([0.0])["total_power_w"] == [static]
+    assert model.points([0.0], SE_VARIABLE)["total_power_w"] == [static]
+
+
+def _bisect_break_even(lifi, nonsep, lo: float, hi: float) -> tuple:
+    """The bracket [lo, hi] of adjacent floats where sep-lifi's total, from one-point
+    points([x]) calls, falls from above nonsep's to at or below it."""
+    def above(x):
+        return lifi.points([x])["total_power_w"][0] > nonsep.points([x])["total_power_w"][0]
+    assert above(lo) and not above(hi)
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return lo, hi
+
+
+# Measured before this test was written: the closed form lay inside the final
+# bisection bracket at all five M_T (on its upper end; 1.2e-16 to 2.1e-16 above the
+# lower end).  The band allows 2 ulps beyond either end for a platform's log2.
+BREAK_EVEN_BAND_ULPS = 2
+
+
+@pytest.mark.parametrize("m_t, near", [(64, 1.956757e9), (128, 2.273414e9),
+                                       (256, 2.591734e9), (512, 2.910891e9),
+                                       (1024, 3.230470e9)])
+def test_the_sep_lifi_break_even_is_closed_form_in_the_law_constants(bundle, m_t, near):
+    # both links run at one SINR target t (n_iue == n_beams) and share the site's static
+    # draw, so sep-lifi's extra static draw meets the direct link's extra amplifier draw
+    # at sqrt(t*) = (bmaa + lifi) D / (A_direct - A_relay), with A = n_arrays k_link
+    lifi = build_scenario(bundle, LIFI._replace(m_t=m_t))
+    nonsep = build_scenario(bundle, NON._replace(m_t=m_t))
+    relay, direct, access = lifi.link, nonsep.link, lifi.access
+    assert relay.users / relay.beams == 1 and relay.static == direct.static
+    assert relay.scale == direct.scale == 1.0
+    root = (access.bmaa + access.fixed) * relay.divisor / (
+        direct.n_arrays * direct.k - relay.n_arrays * relay.k)
+    x = relay.n_users * relay.bandwidth * relay.gamma * math.log2(1.0 + root * root)
+    lo, hi = _bisect_break_even(lifi, nonsep, 0.0, 4e9)
+    band = BREAK_EVEN_BAND_ULPS * math.ulp(x)
+    assert lo - band <= x <= hi + band, (x, lo, hi)
+    assert x == pytest.approx(near, rel=1e-6)
