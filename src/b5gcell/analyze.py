@@ -4,25 +4,15 @@ analyze compiles it; it imports neither the engine nor the chart code."""
 
 import itertools
 import math
+import os
 import sys
 from operator import eq, sub, truediv
-from pathlib import Path
 
-from .cli import CSV_HEADER, _config_digests, _grid_bounds, _write, load_config, parse_grid
-from .records import ConfigError, SweepSpec, VariantSpec, add_up
-
-
-def _read_lines(path: Path) -> list:
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-                          ) from None
+from .cli import CSV_HEADER, _grid_bounds, _write, load_config, parse_grid
+from .records import ConfigError, SweepSpec, VariantSpec, add_up, read_text
 
 
-def _read_results(path: Path, rows: list, spec: SweepSpec) -> dict:
+def _read_results(path: str, rows: list, spec: SweepSpec) -> dict:
     """Per variant of *spec*, in its order, the ``total_power_w`` and ``ee`` columns of
     the data *rows* of the results.csv at *path*, NaN where infeasible, as
     ``ScenarioModel.points`` gives them.  With n grid points, row i is variant ``i // n``
@@ -115,9 +105,9 @@ def _summarize(grid, variants, columns: dict) -> list:
 
 
 def cmd_analyze(args) -> int:
-    src = Path(getattr(args, "in"))
-    manifest, results = src / "manifest.txt", src / "results.csv"
-    recorded = dict(ln.partition("=")[::2] for ln in _read_lines(manifest))
+    src = getattr(args, "in")
+    manifest, results = os.path.join(src, "manifest.txt"), os.path.join(src, "results.csv")
+    recorded = dict(ln.partition("=")[::2] for ln in read_text(manifest).splitlines())
     if (recorded.get("format") != "b5gcell-sweep-v2"
             or not {"variable", "grid", "n_rows"} <= recorded.keys()):
         raise ConfigError(f"{manifest}: not a b5gcell-sweep-v2 manifest with variable, "
@@ -136,7 +126,7 @@ def cmd_analyze(args) -> int:
     if recorded["n_rows"] != str(n * len(variants)):
         raise ConfigError(f"{manifest}: n_rows={recorded['n_rows']}, but grid={recorded['grid']} "
                           f"and {len(variants)} variants make {n * len(variants)} rows")
-    lines = _read_lines(results)   # its row count too, before the grid is built
+    lines = read_text(results).splitlines()   # its row count too, before the grid is built
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{results}: not a sweep results file")
     if len(lines) - 1 != n * len(variants):
@@ -147,7 +137,7 @@ def cmd_analyze(args) -> int:
     except ConfigError as exc:
         raise ConfigError(f"{manifest}: {exc}") from None
     if args.config is not None:
-        for key, digest in _config_digests(load_config(args.config), args.config).items():
+        for key, digest in load_config(args.config)[1].items():
             if recorded.get(key) != digest:
                 raise ConfigError(f"config does not match the sweep manifest "
                                   f"({key} {recorded.get(key)} != {digest})")
@@ -156,6 +146,6 @@ def cmd_analyze(args) -> int:
         print("error: no feasible rows to analyze", file=sys.stderr)
         return 2
     text = "\n".join(_summarize(spec.grid, spec.variants, columns)) + "\n"
-    _write(src / "summary.txt", [text], "--in")
+    _write(src, "summary.txt", [text], "--in")
     sys.stdout.write(text)
     return 0

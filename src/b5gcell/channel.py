@@ -1,8 +1,6 @@
 """Channel models: outdoor and indoor path loss, and the LiFi line-of-sight link.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

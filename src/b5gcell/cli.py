@@ -11,15 +11,13 @@ Exit codes: 0 ok (``--help``, ``--version`` too); 1 a usage error or bad configu
 with one ``error:`` line that names the option or key; 2 sweep or analysis found no feasible point.
 """
 
-from __future__ import annotations
-
 import math
+import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .records import RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepSpec, sha256
+from .records import RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepSpec, read_text, sha256
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
 DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
@@ -65,28 +63,27 @@ def parse_grid(text: str) -> tuple:
     return tuple([i * step + lo for i in range(n - 1)] + [hi])
 
 
-def _config_digests(bundle, path: str | None) -> dict:
-    """``config_sha256`` of the effective bundle's canonical dump (file and env
-    overrides included), plus ``config_file_sha256`` of the file's bytes if given."""
-    digests = {"config_sha256": sha256(dumps_config(bundle).encode()).hexdigest()}
-    if path is not None:
-        digests["config_file_sha256"] = sha256(Path(path).read_bytes()).hexdigest()
-    return digests
-
-
-def _write(path: Path, chunks, flag: str = "--out") -> None:
-    """Write the text *chunks* to *path*, failing as the directory option *flag* does."""
+def _write(directory: str, name: str, chunks, flag: str = "--out") -> None:
+    """Write the text *chunks* to the file *name* in *directory*, failing as the
+    directory option *flag* does."""
     try:
-        with open(path, "w") as handle:
+        with open(os.path.join(directory, name), "w") as handle:
             handle.writelines(chunks)
     except OSError as exc:
-        raise ConfigError(f"{flag} {path.parent}: cannot write {path.name} "
-                          f"({exc.strerror})") from None
+        raise ConfigError(f"{flag} {directory}: cannot write {name} ({exc.strerror})") from None
 
 
-def load_config(path: str | None):   # the config table loads only for a command that reads one
-    from .config import load_config
-    return load_config(path)
+def load_config(path: str | None) -> tuple:
+    """The effective bundle (defaults, the file at *path*, env overrides) and its digests:
+    ``config_sha256`` of its canonical dump, plus ``config_file_sha256`` of the file's
+    bytes if given.  The file is read once, so both come from the bytes that were loaded."""
+    from .config import _load   # the config table loads only for a command that reads one
+    text = None if path is None else read_text(path)
+    bundle = _load(text, path)
+    digests = {"config_sha256": sha256(dumps_config(bundle).encode()).hexdigest()}
+    if text is not None:
+        digests["config_file_sha256"] = sha256(text.encode()).hexdigest()
+    return bundle, digests
 
 
 def dumps_config(bundle) -> str:

@@ -23,14 +23,12 @@ case-insensitive.  Precedence: environment > file > defaults, environment keys
 in the ``B5GCELL_<SECTION>__<KEY>`` form, e.g. ``B5GCELL_SCENARIO__M_T=128``.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys
 from collections import namedtuple
 
-from .records import ConfigError
+from .records import ConfigError, read_text
 
 ENV_PREFIX = "B5GCELL_"
 
@@ -328,17 +326,15 @@ def load_config(path: str | None = None, use_env: bool = True,
     Raises ConfigError naming the offending section.key for unknown keys,
     unparsable values, and the first violated invariant.
     """
+    return _load(None if path is None else read_text(path), path, use_env, environ)
+
+
+def _load(text: str | None, origin: str | None, use_env: bool = True,
+          environ=None) -> ConfigBundle:
+    """``load_config`` of a file already read: its *text*, read from *origin*."""
     values = {key: d.value for key, d in DEFAULTS.items()}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {path}: not UTF-8 text ({exc.reason} "
-                              f"at byte {exc.start})") from None
-        _overlay(values, _parse_text(text, path))
+    if text is not None:
+        _overlay(values, _parse_text(text, origin))
     if use_env:
         _overlay(values, _env_overrides(environ if environ is not None else os.environ))
     bundle = _build(values)

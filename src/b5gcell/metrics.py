@@ -8,8 +8,6 @@ sinc(t) = sin(pi t) / (pi t); this product form stays exact as the width goes
 to 0, where a difference of two sines would cancel.
 """
 
-from __future__ import annotations
-
 import math
 
 

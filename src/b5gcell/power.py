@@ -25,8 +25,6 @@ the whole bundle, from which a law reads ``gops`` (the stage workloads),
 (``mbsala``, ``bmaa`` or ``iap``); *led* is the ``lifi_led`` section.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

@@ -1,6 +1,6 @@
-"""Sweep requests and results, ``ConfigError``, the digests' SHA-256 and the one in-order
-sum.  Standard library only, so ``b5gcell analyze`` and the package root load without the
-engine or the config table."""
+"""Sweep requests and results, ``ConfigError``, the one input-file reader, the digests'
+SHA-256 and the one in-order sum.  Standard library only, so ``b5gcell analyze`` and the
+package root load without the engine or the config table."""
 
 import math
 import sys
@@ -19,6 +19,19 @@ VARIANT_KINDS = ("sep-mmwave", "sep-lifi", "nonsep")
 
 class ConfigError(ValueError):
     """Raised when a config file, env override, or bundle violates an invariant."""
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at *path*, line ends as stored, so that its UTF-8
+    encoding is the file's bytes; a ConfigError that leads with *path* if unreadable."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                          ) from None
 
 
 @cache   # looked up once: a failed import is not cached

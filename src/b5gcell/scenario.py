@@ -13,8 +13,6 @@ reaches t_star, past which no nonnegative power allocation exists.  Each device
 law runs once per model; the model keeps the constants its evaluators read.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from collections import namedtuple

@@ -4,11 +4,9 @@ Output is a plain string with a fixed element order and fixed number
 formatting, so the same data always serializes to the same bytes.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import compress, count, filterfalse, groupby
-from operator import add, eq, ne, sub
+from operator import add, ne, sub
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _WIDTH, _HEIGHT = 720, 440
@@ -134,13 +132,11 @@ def line_chart(xs, series, title: str, x_label: str, y_label: str) -> str:
     # one polyline per NaN-free run of each series: "x,y" points joined by " "
     pxs = [px0 + (x - x_lo) / x_span * (px1 - px0) for x in xs]   # sx(x)
     cols = list(map(math.trunc, pxs))   # a viewBox column is one unit wide
-    # M4 if a column may hold three consecutive points (for sorted xs, exactly then)
-    starts = any(map(eq, cols, cols[2:])) and [0, *compress(count(1), map(ne, cols, cols[1:]))]
-    x_texts = [] if starts else list(map("%.2f,".__mod__, pxs))
+    starts = [0, *compress(count(1), map(ne, cols, cols[1:]))]
     height = py1 - py0
     for idx, ((name, ys), fin) in enumerate(zip(series, finite_ys)):
         color = _PALETTE[idx % len(_PALETTE)]
-        x_run, ys = _m4(pxs, ys, starts, len(fin)) if starts else (x_texts, ys)
+        x_run, ys = _m4(pxs, ys, starts, len(fin))
         # sy(y) written out: a call per point adds about a tenth to a chart's time
         points = [x_text + "%.2f" % (py0 + (y - y_lo_t) / y_span * height) if y == y else ""
                   for x_text, y in zip(x_run, ys)]

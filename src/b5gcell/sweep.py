@@ -3,13 +3,12 @@ manifest.txt and the SVG charts.  Loaded by ``cli.cmd_sweep`` on its first call,
 only a sweep compiles it."""
 
 import itertools
+import os
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
-from .cli import (CSV_HEADER, VARIABLES, _config_digests, _write, line_chart, load_config,
-                  parse_grid, run_sweep)
+from .cli import CSV_HEADER, VARIABLES, _write, line_chart, load_config, parse_grid, run_sweep
 from .records import POWER_FIELDS, ConfigError, SweepSpec, VariantSpec
 
 
@@ -70,15 +69,15 @@ def _csv_chunks(result, xs: list):
         yield "\n".join(rows) + "\n"
 
 
-def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -> int:
+def _write_outputs(out_dir: str, result, digests: dict, grid_text: str, axis) -> int:
     """Write the sweep directory; *axis* is the charts' (file stem, x label), None for none."""
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory "
                           f"({exc.strerror})") from None
     xs = [float(x) for x in result.spec.grid]   # for the x texts and both charts
-    _write(out_dir / "results.csv", _csv_chunks(result, xs))
+    _write(out_dir, "results.csv", _csv_chunks(result, xs))
 
     manifest = [
         "format=b5gcell-sweep-v2",
@@ -92,7 +91,7 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
         f"n_rows={len(xs) * len(result.columns)}",
         f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S+00:00', time.gmtime())}",
     ]
-    _write(out_dir / "manifest.txt", ["\n".join(manifest) + "\n"])
+    _write(out_dir, "manifest.txt", ["\n".join(manifest) + "\n"])
 
     n_feasible = sum(sum(column["feasible"]) for column in result.columns.values())
     if axis and n_feasible:
@@ -101,7 +100,7 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
             series = [(name, column[field]) for name, column in result.columns.items()]
-            _write(out_dir / f"{prefix}_vs_{stem}.svg", [
+            _write(out_dir, f"{prefix}_vs_{stem}.svg", [
                 line_chart(xs, series, f"{title} vs {stem}", x_label, y_label)])
     return 0 if n_feasible else 2
 
@@ -109,15 +108,15 @@ def _write_outputs(out_dir: Path, result, digests: dict, grid_text: str, axis) -
 def cmd_sweep(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    bundle = load_config(args.config)
+    bundle, digests = load_config(args.config)
     variable, default_grid, x_label = VARIABLES[args.variable]
     grid_text = default_grid if args.grid is None else args.grid
     grid = parse_grid(grid_text)
     variants = parse_variants(args.variants, bundle.scenario.m_t)
     spec = SweepSpec(variable=variable, grid=grid, variants=variants)
     result = run_sweep(bundle, spec, seed=args.seed)
-    code = _write_outputs(Path(args.out), result, _config_digests(bundle, args.config),
-                          grid_text, (args.variable, x_label) if args.plot == "on" else None)
+    code = _write_outputs(args.out, result, digests, grid_text,
+                          (args.variable, x_label) if args.plot == "on" else None)
     if code == 2:
         print("warning: no feasible point in the sweep", file=sys.stderr)
     print(f"wrote {len(grid) * len(variants)} rows to {args.out}/results.csv")

@@ -1088,8 +1088,8 @@ def test_analyze_non_utf8_input_exits_1_naming_the_file(tmp_path, capsys, name):
 
 # the bytes of a --config file (None: no file) -> the error after "error: ", {cfg} its path
 CONFIG_FILE_BREAKS = {
-    "non-utf8": (b"[scenario]\nm_t = 64 # \xff\n", "config file {cfg}: not UTF-8 text"),
-    "missing": (None, "cannot read config file {cfg}: "),
+    "non-utf8": (b"[scenario]\nm_t = 64 # \xff\n", "{cfg}: not UTF-8 text (invalid start byte"),
+    "missing": (None, "{cfg}: cannot read (No such file or directory)"),
     "empty-section-name": (b"[scenario]\nm_t = 64\n[ ]\n", "{cfg}:3: empty section name"),
     "no-equals-sign": (b"[scenario]\nm_t 64\n",
                        "{cfg}:2: expected 'key = value', got 'm_t 64'"),
@@ -1114,6 +1114,30 @@ def test_config_file_that_cannot_be_loaded_exits_1_naming_it(tmp_path, capsys, t
     err = capsys.readouterr().err
     assert err.startswith("error: " + message.format(cfg=cfg)) and err.count("\n") == 1
     assert not (tmp_path / "x").exists() and not (out / "summary.txt").exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_config_from_a_pipe_is_digested_from_the_bytes_loaded(tmp_path, command):
+    # a pipe yields its bytes to one read only, so the digest must come from the text
+    # that was loaded; CRLF line ends, so the digest is of the bytes as sent
+    cfg = tmp_path / "cell.cfg"
+    write_config(default_bundle(), str(cfg))
+    data = cfg.read_bytes().replace(b"\n", b"\r\n")
+    cfg.write_bytes(data)
+    out = tmp_path / "run"
+    if command == "analyze":
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), *FAST]) == 0
+    args = {"sweep": ["sweep", "--out", str(out), *FAST],
+            "analyze": ["analyze", "--in", str(out)]}[command]
+    read_end, write_end = os.pipe()
+    try:
+        assert os.write(write_end, data) == len(data)
+        os.close(write_end)
+        assert main([*args, "--config", f"/dev/fd/{read_end}"]) == 0
+    finally:
+        os.close(read_end)
+    assert _manifest(out)["config_file_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
@@ -1178,12 +1202,14 @@ def _package_modules(loaded):
     return {name for name in loaded if name.partition(".")[0] == "b5gcell"}
 
 
-def _probe(*args):
-    """Exit code and the set of modules loaded by ``b5gcell <args>`` in a fresh process."""
+def _probe(*args, no_site=False):
+    """Exit code and the set of modules loaded by ``b5gcell <args>`` in a fresh process;
+    *no_site* runs it under ``-S``, so that what a ``site`` hook imports is counted too."""
     src = str(Path(b5gcell.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *args], env=env,
+    flags = ["-S"] if no_site else []
+    proc = subprocess.run([sys.executable, *flags, "-c", NUMPY_PROBE, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     code, _, loaded = proc.stderr.splitlines()[-1].partition(" loaded=")
     return code, set(loaded.split(",")), proc.stdout
@@ -1216,6 +1242,24 @@ def test_version_loads_no_argument_parser():
     assert (code, stdout) == ("exit=0", "0.1.0\n")
     assert loaded & PARSER_MODULES == set()
     assert _package_modules(loaded) == {"b5gcell", "b5gcell.records", "b5gcell.cli"}
+
+
+# pathlib and what it loads, and the annotations future: paths are str and os.path
+PATHLIB_MODULES = {"pathlib", "re", "enum", "fnmatch", "urllib.parse", "ipaddress", "__future__"}
+
+
+@pytest.mark.parametrize("command", ["--version", "sweep", "analyze", "analyze-config"])
+def test_commands_load_no_pathlib(tmp_path, command):
+    cfg, out = tmp_path / "cell.cfg", tmp_path / "run"
+    write_config(default_bundle(), str(cfg))
+    if command.startswith("analyze"):
+        assert main(["sweep", "--out", str(out), "--config", str(cfg), *FAST]) == 0
+    args = {"--version": ["--version"], "sweep": ["sweep", "--out", str(out)],
+            "analyze": ["analyze", "--in", str(out)],
+            "analyze-config": ["analyze", "--in", str(out), "--config", str(cfg)]}[command]
+    code, loaded, _ = _probe(*args, no_site=True)
+    assert code == "exit=0"
+    assert loaded & PATHLIB_MODULES == set()
 
 
 def test_help_loads_no_command_module():
