@@ -17,10 +17,10 @@ import sys
 from types import SimpleNamespace
 
 from . import __version__
-from .records import RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepSpec, read_text, sha256
+from .records import RATE_VARIABLE, SE_VARIABLE, VARIANT_KINDS, ConfigError, read_text, sha256
 
 CSV_HEADER = "variant,x_value,x_kind,total_power_w,ee,feasible,p_mbs_w,p_bmaa_w,p_iap_w"
-DEFAULT_VARIANTS = "sep-mmwave,sep-lifi,nonsep"
+DEFAULT_VARIANTS = ",".join(VARIANT_KINDS)
 # --variable choice -> (x_kind, default grid, chart x label)
 VARIABLES = {"rate": (RATE_VARIABLE, "0:6e9:25", "total rate (bit/s)"),
              "se": (SE_VARIABLE, "0.5:24:48", "per-link SE (bit/s/Hz)")}
@@ -91,7 +91,7 @@ def dumps_config(bundle) -> str:
     return dumps_config(bundle)
 
 
-def run_sweep(bundle, spec: SweepSpec, seed: int = 0):   # loads the engine on first call
+def run_sweep(bundle, spec, seed: int = 0):   # loads the engine on first call
     from .scenario import run_sweep
     return run_sweep(bundle, spec, seed)
 

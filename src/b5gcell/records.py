@@ -1,4 +1,4 @@
-"""Sweep requests and results, ``ConfigError``, the one input-file reader, the digests'
+"""Sweep requests, ``ConfigError``, the one input-file reader, the digests'
 SHA-256 and the one in-order sum.  Standard library only, so ``b5gcell analyze`` and the
 package root load without the engine or the config table."""
 
@@ -64,8 +64,8 @@ class VariantSpec(namedtuple("VariantSpec", "name kind m_t")):
 
     def __new__(cls, name: str, kind: str, m_t: int):
         if kind not in VARIANT_KINDS:
-            raise ConfigError(f"variant {name}: unknown kind {kind!r} "
-                              f"(expected sep-mmwave, sep-lifi or nonsep)")
+            raise ConfigError(f"variant {name}: unknown kind {kind!r} (expected "
+                              f"{', '.join(VARIANT_KINDS[:-1])} or {VARIANT_KINDS[-1]})")
         if isinstance(m_t, bool) or not isinstance(m_t, int) or m_t < 1:
             raise ConfigError(f"variant {name}: m_t must be >= 1 and an int, not {m_t!r}")
         if m_t > sys.float_info.max:   # the engine takes it as a float
@@ -107,8 +107,3 @@ class SweepSpec(namedtuple("SweepSpec", "variable grid variants")):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-SweepResult = namedtuple("SweepResult", "spec seed columns")
-SweepResult.__doc__ = """Per variant name, in ``spec.variants`` order, the columns that
-``ScenarioModel.points`` returns over ``spec.grid``."""

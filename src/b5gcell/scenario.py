@@ -23,8 +23,8 @@ from .config import DEFAULTS, ConfigBundle, validate_bundle
 from .metrics import kernel_power_mean, required_sinr, sinr_lifi
 from .power import (overhead_divisor, pa_power_doherty, power_bmaa, power_iap_mmwave,
                     power_lifi_iap, power_mbs, power_mbsala)
-from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepResult,
-                      SweepSpec, VariantSpec, add_up, sha256)
+from .records import (POWER_FIELDS, RATE_VARIABLE, SE_VARIABLE, ConfigError, SweepSpec,
+                      VariantSpec, add_up, sha256)
 
 # Constants found once per model: the outdoor link's (equal links, equal columns), the access's
 Link = namedtuple("Link", "n_users users beams bandwidth gamma static n_arrays k scale "
@@ -67,37 +67,7 @@ class ScenarioModel:
         # the swept total rate is split equally over every indoor user
         self.n_devices = cfg.n_arrays * cfg.n_buildings   # building arrays, access points
         self.n_users = self.n_devices * cfg.n_iue
-        # indoor noise: identical density and noise figure, wider band
-        self.sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
-        self.link = self._link(relay)
-
-        # indoor geometry shared by every building
-        iap_pos = (0.0, 0.0, layout.iap_height_m)
-        user_pos = [(x, y, layout.user_height_m) for x, y in offsets]
-        dz = layout.user_height_m - layout.iap_height_m
-        self.user_distances = [math.sqrt(x * x + y * y + dz * dz) for x, y in offsets]
-
-        # each device law once: only the amplifiers follow the rate, and identical
-        # devices scale by their count
-        bmaa = self.n_devices * power_bmaa(cfg, bundle).p_total if relay else 0.0
-        self.access = Access(bmaa, 0.0, math.inf)   # nonsep: no access limit
-        if variant.kind == "sep-mmwave":
-            self.beta_access = _gains("scenario.carrier_freq_in, layout.iap_height_m, "
-                                      f"layout.user_height_m, {placed_by[1]}",
-                                      pathloss_freespace, self.user_distances, cfg.carrier_freq_in)
-            iap = power_iap_mmwave(cfg, bundle)
-            self.access = Access(bmaa, None, None, iap.p_bb + iap.p_rf, *self._beam_codebook(),
-                                 bundle.iap.pa_max, overhead_divisor(bundle))
-        if variant.kind == "sep-lifi":
-            try:   # a gain past float range, or a divisor that rounds to 0
-                capacity = self._init_lifi(iap_pos, user_pos)
-                iap = power_lifi_iap(bundle.lifi_led, add_up(self.lifi_h) / cfg.n_iue)
-            except (ArithmeticError, ValueError):
-                keys = [key for key in DEFAULTS if key.startswith("lifi")] + [
-                    "scenario.bandwidth_in", "layout.iap_height_m", "layout.user_height_m"]
-                raise ConfigError(f"{', '.join(keys)}, {placed_by[1]}: must give a LiFi link "
-                                  "and LED drive in float range") from None
-            self.access = Access(bmaa, self.n_devices * iap.p_total, capacity)
+        self.link, self.access = self._link(relay), self._access(relay, placed_by[1])
 
     def _link(self, relay: bool) -> Link:
         """The outdoor link's constants, from the relay array and macro site laws."""
@@ -113,40 +83,61 @@ class ScenarioModel:
             k = streams * sum(D(2 / math.pi) * (D(sigma) * D(pa_max) / D(g)).sqrt() for g in gains)
             scale = 2.0 ** (770 * (k > D(sys.float_info.max)) - 770 * (k < D(tiny)))
             k = float(k / D(scale))
-        # rounded division is monotone: the least gain's rating alone bounds each point
-        weakest = gains[self.beta_out.index(min(self.beta_out))]
+        # beta * m_t * rx and t sigma / g round monotonically: the least gain's rating binds
+        weakest = min(gains)
         return Link(self.n_users, users, beams, cfg.bandwidth_out, cfg.gamma,
                     mbs.p_bb + mbs.p_rf, cfg.n_arrays, k, scale, overhead_divisor(b),
                     sigma, weakest, pa_max)
 
-    # -- indoor access precomputation ------------------------------------
-
-    def _beam_codebook(self) -> tuple:
-        """Evenly spaced sine-space beams, one per indoor user; a user's
-        departure angle is uniform over its beam's cell.  E_ij, the mean power
-        of beam j over user i's cell, depends only on (i - j) mod n (the beams
-        are even in sine space and the kernel has period 2), so the access
-        system (I - t A) p = t sigma_in D^-1 1, A_ij = E_ij / E_00 off the
-        diagonal and D = diag(beta_i E_00), has the all-ones Perron vector:
-        summing its rows gives the total power in closed form, scale t / (1 - t
-        lambda_0), with scale = sigma_in sum_i 1 / (beta_i E_00) and lambda_0 =
-        sum_{j != 0} E_0j / E_00.  Every power is nonnegative exactly when t is
-        below t_star = 1 / lambda_0 (inf for a single user).  Returns (scale, t_star)."""
-        n = self.cfg.n_iue
-        width = 2.0 / n
-        row = [kernel_power_mean(self.cfg.m_t_iap, i * width, width / 2) for i in range(n)]
-        return (self.sigma_in * add_up([1.0 / (beta * row[0]) for beta in self.beta_access]),
-                row[0] / add_up(row[1:]) if n > 1 else math.inf)
-
-    def _init_lifi(self, iap_pos, user_pos) -> float:
-        lifi = self.bundle.lifi
-        self.lifi_h = [lifi_los_gain(lifi_angles(iap_pos, pos, lifi.n_tx, lifi.n_rx), lifi)
-                       for pos in user_pos]
-        self.lifi_sinr = [sinr_lifi(lifi.c_f, lifi.p_opt, hu, lifi.n0, self.cfg.bandwidth_in)
-                          for hu in self.lifi_h]
-        # each user must fit its TDMA share of the band
-        share = self.cfg.bandwidth_in / self.cfg.n_iue
-        return min(self.cfg.gamma * share * math.log2(1.0 + sinr) for sinr in self.lifi_sinr)
+    def _access(self, relay: bool, placed_by: str) -> Access:
+        """The indoor access's constants: each device law once, only the amplifiers
+        follow the rate, and identical devices scale by their count."""
+        if not relay:
+            return Access(0.0, 0.0, math.inf)   # nonsep: no access limit
+        cfg, b, layout = self.cfg, self.bundle, self.bundle.layout
+        bmaa = self.n_devices * power_bmaa(cfg, b).p_total
+        if self.variant.kind == "sep-mmwave":
+            dz = layout.user_height_m - layout.iap_height_m   # one room in every building
+            self.beta_access = _gains("scenario.carrier_freq_in, layout.iap_height_m, "
+                                      f"layout.user_height_m, {placed_by}", pathloss_freespace,
+                                      [math.sqrt(x * x + y * y + dz * dz)
+                                       for x, y in self.user_offsets], cfg.carrier_freq_in)
+            # indoor noise: identical density and noise figure, wider band
+            self.sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
+            # Evenly spaced sine-space beams, one per indoor user; a user's departure
+            # angle is uniform over its beam's cell.  E_ij, the mean power of beam j over
+            # user i's cell, depends only on (i - j) mod n (the beams are even in sine
+            # space and the kernel has period 2), so the access system (I - t A) p =
+            # t sigma_in D^-1 1, A_ij = E_ij / E_00 off the diagonal and D = diag(beta_i
+            # E_00), has the all-ones Perron vector: summing its rows gives the total
+            # power in closed form, scale t / (1 - t lambda_0), with scale = sigma_in
+            # sum_i 1 / (beta_i E_00) and lambda_0 = sum_{j != 0} E_0j / E_00.  Every
+            # power is nonnegative exactly when t is below t_star = 1 / lambda_0 (inf for
+            # a single user).
+            n, width = cfg.n_iue, 2.0 / cfg.n_iue
+            row = [kernel_power_mean(cfg.m_t_iap, i * width, width / 2) for i in range(n)]
+            iap = power_iap_mmwave(cfg, b)
+            return Access(bmaa, None, None, iap.p_bb + iap.p_rf,
+                          self.sigma_in * add_up([1.0 / (beta * row[0])
+                                                  for beta in self.beta_access]),
+                          row[0] / add_up(row[1:]) if n > 1 else math.inf,
+                          b.iap.pa_max, overhead_divisor(b))
+        lifi, iap_pos = b.lifi, (0.0, 0.0, layout.iap_height_m)
+        try:   # a gain past float range, or a divisor that rounds to 0
+            self.lifi_h = [lifi_los_gain(lifi_angles(iap_pos, (x, y, layout.user_height_m),
+                                                     lifi.n_tx, lifi.n_rx), lifi)
+                           for x, y in self.user_offsets]
+            self.lifi_sinr = [sinr_lifi(lifi.c_f, lifi.p_opt, hu, lifi.n0, cfg.bandwidth_in)
+                              for hu in self.lifi_h]
+            share = cfg.bandwidth_in / cfg.n_iue   # each user must fit its TDMA share
+            capacity = min(cfg.gamma * share * math.log2(1.0 + sinr) for sinr in self.lifi_sinr)
+            iap = power_lifi_iap(b.lifi_led, add_up(self.lifi_h) / cfg.n_iue)
+        except (ArithmeticError, ValueError):
+            keys = [key for key in DEFAULTS if key.startswith("lifi")] + [
+                "scenario.bandwidth_in", "layout.iap_height_m", "layout.user_height_m"]
+            raise ConfigError(f"{', '.join(keys)}, {placed_by}: must give a LiFi link "
+                              "and LED drive in float range") from None
+        return Access(bmaa, self.n_devices * iap.p_total, capacity)
 
     # -- evaluation over a grid ---------------------------------------------
 
@@ -249,8 +240,10 @@ def _variant_stream(seed: int, name: str):
     return Stream([seed, int.from_bytes(sha256(name.encode()).digest()[:8], "big")])
 
 
-def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResult:
-    """Evaluate every variant over the grid; deterministic for a (config, seed).
+def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> dict:
+    """Evaluate every variant over the grid: per variant name, in ``spec.variants``
+    order, the columns that ``ScenarioModel.points`` gives.  Deterministic for a
+    (config, seed).
 
     Under random placement each variant draws from a stream keyed on its
     name, so evaluation order cannot change random placements.
@@ -263,4 +256,4 @@ def run_sweep(bundle: ConfigBundle, spec: SweepSpec, seed: int = 0) -> SweepResu
         if (link := links.get(model.link)) is None:
             link = links[model.link] = model._outdoor(rates)
         columns[variant.name] = model._add(rates, link)
-    return SweepResult(spec=spec, seed=seed, columns=columns)
+    return columns

@@ -47,10 +47,10 @@ def _reprs(values) -> list:
     return list(map(texts.__getitem__, values))
 
 
-def _csv_chunks(result, xs: list):
-    """results.csv text: the header, then one chunk per variant.  A column equal to
-    one formatted before takes its texts."""
-    kind, x_texts, done = result.spec.variable, _reprs(xs), []
+def _csv_chunks(kind: str, columns: dict, xs: list):
+    """results.csv text: the header, then one chunk per variant of *columns*, its
+    grid *xs* of kind *kind*.  A column equal to one formatted before takes its texts."""
+    x_texts, done = _reprs(xs), []
     def texts(values):
         for other, other_texts in done:
             if other == values:
@@ -58,7 +58,7 @@ def _csv_chunks(result, xs: list):
         done.append((values, _reprs(values)))
         return done[-1][1]
     yield CSV_HEADER + "\n"
-    for name, column in result.columns.items():
+    for name, column in columns.items():
         total, ee, p_mbs, p_bmaa, p_iap = (texts(column[field]) for field in POWER_FIELDS)
         rows = list(map(",".join, zip(itertools.repeat(name), x_texts, itertools.repeat(kind),
                                       total, ee, itertools.repeat("true"),
@@ -69,37 +69,36 @@ def _csv_chunks(result, xs: list):
         yield "\n".join(rows) + "\n"
 
 
-def _write_outputs(out_dir: str, result, digests: dict, grid_text: str, axis) -> int:
-    """Write the sweep directory; *axis* is the charts' (file stem, x label), None for none."""
+def _write_outputs(out_dir: str, spec, columns: dict, header: dict, grid_text: str, axis) -> int:
+    """Write the sweep directory of *spec*'s *columns*, the manifest lines *header* after the
+    version; *axis* is the charts' (file stem, x label), None for none."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out_dir}: cannot make the output directory "
                           f"({exc.strerror})") from None
-    xs = [float(x) for x in result.spec.grid]   # for the x texts and both charts
-    _write(out_dir, "results.csv", _csv_chunks(result, xs))
+    xs = [float(x) for x in spec.grid]   # for the x texts and both charts
+    _write(out_dir, "results.csv", _csv_chunks(spec.variable, columns, xs))
 
     manifest = [
         "format=b5gcell-sweep-v2",
         f"version={__version__}",
-        *(f"{key}={value}" for key, value in digests.items()),
-        f"seed={result.seed}",
-        f"variable={result.spec.variable}",
+        *(f"{key}={value}" for key, value in header.items()),
+        f"variable={spec.variable}",
         f"grid={grid_text}",
-        *(f"variant.{i}={v.name},{v.kind},{v.m_t}"
-          for i, v in enumerate(result.spec.variants)),
-        f"n_rows={len(xs) * len(result.columns)}",
+        *(f"variant.{i}={v.name},{v.kind},{v.m_t}" for i, v in enumerate(spec.variants)),
+        f"n_rows={len(xs) * len(columns)}",
         f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S+00:00', time.gmtime())}",
     ]
     _write(out_dir, "manifest.txt", ["\n".join(manifest) + "\n"])
 
-    n_feasible = sum(sum(column["feasible"]) for column in result.columns.values())
+    n_feasible = sum(sum(column["feasible"]) for column in columns.values())
     if axis and n_feasible:
         stem, x_label = axis
         for prefix, field, title, y_label in (
                 ("power", "total_power_w", "cell power", "total power (W)"),
                 ("ee", "ee", "energy efficiency", "EE (bit/s/Hz per W)")):
-            series = [(name, column[field]) for name, column in result.columns.items()]
+            series = [(name, column[field]) for name, column in columns.items()]
             _write(out_dir, f"{prefix}_vs_{stem}.svg", [
                 line_chart(xs, series, f"{title} vs {stem}", x_label, y_label)])
     return 0 if n_feasible else 2
@@ -114,8 +113,8 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(grid_text)
     variants = parse_variants(args.variants, bundle.scenario.m_t)
     spec = SweepSpec(variable=variable, grid=grid, variants=variants)
-    result = run_sweep(bundle, spec, seed=args.seed)
-    code = _write_outputs(args.out, result, digests, grid_text,
+    code = _write_outputs(args.out, spec, run_sweep(bundle, spec, seed=args.seed),
+                          {**digests, "seed": args.seed}, grid_text,
                           (args.variable, x_label) if args.plot == "on" else None)
     if code == 2:
         print("warning: no feasible point in the sweep", file=sys.stderr)

@@ -182,7 +182,7 @@ def test_figure_shape_reproduction():
                           VariantSpec("non", "nonsep", m_t)))
         result = run_sweep(bundle, spec, seed=0)
         # total power per grid value, NaN where infeasible
-        sep, non = (result.columns[name]["total_power_w"] for name in ("sep", "non"))
+        sep, non = (result[name]["total_power_w"] for name in ("sep", "non"))
 
         flips = 0
         prev = None
@@ -194,7 +194,7 @@ def test_figure_shape_reproduction():
             if prev is not None and prev * diff < 0:
                 flips += 1
             prev = diff
-        cross = _summary(RATE_GRID, spec.variants, result.columns).get("crossing.sep.vs.non")
+        cross = _summary(RATE_GRID, spec.variants, result).get("crossing.sep.vs.non")
         cross = None if cross is None else float(cross)
         crossings[m_t] = cross
         _check(lines, f"M_T={m_t}: exactly one separate/non-separate crossing",
@@ -269,7 +269,7 @@ def test_calibration_targets():
                      (VariantSpec("mmwave", "sep-mmwave", 64),
                       VariantSpec("lifi", "sep-lifi", 64)))
     result = run_sweep(bundle, spec, seed=0)
-    lifi, mmwave = result.columns["lifi"], result.columns["mmwave"]
+    lifi, mmwave = result["lifi"], result["mmwave"]
     savings = [1.0 - a / b for a, b, ok_a, ok_b in zip(lifi["total_power_w"],
                                                        mmwave["total_power_w"],
                                                        lifi["feasible"], mmwave["feasible"])

@@ -82,9 +82,9 @@ def _assert_sweep_matches(bundle, variable, grid, variants, seed=0):
     spec = SweepSpec(variable, tuple(grid),
                      parse_variants(variants, bundle.scenario.m_t))
     result = run_sweep(bundle, spec, seed)
-    assert list(result.columns) == [v.name for v in spec.variants]
+    assert list(result) == [v.name for v in spec.variants]
     got = [row for v in spec.variants
-           for row in _rows(v.name, spec.grid, variable, result.columns[v.name])]
+           for row in _rows(v.name, spec.grid, variable, result[v.name])]
     _assert_rows_equal(got, scalar_oracle.run_sweep(bundle, spec, seed))
 
 

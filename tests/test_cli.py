@@ -373,7 +373,7 @@ def test_analyze_reads_back_the_engine_columns_and_summarizes_them_as_the_engine
     bundle = load_config(str(cfg))
     spec = SweepSpec(VARIABLES[variable][0], parse_grid(grid),
                      parse_variants(variants, bundle.scenario.m_t))
-    engine = run_sweep(bundle, spec, seed).columns
+    engine = run_sweep(bundle, spec, seed)
     rows = (out / "results.csv").read_text().splitlines()[1:]
     read = _read_results(out / "results.csv", rows, spec)
     assert list(read) == list(engine)

@@ -280,9 +280,9 @@ def test_run_sweep_is_deterministic(bundle):
     a = run_sweep(bundle, spec, seed=42)
     b = run_sweep(bundle, spec, seed=42)
     # one column set per variant in spec order, one entry per grid value
-    assert list(a.columns) == list(b.columns) == ["sep-mmwave", "nonsep"]
-    assert all(_same(a.columns[name], b.columns[name]) for name in a.columns)
-    assert all(len(column[field]) == 3 for column in a.columns.values()
+    assert list(a) == list(b) == ["sep-mmwave", "nonsep"]
+    assert all(_same(a[name], b[name]) for name in a)
+    assert all(len(column[field]) == 3 for column in a.values()
                for field in ("feasible", *POWER_FIELDS))
 
 
@@ -293,8 +293,8 @@ def test_random_placement_seeded(bundle):
     a = run_sweep(shuffled, spec, seed=1)
     b = run_sweep(shuffled, spec, seed=1)
     c = run_sweep(shuffled, spec, seed=2)
-    assert _same(a.columns["sep-mmwave"], b.columns["sep-mmwave"])
-    assert not _same(a.columns["sep-mmwave"], c.columns["sep-mmwave"])
+    assert _same(a["sep-mmwave"], b["sep-mmwave"])
+    assert not _same(a["sep-mmwave"], c["sep-mmwave"])
 
 
 def test_variant_order_does_not_move_random_placements(bundle):
@@ -305,9 +305,9 @@ def test_variant_order_does_not_move_random_placements(bundle):
     ab = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (SEP, NON)), seed=3)
     ba = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (NON, SEP)), seed=3)
     alone = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (NON,)), seed=3)
-    assert _same(ab.columns["sep-mmwave"], ba.columns["sep-mmwave"])
-    assert _same(ab.columns["nonsep"], ba.columns["nonsep"])
-    assert _same(ab.columns["nonsep"], alone.columns["nonsep"])
+    assert _same(ab["sep-mmwave"], ba["sep-mmwave"])
+    assert _same(ab["nonsep"], ba["nonsep"])
+    assert _same(ab["nonsep"], alone["nonsep"])
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -318,7 +318,19 @@ def test_library_and_sweep_build_one_random_cell(bundle, variant, seed):
     grid = tuple(float(x) for x in np.linspace(0.0, 6e9, 25))
     swept = run_sweep(shuffled, SweepSpec(RATE_VARIABLE, grid, (SEP, LIFI, NON)), seed=seed)
     built = build_scenario(shuffled, variant, seed=seed).points(grid)
-    assert _same(built, swept.columns[variant.name])
+    assert _same(built, swept[variant.name])
+
+
+@pytest.mark.parametrize("placement", ["fixed", "random"])
+@pytest.mark.parametrize("variant", [SEP, LIFI, NON], ids=lambda v: v.kind)
+def test_each_model_keeps_only_its_own_inputs(bundle, variant, placement):
+    # the evaluators read link and access; the rest is what scalar_oracle rebuilds from
+    every = ["access", "beta_out", "building_distances", "bundle", "cfg", "link",
+             "n_devices", "n_users", "user_offsets", "variant"]
+    own = {"sep-mmwave": ["beta_access", "sigma_in"], "sep-lifi": ["lifi_h", "lifi_sinr"],
+           "nonsep": []}[variant.kind]
+    bundle = bundle._replace(layout=bundle.layout._replace(placement=placement))
+    assert sorted(vars(build_scenario(bundle, variant, seed=3))) == sorted(every + own)
 
 
 @st.composite
@@ -357,7 +369,7 @@ def test_sweep_columns_equal_each_variant_evaluated_alone(case):
     swept = run_sweep(bundle, spec, seed=seed)
     for variant in spec.variants:
         alone = build_scenario(bundle, variant, seed=seed).points(spec.grid, spec.variable)
-        assert _bits(swept.columns[variant.name]) == _bits(alone)
+        assert _bits(swept[variant.name]) == _bits(alone)
 
 
 @pytest.mark.parametrize("placement, evaluations", [("fixed", 3), ("random", 5)])
@@ -664,7 +676,7 @@ def _cells(draw):
 @given(_cells())
 def test_feasible_points_are_a_prefix_of_the_grid_with_nondecreasing_power(case):
     bundle, seed, spec = case
-    for name, column in run_sweep(bundle, spec, seed=seed).columns.items():
+    for name, column in run_sweep(bundle, spec, seed=seed).items():
         n = column["feasible"].count(True)
         assert column["feasible"] == [True] * n + [False] * (len(spec.grid) - n), name
         total = column["total_power_w"][:n]
@@ -678,7 +690,7 @@ def test_feasible_points_are_a_prefix_of_the_grid_with_nondecreasing_power(case)
 @given(_sweeps(), st.data())
 def test_changing_one_variants_columns_leaves_the_others_unchanged(case, data):
     bundle, seed, spec = case
-    columns = run_sweep(bundle, spec, seed=seed).columns
+    columns = run_sweep(bundle, spec, seed=seed)
     before = {name: _bits(column) for name, column in columns.items()}
     changed = data.draw(st.sampled_from([v.name for v in spec.variants]))
     for field, values in columns[changed].items():
@@ -766,7 +778,7 @@ def test_unknown_variant_name_raises(bundle):
     spec = SweepSpec(RATE_VARIABLE, (0.0, 1e9), (SEP,))
     result = run_sweep(bundle, spec)
     with pytest.raises(KeyError):
-        result.columns["nope"]
+        result["nope"]
 
 
 def _ee_summary(shape, grid):
