@@ -35,11 +35,9 @@ def lambertian_order(half_angle: float) -> float:
     return -1.0 / math.log2(math.cos(half_angle))
 
 
-class LiFiGeometry(namedtuple("LiFiGeometry", "distance phi psi")):
-    """Geometry of one LED-to-photodiode link: distance (m), radiance angle at
-    the LED and incidence angle at the photodiode (rad)."""
-
-    __slots__ = ()
+LiFiGeometry = namedtuple("LiFiGeometry", "distance phi psi")
+LiFiGeometry.__doc__ = ("Geometry of one LED-to-photodiode link: distance (m), radiance "
+                        "angle at the LED and incidence angle at the photodiode (rad).")
 
 
 def lifi_angles(tx_pos, rx_pos, n_tx, n_rx) -> LiFiGeometry:

@@ -38,7 +38,7 @@ class ScenarioModel:
 
     def __init__(self, bundle: ConfigBundle, variant: VariantSpec, seed: int = 0):
         validate_bundle(bundle)
-        self.bundle, self.variant = bundle, variant
+        self.variant = variant
         self.cfg = cfg = bundle.scenario._replace(m_t=variant.m_t)
         layout = bundle.layout
 
@@ -55,26 +55,23 @@ class ScenarioModel:
             distances = [float(d) for d in layout.building_distances_m]
             offsets = [(float(x), float(y)) for x, y in layout.user_offsets_m]
             placed_by = "layout.building_distances_m", "layout.user_offsets_m"
-        self.building_distances, self.user_offsets = distances, offsets
 
         # outdoor gain per building: the relay's backhaul, or the direct link through the wall
         relay = variant.kind != "nonsep"
         wall, walled = (0.0, "") if relay else (cfg.penetration_loss_db,
                                                 "scenario.penetration_loss_db, ")
-        self.beta_out = _gains(f"scenario.carrier_freq_out, {walled}{placed_by[0]}",
-                               pathloss_winner_b5a, distances, cfg.carrier_freq_out, wall)
+        beta_out = _gains(f"scenario.carrier_freq_out, {walled}{placed_by[0]}",
+                          pathloss_winner_b5a, distances, cfg.carrier_freq_out, wall)
+        self.link = self._link(bundle, beta_out, relay)
+        self.access = (self._access(bundle, offsets, placed_by[1]) if relay
+                       else Access(0.0, 0.0, math.inf))   # nonsep: no access limit
 
-        # the swept total rate is split equally over every indoor user
-        self.n_devices = cfg.n_arrays * cfg.n_buildings   # building arrays, access points
-        self.n_users = self.n_devices * cfg.n_iue
-        self.link, self.access = self._link(relay), self._access(relay, placed_by[1])
-
-    def _link(self, relay: bool) -> Link:
+    def _link(self, b: ConfigBundle, beta_out, relay: bool) -> Link:
         """The outdoor link's constants, from the relay array and macro site laws."""
-        cfg, b = self.cfg, self.bundle   # a relay beam carries n_iue / n_beams users
+        cfg = self.cfg   # a relay beam carries n_iue / n_beams users
         users, beams, streams, rx = ((cfg.n_iue, cfg.n_beams, cfg.n_beams, cfg.m_r) if relay
                                      else (1, 1, cfg.n_iue, cfg.ue_antennas))
-        gains = [beta * cfg.m_t * rx for beta in self.beta_out]   # output t sigma / g_b
+        gains = [beta * cfg.m_t * rx for beta in beta_out]   # output t sigma / g_b
         sigma, pa_max = cfg.noise_variance, b.mbsala.pa_max
         mbs = power_mbs(cfg, b, mbsala := power_mbsala(cfg, b, sigma, gains, streams))
         k, scale, tiny = mbsala.p_pa, 1.0, sys.float_info.min
@@ -85,25 +82,25 @@ class ScenarioModel:
             k = float(k / D(scale))
         # beta * m_t * rx and t sigma / g round monotonically: the least gain's rating binds
         weakest = min(gains)
-        return Link(self.n_users, users, beams, cfg.bandwidth_out, cfg.gamma,
-                    mbs.p_bb + mbs.p_rf, cfg.n_arrays, k, scale, overhead_divisor(b),
+        # the swept total rate is split equally over every indoor user
+        return Link(cfg.n_arrays * cfg.n_buildings * cfg.n_iue, users, beams, cfg.bandwidth_out,
+                    cfg.gamma, mbs.p_bb + mbs.p_rf, cfg.n_arrays, k, scale, overhead_divisor(b),
                     sigma, weakest, pa_max)
 
-    def _access(self, relay: bool, placed_by: str) -> Access:
-        """The indoor access's constants: each device law once, only the amplifiers
+    def _access(self, b: ConfigBundle, offsets, placed_by: str) -> Access:
+        """A relay's indoor access constants: each device law once, only the amplifiers
         follow the rate, and identical devices scale by their count."""
-        if not relay:
-            return Access(0.0, 0.0, math.inf)   # nonsep: no access limit
-        cfg, b, layout = self.cfg, self.bundle, self.bundle.layout
-        bmaa = self.n_devices * power_bmaa(cfg, b).p_total
+        cfg, layout = self.cfg, b.layout
+        n_devices = cfg.n_arrays * cfg.n_buildings   # building arrays, access points
+        bmaa = n_devices * power_bmaa(cfg, b).p_total
         if self.variant.kind == "sep-mmwave":
             dz = layout.user_height_m - layout.iap_height_m   # one room in every building
-            self.beta_access = _gains("scenario.carrier_freq_in, layout.iap_height_m, "
-                                      f"layout.user_height_m, {placed_by}", pathloss_freespace,
-                                      [math.sqrt(x * x + y * y + dz * dz)
-                                       for x, y in self.user_offsets], cfg.carrier_freq_in)
+            beta_access = _gains("scenario.carrier_freq_in, layout.iap_height_m, "
+                                 f"layout.user_height_m, {placed_by}", pathloss_freespace,
+                                 [math.sqrt(x * x + y * y + dz * dz) for x, y in offsets],
+                                 cfg.carrier_freq_in)
             # indoor noise: identical density and noise figure, wider band
-            self.sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
+            sigma_in = cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out
             # Evenly spaced sine-space beams, one per indoor user; a user's departure
             # angle is uniform over its beam's cell.  E_ij, the mean power of beam j over
             # user i's cell, depends only on (i - j) mod n (the beams are even in sine
@@ -118,26 +115,25 @@ class ScenarioModel:
             row = [kernel_power_mean(cfg.m_t_iap, i * width, width / 2) for i in range(n)]
             iap = power_iap_mmwave(cfg, b)
             return Access(bmaa, None, None, iap.p_bb + iap.p_rf,
-                          self.sigma_in * add_up([1.0 / (beta * row[0])
-                                                  for beta in self.beta_access]),
+                          sigma_in * add_up([1.0 / (beta * row[0]) for beta in beta_access]),
                           row[0] / add_up(row[1:]) if n > 1 else math.inf,
                           b.iap.pa_max, overhead_divisor(b))
         lifi, iap_pos = b.lifi, (0.0, 0.0, layout.iap_height_m)
         try:   # a gain past float range, or a divisor that rounds to 0
-            self.lifi_h = [lifi_los_gain(lifi_angles(iap_pos, (x, y, layout.user_height_m),
-                                                     lifi.n_tx, lifi.n_rx), lifi)
-                           for x, y in self.user_offsets]
-            self.lifi_sinr = [sinr_lifi(lifi.c_f, lifi.p_opt, hu, lifi.n0, cfg.bandwidth_in)
-                              for hu in self.lifi_h]
+            lifi_h = [lifi_los_gain(lifi_angles(iap_pos, (x, y, layout.user_height_m),
+                                                lifi.n_tx, lifi.n_rx), lifi)
+                      for x, y in offsets]
+            lifi_sinr = [sinr_lifi(lifi.c_f, lifi.p_opt, hu, lifi.n0, cfg.bandwidth_in)
+                         for hu in lifi_h]
             share = cfg.bandwidth_in / cfg.n_iue   # each user must fit its TDMA share
-            capacity = min(cfg.gamma * share * math.log2(1.0 + sinr) for sinr in self.lifi_sinr)
-            iap = power_lifi_iap(b.lifi_led, add_up(self.lifi_h) / cfg.n_iue)
+            capacity = min(cfg.gamma * share * math.log2(1.0 + sinr) for sinr in lifi_sinr)
+            iap = power_lifi_iap(b.lifi_led, add_up(lifi_h) / cfg.n_iue)
         except (ArithmeticError, ValueError):
             keys = [key for key in DEFAULTS if key.startswith("lifi")] + [
                 "scenario.bandwidth_in", "layout.iap_height_m", "layout.user_height_m"]
             raise ConfigError(f"{', '.join(keys)}, {placed_by}: must give a LiFi link "
                               "and LED drive in float range") from None
-        return Access(bmaa, self.n_devices * iap.p_total, capacity)
+        return Access(bmaa, n_devices * iap.p_total, capacity)
 
     # -- evaluation over a grid ---------------------------------------------
 
@@ -158,7 +154,7 @@ class ScenarioModel:
             what = "SE target" if x_kind == SE_VARIABLE else "total rate"
             raise ValueError(f"{what} must be finite and >= 0, got {bad[0]!r}")
         if x_kind == SE_VARIABLE:
-            rates = [x * self.cfg.bandwidth_out * self.n_users for x in rates]
+            rates = [x * self.cfg.bandwidth_out * self.link.n_users for x in rates]
         return rates
 
     def _outdoor(self, rates) -> tuple:
@@ -172,12 +168,12 @@ class ScenarioModel:
 
     def _indoor(self, rates) -> tuple:
         """The indoor access's (access points' summed power, every user served)."""
-        a, n_users = self.access, self.n_users
+        a, n_users, cfg = self.access, self.link.n_users, self.cfg
         if a.scale is None:   # fixed drive, and the LiFi capacity
             return [a.fixed] * len(rates), [x / n_users <= a.capacity for x in rates]
         p_out = self._access_power(required_sinr(
-            [x / n_users / self.cfg.bandwidth_in for x in rates], self.cfg.gamma))
-        n, static, divisor = self.n_devices, a.static, a.divisor
+            [x / n_users / cfg.bandwidth_in for x in rates], cfg.gamma))
+        n, static, divisor = cfg.n_arrays * cfg.n_buildings, a.static, a.divisor
         return ([n * ((static + pa) / divisor) for pa in pa_power_doherty(p_out, a.pa_max)],
                 [p <= a.pa_max for p in p_out])   # False where NaN (unmeetable)
 

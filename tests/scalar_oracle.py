@@ -6,8 +6,8 @@ system built as a full n x n matrix of beam expectations and solved once per
 point, and every device built through the laws of ``b5gcell.power``, each
 called on one-point columns, and summed by ``power_cell`` below: identical
 devices scale by their count, one rounding, and distinct terms add in order.
-It reads the model's geometry and gains but neither its closed-form access
-power nor its precomputed device powers: every device law runs again at every
+It builds no model: ``cell`` draws the layout, the gains, the indoor noise
+and the LiFi link from the bundle, and every device law runs again at every
 point.  The laws themselves are shared, so the hand-transcribed device powers
 in ``tests/test_power.py`` check them.
 ``ScenarioModel.points``
@@ -17,16 +17,24 @@ differ from this solve in the last bits.
 """
 
 import functools
+import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import add
 
 import numpy as np
 
-from b5gcell.metrics import kernel_power_mean
+from b5gcell.channel import db_to_linear, lifi_angles, lifi_los_gain, pathloss_freespace, \
+    pathloss_winner_b5a
+from b5gcell.metrics import kernel_power_mean, sinr_lifi
 from b5gcell.power import (overhead_divisor, pa_power_doherty, power_bmaa, power_iap_mmwave,
                            power_lifi_iap, power_mbs, power_mbsala)
-from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE, build_scenario
+from b5gcell.scenario import RATE_VARIABLE, SE_VARIABLE
+
+# What a point of one variant reads: the outdoor gain per building, and per indoor
+# user its mmWave access gain and its LiFi gain and SINR
+Cell = namedtuple("Cell", "variant cfg bundle beta_out beta_access sigma_in lifi_h lifi_sinr")
 
 
 class SaturationError(ValueError):
@@ -68,6 +76,34 @@ def with_amplifier(device, p_pa: float, divisor: float = 1.0):
     return device._replace(p_pa=p_pa, p_total=(device.p_bb + device.p_rf + p_pa) / divisor)
 
 
+def cell(bundle, variant, seed: int = 0) -> Cell:
+    """*variant*'s cell under *bundle*: the fixed layout, or the random one drawn from
+    ``np.random.default_rng(np.random.SeedSequence([seed, digest]))``, *digest* the
+    first 8 bytes of the variant name's SHA-256; the gains from the path loss laws,
+    the direct link's through the wall; the indoor noise over the indoor band."""
+    cfg, layout, lifi = bundle.scenario._replace(m_t=variant.m_t), bundle.layout, bundle.lifi
+    distances, offsets = layout.building_distances_m, layout.user_offsets_m
+    if layout.placement == "random":
+        digest = int.from_bytes(hashlib.sha256(variant.name.encode()).digest()[:8], "big")
+        rng = np.random.default_rng(np.random.SeedSequence([seed, digest]))
+        distances = np.sort(rng.uniform(layout.distance_min_m, layout.distance_max_m,
+                                        cfg.n_buildings)).tolist()
+        offsets = rng.uniform(-layout.room_halfwidth_m, layout.room_halfwidth_m,
+                              size=(cfg.n_iue, 2)).tolist()
+    wall = cfg.penetration_loss_db if variant.kind == "nonsep" else 0.0
+    beta_out = [db_to_linear(-(pathloss_winner_b5a(d, cfg.carrier_freq_out) + wall))
+                for d in distances]
+    dz = layout.user_height_m - layout.iap_height_m
+    beta_access = [db_to_linear(-pathloss_freespace(math.sqrt(x * x + y * y + dz * dz),
+                                                    cfg.carrier_freq_in)) for x, y in offsets]
+    lifi_h = [lifi_los_gain(lifi_angles((0.0, 0.0, layout.iap_height_m),
+                                        (x, y, layout.user_height_m), lifi.n_tx, lifi.n_rx), lifi)
+              for x, y in offsets]
+    return Cell(variant, cfg, bundle, beta_out, beta_access,
+                cfg.noise_variance * cfg.bandwidth_in / cfg.bandwidth_out, lifi_h,
+                [sinr_lifi(lifi.c_f, lifi.p_opt, h, lifi.n0, cfg.bandwidth_in) for h in lifi_h])
+
+
 def required_sinr(se_target: float, gamma: float) -> float:
     try:
         return 2.0 ** (se_target / gamma) - 1.0
@@ -91,26 +127,25 @@ def beam_expectations(n: int, m_t_iap: int):
     return matrix
 
 
-def access_matrix(model):
+def access_matrix(c):
     """beta_i E_ij: each row of beam_expectations times its user's gain."""
-    return np.asarray(model.beta_access)[:, None] * beam_expectations(model.cfg.n_iue,
-                                                          model.cfg.m_t_iap)
+    return np.asarray(c.beta_access)[:, None] * beam_expectations(c.cfg.n_iue, c.cfg.m_t_iap)
 
 
-def solve_mmwave_powers(model, sinr_target: float):
+def solve_mmwave_powers(c, sinr_target: float):
     """Per-user powers hitting a common SINR target, or None: the access
     system D - t C, with D the diagonal of access_matrix and C its off-diagonal
     part, solved against t * sigma_in for every user."""
-    n = model.cfg.n_iue
+    n = c.cfg.n_iue
     if sinr_target == 0.0:
         return np.zeros(n)
     if math.isinf(sinr_target):
         return None
-    coupling = access_matrix(model)
+    coupling = access_matrix(c)
     diag = np.diag(np.diag(coupling))
     mat = diag - sinr_target * (coupling - diag)
     try:
-        powers = np.linalg.solve(mat, np.full(n, sinr_target * model.sigma_in))
+        powers = np.linalg.solve(mat, np.full(n, sinr_target * c.sigma_in))
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(powers)):
@@ -120,14 +155,14 @@ def solve_mmwave_powers(model, sinr_target: float):
     return np.clip(powers, 0.0, None)
 
 
-def _outdoor_devices(model, target: float, rx: int, streams: int, link: str):
+def _outdoor_devices(c, target: float, rx: int, streams: int, link: str):
     """The macro site at SINR target *target*: each building's amplifier output,
     shared by its *streams* streams, is checked against the rating one building at a
     time; the relay array law gives the draw at target 1, which class-B scales by
     sqrt(target)."""
-    cfg, b = model.cfg, model.bundle
+    cfg, b = c.cfg, c.bundle
     sigma = cfg.noise_variance
-    gains = [beta * cfg.m_t * rx for beta in model.beta_out]
+    gains = [beta * cfg.m_t * rx for beta in c.beta_out]
     for gain in gains:
         p = target * sigma / gain
         if p > b.mbsala.pa_max:
@@ -136,11 +171,11 @@ def _outdoor_devices(model, target: float, rx: int, streams: int, link: str):
     return power_mbs(cfg, b, with_amplifier(mbsala, mbsala.p_pa * math.sqrt(target)))
 
 
-def _separate_point(model, rate_user: float):
-    cfg, b = model.cfg, model.bundle
-    if model.variant.kind == "sep-mmwave":
+def _separate_point(c, rate_user: float):
+    cfg, b = c.cfg, c.bundle
+    if c.variant.kind == "sep-mmwave":
         target = required_sinr(rate_user / cfg.bandwidth_in, cfg.gamma)
-        powers = solve_mmwave_powers(model, target)
+        powers = solve_mmwave_powers(c, target)
         if powers is None:
             return None
         p_out = float(np.sum(powers))
@@ -150,36 +185,36 @@ def _separate_point(model, rate_user: float):
                              overhead_divisor(b))
     else:
         share = cfg.bandwidth_in / cfg.n_iue
-        for sinr in model.lifi_sinr:
+        for sinr in c.lifi_sinr:
             capacity = cfg.gamma * share * math.log2(1.0 + sinr)
             if rate_user > capacity:
                 return None
-        iap = power_lifi_iap(model.bundle.lifi_led, plain_sum(model.lifi_h) / len(model.lifi_h))
+        iap = power_lifi_iap(c.bundle.lifi_led, plain_sum(c.lifi_h) / len(c.lifi_h))
     rate_beam = rate_user * cfg.n_iue / cfg.n_beams
     target = required_sinr(rate_beam / cfg.bandwidth_out, cfg.gamma)
-    mbs = _outdoor_devices(model, target, cfg.m_r, cfg.n_beams, "backhaul")
+    mbs = _outdoor_devices(c, target, cfg.m_r, cfg.n_beams, "backhaul")
     return mbs, (power_bmaa(cfg, b), iap)
 
 
-def _direct_point(model, rate_user: float):
-    cfg = model.cfg
+def _direct_point(c, rate_user: float):
+    cfg = c.cfg
     target = required_sinr(rate_user / cfg.bandwidth_out, cfg.gamma)
-    return _outdoor_devices(model, target, cfg.ue_antennas, cfg.n_iue, "direct"), ()
+    return _outdoor_devices(c, target, cfg.ue_antennas, cfg.n_iue, "direct"), ()
 
 
-def rate_point(model, total_rate: float, x_value=None,
+def rate_point(c, total_rate: float, x_value=None,
                x_kind: str = RATE_VARIABLE) -> PointResult:
-    cfg = model.cfg
+    cfg = c.cfg
     x = total_rate if x_value is None else x_value
     rate_user = total_rate / (cfg.n_arrays * cfg.n_buildings * cfg.n_iue)
-    infeasible = PointResult(variant=model.variant.name, x_value=x, x_kind=x_kind,
+    infeasible = PointResult(variant=c.variant.name, x_value=x, x_kind=x_kind,
                              feasible=False, total_power_w=None, ee=None,
                              p_mbs_w=None, p_bmaa_w=None, p_iap_w=None)
     try:
-        if model.variant.kind != "nonsep":
-            result = _separate_point(model, rate_user)
+        if c.variant.kind != "nonsep":
+            result = _separate_point(c, rate_user)
         else:
-            result = _direct_point(model, rate_user)
+            result = _direct_point(c, rate_user)
     except SaturationError:
         return infeasible
     if result is None:
@@ -189,7 +224,7 @@ def rate_point(model, total_rate: float, x_value=None,
     total = power_cell(mbs, n_devices, *devices)
     p_bmaa, p_iap = [n_devices * d.p_total for d in devices] or [0.0, 0.0]
     return PointResult(
-        variant=model.variant.name, x_value=x, x_kind=x_kind, feasible=True,
+        variant=c.variant.name, x_value=x, x_kind=x_kind, feasible=True,
         total_power_w=total, ee=total_rate / cfg.bandwidth_out / total,
         p_mbs_w=mbs.p_total,
         p_bmaa_w=p_bmaa,
@@ -197,19 +232,19 @@ def rate_point(model, total_rate: float, x_value=None,
     )
 
 
-def se_point(model, se_per_link: float) -> PointResult:
-    cfg = model.cfg
+def se_point(c, se_per_link: float) -> PointResult:
+    cfg = c.cfg
     n_users = cfg.n_arrays * cfg.n_buildings * cfg.n_iue
     rate = se_per_link * cfg.bandwidth_out * n_users
-    return rate_point(model, rate, x_value=se_per_link, x_kind=SE_VARIABLE)
+    return rate_point(c, rate, x_value=se_per_link, x_kind=SE_VARIABLE)
 
 
 def run_sweep(bundle, spec, seed: int = 0) -> list:
     """The sweep of ``b5gcell.scenario.run_sweep`` as PointResult rows, one
-    point at a time, variant-major then grid order."""
+    point at a time, variant-major then grid order, each variant on its own ``cell``."""
     rows = []
     for variant in spec.variants:
-        model = build_scenario(bundle, variant, seed=seed)
+        c = cell(bundle, variant, seed)
         point = rate_point if spec.variable == RATE_VARIABLE else se_point
-        rows.extend(point(model, float(x)) for x in spec.grid)
+        rows.extend(point(c, float(x)) for x in spec.grid)
     return rows

@@ -10,6 +10,8 @@ ACCESS_REL_TOL.
 
 import math
 import random
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,6 +24,7 @@ from b5gcell.scenario import (
     POWER_FIELDS,
     RATE_VARIABLE,
     SE_VARIABLE,
+    ScenarioModel,
     SweepSpec,
     VariantSpec,
     build_scenario,
@@ -88,6 +91,23 @@ def _assert_sweep_matches(bundle, variable, grid, variants, seed=0):
     _assert_rows_equal(got, scalar_oracle.run_sweep(bundle, spec, seed))
 
 
+@pytest.mark.parametrize("placement", ["fixed", "random"])
+def test_the_reference_builds_no_model(bundle, placement):
+    # the reference draws its own cell: with no model to be built, its rows still
+    # equal the engine's, taken before
+    bundle = bundle._replace(layout=bundle.layout._replace(placement=placement))
+    spec = SweepSpec(RATE_VARIABLE, parse_grid("0:6e9:25"),
+                     parse_variants(",".join(PAPER_VARIANTS), 64))
+    result = run_sweep(bundle, spec, 3)
+    got = [row for v in spec.variants
+           for row in _rows(v.name, spec.grid, RATE_VARIABLE, result[v.name])]
+    with mock.patch.object(ScenarioModel, "__init__", side_effect=AssertionError("built")):
+        with pytest.raises(AssertionError, match="built"):
+            build_scenario(bundle, spec.variants[0])
+        want = scalar_oracle.run_sweep(bundle, spec, 3)
+    _assert_rows_equal(got, want)
+
+
 @pytest.mark.parametrize("m_t", [64, 128, 256])
 def test_paper_rate_grids_match_reference(bundle, m_t):
     variants = ",".join(f"{v}:mt={m_t}" for v in PAPER_VARIANTS)
@@ -114,10 +134,11 @@ def test_grid_past_float_range_matches_reference(bundle):
 
 def test_zero_rate_point_matches_reference(bundle):
     for base in PAPER_VARIANTS:
-        model = build_scenario(bundle, parse_variants(base, 128)[0])
+        variant = parse_variants(base, 128)[0]
+        model, cell = build_scenario(bundle, variant), scalar_oracle.cell(bundle, variant)
         _assert_rows_equal(_points(model, [0.0]) + _points(model, [0.0], SE_VARIABLE),
-                           [scalar_oracle.rate_point(model, 0.0),
-                            scalar_oracle.se_point(model, 0.0)])
+                           [scalar_oracle.rate_point(cell, 0.0),
+                            scalar_oracle.se_point(cell, 0.0)])
 
 
 def _crowded_config_text(layout: int, n_iue: int = 64, n_buildings: int = 4) -> str:
@@ -168,53 +189,56 @@ def test_random_increasing_grids_match_reference(values, variable):
 def _two_users(bundle):
     """The two-user access point at its real codebook.  The narrow indoor band
     puts its t* where the backhaul is still feasible, and the raised indoor
-    amplifier rating leaves t* as the only indoor limit."""
+    amplifier rating leaves t* as the only indoor limit.  The model, and the
+    reference's cell."""
     scenario = bundle.scenario._replace(n_iue=2, bandwidth_in=1e7)
     layout = bundle.layout._replace(user_offsets_m=bundle.layout.user_offsets_m[:2])
     iap = bundle.iap._replace(pa_max=1e12)
-    return build_scenario(bundle._replace(scenario=scenario, layout=layout, iap=iap),
-                          VariantSpec("sep-mmwave", "sep-mmwave", 64))
+    two, variant = (bundle._replace(scenario=scenario, layout=layout, iap=iap),
+                    VariantSpec("sep-mmwave", "sep-mmwave", 64))
+    return build_scenario(two, variant), scalar_oracle.cell(two, variant)
 
 
 def test_access_power_is_finite_below_t_star_and_nan_from_it_on(bundle):
-    model = _two_users(bundle)
+    model, cell = _two_users(bundle)
     t_star = model.access.t_star
     targets = t_star * np.array([0.25, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0])
     powers = np.asarray(model._access_power(targets))
     assert np.all(np.isfinite(powers[:3])) and np.all(powers[:3] > 0)
     assert np.all(np.isnan(powers[3:]))
     for t, power in zip(targets[:3], powers[:3]):
-        want = scalar_oracle.solve_mmwave_powers(model, float(t))
+        want = scalar_oracle.solve_mmwave_powers(cell, float(t))
         assert want is not None and np.all(want >= 0), t
         assert power == pytest.approx(np.sum(want), rel=ACCESS_REL_TOL / (1 - t / t_star))
     # past t* the full solve has a negative power, so the reference fails it too
-    assert scalar_oracle.solve_mmwave_powers(model, float(targets[4])) is None
-    assert scalar_oracle.solve_mmwave_powers(model, float(targets[5])) is None
+    assert scalar_oracle.solve_mmwave_powers(cell, float(targets[4])) is None
+    assert scalar_oracle.solve_mmwave_powers(cell, float(targets[5])) is None
 
 
 def test_rows_through_t_star_match_reference(bundle):
-    model = _two_users(bundle)
+    model, cell = _two_users(bundle)
     cfg = model.cfg
     fractions = [0.0, 0.5, 1.0 - 1e-9, 1.0 + 1e-9, 2.0]
     # the total rate whose per-user SINR target is the fraction of t*
-    rates = [cfg.gamma * cfg.bandwidth_in * model.n_users
+    rates = [cfg.gamma * cfg.bandwidth_in * model.link.n_users
              * math.log2(1.0 + f * model.access.t_star) for f in fractions]
     got = _points(model, rates)
     for f, row, rate in zip(fractions, got, rates):
         # the solve's rounding error grows as 1 / (1 - t / t*)
-        _assert_rows_equal([row], [scalar_oracle.rate_point(model, rate)],
+        _assert_rows_equal([row], [scalar_oracle.rate_point(cell, rate)],
                            rel=ACCESS_REL_TOL / abs(1.0 - f))
     assert [p.feasible for p in got] == [True, True, True, False, False]
 
 
 def test_points_columns_hold_the_row_values_and_nan_where_infeasible(bundle):
-    model = build_scenario(bundle, parse_variants("sep-mmwave", 64)[0])
+    variant = parse_variants("sep-mmwave", 64)[0]
+    model, cell = build_scenario(bundle, variant), scalar_oracle.cell(bundle, variant)
     rates = parse_grid("0:2e11:50")
     columns = model.points(rates)
     assert list(columns) == ["feasible", *POWER_FIELDS]
     assert 0 < sum(columns["feasible"]) < len(rates)
     _assert_rows_equal(_rows(model.variant.name, rates, RATE_VARIABLE, columns),
-                       [scalar_oracle.rate_point(model, r) for r in rates])
+                       [scalar_oracle.rate_point(cell, r) for r in rates])
 
 
 @pytest.mark.parametrize("kind", PAPER_VARIANTS)

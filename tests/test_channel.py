@@ -101,14 +101,16 @@ def test_freespace_distance_doubling_adds_6db():
 def test_penetration_adds_in_db(bundle):
     """The direct link pays the wall on top of the backhaul's path loss."""
     relay, nonsep = VariantSpec("relay", "sep-mmwave", 64), VariantSpec("direct", "nonsep", 64)
-    pen = bundle.scenario.penetration_loss_db
-    backhaul = np.asarray(build_scenario(bundle, relay).beta_out)
-    direct = np.asarray(build_scenario(bundle, nonsep).beta_out)
+    cfg, pen = bundle.scenario, bundle.scenario.penetration_loss_db
+    # each link's weakest gain beta m_t rx: m_r antennas at a building array, ue_antennas
+    # at a handset
+    backhaul = build_scenario(bundle, relay).link.weakest / cfg.m_r
+    direct = build_scenario(bundle, nonsep).link.weakest / cfg.ue_antennas
     np.testing.assert_allclose(direct / backhaul, 10.0 ** (-pen / 10.0), rtol=1e-12)
     thicker = bundle._replace(scenario=bundle.scenario._replace(penetration_loss_db=pen + 10))
-    np.testing.assert_allclose(build_scenario(thicker, nonsep).beta_out, direct / 10.0,
-                               rtol=1e-12)
-    assert build_scenario(thicker, relay).beta_out == backhaul.tolist()
+    np.testing.assert_allclose(build_scenario(thicker, nonsep).link.weakest / cfg.ue_antennas,
+                               direct / 10.0, rtol=1e-12)
+    assert build_scenario(thicker, relay).link == build_scenario(bundle, relay).link
 
 
 @given(x=st.floats(-120.0, 60.0))

@@ -10,6 +10,7 @@ import pytest
 from b5gcell import (ConfigBundle, ConfigError, VariantSpec, build_scenario, default_bundle,
                      dumps_config, load_config, write_config)
 from b5gcell.channel import lambertian_order
+from b5gcell.cli import main
 from b5gcell.config import DEFAULTS
 
 
@@ -399,6 +400,20 @@ def test_fixed_placement_needs_one_offset_per_user():
 def test_fixed_placement_needs_one_distance_per_building():
     with pytest.raises(ConfigError, match="layout.building_distances_m"):
         load_config(None, environ={"B5GCELL_SCENARIO__N_BUILDINGS": "2"})
+
+
+def test_blank_vector_values_load_as_no_components(tmp_path, capsys):
+    # random placement reads neither vector, so blank ones sweep; fixed placement counts them
+    path, sweep = tmp_path / "cell.cfg", ["sweep", "--grid", "0:2e9:5", "--plot", "off"]
+    path.write_text("[layout]\nplacement = random\nbuilding_distances_m =\nuser_offsets_m =\n")
+    layout = load_config(str(path), use_env=False).layout
+    assert (layout.building_distances_m, layout.user_offsets_m) == ((), ())
+    assert main([*sweep, "--config", str(path), "--out", str(tmp_path / "random")]) == 0
+    path.write_text("[layout]\nbuilding_distances_m =\n")
+    capsys.readouterr()
+    assert main([*sweep, "--config", str(path), "--out", str(tmp_path / "fixed")]) == 1
+    assert capsys.readouterr().err == ("error: layout.building_distances_m: must satisfy one "
+                                       "distance per building (n_buildings=4) (got ())\n")
 
 
 EMPTY_COMPONENTS = {

@@ -188,14 +188,15 @@ def _codebook_cells(model):
     return [UniformAngles(c - 1.0 / n, c + 1.0 / n) for c in scalar_oracle.beam_centers(n)]
 
 
-def _assert_access_solver_hits(model, target):
-    powers = scalar_oracle.solve_mmwave_powers(model, target)
+def _assert_access_solver_hits(bundle, target, seed=0):
+    model, cell = build_scenario(bundle, SEP, seed=seed), scalar_oracle.cell(bundle, SEP, seed)
+    powers = scalar_oracle.solve_mmwave_powers(cell, target)
     assert powers is not None and np.all(powers >= 0)
     cells = _codebook_cells(model)
     beams = tuple(scalar_oracle.beam_centers(model.cfg.n_iue))
     for k in range(model.cfg.n_iue):
-        got = sinr_mmwave(k, cells, beams, tuple(model.beta_access), tuple(powers),
-                          model.cfg.m_t_iap, model.sigma_in)
+        got = sinr_mmwave(k, cells, beams, tuple(cell.beta_access), tuple(powers),
+                          model.cfg.m_t_iap, cell.sigma_in)
         assert got == pytest.approx(target, rel=1e-9)
     assert model._access_power(np.array([target]))[0] == pytest.approx(np.sum(powers),
                                                                        rel=1e-12)
@@ -209,22 +210,21 @@ def _crowded(bundle, **scenario):
 
 
 def test_access_solver_hits_the_sinr_target(bundle):
-    _assert_access_solver_hits(build_scenario(bundle, SEP), 2.5)
+    _assert_access_solver_hits(bundle, 2.5)
 
 
 def test_access_solver_hits_the_sinr_target_with_64_random_users(bundle):
-    model = build_scenario(_crowded(bundle), SEP, seed=3)
-    _assert_access_solver_hits(model, 0.2)
+    _assert_access_solver_hits(_crowded(bundle), 0.2, seed=3)
 
 
 def test_codebook_matrix_equals_scalar_expectations(bundle):
-    model = build_scenario(_crowded(bundle), SEP, seed=4)
-    matrix = scalar_oracle.access_matrix(model)
-    beams = scalar_oracle.beam_centers(model.cfg.n_iue)
-    for i, cell in enumerate(_codebook_cells(model)):
-        beta = model.beta_access[i]
+    cell = scalar_oracle.cell(_crowded(bundle), SEP, seed=4)
+    matrix = scalar_oracle.access_matrix(cell)
+    beams = scalar_oracle.beam_centers(cell.cfg.n_iue)
+    for i, angles in enumerate(_codebook_cells(cell)):
+        beta = cell.beta_access[i]
         for j, beam in enumerate(beams):
-            scalar = beta * expected_kernel_power(model.cfg.m_t_iap, beam, cell)
+            scalar = beta * expected_kernel_power(cell.cfg.m_t_iap, beam, angles)
             assert matrix[i, j] == pytest.approx(scalar, rel=1e-12)
 
 
@@ -258,8 +258,9 @@ def test_closed_form_access_power_equals_the_full_solve(n_iue, m_t_iap, seed, fr
     # a single user has no interference, so no t*; its targets are free
     scale = model.access.t_star if math.isfinite(model.access.t_star) else 1e3
     targets = scale * np.array(fractions)
+    cell = scalar_oracle.cell(bundle, SEP, seed)
     for t, got in zip(targets, model._access_power(targets)):
-        want = scalar_oracle.solve_mmwave_powers(model, float(t))
+        want = scalar_oracle.solve_mmwave_powers(cell, float(t))
         assert want is not None and np.all(want >= 0), t
         assert got == pytest.approx(np.sum(want), rel=1e-12 / (1.0 - t / model.access.t_star)), t
     if math.isfinite(model.access.t_star):
@@ -324,13 +325,10 @@ def test_library_and_sweep_build_one_random_cell(bundle, variant, seed):
 @pytest.mark.parametrize("placement", ["fixed", "random"])
 @pytest.mark.parametrize("variant", [SEP, LIFI, NON], ids=lambda v: v.kind)
 def test_each_model_keeps_only_its_own_inputs(bundle, variant, placement):
-    # the evaluators read link and access; the rest is what scalar_oracle rebuilds from
-    every = ["access", "beta_out", "building_distances", "bundle", "cfg", "link",
-             "n_devices", "n_users", "user_offsets", "variant"]
-    own = {"sep-mmwave": ["beta_access", "sigma_in"], "sep-lifi": ["lifi_h", "lifi_sinr"],
-           "nonsep": []}[variant.kind]
+    # the evaluators read the variant, the scenario section, the link and the access
     bundle = bundle._replace(layout=bundle.layout._replace(placement=placement))
-    assert sorted(vars(build_scenario(bundle, variant, seed=3))) == sorted(every + own)
+    assert sorted(vars(build_scenario(bundle, variant, seed=3))) == [
+        "access", "cfg", "link", "variant"]
 
 
 @st.composite
@@ -700,12 +698,23 @@ def test_changing_one_variants_columns_leaves_the_others_unchanged(case, data):
 
 
 def test_random_placement_respects_bounds(bundle):
+    # every building within the bounds: the weakest backhaul gain lies between the gains
+    # of all buildings at the farthest and at the nearest distance; every user in the
+    # room: the access scale, a sum over 1 / beta, between all users under the access
+    # point and all in a corner of the room
     layout = bundle.layout._replace(placement="random")
     model = build_scenario(bundle._replace(layout=layout), SEP, seed=5)
-    distances, offsets = np.asarray(model.building_distances), np.asarray(model.user_offsets)
-    assert np.all(distances >= bundle.layout.distance_min_m)
-    assert np.all(distances <= bundle.layout.distance_max_m)
-    assert np.all(np.abs(offsets) <= bundle.layout.room_halfwidth_m)
+    n, half = bundle.scenario.n_buildings, layout.room_halfwidth_m
+
+    def fixed(distance, offset):
+        at = layout._replace(placement="fixed", building_distances_m=(distance,) * n,
+                             user_offsets_m=(offset,) * bundle.scenario.n_iue)
+        return build_scenario(bundle._replace(layout=at), SEP)
+    nearest, farthest = (fixed(d, (0.0, 0.0)) for d in (layout.distance_min_m,
+                                                         layout.distance_max_m))
+    assert farthest.link.weakest <= model.link.weakest <= nearest.link.weakest
+    assert nearest.access.scale <= model.access.scale <= fixed(
+        layout.distance_max_m, (half, half)).access.scale
 
 
 def _summary(xs, columns):
@@ -825,16 +834,17 @@ def test_the_total_at_zero_rate_is_the_static_sum(bundle, variant, m_t, placemen
     # the building arrays' and access points' laws, each scaled by its count, in order
     b = bundle._replace(layout=bundle.layout._replace(placement=placement))
     model = build_scenario(b, variant._replace(m_t=m_t), seed=2)
-    cfg, n = model.cfg, model.n_devices
+    cell = scalar_oracle.cell(b, variant._replace(m_t=m_t), seed=2)   # the laws' inputs
+    cfg, n = model.cfg, model.cfg.n_arrays * model.cfg.n_buildings
     relay = variant.kind != "nonsep"
     streams, rx = (cfg.n_beams, cfg.m_r) if relay else (cfg.n_iue, cfg.ue_antennas)
-    gains = [beta * cfg.m_t * rx for beta in model.beta_out]
+    gains = [beta * cfg.m_t * rx for beta in cell.beta_out]
     mbs = power_mbs(cfg, b, power_mbsala(cfg, b, cfg.noise_variance, gains, streams))
     access, bmaa = 0.0, n * power_bmaa(cfg, b).p_total if relay else 0.0
     if variant.kind == "sep-mmwave":
         access = n * power_iap_mmwave(cfg, b).p_total
     if variant.kind == "sep-lifi":
-        access = n * power_lifi_iap(b.lifi_led, add_up(model.lifi_h) / cfg.n_iue).p_total
+        access = n * power_lifi_iap(b.lifi_led, add_up(cell.lifi_h) / cfg.n_iue).p_total
     static = (mbs.p_bb + mbs.p_rf) / overhead_divisor(b) + bmaa + access
     assert model.points([0.0])["total_power_w"] == [static]
     assert model.points([0.0], SE_VARIABLE)["total_power_w"] == [static]

@@ -52,5 +52,8 @@ def test_random_layout_is_the_numpy_layout(bundle, seed):
                                           bundle.scenario.n_buildings))
     offsets = reference.uniform(-layout.room_halfwidth_m, layout.room_halfwidth_m,
                                 size=(bundle.scenario.n_iue, 2))
-    assert model.building_distances == distances.tolist()
-    assert model.user_offsets == [tuple(row) for row in offsets.tolist()]
+    # the model placed at numpy's draw has the same link and access, float for float
+    at = layout._replace(placement="fixed", building_distances_m=tuple(distances.tolist()),
+                         user_offsets_m=tuple(map(tuple, offsets.tolist())))
+    placed = build_scenario(bundle._replace(layout=at), variant)
+    assert (model.link, model.access) == (placed.link, placed.access)

@@ -220,3 +220,9 @@ def test_ticks_stay_within_the_axis(lo, ulps):
     ticks = _ticks(lo, hi)
     assert ticks and all(lo <= t for t in ticks)
     assert ticks == sorted(set(ticks))
+
+
+@pytest.mark.parametrize("lo, hi", [(1e9, 1000000000.0000002), (1e16, 1e16 + 4)])
+def test_ticks_end_where_the_step_is_below_half_an_ulp(lo, hi):
+    # t + step == t from the first tick on: without the guard the loop never ends
+    assert _ticks(lo, hi) == [lo]
