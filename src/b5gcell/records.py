@@ -36,7 +36,9 @@ def read_text(path: str) -> str:
 
 @cache   # looked up once: a failed import is not cached
 def _sha256_type():
-    for name in ("_sha2", "_sha256", "hashlib"):
+    # the running version's built-in first: _sha2 from 3.12 on, _sha256 before
+    builtin = ("_sha2", "_sha256") if sys.version_info >= (3, 12) else ("_sha256", "_sha2")
+    for name in (*builtin, "hashlib"):
         try:
             return __import__(name).sha256
         except ImportError:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import math
@@ -1176,17 +1177,18 @@ def test_sweep_negative_seed_exits_1_naming_the_option(tmp_path, capsys):
     assert not out.exists()
 
 
-# `python -m b5gcell <args>` in this interpreter; then the exit code and the
-# modules the command loaded beyond those of the bare interpreter go to stderr
+# `python -m b5gcell <args>` in this interpreter; then the exit code, the number of
+# objects frozen and the modules the command loaded beyond those of the bare
+# interpreter go to stderr
 NUMPY_PROBE = """
-import sys
+import gc, sys
 bare = set(sys.modules)
 import runpy
 try:
     runpy.run_module("b5gcell", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
-    print(f"exit={exc.code} loaded={','.join(sorted(set(sys.modules) - bare))}",
-          file=sys.stderr)
+    print(f"exit={exc.code} frozen={gc.get_freeze_count()} "
+          f"loaded={','.join(sorted(set(sys.modules) - bare))}", file=sys.stderr)
 """
 
 
@@ -1203,16 +1205,18 @@ def _package_modules(loaded):
 
 
 def _probe(*args, no_site=False):
-    """Exit code and the set of modules loaded by ``b5gcell <args>`` in a fresh process;
-    *no_site* runs it under ``-S``, so that what a ``site`` hook imports is counted too."""
+    """Exit code, the set of modules loaded, stdout and ``gc.get_freeze_count()`` of
+    ``b5gcell <args>`` in a fresh process; *no_site* runs it under ``-S``, so that what a
+    ``site`` hook imports is counted too."""
     src = str(Path(b5gcell.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     flags = ["-S"] if no_site else []
     proc = subprocess.run([sys.executable, *flags, "-c", NUMPY_PROBE, *args], env=env,
                           capture_output=True, text=True, timeout=60)
-    code, _, loaded = proc.stderr.splitlines()[-1].partition(" loaded=")
-    return code, set(loaded.split(",")), proc.stdout
+    head, _, loaded = proc.stderr.splitlines()[-1].partition(" loaded=")
+    code, _, frozen = head.partition(" frozen=")
+    return code, set(loaded.split(",")), proc.stdout, int(frozen)
 
 
 @pytest.mark.parametrize("with_config", [False, True], ids=["plain", "config"])
@@ -1222,8 +1226,8 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
     config = ["--config", str(cfg)] if with_config else []
     out = tmp_path / "run"
     assert main(["sweep", *config, "--out", str(out), *FAST]) == 0
-    code, loaded, stdout = _probe("analyze", "--in", str(out), *config)
-    assert code == "exit=0"
+    code, loaded, stdout, frozen = _probe("analyze", "--in", str(out), *config)
+    assert code == "exit=0" and frozen > 0
     assert stdout == (out / "summary.txt").read_text()
     # digests and the timestamp are a sweep's and a --config check's business; the
     # digests come from the built-in SHA-256, so no command maps OpenSSL's _hashlib
@@ -1238,10 +1242,21 @@ def test_analyze_runs_without_numpy(tmp_path, with_config):
 
 
 def test_version_loads_no_argument_parser():
-    code, loaded, stdout = _probe("--version")
-    assert (code, stdout) == ("exit=0", "0.1.0\n")
+    code, loaded, stdout, frozen = _probe("--version")
+    assert (code, stdout) == ("exit=0", "0.1.0\n") and frozen > 0
     assert loaded & PARSER_MODULES == set()
     assert _package_modules(loaded) == {"b5gcell", "b5gcell.records", "b5gcell.cli"}
+
+
+def test_main_called_in_process_freezes_nothing(tmp_path, capsys):
+    # only the process's entry (no argv) freezes its heap: a caller's own objects, a test
+    # run's or a tracer's, stay collectable
+    before = gc.get_freeze_count()
+    assert main(["sweep", "--out", str(tmp_path / "run"), "--plot", "off", *FAST]) == 0
+    assert main(["--version"]) == 0
+    assert main(["sweep", "--plot", "maybe", "--out", str(tmp_path / "usage")]) == 1
+    assert "--plot" in capsys.readouterr().err
+    assert gc.get_freeze_count() == before
 
 
 # pathlib and what it loads, and the annotations future: paths are str and os.path
@@ -1257,13 +1272,13 @@ def test_commands_load_no_pathlib(tmp_path, command):
     args = {"--version": ["--version"], "sweep": ["sweep", "--out", str(out)],
             "analyze": ["analyze", "--in", str(out)],
             "analyze-config": ["analyze", "--in", str(out), "--config", str(cfg)]}[command]
-    code, loaded, _ = _probe(*args, no_site=True)
+    code, loaded, _, _ = _probe(*args, no_site=True)
     assert code == "exit=0"
     assert loaded & PATHLIB_MODULES == set()
 
 
 def test_help_loads_no_command_module():
-    code, loaded, stdout = _probe("--help")
+    code, loaded, stdout, _ = _probe("--help")
     assert code == "exit=0" and stdout.startswith("usage: b5gcell ")
     assert _package_modules(loaded) == {"b5gcell", "b5gcell.records", "b5gcell.cli"}
 
@@ -1271,8 +1286,8 @@ def test_help_loads_no_command_module():
 def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path):
     out = tmp_path / "run"
     before = time.time()
-    code, loaded, _ = _probe("sweep", "--out", str(out), *FAST)
-    assert code == "exit=0"
+    code, loaded, _, frozen = _probe("sweep", "--out", str(out), *FAST)
+    assert code == "exit=0" and frozen > 0
     assert _numpy_modules(loaded) == set()
     assert loaded & {"dataclasses", "datetime", "_hashlib", "b5gcell.stream", "b5gcell.analyze",
                      *PARSER_MODULES} == set()
@@ -1287,7 +1302,7 @@ def test_fixed_layout_sweep_loads_neither_dataclasses_nor_numpy_random(tmp_path)
 def test_random_layout_sweep_loads_neither_numpy_random_nor_hashlib(tmp_path, monkeypatch):
     monkeypatch.setenv("B5GCELL_LAYOUT__PLACEMENT", "random")
     out = tmp_path / "run"
-    code, loaded, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
+    code, loaded, _, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
     assert code == "exit=0"
     # the layout comes from the standard-library stream and the digests from the
     # built-in SHA-256, so OpenSSL is never mapped
@@ -1302,15 +1317,15 @@ def test_sweep_over_a_grid_a_few_ulps_wide_draws_its_charts(tmp_path):
     # tick; in a child process, so that a tick loop which never ends fails by the
     # probe's timeout
     out = tmp_path / "run"
-    code, _, _ = _probe("sweep", "--variants", "nonsep", "--grid", "1e9:1000000000.0000002:2",
-                        "--out", str(out))
+    code, _, _, _ = _probe("sweep", "--variants", "nonsep", "--grid", "1e9:1000000000.0000002:2",
+                           "--out", str(out))
     assert code == "exit=0"
     assert (out / "power_vs_rate.svg").is_file() and (out / "ee_vs_rate.svg").is_file()
 
 
 def test_sweep_without_charts_does_not_load_the_chart_code(tmp_path):
     out = tmp_path / "run"
-    code, loaded, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
+    code, loaded, _, _ = _probe("sweep", "--out", str(out), "--plot", "off", *FAST)
     assert code == "exit=0"
     assert _numpy_modules(loaded) == set() and "b5gcell.svgplot" not in loaded
     assert (out / "results.csv").is_file() and not list(out.glob("*.svg"))
